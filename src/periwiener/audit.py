@@ -7,6 +7,11 @@ earn ("holds", or "discrepancy" for statements whose stated form fails desk
 checks).  A run *matches* when every final status equals its registration;
 any flip is the failure signal.  Desk-corrected variants of the discrepancy
 formulas ride along as shadow claims, outside the registry proper.
+
+A suite is an instance stream plus a check table (claim id -> check).  One
+loop, `_evaluate`, runs every table over its stream and does the counting,
+witness selection and error handling for all of them; the exhaustive corpus
+stream is split into fixed mask ranges that a process pool evaluates.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import os
 import random
 from bisect import insort
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
@@ -53,7 +60,6 @@ DIAM4_CHILD_MAX = 4
 DIAM4_TUPLE_MAX = 4
 
 _MAX_WITNESSES = 10
-_CORPUS_CHUNK_BITS = 15
 
 _NA = object()
 
@@ -73,6 +79,8 @@ class Budget:
             raise InvalidParameterError(f"max_n must be in 2..8, got {self.max_n}")
         if self.trials < 0:
             raise InvalidParameterError(f"trials must be >= 0, got {self.trials}")
+        if self.threads < 0:
+            raise InvalidParameterError(f"threads must be >= 0, got {self.threads}")
 
     def worker_count(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -125,9 +133,7 @@ def hypercube_pww(n: int) -> int:
     """Desk-corrected hypercube closed form: n(n+3)4^(n-2)."""
     if n < 2:
         raise InvalidParameterError(f"needs n >= 2, got {n}")
-    val = n * (n + 3) * 4 ** (n - 2)
-    assert val == int(val)
-    return int(val)
+    return n * (n + 3) * 4 ** (n - 2)
 
 
 # --------------------------------------------------------------------------
@@ -247,32 +253,23 @@ def claims_by_id() -> dict[str, Claim]:
 
 
 # --------------------------------------------------------------------------
-# corpus-suite checks: fn(n, masks, profile) -> None | _NA | (observed, expected)
+# suites: each is an instance stream plus a check table (see _evaluate)
 # --------------------------------------------------------------------------
 
 
-def _chk_hasse1(n, masks, p):
-    if p.pw <= p.w:
-        return None
-    return (f"PW={p.pw}", f"PW <= W={p.w}")
+# corpus suite: args (n, adjacency masks, profile) -------------------------
 
 
-def _chk_hasse2(n, masks, p):
-    if p.pw <= p.pww:
-        return None
-    return (f"PW={p.pw}", f"PW <= PWW={p.pww}")
+def _chk_le(a: str, b: str) -> Callable:
+    """Check that index a never exceeds index b (one Hasse-diagram edge)."""
+    i, j = corpus.Profile._fields.index(a), corpus.Profile._fields.index(b)
 
+    def check(n, masks, p):
+        if p[i] <= p[j]:
+            return None
+        return (f"{a.upper()}={p[i]}", f"{a.upper()} <= {b.upper()}={p[j]}")
 
-def _chk_hasse3(n, masks, p):
-    if p.pww <= p.ww:
-        return None
-    return (f"PWW={p.pww}", f"PWW <= WW={p.ww}")
-
-
-def _chk_hasse4(n, masks, p):
-    if p.w <= p.ww:
-        return None
-    return (f"W={p.w}", f"W <= WW={p.ww}")
+    return check
 
 
 def _chk_p1_4(n, masks, p):
@@ -380,10 +377,10 @@ def _chk_obs_no_2_5(n, masks, p):
 
 _CORPUS_CHECKS: dict[str, Callable] = {
     "P1-4": _chk_p1_4,
-    "HASSE-1": _chk_hasse1,
-    "HASSE-2": _chk_hasse2,
-    "HASSE-3": _chk_hasse3,
-    "HASSE-4": _chk_hasse4,
+    "HASSE-1": _chk_le("pw", "w"),
+    "HASSE-2": _chk_le("pw", "pww"),
+    "HASSE-3": _chk_le("pww", "ww"),
+    "HASSE-4": _chk_le("w", "ww"),
     "EQ-COMPLETE": _chk_eq_complete,
     "EQ-P2": _chk_eq_p2,
     "T-BOUNDS": _chk_t_bounds,
@@ -396,9 +393,65 @@ _CORPUS_CHECKS: dict[str, Callable] = {
 }
 
 
-# --------------------------------------------------------------------------
-# corpus6-suite checks: fn(graph, dm) -> None | _NA | (observed, expected)
-# --------------------------------------------------------------------------
+def _corpus_masks(n: int, lo: int, hi: int):
+    """Every connected n-vertex labeled graph whose edge bitmask is in [lo, hi)."""
+    min_m = n - 1
+    for mask in range(lo, hi):
+        if mask.bit_count() < min_m:
+            continue
+        masks, edges = corpus.mask_adjacency(n, mask)
+        p = corpus.profile_from_masks(n, masks, edges)
+        if p is not None:
+            yield (n, mask), (n, masks, p)
+
+
+def _corpus_chunk(job: tuple) -> dict[str, _Acc]:
+    """Pool worker: the corpus checks `ids` over one [lo, hi) mask range of
+    the n-vertex corpus."""
+    ids, n, lo, hi = job
+    accs = {cid: _Acc() for cid in ids}
+    _evaluate(_corpus_masks(n, lo, hi), [(cid, _CORPUS_CHECKS[cid]) for cid in ids], accs)
+    return accs
+
+
+def _sweep_corpus(ids: list[str], accs: dict[str, _Acc], budget: Budget) -> None:
+    """The exhaustive part of the corpus suite, every labeled connected graph
+    up to max_n vertices.  The mask ranges are corpus.scan_chunks, fixed for
+    each n and merged in order, so the report does not depend on the worker
+    count."""
+    jobs = [(ids, n, lo, hi)
+            for n in range(2, budget.max_n + 1) for lo, hi in corpus.scan_chunks(n)]
+    workers = min(budget.worker_count(), len(jobs))
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_corpus_chunk, jobs, chunksize=1)
+    else:
+        parts = map(_corpus_chunk, jobs)
+    for part in parts:
+        for cid, acc in part.items():
+            accs[cid].merge(acc)
+
+
+def _random_connected(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    for _ in range(5):
+        n = rng.randrange(n_lo, n_hi + 1)
+        p = rng.uniform(0.3, 0.85)
+        try:
+            return generators.random_connected_graph(n, p, seed=rng.randrange(1 << 30))
+        except InvalidParameterError:
+            continue
+    raise InvalidParameterError("random connected sampling kept failing")
+
+
+def _random_graphs(budget: Budget):
+    rng = random.Random(budget.seed * 1_000_003 + 101)
+    for _ in range(budget.trials * 10):
+        g = _random_connected(rng, 8, 24)
+        masks = g.adjacency_masks()
+        yield g, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
+
+
+# corpus6 suite: args (graph, distance matrix) -----------------------------
 
 
 def _chk_def_pww_alt(graph, dm):
@@ -418,73 +471,61 @@ _CORPUS6_CHECKS: dict[str, Callable] = {
 }
 
 
-# --------------------------------------------------------------------------
-# tree-suite checks: fn(ctx) -> None | _NA | (observed, expected)
-# --------------------------------------------------------------------------
+def _corpus6_instances(budget: Budget):
+    for n in range(2, min(6, budget.max_n) + 1):
+        for mask, _profile in corpus.iter_connected_profiles(n):
+            g = corpus.mask_to_graph(n, mask)
+            yield (n, mask), (g, distance_matrix(g))
 
 
-@dataclass(slots=True)
-class _TreeCtx:
-    graph: Graph
-    dm: object
-    iv: object
-    tv: object
+# tree suite: args (tree, distance matrix, index vector, tree view) --------
 
 
-def _chk_pw_tree(ctx):
-    got = trees.peripheral_wiener_by_edge_cuts(ctx.tv)
-    if got == ctx.iv.pw:
+def _chk_pw_tree(g, dm, iv, tv):
+    got = trees.peripheral_wiener_by_edge_cuts(tv)
+    if got == iv.pw:
         return None
-    return (f"edge-cut sum = {got}", f"PW = {ctx.iv.pw}")
+    return (f"edge-cut sum = {got}", f"PW = {iv.pw}")
 
 
-def _chk_pww_tree(ctx):
-    got = trees.peripheral_hyper_wiener_by_path_cuts(ctx.tv)
-    if got == ctx.iv.pww:
+def _chk_pww_tree(g, dm, iv, tv):
+    got = trees.peripheral_hyper_wiener_by_path_cuts(tv)
+    if got == iv.pww:
         return None
-    return (f"path-cut sum = {got}", f"PWW = {ctx.iv.pww}")
+    return (f"path-cut sum = {got}", f"PWW = {iv.pww}")
 
 
-def _chk_tree_lo(ctx):
-    lo, _ = trees.tree_pww_bounds(ctx.dm.diameter, ctx.iv.k)
-    if ctx.iv.pww >= lo:
+def _chk_tree_lo(g, dm, iv, tv):
+    lo, _ = trees.tree_pww_bounds(dm.diameter, iv.k)
+    if iv.pww >= lo:
         return None
-    return (f"PWW={ctx.iv.pww}", f"PWW >= k*C(d+2k-3,2) = {lo}")
+    return (f"PWW={iv.pww}", f"PWW >= k*C(d+2k-3,2) = {lo}")
 
 
-def _chk_tree_hi(ctx):
-    _, hi = trees.tree_pww_bounds(ctx.dm.diameter, ctx.iv.k)
-    if ctx.iv.pww <= hi:
+def _chk_tree_hi(g, dm, iv, tv):
+    _, hi = trees.tree_pww_bounds(dm.diameter, iv.k)
+    if iv.pww <= hi:
         return None
-    return (f"PWW={ctx.iv.pww}", f"PWW <= 4*C(d+1,2)*C(k,2) = {hi}")
+    return (f"PWW={iv.pww}", f"PWW <= 4*C(d+1,2)*C(k,2) = {hi}")
 
 
-def _chk_tree_hi_tight(ctx):
-    hi = comb(ctx.dm.diameter + 1, 2) * comb(ctx.iv.k, 2)
-    if ctx.iv.pww <= hi:
+def _chk_tree_hi_tight(g, dm, iv, tv):
+    hi = comb(dm.diameter + 1, 2) * comb(iv.k, 2)
+    if iv.pww <= hi:
         return None
-    return (f"PWW={ctx.iv.pww}", f"PWW <= C(d+1,2)*C(k,2) = {hi}")
+    return (f"PWW={iv.pww}", f"PWW <= C(d+1,2)*C(k,2) = {hi}")
 
 
-def _chk_comp_tree(ctx):
-    cpww = trees.complement_tree_pww(ctx.tv)
+def _chk_comp_tree(g, dm, iv, tv):
+    cpww = trees.complement_tree_pww(tv)
     if cpww is None:
         return _NA
-    n = ctx.graph.n
-    d = ctx.dm.diameter
-    big = (n * n + 3 * n - 4) // 2
-    if d == 3:
-        ok = cpww == 6
-    elif d > 3:
-        ok = cpww == big
-    else:
-        ok = False  # connected complement with diam(T) <= 2 would break the dichotomy
-    # both directions: the observed value must also pick out the right case
-    if ok and cpww == 6 and d != 3:
-        ok = False
-    if ok and cpww == big and d <= 3:
-        ok = False
-    if ok:
+    d = dm.diameter
+    big = (g.n * g.n + 3 * g.n - 4) // 2
+    # both directions at once: big is never 6, because n^2 + 3n - 16 = 0 has
+    # no integer root, so the value alone picks the case; a connected
+    # complement with diam(T) <= 2 breaks the dichotomy
+    if d >= 3 and cpww == (6 if d == 3 else big):
         return None
     return (f"PWW(complement)={cpww}, diam(T)={d}",
             f"6 iff diam=3, (n^2+3n-4)/2={big} iff diam>3")
@@ -500,37 +541,27 @@ _TREE_CHECKS: dict[str, Callable] = {
 }
 
 
-# --------------------------------------------------------------------------
-# product-suite checks
-# --------------------------------------------------------------------------
+def _tree_instances(budget: Budget):
+    rng = random.Random(budget.seed * 7919 + 5)
+    randoms = (generators.random_tree(rng.randrange(2, RANDOM_TREE_MAX_N + 1),
+                                      seed=rng.randrange(1 << 30))
+               for _ in range(budget.trials))
+    for g in chain(corpus.all_free_trees(2, TREE_SUITE_MAX_N), randoms):
+        dm = distance_matrix(g)
+        yield g, (g, dm, index_vector(g, dm), trees.as_tree(g, dm))
 
 
-@dataclass(slots=True)
-class _ProductCtx:
-    g: Graph
-    h: Graph
-    dm_g: object
-    dm_h: object
-    prod: Graph
-    dm_p: object
-    k1: int
-    k2: int
-    pw1: int
-    pw2: int
-    pww1: int
-    pww2: int
-    pw_p: int
-    pww_p: int
+# product suite: args (G, H, their distance matrices, that of G x H) -------
 
 
-def _chk_prod_dist(ctx):
-    nh = ctx.h.n
-    dg, dh, dp = ctx.dm_g.dist, ctx.dm_h.dist, ctx.dm_p.dist
-    for a in range(ctx.g.n):
+def _chk_prod_dist(g, h, dm_g, dm_h, dm_p):
+    nh = h.n
+    dg, dh, dp = dm_g.dist, dm_h.dist, dm_p.dist
+    for a in range(g.n):
         for x in range(nh):
             u = a * nh + x
             row = dp[u]
-            for b in range(ctx.g.n):
+            for b in range(g.n):
                 dab = dg[a][b]
                 for y in range(nh):
                     if row[b * nh + y] != dab + dh[x][y]:
@@ -541,27 +572,32 @@ def _chk_prod_dist(ctx):
     return None
 
 
-def _chk_prod_peri(ctx):
-    nh = ctx.h.n
-    want = {a * nh + x for a in ctx.dm_g.periphery for x in ctx.dm_h.periphery}
-    got = set(ctx.dm_p.periphery)
+def _chk_prod_peri(g, h, dm_g, dm_h, dm_p):
+    nh = h.n
+    want = {a * nh + x for a in dm_g.periphery for x in dm_h.periphery}
+    got = set(dm_p.periphery)
     if got == want:
         return None
     return (f"Peri(product) size {len(got)}", f"Peri(G) x Peri(H) size {len(want)}")
 
 
-def _chk_pw_prod(ctx):
-    want = ctx.k2 ** 2 * ctx.pw1 + ctx.k1 ** 2 * ctx.pw2
-    if ctx.pw_p == want:
+def _chk_pw_prod(g, h, dm_g, dm_h, dm_p):
+    k1, k2 = len(dm_g.periphery), len(dm_h.periphery)
+    want = k2 ** 2 * peripheral_wiener(dm_g) + k1 ** 2 * peripheral_wiener(dm_h)
+    got = peripheral_wiener(dm_p)
+    if got == want:
         return None
-    return (f"PW(product)={ctx.pw_p}", f"k2^2*PW1 + k1^2*PW2 = {want}")
+    return (f"PW(product)={got}", f"k2^2*PW1 + k1^2*PW2 = {want}")
 
 
-def _chk_pww_prod(ctx):
-    want = ctx.k2 ** 2 * ctx.pww1 + ctx.k1 ** 2 * ctx.pww2 + 2 * ctx.pw1 * ctx.pw2
-    if ctx.pww_p == want:
+def _chk_pww_prod(g, h, dm_g, dm_h, dm_p):
+    k1, k2 = len(dm_g.periphery), len(dm_h.periphery)
+    want = (k2 ** 2 * peripheral_hyper_wiener(dm_g) + k1 ** 2 * peripheral_hyper_wiener(dm_h)
+            + 2 * peripheral_wiener(dm_g) * peripheral_wiener(dm_h))
+    got = peripheral_hyper_wiener(dm_p)
+    if got == want:
         return None
-    return (f"PWW(product)={ctx.pww_p}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
+    return (f"PWW(product)={got}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
 
 
 _PRODUCT_CHECKS: dict[str, Callable] = {
@@ -572,183 +608,124 @@ _PRODUCT_CHECKS: dict[str, Callable] = {
 }
 
 
-# --------------------------------------------------------------------------
-# family suites: per-claim instance streams plus checks fn(params, graph, profile)
-# --------------------------------------------------------------------------
+def _product_instances(budget: Budget):
+    """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
+    vertices, then `trials` random pairs; the witness is their product."""
+    factors: list[Graph] = []
+    for n in range(2, FACTOR_MAX_N + 1):
+        factors.extend(corpus.nonisomorphic_connected(n))
+    rng = random.Random(budget.seed * 104729 + 11)
+    randoms = ((_random_connected(rng, 2, RANDOM_FACTOR_MAX_N),
+                _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials))
+    for g, h in chain(combinations_with_replacement(factors, 2), randoms):
+        prod = cartesian_product(g, h)
+        yield prod, (g, h, distance_matrix(g), distance_matrix(h), distance_matrix(prod))
 
 
-def _fam_complete(budget) -> Iterator[tuple[tuple, Graph]]:
-    for nn in range(2, COMPLETE_MAX + 1):
-        yield (nn,), generators.complete(nn)
+# family suite: one instance stream per row --------------------------------
 
 
-def _fam_star(budget):
-    for nn in range(2, COMPLETE_MAX + 1):
-        yield (nn,), generators.star(nn)
+def _fam_sizes(make: Callable, lo: int, hi: int) -> Iterator[tuple[tuple, Graph]]:
+    for nn in range(lo, hi + 1):
+        yield (nn,), make(nn)
 
 
-def _fam_kmn(budget):
-    for m in range(2, FAMILY_MAX + 1):
+def _fam_pairs(make: Callable, m_lo: int) -> Iterator[tuple[tuple, Graph]]:
+    for m in range(m_lo, FAMILY_MAX + 1):
         for nn in range(m, FAMILY_MAX + 1):
-            yield (m, nn), generators.complete_bipartite(m, nn)
+            yield (m, nn), make(m, nn)
 
 
-def _fam_dstar(budget):
-    for m in range(1, FAMILY_MAX + 1):
-        for nn in range(m, FAMILY_MAX + 1):
-            yield (m, nn), generators.double_star(m, nn)
+_fam_complete = partial(_fam_sizes, generators.complete, 2, COMPLETE_MAX)
+_fam_star = partial(_fam_sizes, generators.star, 2, COMPLETE_MAX)
+_fam_hypercube = partial(_fam_sizes, generators.hypercube, 2, HYPERCUBE_MAX)
+_fam_kmn = partial(_fam_pairs, generators.complete_bipartite, 2)
+_fam_dstar = partial(_fam_pairs, generators.double_star, 1)
 
 
-def _fam_diam4(budget):
-    from itertools import combinations_with_replacement
-
+def _fam_diam4():
     for size in range(2, DIAM4_TUPLE_MAX + 1):
         for counts in combinations_with_replacement(range(DIAM4_CHILD_MAX + 1), size):
             if sum(1 for x in counts if x >= 1) >= 2:
-                yield counts, generators.rooted_depth2_tree(counts)
+                yield (counts,), generators.rooted_depth2_tree(counts)
 
 
-def _fam_caterpillar(budget):
-    from itertools import product as iproduct
-
+def _fam_caterpillar():
     for s in range(2, CATERPILLAR_SPINE_MAX + 1):
         for c1 in range(1, CATERPILLAR_LEAF_MAX + 1):
             for cs in range(1, CATERPILLAR_LEAF_MAX + 1):
-                for mids in iproduct(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
+                for mids in product(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
                     code = (c1, *mids, cs)
-                    yield code, generators.caterpillar(code)
+                    yield (code,), generators.caterpillar(code)
 
 
-def _fam_lobster(budget):
-    from itertools import product as iproduct
-
+def _fam_lobster():
     for s in range(3, 6):
         for c1 in range(1, 4):
             for cs in range(1, 4):
-                for mids in iproduct(range(3), repeat=s - 3):
+                for mids in product(range(3), repeat=s - 3):
                     code = (c1, 0, *mids, cs)
                     for cc in range(1, 4):
                         yield (code, cc), generators.lobster(code, cc)
 
 
-def _fam_hypercube(budget):
-    for nn in range(2, HYPERCUBE_MAX + 1):
-        yield (nn,), generators.hypercube(nn)
+# (claim id, instance stream, value fn, label): the claim holds where PWW of
+# every streamed graph equals value(*params)
+_FAMILY: tuple[tuple[str, Callable, Callable, str], ...] = (
+    ("P1-1", _fam_complete, lambda nn: comb(nn, 2), "C(n,2)"),
+    ("P1-2", _fam_star, lambda nn: 3 * comb(nn, 2), "3*C(n,2)"),
+    ("P1-3", _fam_kmn, lambda m, nn: 3 * comb(nn, 2) + 3 * comb(m, 2) + m * nn,
+     "3C(n,2)+3C(m,2)+mn"),
+    ("T-STAR", _fam_star, trees.closed_form_star, "3*C(n,2)"),
+    ("T-DSTAR", _fam_dstar, trees.closed_form_double_star, "6mn+3m+3n"),
+    ("S-DSTAR-FIX", _fam_dstar, trees.double_star_pww, "6mn+3C(m,2)+3C(n,2)"),
+    ("P-DIAM4", _fam_diam4, trees.closed_form_diam4, "closed form"),
+    ("T-CATERPILLAR", _fam_caterpillar, trees.closed_form_caterpillar, "closed form"),
+    ("T-LOBSTER", _fam_lobster, trees.closed_form_lobster, "registered form"),
+    ("S-LOBSTER-FIX", _fam_lobster, trees.lobster_pww, "corrected form"),
+    ("C-HYPERCUBE", _fam_hypercube, hypercube_series_value, "series value"),
+    ("S-HYPERCUBE-FIX", _fam_hypercube, hypercube_pww, "n(n+3)4^(n-2)"),
+)
 
 
-def _fchk_p1_1(params, g, p):
-    want = comb(params[0], 2)
-    return None if p.pww == want else (f"PWW={p.pww}", f"C(n,2) = {want}")
+def _family_instances(stream: Callable):
+    for params, g in stream():
+        yield g, (params, g)
 
 
-def _fchk_p1_2(params, g, p):
-    want = 3 * comb(params[0], 2)
-    return None if p.pww == want else (f"PWW={p.pww}", f"3*C(n,2) = {want}")
+def _chk_family(value, label, params, g):
+    want = value(*params)
+    pww = corpus.profile_of(g).pww
+    return None if pww == want else (f"PWW={pww}", f"{label} = {want}")
 
 
-def _fchk_p1_3(params, g, p):
-    m, nn = params
-    want = 3 * comb(nn, 2) + 3 * comb(m, 2) + m * nn
-    return None if p.pww == want else (f"PWW={p.pww}", f"3C(n,2)+3C(m,2)+mn = {want}")
+# fixed suite: a few named graphs per claim --------------------------------
 
 
-def _fchk_t_star(params, g, p):
-    want = trees.closed_form_star(params[0])
-    return None if p.pww == want else (f"PWW={p.pww}", f"3*C(n,2) = {want}")
+def _chk_incomp(g, sign, statement):
+    iv = index_vector(g)
+    if (iv.w > iv.pww) - (iv.w < iv.pww) == sign:
+        return None
+    return (f"W={iv.w}, PWW={iv.pww}", statement)
 
 
-def _fchk_t_dstar(params, g, p):
-    want = trees.closed_form_double_star(*params)
-    return None if p.pww == want else (f"PWW={p.pww}", f"6mn+3m+3n = {want}")
-
-
-def _fchk_s_dstar(params, g, p):
-    want = trees.double_star_pww(*params)
-    return None if p.pww == want else (f"PWW={p.pww}", f"6mn+3C(m,2)+3C(n,2) = {want}")
-
-
-def _fchk_p_diam4(params, g, p):
-    want = trees.closed_form_diam4(list(params))
-    return None if p.pww == want else (f"PWW={p.pww}", f"closed form = {want}")
-
-
-def _fchk_caterpillar(params, g, p):
-    want = trees.closed_form_caterpillar(params)
-    return None if p.pww == want else (f"PWW={p.pww}", f"closed form = {want}")
-
-
-def _fchk_lobster(params, g, p):
-    code, cc = params
-    want = trees.closed_form_lobster(code, cc)
-    return None if p.pww == want else (f"PWW={p.pww}", f"registered form = {want}")
-
-
-def _fchk_s_lobster(params, g, p):
-    code, cc = params
-    want = trees.lobster_pww(code, cc)
-    return None if p.pww == want else (f"PWW={p.pww}", f"corrected form = {want}")
-
-
-def _fchk_hypercube(params, g, p):
-    want = hypercube_series_value(params[0])
-    return None if p.pww == want else (f"PWW={p.pww}", f"series value = {want}")
-
-
-def _fchk_s_hypercube(params, g, p):
-    want = hypercube_pww(params[0])
-    return None if p.pww == want else (f"PWW={p.pww}", f"n(n+3)4^(n-2) = {want}")
-
-
-_FAMILY: dict[str, tuple[Callable, Callable]] = {
-    "P1-1": (_fam_complete, _fchk_p1_1),
-    "P1-2": (_fam_star, _fchk_p1_2),
-    "P1-3": (_fam_kmn, _fchk_p1_3),
-    "T-STAR": (_fam_star, _fchk_t_star),
-    "T-DSTAR": (_fam_dstar, _fchk_t_dstar),
-    "S-DSTAR-FIX": (_fam_dstar, _fchk_s_dstar),
-    "P-DIAM4": (_fam_diam4, _fchk_p_diam4),
-    "T-CATERPILLAR": (_fam_caterpillar, _fchk_caterpillar),
-    "T-LOBSTER": (_fam_lobster, _fchk_lobster),
-    "S-LOBSTER-FIX": (_fam_lobster, _fchk_s_lobster),
-    "C-HYPERCUBE": (_fam_hypercube, _fchk_hypercube),
-    "S-HYPERCUBE-FIX": (_fam_hypercube, _fchk_s_hypercube),
-}
-
-
-# --------------------------------------------------------------------------
-# fixed-instance checks
-# --------------------------------------------------------------------------
-
-
-def _run_incomp() -> list[tuple[Graph, tuple | None]]:
-    out = []
-    p3 = generators.path(3)
-    iv = index_vector(p3)
-    out.append((p3, None if iv.w > iv.pww else (f"W={iv.w}, PWW={iv.pww}", "W > PWW on P_3")))
-    s4 = generators.star(4)
-    iv = index_vector(s4)
-    out.append((s4, None if iv.w < iv.pww else (f"W={iv.w}, PWW={iv.pww}", "W < PWW on K_{1,4}")))
-    p2 = generators.path(2)
-    iv = index_vector(p2)
-    out.append((p2, None if iv.w == iv.pww else (f"W={iv.w}, PWW={iv.pww}", "W = PWW on P_2")))
-    return out
-
-
-def _run_fig2() -> list[tuple[Graph, tuple | None]]:
-    g = fig2_tree()
+def _chk_fig2(g):
     dm = distance_matrix(g)
     pww = peripheral_hyper_wiener(dm)
     formula = 2 * comb(g.n, 2) + comb(len(dm.periphery), 2) - 2 * g.m
-    ok = pww == 15 and dm.diameter == 3 and formula == pww
-    bad = (f"PWW={pww}, diam={dm.diameter}, formula value={formula}",
-           "PWW = 15 = formula value while diam = 3")
-    return [(g, None if ok else bad)]
+    if pww == 15 and dm.diameter == 3 and formula == pww:
+        return None
+    return (f"PWW={pww}, diam={dm.diameter}, formula value={formula}",
+            "PWW = 15 = formula value while diam = 3")
 
 
-_FIXED: dict[str, Callable] = {
-    "INCOMP-W-PWW": _run_incomp,
-    "FIG2-NONCONVERSE": _run_fig2,
-}
+# (claim id, cases, check): each case is the check's args, its graph first
+_FIXED: tuple[tuple[str, tuple, Callable], ...] = (
+    ("INCOMP-W-PWW", ((generators.path(3), 1, "W > PWW on P_3"),
+                      (generators.star(4), -1, "W < PWW on K_{1,4}"),
+                      (generators.path(2), 0, "W = PWW on P_2")), _chk_incomp),
+    ("FIG2-NONCONVERSE", ((fig2_tree(),),), _chk_fig2),
+)
 
 
 # --------------------------------------------------------------------------
@@ -768,260 +745,68 @@ class _Acc:
         self.error: str | None = None
 
     def add_witness(self, entry: tuple) -> None:
-        if len(self.witnesses) < _MAX_WITNESSES:
-            insort(self.witnesses, entry)
-        elif entry < self.witnesses[-1]:
-            insort(self.witnesses, entry)
-            self.witnesses.pop()
+        """Keep the _MAX_WITNESSES smallest entries, in order."""
+        kept = self.witnesses
+        if len(kept) < _MAX_WITNESSES or entry < kept[-1]:
+            insort(kept, entry)
+            del kept[_MAX_WITNESSES:]
+
+    def merge(self, other: _Acc) -> None:
+        """Fold in a later part of the same claim's instances."""
+        self.tested += other.tested
+        self.violations += other.violations
+        if self.error is None:
+            self.error = other.error
+        for entry in other.witnesses:
+            self.add_witness(entry)
 
 
-def _record(acc: _Acc, result, witness_fn) -> None:
-    """Apply one check outcome to an accumulator."""
-    if result is _NA:
-        return
-    acc.tested += 1
-    if result is not None:
-        acc.violations += 1
-        acc.add_witness(witness_fn(result))
+def _witness(subject) -> tuple[int, int, str]:
+    """(n, graph6 order key, graph6) of a Graph or an (n, edge bitmask) pair;
+    witnesses sort on it, so the smallest graphs in graph6 order come first."""
+    g = subject if isinstance(subject, Graph) else corpus.mask_to_graph(*subject)
+    return g.n, corpus.g6_order_key(g.n, corpus.graph_to_mask(g)), write_graph6(g)
 
 
-def _graph_witness(g: Graph, result: tuple) -> tuple:
-    g6 = write_graph6(g)
-    return (g.n, corpus.g6_order_key(g.n, corpus.graph_to_mask(g)), g6, result[0], result[1])
+def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
+              accs: dict[str, _Acc]) -> None:
+    """Apply every (claim id, check) to every instance of a stream.
 
-
-def _corpus_chunk(args: tuple) -> dict[str, list]:
-    """Worker over one [lo, hi) mask range of the n-vertex corpus."""
-    ids, n, lo, hi = args
-    checks = [(cid, _CORPUS_CHECKS[cid]) for cid in ids]
-    res: dict[str, list] = {cid: [0, 0, [], None] for cid in ids}
-    min_m = n - 1
-    for mask in range(lo, hi):
-        if mask.bit_count() < min_m:
-            continue
-        masks, edges = corpus.mask_adjacency(n, mask)
-        p = corpus.profile_from_masks(n, masks, edges)
-        if p is None:
-            continue
-        for cid, fn in checks:
-            acc = res[cid]
-            if acc[3] is not None:
-                continue
+    A stream yields (subject, args) pairs: the subject is the graph a witness
+    shows (a Graph, or an (n, edge bitmask) pair), and check(*args) returns
+    None (holds), _NA (does not apply) or an (observed, expected) pair.  The
+    first exception a check raises marks only its claim skipped, with the
+    exception as the note.  This loop runs once per labeled corpus graph, so
+    it builds nothing per instance beyond a violation's witness.
+    """
+    live = [(accs[cid], fn) for cid, fn in checks if accs[cid].error is None]
+    for subject, args in instances:
+        for acc, fn in live:
             try:
-                r = fn(n, masks, p)
-            except Exception as exc:  # predicate bug -> claim skipped with note
-                acc[3] = f"{type(exc).__name__}: {exc}"
-                continue
-            if r is _NA:
-                continue
-            acc[0] += 1
-            if r is not None:
-                acc[1] += 1
-                wl = acc[2]
-                entry = (corpus.g6_order_key(n, mask), mask, r[0], r[1])
-                if len(wl) < _MAX_WITNESSES:
-                    insort(wl, entry)
-                elif entry < wl[-1]:
-                    insort(wl, entry)
-                    wl.pop()
-    return res
-
-
-def _corpus_jobs(ids: list[str], max_n: int) -> list[tuple]:
-    jobs = []
-    step = 1 << _CORPUS_CHUNK_BITS
-    for n in range(2, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        if total <= step:
-            jobs.append((ids, n, 0, total))
-        else:
-            jobs.extend((ids, n, lo, min(lo + step, total)) for lo in range(0, total, step))
-    return jobs
-
-
-def _run_corpus_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    ids = sorted(c.id for c in claims)
-    accs = {cid: _Acc() for cid in ids}
-    jobs = _corpus_jobs(ids, budget.max_n)
-    workers = min(budget.worker_count(), len(jobs))
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            outs = pool.map(_corpus_chunk, jobs, chunksize=1)
-    else:
-        outs = [_corpus_chunk(job) for job in jobs]
-    for job, res in zip(jobs, outs):
-        n = job[1]
-        for cid, (tested, viols, wl, err) in res.items():
-            acc = accs[cid]
-            acc.tested += tested
-            acc.violations += viols
-            if err and acc.error is None:
-                acc.error = err
-            for key, mask, obs, exp in wl:
-                acc.add_witness((n, key, write_graph6(corpus.mask_to_graph(n, mask)), obs, exp))
-
-    if budget.trials > 0:
-        rng = random.Random(budget.seed * 1_000_003 + 101)
-        checks = [(cid, _CORPUS_CHECKS[cid]) for cid in ids]
-        for _ in range(budget.trials * 10):
-            g = _random_connected(rng, 8, 24)
-            masks = g.adjacency_masks()
-            p = corpus.profile_from_masks(g.n, masks, list(g.edges()))
-            for cid, fn in checks:
-                acc = accs[cid]
-                if acc.error is not None:
-                    continue
-                try:
-                    r = fn(g.n, masks, p)
-                except Exception as exc:
-                    acc.error = f"{type(exc).__name__}: {exc}"
-                    continue
-                _record(acc, r, lambda res, g=g: _graph_witness(g, res))
-    return accs
-
-
-def _random_connected(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
-    for _ in range(5):
-        n = rng.randrange(n_lo, n_hi + 1)
-        p = rng.uniform(0.3, 0.85)
-        try:
-            return generators.random_connected_graph(n, p, seed=rng.randrange(1 << 30))
-        except InvalidParameterError:
-            continue
-    raise InvalidParameterError("random connected sampling kept failing")
-
-
-def _run_corpus6_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    accs = {c.id: _Acc() for c in claims}
-    checks = [(c.id, _CORPUS6_CHECKS[c.id]) for c in claims]
-    for n in range(2, min(6, budget.max_n) + 1):
-        for mask, _profile in corpus.iter_connected_profiles(n):
-            g = corpus.mask_to_graph(n, mask)
-            dm = distance_matrix(g)
-            for cid, fn in checks:
-                acc = accs[cid]
-                if acc.error is not None:
-                    continue
-                try:
-                    r = fn(g, dm)
-                except Exception as exc:
-                    acc.error = f"{type(exc).__name__}: {exc}"
-                    continue
-                _record(acc, r,
-                        lambda res, n=n, mask=mask: (
-                            n, corpus.g6_order_key(n, mask),
-                            write_graph6(corpus.mask_to_graph(n, mask)), res[0], res[1]))
-    return accs
-
-
-def _tree_instances(budget: Budget) -> Iterator[Graph]:
-    yield from corpus.all_free_trees(2, TREE_SUITE_MAX_N)
-    rng = random.Random(budget.seed * 7919 + 5)
-    for _ in range(budget.trials):
-        n = rng.randrange(2, RANDOM_TREE_MAX_N + 1)
-        yield generators.random_tree(n, seed=rng.randrange(1 << 30))
-
-
-def _run_tree_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    accs = {c.id: _Acc() for c in claims}
-    checks = [(c.id, _TREE_CHECKS[c.id]) for c in claims]
-    for g in _tree_instances(budget):
-        dm = distance_matrix(g)
-        iv = index_vector(g, dm)
-        tv = trees.as_tree(g, dm)
-        ctx = _TreeCtx(graph=g, dm=dm, iv=iv, tv=tv)
-        for cid, fn in checks:
-            acc = accs[cid]
-            if acc.error is not None:
-                continue
-            try:
-                r = fn(ctx)
-            except Exception as exc:
+                r = fn(*args)
+            except Exception as exc:  # a faulty check skips its own claim only
                 acc.error = f"{type(exc).__name__}: {exc}"
+                live = [entry for entry in live if entry[0] is not acc]
                 continue
-            _record(acc, r, lambda res, g=g: _graph_witness(g, res))
-    return accs
+            if r is None:
+                acc.tested += 1
+            elif r is not _NA:
+                acc.tested += 1
+                acc.violations += 1
+                acc.add_witness(_witness(subject) + r)
 
 
-def _product_pairs(budget: Budget) -> Iterator[tuple[Graph, Graph]]:
-    factors: list[Graph] = []
-    for n in range(2, FACTOR_MAX_N + 1):
-        factors.extend(corpus.nonisomorphic_connected(n))
-    for i in range(len(factors)):
-        for j in range(i, len(factors)):
-            yield factors[i], factors[j]
-    rng = random.Random(budget.seed * 104729 + 11)
-    for _ in range(budget.trials):
-        g = _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)
-        h = _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)
-        yield g, h
-
-
-def _run_product_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    accs = {c.id: _Acc() for c in claims}
-    checks = [(c.id, _PRODUCT_CHECKS[c.id]) for c in claims]
-    for g, h in _product_pairs(budget):
-        dm_g = distance_matrix(g)
-        dm_h = distance_matrix(h)
-        prod = cartesian_product(g, h)
-        dm_p = distance_matrix(prod)
-        ctx = _ProductCtx(
-            g=g, h=h, dm_g=dm_g, dm_h=dm_h, prod=prod, dm_p=dm_p,
-            k1=len(dm_g.periphery), k2=len(dm_h.periphery),
-            pw1=peripheral_wiener(dm_g), pw2=peripheral_wiener(dm_h),
-            pww1=peripheral_hyper_wiener(dm_g), pww2=peripheral_hyper_wiener(dm_h),
-            pw_p=peripheral_wiener(dm_p), pww_p=peripheral_hyper_wiener(dm_p),
-        )
-        for cid, fn in checks:
-            acc = accs[cid]
-            if acc.error is not None:
-                continue
-            try:
-                r = fn(ctx)
-            except Exception as exc:
-                acc.error = f"{type(exc).__name__}: {exc}"
-                continue
-            _record(acc, r, lambda res, prod=prod: _graph_witness(prod, res))
-    return accs
-
-
-def _run_family_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    accs = {}
-    for claim in claims:
-        acc = _Acc()
-        accs[claim.id] = acc
-        instances_fn, check_fn = _FAMILY[claim.id]
-        try:
-            for params, g in instances_fn(budget):
-                p = corpus.profile_of(g)
-                r = check_fn(params, g, p)
-                _record(acc, r, lambda res, g=g: _graph_witness(g, res))
-        except Exception as exc:
-            acc.error = f"{type(exc).__name__}: {exc}"
-    return accs
-
-
-def _run_fixed_suite(claims: list[Claim], budget: Budget) -> dict[str, _Acc]:
-    accs = {}
-    for claim in claims:
-        acc = _Acc()
-        accs[claim.id] = acc
-        try:
-            for g, r in _FIXED[claim.id]():
-                _record(acc, r, lambda res, g=g: _graph_witness(g, res))
-        except Exception as exc:
-            acc.error = f"{type(exc).__name__}: {exc}"
-    return accs
-
-
-_SUITE_RUNNERS = {
-    "corpus": _run_corpus_suite,
-    "corpus6": _run_corpus6_suite,
-    "trees": _run_tree_suite,
-    "products": _run_product_suite,
-    "family": _run_family_suite,
-    "fixed": _run_fixed_suite,
-}
+def _passes(budget: Budget):
+    """(instances, check table) for every pass of the audit: the claims of
+    one table are checked in one sweep of its instances."""
+    yield _random_graphs(budget), _CORPUS_CHECKS
+    yield _corpus6_instances(budget), _CORPUS6_CHECKS
+    yield _tree_instances(budget), _TREE_CHECKS
+    yield _product_instances(budget), _PRODUCT_CHECKS
+    for cid, stream, value, label in _FAMILY:
+        yield _family_instances(stream), {cid: partial(_chk_family, value, label)}
+    for cid, cases, check in _FIXED:
+        yield ((case[0], case) for case in cases), {cid: check}
 
 
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
@@ -1053,16 +838,17 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
 
 
 def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
-    """Evaluate the given claims, sharing one pass per suite."""
+    """Evaluate the given claims, sharing one pass per instance stream."""
     claims = list(claims)
-    by_suite: dict[str, list[Claim]] = {}
-    for claim in claims:
-        by_suite.setdefault(claim.suite, []).append(claim)
-    accs: dict[str, _Acc] = {}
-    for suite, members in by_suite.items():
-        accs.update(_SUITE_RUNNERS[suite](members, budget))
-    by_id = {c.id: c for c in claims}
-    return [_finalize(by_id[cid], accs[cid]) for cid in (c.id for c in claims)]
+    accs = {c.id: _Acc() for c in claims}
+    for instances, table in _passes(budget):
+        checks = [(cid, fn) for cid, fn in table.items() if cid in accs]
+        if not checks:
+            continue
+        if table is _CORPUS_CHECKS:  # the exhaustive sweep precedes the random graphs
+            _sweep_corpus([cid for cid, _ in checks], accs, budget)
+        _evaluate(instances, checks, accs)
+    return [_finalize(c, accs[c.id]) for c in claims]
 
 
 def run_claim(claim: Claim | str, budget: Budget) -> ClaimResult:

@@ -295,6 +295,9 @@ def _cmd_enumerate(args) -> int:
     if name not in _INDEX_NAMES:
         print(f"error: unknown index {name!r}", file=sys.stderr)
         return 2
+    if args.threads < 0:
+        print(f"error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
+        return 2
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     text = enumerate_values_csv(name, args.max_n, threads)
     out, close = _open_output(args.output)

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from periwiener import audit
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube
+from periwiener.graphio import write_graph6
 from periwiener.graphs import distance_matrix
 from periwiener.indices import (
     peripheral_distance_number,
@@ -55,6 +58,22 @@ class TestRegistry:
         }
         assert {c.id for c in audit.register_claims()} == want
 
+    def test_each_claim_checked_by_its_suite(self):
+        # the engine finds a claim's check through the tables, so each
+        # registered suite name must name the table that holds the check
+        tables = {
+            "corpus": set(audit._CORPUS_CHECKS),
+            "corpus6": set(audit._CORPUS6_CHECKS),
+            "trees": set(audit._TREE_CHECKS),
+            "products": set(audit._PRODUCT_CHECKS),
+            "family": {row[0] for row in audit._FAMILY},
+            "fixed": {row[0] for row in audit._FIXED},
+        }
+        claims = audit.register_claims() + audit.register_shadow_claims()
+        for c in claims:
+            assert c.id in tables[c.suite], c.id
+        assert sum(len(ids) for ids in tables.values()) == len(claims)
+
     def test_shadows(self):
         shadows = audit.register_shadow_claims()
         assert {c.id for c in shadows} == {
@@ -100,10 +119,7 @@ class TestSingleClaims:
         q3 = peripheral_hyper_wiener(distance_matrix(hypercube(3)))
         assert q3 == 72
         # the minimal witness is the 8-vertex cube
-        assert res.witnesses[0]["graph6"] == res.witnesses[0]["graph6"]
-        from periwiener.graphio import parse_graph6
-
-        assert parse_graph6(res.witnesses[0]["graph6"]).n == 8
+        assert res.witnesses[0]["graph6"] == write_graph6(hypercube(3))
 
     def test_hypercube_series_matches_at_2_only(self):
         assert audit.hypercube_series_value(2) == 10
@@ -150,6 +166,13 @@ class TestRunAll:
             if r.id not in EXPECTED_DISCREPANCIES
         )
 
+    def test_report_bytes_golden(self):
+        # SHA-256 of the report as the six-runner engine wrote it; any change
+        # to the audit engine must keep these bytes
+        report = audit.run_all(audit.Budget(max_n=5, trials=20, seed=1729, threads=1))
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == "fcd22578b613320ac7f689b0b634df82aea2017f45fbc4de7e552f24c6c86382"
+
     def test_report_bytes_deterministic(self):
         a = audit.run_all(FAST).to_json()
         b = audit.run_all(FAST).to_json()
@@ -189,6 +212,31 @@ class TestRunAll:
         assert res.violations > 10
 
 
+def _divide_by_zero(*args):
+    return 1 // 0
+
+
+class TestCheckErrors:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_raising_check_skips_only_its_claim(self, monkeypatch, threads):
+        # threads=2 runs the corpus sweep in the fork pool, whose workers see
+        # the patched check table
+        budget = audit.Budget(max_n=4, trials=10, threads=threads)
+        clean = audit.run_all(budget)
+        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-2", _divide_by_zero)
+        monkeypatch.setattr(audit, "_FAMILY", tuple(
+            (cid, stream, _divide_by_zero if cid == "P1-3" else value, label)
+            for cid, stream, value, label in audit._FAMILY))
+        broken = audit.run_all(budget)
+        want = {r.id: r for r in clean.results + clean.shadow_results}
+        for r in broken.results + broken.shadow_results:
+            if r.id in ("HASSE-2", "P1-3"):
+                assert r.status == audit.STATUS_SKIPPED
+                assert r.note == "ZeroDivisionError: integer division or modulo by zero"
+            else:
+                assert r == want[r.id]
+
+
 class TestBudget:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -197,6 +245,8 @@ class TestBudget:
             audit.Budget(max_n=9)
         with pytest.raises(InvalidParameterError):
             audit.Budget(trials=-1)
+        with pytest.raises(InvalidParameterError):
+            audit.Budget(threads=-5)
 
     def test_worker_count_auto(self):
         assert audit.Budget(threads=3).worker_count() == 3

@@ -181,6 +181,13 @@ class TestEnumerateValues:
         rc, _, _ = run_cli(capsys, "enumerate-values", "--max-n", "1")
         assert rc == 2
 
+    def test_negative_threads_exit_2(self, capsys):
+        # both worker-count flags reject negatives instead of meaning "one per CPU"
+        rc, _, err = run_cli(capsys, "enumerate-values", "--max-n", "3", "--threads", "-1")
+        assert rc == 2 and "--threads" in err
+        rc, _, err = run_cli(capsys, "audit", "--max-n", "3", "--threads", "-1")
+        assert rc == 2 and "threads" in err
+
     def test_deterministic_output(self):
         a = enumerate_values_csv("pww", 5, threads=1)
         b = enumerate_values_csv("pww", 5, threads=2)
