@@ -17,7 +17,6 @@ stream is split into fixed mask ranges that a process pool evaluates.
 from __future__ import annotations
 
 import json
-import os
 import random
 from bisect import insort
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .errors import InvalidParameterError
 from .graphs import Graph, build_graph, cartesian_product, distance_matrix
 from .graphio import write_graph6
 from .indices import (
-    index_vector,
+    Profile,
     peripheral_distance_number,
     peripheral_hyper_wiener,
     peripheral_wiener,
@@ -81,9 +80,6 @@ class Budget:
             raise InvalidParameterError(f"trials must be >= 0, got {self.trials}")
         if self.threads < 0:
             raise InvalidParameterError(f"threads must be >= 0, got {self.threads}")
-
-    def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +258,7 @@ def claims_by_id() -> dict[str, Claim]:
 
 def _chk_le(a: str, b: str) -> Callable:
     """Check that index a never exceeds index b (one Hasse-diagram edge)."""
-    i, j = corpus.Profile._fields.index(a), corpus.Profile._fields.index(b)
+    i, j = Profile._fields.index(a), Profile._fields.index(b)
 
     def check(n, masks, p):
         if p[i] <= p[j]:
@@ -421,7 +417,7 @@ def _sweep_corpus(ids: list[str], accs: dict[str, _Acc], budget: Budget) -> None
     count."""
     jobs = [(ids, n, lo, hi)
             for n in range(2, budget.max_n + 1) for lo, hi in corpus.scan_chunks(n)]
-    workers = min(budget.worker_count(), len(jobs))
+    workers = corpus.worker_count(budget.threads, len(jobs))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             parts = pool.map(_corpus_chunk, jobs, chunksize=1)
@@ -478,49 +474,49 @@ def _corpus6_instances(budget: Budget):
             yield (n, mask), (g, distance_matrix(g))
 
 
-# tree suite: args (tree, distance matrix, index vector, tree view) --------
+# tree suite: args (tree, profile, tree view) ------------------------------
 
 
-def _chk_pw_tree(g, dm, iv, tv):
+def _chk_pw_tree(g, p, tv):
     got = trees.peripheral_wiener_by_edge_cuts(tv)
-    if got == iv.pw:
+    if got == p.pw:
         return None
-    return (f"edge-cut sum = {got}", f"PW = {iv.pw}")
+    return (f"edge-cut sum = {got}", f"PW = {p.pw}")
 
 
-def _chk_pww_tree(g, dm, iv, tv):
+def _chk_pww_tree(g, p, tv):
     got = trees.peripheral_hyper_wiener_by_path_cuts(tv)
-    if got == iv.pww:
+    if got == p.pww:
         return None
-    return (f"path-cut sum = {got}", f"PWW = {iv.pww}")
+    return (f"path-cut sum = {got}", f"PWW = {p.pww}")
 
 
-def _chk_tree_lo(g, dm, iv, tv):
-    lo, _ = trees.tree_pww_bounds(dm.diameter, iv.k)
-    if iv.pww >= lo:
+def _chk_tree_lo(g, p, tv):
+    lo, _ = trees.tree_pww_bounds(p.diameter, p.k)
+    if p.pww >= lo:
         return None
-    return (f"PWW={iv.pww}", f"PWW >= k*C(d+2k-3,2) = {lo}")
+    return (f"PWW={p.pww}", f"PWW >= k*C(d+2k-3,2) = {lo}")
 
 
-def _chk_tree_hi(g, dm, iv, tv):
-    _, hi = trees.tree_pww_bounds(dm.diameter, iv.k)
-    if iv.pww <= hi:
+def _chk_tree_hi(g, p, tv):
+    _, hi = trees.tree_pww_bounds(p.diameter, p.k)
+    if p.pww <= hi:
         return None
-    return (f"PWW={iv.pww}", f"PWW <= 4*C(d+1,2)*C(k,2) = {hi}")
+    return (f"PWW={p.pww}", f"PWW <= 4*C(d+1,2)*C(k,2) = {hi}")
 
 
-def _chk_tree_hi_tight(g, dm, iv, tv):
-    hi = comb(dm.diameter + 1, 2) * comb(iv.k, 2)
-    if iv.pww <= hi:
+def _chk_tree_hi_tight(g, p, tv):
+    hi = comb(p.diameter + 1, 2) * comb(p.k, 2)
+    if p.pww <= hi:
         return None
-    return (f"PWW={iv.pww}", f"PWW <= C(d+1,2)*C(k,2) = {hi}")
+    return (f"PWW={p.pww}", f"PWW <= C(d+1,2)*C(k,2) = {hi}")
 
 
-def _chk_comp_tree(g, dm, iv, tv):
+def _chk_comp_tree(g, p, tv):
     cpww = trees.complement_tree_pww(tv)
     if cpww is None:
         return _NA
-    d = dm.diameter
+    d = p.diameter
     big = (g.n * g.n + 3 * g.n - 4) // 2
     # both directions at once: big is never 6, because n^2 + 3n - 16 = 0 has
     # no integer root, so the value alone picks the case; a connected
@@ -547,8 +543,8 @@ def _tree_instances(budget: Budget):
                                       seed=rng.randrange(1 << 30))
                for _ in range(budget.trials))
     for g in chain(corpus.all_free_trees(2, TREE_SUITE_MAX_N), randoms):
-        dm = distance_matrix(g)
-        yield g, (g, dm, index_vector(g, dm), trees.as_tree(g, dm))
+        # the tree view keeps a distance matrix: the path cuts read it
+        yield g, (g, corpus.profile_of(g), trees.as_tree(g))
 
 
 # product suite: args (G, H, their distance matrices, that of G x H) -------
@@ -703,19 +699,18 @@ def _chk_family(value, label, params, g):
 
 
 def _chk_incomp(g, sign, statement):
-    iv = index_vector(g)
-    if (iv.w > iv.pww) - (iv.w < iv.pww) == sign:
+    p = corpus.profile_of(g)
+    if (p.w > p.pww) - (p.w < p.pww) == sign:
         return None
-    return (f"W={iv.w}, PWW={iv.pww}", statement)
+    return (f"W={p.w}, PWW={p.pww}", statement)
 
 
 def _chk_fig2(g):
-    dm = distance_matrix(g)
-    pww = peripheral_hyper_wiener(dm)
-    formula = 2 * comb(g.n, 2) + comb(len(dm.periphery), 2) - 2 * g.m
-    if pww == 15 and dm.diameter == 3 and formula == pww:
+    p = corpus.profile_of(g)
+    formula = 2 * comb(g.n, 2) + comb(p.k, 2) - 2 * g.m
+    if p.pww == 15 and p.diameter == 3 and formula == p.pww:
         return None
-    return (f"PWW={pww}, diam={dm.diameter}, formula value={formula}",
+    return (f"PWW={p.pww}, diam={p.diameter}, formula value={formula}",
             "PWW = 15 = formula value while diam = 3")
 
 

@@ -5,8 +5,10 @@ audit (claim registry run), enumerate-values (attained index values by
 exhaustive enumeration).
 
 Exit codes: 0 success / expectations matched; 1 audit mismatch; 2 usage or
-parse error; 3 precondition failure on an input graph.  Every subcommand is
-deterministic given its arguments and seed.
+parse error; 3 precondition failure on an input graph; 4 failed internal
+cross-check (InvariantError, e.g. `compute --method cuts` disagreeing with
+the profile).  Every subcommand is deterministic given its arguments and
+seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from multiprocessing import get_context
 
@@ -25,6 +26,7 @@ from .errors import (
     GraphError,
     InvalidCodeError,
     InvalidParameterError,
+    InvariantError,
     MalformedGraph6Error,
     NotATreeError,
     NotConnectedError,
@@ -33,9 +35,9 @@ from .errors import (
     TrivialGraphError,
     VertexRangeError,
 )
-from .graphs import Graph, distance_matrix
+from .graphs import Graph
 from .graphio import iter_graph6, parse_edge_list, write_edge_list, write_graph6
-from .indices import index_vector
+from .indices import Profile
 
 _PARSE_ERRORS = (
     EdgeListSyntaxError,
@@ -65,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--emit", choices=("table", "json", "csv"), default="table")
     p_compute.add_argument("--indices", default=",".join(_INDEX_NAMES),
                            help="comma-separated subset of w,ww,pw,pww,tw,tww")
-    p_compute.add_argument("--method", choices=("definition", "cuts"), default="definition")
+    p_compute.add_argument("--method", choices=("definition", "cuts"), default="definition",
+                           help="definition: the bitmask profile engine; cuts: trees only, "
+                                "the same values cross-checked by the tree cut formulas")
     p_compute.add_argument("--output", default="-")
 
     p_gen = sub.add_parser("gen", help="emit a named family member")
@@ -150,33 +154,19 @@ def _cmd_compute(args) -> int:
     rows = []
     for idx, g in enumerate(graphs):
         try:
-            dm = distance_matrix(g)
-            iv = index_vector(g, dm)
+            p = _profile(g)
             if args.method == "cuts":
-                tv = trees.as_tree(g, dm)
-                cuts = {
-                    "w": trees.wiener_by_edge_cuts(tv),
-                    "ww": trees.hyper_wiener_by_path_cuts(tv),
-                    "pw": trees.peripheral_wiener_by_edge_cuts(tv),
-                    "pww": trees.peripheral_hyper_wiener_by_path_cuts(tv),
-                }
-                defs = {"w": iv.w, "ww": iv.ww, "pw": iv.pw, "pww": iv.pww}
-                if cuts != defs:
-                    raise AssertionError(f"cut formulas disagree: {cuts} vs {defs}")
+                _check_cuts(g, p)
         except _PRECONDITION_ERRORS as exc:
             print(f"error: graph {idx}: {exc}", file=sys.stderr)
             return 3
-        row = {
-            "graph": idx,
-            "n": g.n,
-            "m": g.m,
-            "diameter": dm.diameter,
-            "radius": dm.radius,
-            "k": iv.k,
-            "pendants": iv.pendant_count,
-        }
+        except InvariantError as exc:
+            print(f"error: graph {idx}: {exc}", file=sys.stderr)
+            return 4
+        # the first six Profile fields are the structure columns after "graph"
+        row = dict(zip(_STRUCT_COLUMNS, (idx, *p[:6])))
         for name in names:
-            row[name] = getattr(iv, name)
+            row[name] = getattr(p, name)
         rows.append(row)
 
     columns = list(_STRUCT_COLUMNS) + names
@@ -187,6 +177,30 @@ def _cmd_compute(args) -> int:
         if close:
             out.close()
     return 0
+
+
+def _profile(g: Graph) -> Profile:
+    """The profile of a connected input graph with at least 2 vertices."""
+    if g.n < 2:
+        raise TrivialGraphError("index operations need at least 2 vertices")
+    p = corpus.profile_of(g)
+    if p is None:
+        raise NotConnectedError("graph is not connected")
+    return p
+
+
+def _check_cuts(g: Graph, p: Profile) -> None:
+    """Require the tree cut formulas to give the profile's W, WW, PW, PWW."""
+    tv = trees.as_tree(g)
+    cuts = {
+        "w": trees.wiener_by_edge_cuts(tv),
+        "ww": trees.hyper_wiener_by_path_cuts(tv),
+        "pw": trees.peripheral_wiener_by_edge_cuts(tv),
+        "pww": trees.peripheral_hyper_wiener_by_path_cuts(tv),
+    }
+    defs = {"w": p.w, "ww": p.ww, "pw": p.pw, "pww": p.pww}
+    if cuts != defs:
+        raise InvariantError(f"cut formulas disagree with the profile: {cuts} vs {defs}")
 
 
 def _emit_rows(out, rows, columns, emit) -> None:
@@ -298,8 +312,7 @@ def _cmd_enumerate(args) -> int:
     if args.threads < 0:
         print(f"error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
         return 2
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    text = enumerate_values_csv(name, args.max_n, threads)
+    text = enumerate_values_csv(name, args.max_n, args.threads)
     out, close = _open_output(args.output)
     try:
         out.write(text)
@@ -311,11 +324,14 @@ def _cmd_enumerate(args) -> int:
 
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:
     """CSV of (value, smallest n attaining it, witness graph6), ascending,
-    with a trailing comment listing non-attained values below the maximum."""
+    with a trailing comment listing non-attained values below the maximum.
+    `threads` workers (0 = one per CPU) scan the chunks of the largest n, at
+    most one per CPU and per chunk; a single chunk (max_n <= 6) forks none."""
+    workers = corpus.worker_count(threads, len(corpus.scan_chunks(max_n)))
     pool = None
     try:
-        if threads > 1:
-            pool = get_context("fork").Pool(threads)
+        if workers > 1:
+            pool = get_context("fork").Pool(workers)
         attained = corpus.scan_values(index_name, max_n, pool=pool)
     finally:
         if pool is not None:

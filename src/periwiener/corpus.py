@@ -1,7 +1,11 @@
-"""Instance corpora for sweeps: exhaustive labeled connected graphs by
-edge-bitmask enumeration, isomorphism-reduced small graphs, all free trees
-up to a ceiling, and a fast bitmask metric profiler that computes the six
-indices without building per-pair distance matrices.
+"""The metric engine and the instance corpora for sweeps.
+
+`profile_of` (over `profile_from_masks`) computes the `indices.Profile` of a
+graph from adjacency bitmasks, without per-pair distance matrices; `compute`
+and every audit suite that needs only the six indices use it.  Beside it:
+exhaustive labeled connected graphs by edge-bitmask enumeration,
+isomorphism-reduced small graphs, all free trees up to a ceiling, and the
+attained-value scan.
 
 Edge bit b of a mask corresponds to pair_list(n)[b], which is the graph6
 column order (0,1),(0,2),(1,2),(0,3),...  A mask therefore maps directly
@@ -11,29 +15,12 @@ onto a graph6 record for the same n.
 from __future__ import annotations
 
 import itertools
+import os
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .graphs import Graph, build_graph
-
-
-class Profile(NamedTuple):
-    """Metric/index summary of one connected graph."""
-
-    n: int
-    m: int
-    diameter: int
-    radius: int
-    k: int
-    peri_mask: int
-    pendants: int
-    pend_mask: int
-    w: int
-    ww: int
-    pw: int
-    pww: int
-    tw: int
-    tww: int
+from .indices import Profile
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +84,7 @@ def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -
     distance, which yields all six indices without per-pair BFS.
     """
     if n == 1:
-        return Profile(1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+        return Profile(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
     full = (1 << n) - 1
     cur = [masks[v] | (1 << v) for v in range(n)]
     layers: list[list[int] | None] = [None, cur]
@@ -173,8 +160,7 @@ def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -
     else:
         tw, tww = _masked_pair_sums(layers, diameter, pend, pend_mask)
 
-    return Profile(n, m, diameter, radius, k, peri_mask, len(pend), pend_mask,
-                   w, ww, pw, pww, tw, tww)
+    return Profile(n, m, diameter, radius, k, len(pend), w, ww, pw, pww, tw, tww)
 
 
 def _masked_pair_sums(layers, diameter, sel, sel_mask) -> tuple[int, int]:
@@ -352,6 +338,13 @@ def _scan_chunk(args: tuple[str, int, int, int]) -> dict[int, tuple[int, int]]:
             if key < cur[0]:
                 best[val] = (key, mask)
     return best
+
+
+def worker_count(threads: int, jobs: int) -> int:
+    """Pool size for `jobs` independent jobs: `threads` workers (0 means one
+    per CPU), never more than the CPUs or the jobs, and at least 1."""
+    cpus = os.cpu_count() or 1
+    return max(1, min(threads or cpus, cpus, jobs))
 
 
 def scan_chunks(n: int) -> list[tuple[int, int]]:

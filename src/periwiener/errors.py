@@ -51,3 +51,7 @@ class MalformedGraph6Error(GraphError):
 
 class TooLargeError(GraphError):
     """The requested object exceeds a documented size ceiling."""
+
+
+class InvariantError(GraphError):
+    """An internal cross-check failed: two computations of one value disagree."""

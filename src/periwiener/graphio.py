@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .errors import (
     EdgeListSyntaxError,
+    InvariantError,
     MalformedGraph6Error,
     SelfLoopError,
     TooLargeError,
@@ -192,7 +193,8 @@ def write_graph6(g: Graph) -> str:
     if filled:
         val <<= 6 - filled
         out.append(chr(63 + val))
-    assert bit == nbits
+    if bit != nbits:
+        raise InvariantError(f"wrote {bit} adjacency bits, expected {nbits}")
     return "".join(out)
 
 

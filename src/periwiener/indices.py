@@ -1,30 +1,44 @@
-"""The six distance-based indices, computed straight from their definitions.
+"""The six distance-based indices, computed straight from their definitions,
+and `Profile`, the one record that holds them.
 
 Everything here is exact integer arithmetic over a DistanceMatrix; these
 functions are the brute-force oracle that every closed form in the audit
-registry is compared against.
+registry, and the bitmask engine in `corpus`, is compared against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import TrivialGraphError
+from .errors import InvariantError, TrivialGraphError
 from .graphs import DistanceMatrix, Graph, distance_matrix
 
 
-@dataclass(frozen=True, slots=True)
-class IndexVector:
-    """All six indices of one graph, plus periphery and pendant counts."""
+class Profile(NamedTuple):
+    """Metric summary and all six indices of one connected graph.
 
+    A NamedTuple, because the corpus sweep builds one per labeled graph and
+    reads fields by position (`Profile._fields`)."""
+
+    n: int
+    m: int
+    diameter: int
+    radius: int
+    k: int
+    pendant_count: int
     w: int
     ww: int
     pw: int
     pww: int
     tw: int
     tww: int
-    k: int
-    pendant_count: int
+
+
+def _half_even(total: int, what: str) -> int:
+    """total // 2 for a sum of d + d^2 terms, which is always even."""
+    if total % 2:
+        raise InvariantError(f"{what}: sum of d + d^2 is odd ({total})")
+    return total // 2
 
 
 def _require_nontrivial(n: int) -> None:
@@ -47,8 +61,7 @@ def hyper_wiener(dm: DistanceMatrix) -> int:
         for v in range(u + 1, dm.n):
             d = row[v]
             total += d + d * d
-    assert total % 2 == 0, "sum of d + d^2 must be even"
-    return total // 2
+    return _half_even(total, "WW")
 
 
 def peripheral_distance_number(dm: DistanceMatrix, v: int) -> int:
@@ -77,7 +90,9 @@ def peripheral_wiener(dm: DistanceMatrix) -> int:
     peri = tuple(sorted(dm.periphery))
     total, _ = _restricted_pair_sums(dm, peri)
     # cross-check against the half-sum of peripheral distance numbers
-    assert 2 * total == sum(peripheral_distance_number(dm, v) for v in peri)
+    by_vertex = sum(peripheral_distance_number(dm, v) for v in peri)
+    if 2 * total != by_vertex:
+        raise InvariantError(f"PW: pair sum {total} is not half the vertex sum {by_vertex}")
     return total
 
 
@@ -86,8 +101,7 @@ def peripheral_hyper_wiener(dm: DistanceMatrix) -> int:
     _require_nontrivial(dm.n)
     peri = tuple(sorted(dm.periphery))
     _, sum_dd = _restricted_pair_sums(dm, peri)
-    assert sum_dd % 2 == 0
-    return sum_dd // 2
+    return _half_even(sum_dd, "PWW")
 
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:
@@ -105,22 +119,26 @@ def terminal_hyper_wiener(dm: DistanceMatrix, g: Graph) -> int:
     """Half the pair sum of d + d^2 over pendant pairs; 0 if fewer than 2."""
     _require_nontrivial(dm.n)
     _, sum_dd = _restricted_pair_sums(dm, pendant_vertices(g))
-    assert sum_dd % 2 == 0
-    return sum_dd // 2
+    return _half_even(sum_dd, "TWW")
 
 
-def index_vector(g: Graph, dm: DistanceMatrix | None = None) -> IndexVector:
-    """All six indices from a single distance matrix."""
+def index_vector(g: Graph, dm: DistanceMatrix | None = None) -> Profile:
+    """The profile of g from a single distance matrix, index by index from
+    the definitions (the oracle for `corpus.profile_of`)."""
     _require_nontrivial(g.n)
     if dm is None:
         dm = distance_matrix(g)
-    return IndexVector(
+    return Profile(
+        n=g.n,
+        m=g.m,
+        diameter=dm.diameter,
+        radius=dm.radius,
+        k=len(dm.periphery),
+        pendant_count=len(pendant_vertices(g)),
         w=wiener(dm),
         ww=hyper_wiener(dm),
         pw=peripheral_wiener(dm),
         pww=peripheral_hyper_wiener(dm),
         tw=terminal_wiener(dm, g),
         tww=terminal_hyper_wiener(dm, g),
-        k=len(dm.periphery),
-        pendant_count=len(pendant_vertices(g)),
     )

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidCodeError, InvalidParameterError, NotATreeError
+from . import corpus
+from .errors import InvalidCodeError, InvalidParameterError, InvariantError, NotATreeError
 from .generators import CaterpillarCode, _as_code
-from .graphs import DistanceMatrix, Graph, complement, distance_matrix, is_connected
-from .indices import peripheral_hyper_wiener
+from .graphs import DistanceMatrix, Graph, distance_matrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +170,8 @@ def closed_form_caterpillar(code: CaterpillarCode | tuple[int, ...]) -> int:
         raise InvalidCodeError(f"caterpillar closed form needs spine length >= 2, got {s}")
     c1, cs = code.counts[0], code.counts[-1]
     tail = c1 * cs * (s + 1) * (s + 2)
-    assert tail % 2 == 0
+    if tail % 2:
+        raise InvariantError(f"caterpillar tail term {tail} is odd")
     return 3 * comb(c1, 2) + 3 * comb(cs, 2) + tail // 2
 
 
@@ -198,7 +199,8 @@ def lobster_pww(code: CaterpillarCode | tuple[int, ...], c: int) -> int:
     s = code.spine_length
     c1, cs = code.counts[0], code.counts[-1]
     tail = cs * (c1 + c) * (s + 1) * (s + 2)
-    assert tail % 2 == 0
+    if tail % 2:
+        raise InvariantError(f"lobster tail term {tail} is odd")
     return 3 * comb(c1, 2) + 3 * comb(cs, 2) + 3 * comb(c, 2) + 10 * c1 * c + tail // 2
 
 
@@ -221,8 +223,9 @@ def tree_pww_bounds(d: int, k: int) -> tuple[int, int]:
 
 def complement_tree_pww(t: TreeView) -> int | None:
     """PWW of the tree's complement, or None when the complement is
-    disconnected (stars, P_2, P_3)."""
-    comp = complement(t.graph)
-    if not is_connected(comp) or comp.n < 2:
+    disconnected (stars, P_2, P_3) or the tree has one vertex."""
+    g = t.graph
+    if g.n < 2:
         return None
-    return peripheral_hyper_wiener(distance_matrix(comp))
+    p = corpus.complement_profile(g.n, g.adjacency_masks())
+    return None if p is None else p.pww

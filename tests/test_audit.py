@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from periwiener import audit
+from periwiener import audit, corpus
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube
 from periwiener.graphio import write_graph6
@@ -248,6 +248,16 @@ class TestBudget:
         with pytest.raises(InvalidParameterError):
             audit.Budget(threads=-5)
 
-    def test_worker_count_auto(self):
-        assert audit.Budget(threads=3).worker_count() == 3
-        assert audit.Budget(threads=0).worker_count() >= 1
+    def test_worker_count_auto(self, monkeypatch):
+        # the pure pool-size function shared by audit and enumerate-values;
+        # no pool is started here
+        monkeypatch.setattr(corpus.os, "cpu_count", lambda: 4)
+        assert corpus.worker_count(0, 100) == 4
+        assert corpus.worker_count(3, 100) == 3
+        assert corpus.worker_count(10 ** 6, 100) == 4
+        assert corpus.worker_count(0, 2) == 2
+        assert corpus.worker_count(3, 1) == 1
+        assert corpus.worker_count(0, 0) == 1
+        monkeypatch.setattr(corpus.os, "cpu_count", lambda: None)
+        assert corpus.worker_count(0, 100) == 1
+        assert corpus.worker_count(8, 100) == 1

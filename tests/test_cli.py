@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+from periwiener import trees
 from periwiener.cli import enumerate_values_csv, main
-from periwiener.graphio import parse_graph6
+from periwiener.generators import hypercube
+from periwiener.graphio import parse_graph6, write_graph6
 from periwiener.indices import index_vector
 
 
@@ -69,6 +71,37 @@ class TestCompute:
         f.write_text("4\n0 1\n1 2\n2 3\n3 0\n")
         rc, _, err = run_cli(capsys, "compute", "--input", str(f), "--method", "cuts")
         assert rc == 3
+
+    def test_single_vertex_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "k1.el"
+        f.write_text("1\n")
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f))
+        assert rc == 3 and out == ""
+        assert "at least 2 vertices" in err
+
+    def test_cuts_mismatch_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(trees, "peripheral_hyper_wiener_by_path_cuts", lambda tv: -1)
+        f = tmp_path / "t.el"
+        f.write_text("5\n0 1\n0 2\n0 3\n3 4\n")
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f), "--method", "cuts")
+        assert rc == 4 and out == ""
+        assert err.startswith("error: graph 0: cut formulas disagree")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_rows_match_oracle_on_q7(self, tmp_path, capsys):
+        g = hypercube(7)  # 128 vertices: the graph6 long form, masks past 64 bits
+        f = tmp_path / "q7.g6"
+        f.write_text(write_graph6(g) + "\n")
+        rc, out, _ = run_cli(capsys, "compute", "--input", str(f),
+                             "--format", "graph6", "--emit", "json")
+        assert rc == 0
+        (row,) = json.loads(out)
+        iv = index_vector(g)
+        assert (iv.n, iv.m) == (128, 448)
+        assert row == {"graph": 0, "n": iv.n, "m": iv.m, "diameter": iv.diameter,
+                       "radius": iv.radius, "k": iv.k, "pendants": iv.pendant_count,
+                       "w": iv.w, "ww": iv.ww, "pw": iv.pw, "pww": iv.pww,
+                       "tw": iv.tw, "tww": iv.tww}
 
     def test_index_subset(self, tmp_path, capsys):
         f = tmp_path / "p3.el"

@@ -1,12 +1,14 @@
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import random_connected
+from conftest import connected_graphs, random_connected
 from periwiener import corpus
 from periwiener.generators import path, star
-from periwiener.graphs import build_graph, complement, distance_matrix
+from periwiener.graphs import build_graph, complement
 from periwiener.graphio import write_graph6
 from periwiener.indices import index_vector
+from periwiener.trees import as_tree, complement_tree_pww
 
 # labeled connected graph counts (recounted independently in
 # test_counts_cross_checked_by_union_find below, up to n = 5)
@@ -18,27 +20,32 @@ FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
 
 class TestProfile:
+    """The bitmask engine against the definitional oracle (and networkx)."""
+
     def test_profile_matches_definitions_exhaustively(self):
         for n in range(2, 6):
             for mask, prof in corpus.iter_connected_profiles(n):
                 g = corpus.mask_to_graph(n, mask)
-                iv = index_vector(g)
-                dm = distance_matrix(g)
-                assert (prof.w, prof.ww, prof.pw, prof.pww, prof.tw, prof.tww) == (
-                    iv.w, iv.ww, iv.pw, iv.pww, iv.tw, iv.tww)
-                assert prof.diameter == dm.diameter
-                assert prof.radius == dm.radius
-                assert prof.k == iv.k
-                assert prof.pendants == iv.pendant_count
-                assert prof.m == g.m
+                assert prof == corpus.profile_of(g) == index_vector(g)
 
     def test_profile_matches_definitions_on_random(self, rng):
         for _ in range(60):
             g = random_connected(rng, rng.randrange(2, 26))
-            prof = corpus.profile_of(g)
-            iv = index_vector(g)
-            assert (prof.w, prof.ww, prof.pw, prof.pww, prof.tw, prof.tww) == (
-                iv.w, iv.ww, iv.pw, iv.pww, iv.tw, iv.tww)
+            assert corpus.profile_of(g) == index_vector(g)
+
+    @given(connected_graphs(max_n=100))
+    @example(path(100))
+    @settings(max_examples=60, deadline=None)
+    def test_profile_matches_oracle_and_networkx(self, g):
+        # up to 100 vertices, so adjacency and reach masks pass 64 bits
+        p = corpus.profile_of(g)
+        assert p == index_vector(g)
+        ng = nx.Graph(list(g.edges()))
+        ng.add_nodes_from(range(g.n))
+        assert p.w == nx.wiener_index(ng)
+        assert p.diameter == nx.diameter(ng)
+        assert p.radius == nx.radius(ng)
+        assert p.k == len(nx.periphery(ng))
 
     def test_disconnected_is_none(self):
         assert corpus.profile_of(build_graph(4, [(0, 1), (2, 3)])) is None
@@ -53,6 +60,13 @@ class TestProfile:
             via_masks = corpus.complement_profile(g.n, g.adjacency_masks())
             direct = corpus.profile_of(complement(g))
             assert via_masks == direct
+
+    def test_complement_tree_pww_matches_profile(self):
+        # every free tree on 2..10 vertices; None exactly when the
+        # complement is disconnected
+        for g in corpus.all_free_trees(2, 10):
+            p = corpus.profile_of(complement(g))
+            assert complement_tree_pww(as_tree(g)) == (None if p is None else p.pww)
 
 
 class TestEnumeration:

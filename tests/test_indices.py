@@ -1,10 +1,12 @@
+import subprocess
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, fig2_tree, random_connected
-from periwiener.errors import NotConnectedError, TrivialGraphError
+from periwiener.errors import InvariantError, NotConnectedError, TrivialGraphError
 from periwiener.generators import (
     complete,
     complete_bipartite,
@@ -13,7 +15,7 @@ from periwiener.generators import (
     path,
     star,
 )
-from periwiener.graphs import build_graph, distance_matrix
+from periwiener.graphs import DistanceMatrix, build_graph, distance_matrix
 from periwiener.indices import (
     hyper_wiener,
     index_vector,
@@ -185,3 +187,26 @@ class TestIndexVector:
         v = iv(g)
         complete_graph = g.m == comb(g.n, 2)
         assert (v.w == v.pw == v.ww == v.pww) == complete_graph
+
+
+# an asymmetric "distance matrix": the PW pair sum is 1, the vertex sum 0
+_ASYMMETRIC = DistanceMatrix(n=2, dist=((0, 1), (0, 0)), ecc=(1, 1), radius=1, diameter=1,
+                             center=frozenset({0, 1}), periphery=frozenset({0, 1}))
+
+
+class TestInvariants:
+    def test_pw_cross_check_raises(self):
+        with pytest.raises(InvariantError, match="PW"):
+            peripheral_wiener(_ASYMMETRIC)
+
+    def test_cross_check_survives_optimize_flag(self):
+        # explicit raises, not asserts: `python -O` keeps them
+        code = ("from periwiener.errors import InvariantError\n"
+                "from periwiener.graphs import DistanceMatrix\n"
+                "from periwiener.indices import peripheral_wiener\n"
+                f"dm = {_ASYMMETRIC!r}\n"
+                "try:\n    peripheral_wiener(dm)\n"
+                "except InvariantError:\n    print('raised')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.strip() == "raised", proc.stderr
