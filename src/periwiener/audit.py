@@ -10,8 +10,10 @@ formulas ride along as shadow claims, outside the registry proper.
 
 A suite is an instance stream plus a check table (claim id -> check).  One
 loop, `_evaluate`, runs every table over its stream and does the counting,
-witness selection and error handling for all of them; the exhaustive corpus
-stream is split into fixed mask ranges that a process pool evaluates.
+witness selection and error handling for all of them.  The exhaustive
+corpus checks one graph per isomorphism class, weighted by its n!/|Aut(G)|
+labelings, so the counts and witnesses are those of every labeled graph;
+a process pool evaluates its largest order, one job per parent class.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations_with_replacement, product
 from math import comb
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
 from . import corpus, generators, trees
@@ -389,43 +390,28 @@ _CORPUS_CHECKS: dict[str, Callable] = {
 }
 
 
-def _corpus_masks(n: int, lo: int, hi: int):
-    """Every connected n-vertex labeled graph whose edge bitmask is in [lo, hi)."""
-    min_m = n - 1
-    for mask in range(lo, hi):
-        if mask.bit_count() < min_m:
-            continue
-        masks, edges = corpus.mask_adjacency(n, mask)
-        p = corpus.profile_from_masks(n, masks, edges)
-        if p is not None:
-            yield (n, mask), (n, masks, p)
-
-
-def _corpus_chunk(job: tuple) -> dict[str, _Acc]:
-    """Pool worker: the corpus checks `ids` over one [lo, hi) mask range of
-    the n-vertex corpus."""
-    ids, n, lo, hi = job
+def _corpus_chunk(job: tuple) -> tuple[dict[str, _Acc], list[int]]:
+    """Pool worker: the corpus checks `ids` over the n-vertex classes grown
+    from one (n-1)-vertex parent class; returns the accumulators and the
+    classes' canonical masks, which are parents at the next order."""
+    ids, n, parent = job
     accs = {cid: _Acc() for cid in ids}
-    _evaluate(_corpus_masks(n, lo, hi), [(cid, _CORPUS_CHECKS[cid]) for cid in ids], accs)
-    return accs
+    classes = list(corpus.iter_connected_profiles(n, (parent,)))
+    instances = (((n, mask), weight, (n, corpus.mask_adjacency(n, mask)[0], p))
+                 for mask, weight, p in classes)
+    _evaluate(instances, [(cid, _CORPUS_CHECKS[cid]) for cid in ids], accs)
+    return accs, [mask for mask, _, _ in classes]
 
 
 def _sweep_corpus(ids: list[str], accs: dict[str, _Acc], budget: Budget) -> None:
-    """The exhaustive part of the corpus suite, every labeled connected graph
-    up to max_n vertices.  The mask ranges are corpus.scan_chunks, fixed for
-    each n and merged in order, so the report does not depend on the worker
-    count."""
-    jobs = [(ids, n, lo, hi)
-            for n in range(2, budget.max_n + 1) for lo, hi in corpus.scan_chunks(n)]
-    workers = corpus.worker_count(budget.threads, len(jobs))
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_corpus_chunk, jobs, chunksize=1)
-    else:
-        parts = map(_corpus_chunk, jobs)
-    for part in parts:
-        for cid, acc in part.items():
-            accs[cid].merge(acc)
+    """The exhaustive part of the corpus suite: every connected graph up to
+    max_n vertices, one check per isomorphism class counted for each of its
+    labelings.  The jobs are fixed and merged in order, so the report does
+    not depend on the worker count."""
+    for _, parts in corpus.sweep_levels(_corpus_chunk, (ids,), budget.max_n, budget.threads):
+        for part in parts:
+            for cid, acc in part.items():
+                accs[cid].merge(acc)
 
 
 def _random_connected(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
@@ -444,7 +430,7 @@ def _random_graphs(budget: Budget):
     for _ in range(budget.trials * 10):
         g = _random_connected(rng, 8, 24)
         masks = g.adjacency_masks()
-        yield g, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
+        yield g, 1, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
 
 
 # corpus6 suite: args (graph, distance matrix) -----------------------------
@@ -469,9 +455,9 @@ _CORPUS6_CHECKS: dict[str, Callable] = {
 
 def _corpus6_instances(budget: Budget):
     for n in range(2, min(6, budget.max_n) + 1):
-        for mask, _profile in corpus.iter_connected_profiles(n):
+        for mask, weight, _ in corpus.iter_connected_profiles(n):
             g = corpus.mask_to_graph(n, mask)
-            yield (n, mask), (g, distance_matrix(g))
+            yield (n, mask), weight, (g, distance_matrix(g))
 
 
 # tree suite: args (tree, profile, tree view) ------------------------------
@@ -543,8 +529,8 @@ def _tree_instances(budget: Budget):
                                       seed=rng.randrange(1 << 30))
                for _ in range(budget.trials))
     for g in chain(corpus.all_free_trees(2, TREE_SUITE_MAX_N), randoms):
-        # the tree view keeps a distance matrix: the path cuts read it
-        yield g, (g, corpus.profile_of(g), trees.as_tree(g))
+        # the tree view keeps a distance matrix, for its periphery
+        yield g, 1, (g, corpus.profile_of(g), trees.as_tree(g))
 
 
 # product suite: args (G, H, their distance matrices, that of G x H) -------
@@ -615,7 +601,7 @@ def _product_instances(budget: Budget):
                 _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials))
     for g, h in chain(combinations_with_replacement(factors, 2), randoms):
         prod = cartesian_product(g, h)
-        yield prod, (g, h, distance_matrix(g), distance_matrix(h), distance_matrix(prod))
+        yield prod, 1, (g, h, distance_matrix(g), distance_matrix(h), distance_matrix(prod))
 
 
 # family suite: one instance stream per row --------------------------------
@@ -686,7 +672,7 @@ _FAMILY: tuple[tuple[str, Callable, Callable, str], ...] = (
 
 def _family_instances(stream: Callable):
     for params, g in stream():
-        yield g, (params, g)
+        yield g, 1, (params, g)
 
 
 def _chk_family(value, label, params, g):
@@ -746,6 +732,12 @@ class _Acc:
             insort(kept, entry)
             del kept[_MAX_WITNESSES:]
 
+    def admits(self, n: int, key: int) -> bool:
+        """Whether a witness of n vertices and graph6 order key `key` would
+        enter the list."""
+        kept = self.witnesses
+        return len(kept) < _MAX_WITNESSES or (n, key) < kept[-1][:2]
+
     def merge(self, other: _Acc) -> None:
         """Fold in a later part of the same claim's instances."""
         self.tested += other.tested
@@ -756,26 +748,39 @@ class _Acc:
             self.add_witness(entry)
 
 
-def _witness(subject) -> tuple[int, int, str]:
-    """(n, graph6 order key, graph6) of a Graph or an (n, edge bitmask) pair;
-    witnesses sort on it, so the smallest graphs in graph6 order come first."""
-    g = subject if isinstance(subject, Graph) else corpus.mask_to_graph(*subject)
-    return g.n, corpus.g6_order_key(g.n, corpus.graph_to_mask(g)), write_graph6(g)
+def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
+    """Offer the witnesses of one violation: (n, graph6 order key, graph6,
+    observed, expected), which sort the smallest graphs in graph6 order
+    first.  A Graph gives one; an isomorphism class (n, canonical mask) gives
+    each of its labeled graphs, unless the list is already full of entries
+    below its canonical key, the smallest key in the class."""
+    if isinstance(subject, Graph):
+        key = corpus.g6_order_key(subject.n, corpus.graph_to_mask(subject))
+        acc.add_witness((subject.n, key, write_graph6(subject)) + r)
+        return
+    n, mask = subject
+    if not acc.admits(n, corpus.g6_order_key(n, mask)):
+        return
+    for labeled in corpus.labelings(n, mask):
+        key = corpus.g6_order_key(n, labeled)
+        if acc.admits(n, key):
+            acc.add_witness((n, key, write_graph6(corpus.mask_to_graph(n, labeled))) + r)
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
               accs: dict[str, _Acc]) -> None:
     """Apply every (claim id, check) to every instance of a stream.
 
-    A stream yields (subject, args) pairs: the subject is the graph a witness
-    shows (a Graph, or an (n, edge bitmask) pair), and check(*args) returns
-    None (holds), _NA (does not apply) or an (observed, expected) pair.  The
-    first exception a check raises marks only its claim skipped, with the
-    exception as the note.  This loop runs once per labeled corpus graph, so
-    it builds nothing per instance beyond a violation's witness.
+    A stream yields (subject, weight, args): the subject is the graph a
+    witness shows (a Graph, or an isomorphism class as an (n, canonical
+    mask) pair), the weight is the number of labeled graphs it stands for
+    (n!/|Aut(G)| for a class, else 1), and check(*args) returns None
+    (holds), _NA (does not apply) or an (observed, expected) pair.  The first
+    exception a check raises marks only its claim skipped, with the
+    exception as the note.
     """
     live = [(accs[cid], fn) for cid, fn in checks if accs[cid].error is None]
-    for subject, args in instances:
+    for subject, weight, args in instances:
         for acc, fn in live:
             try:
                 r = fn(*args)
@@ -784,11 +789,11 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
                 live = [entry for entry in live if entry[0] is not acc]
                 continue
             if r is None:
-                acc.tested += 1
+                acc.tested += weight
             elif r is not _NA:
-                acc.tested += 1
-                acc.violations += 1
-                acc.add_witness(_witness(subject) + r)
+                acc.tested += weight
+                acc.violations += weight
+                _add_witnesses(acc, subject, r)
 
 
 def _passes(budget: Budget):
@@ -801,7 +806,7 @@ def _passes(budget: Budget):
     for cid, stream, value, label in _FAMILY:
         yield _family_instances(stream), {cid: partial(_chk_family, value, label)}
     for cid, cases, check in _FIXED:
-        yield ((case[0], case) for case in cases), {cid: check}
+        yield ((case[0], 1, case) for case in cases), {cid: check}
 
 
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:

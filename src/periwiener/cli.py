@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import sys
-from multiprocessing import get_context
 
 from . import audit, corpus, generators, trees
 from .errors import (
@@ -325,18 +324,9 @@ def _cmd_enumerate(args) -> int:
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:
     """CSV of (value, smallest n attaining it, witness graph6), ascending,
     with a trailing comment listing non-attained values below the maximum.
-    `threads` workers (0 = one per CPU) scan the chunks of the largest n, at
-    most one per CPU and per chunk; a single chunk (max_n <= 6) forks none."""
-    workers = corpus.worker_count(threads, len(corpus.scan_chunks(max_n)))
-    pool = None
-    try:
-        if workers > 1:
-            pool = get_context("fork").Pool(workers)
-        attained = corpus.scan_values(index_name, max_n, pool=pool)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    `threads` workers (0 = one per CPU) scan the classes of the largest n,
+    at most one per CPU and per parent class."""
+    attained = corpus.scan_values(index_name, max_n, threads)
     gaps = corpus.value_gaps(attained)
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -3,9 +3,16 @@
 `profile_of` (over `profile_from_masks`) computes the `indices.Profile` of a
 graph from adjacency bitmasks, without per-pair distance matrices; `compute`
 and every audit suite that needs only the six indices use it.  Beside it:
-exhaustive labeled connected graphs by edge-bitmask enumeration,
-isomorphism-reduced small graphs, all free trees up to a ceiling, and the
-attained-value scan.
+one canonical graph per isomorphism class of connected graphs, with its
+number of labelings n!/|Aut(G)|, by canonical augmentation; all free trees
+up to a ceiling; and the attained-value scan.
+
+The canonical labeling of a graph is the one that comes first in graph6
+string order (smallest `g6_order_key`).  Classes grow one vertex at a time
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): a child
+of an (n-1)-vertex class joins vertex n-1 to a non-empty neighbour set, and
+is kept only when vertex n-1 lies in the orbit of its canonical deletion
+vertex, so each class has exactly one parent class.
 
 Edge bit b of a mask corresponds to pair_list(n)[b], which is the graph6
 column order (0,1),(0,2),(1,2),(0,3),...  A mask therefore maps directly
@@ -17,7 +24,9 @@ from __future__ import annotations
 import itertools
 import os
 from functools import lru_cache
-from typing import Iterator
+from math import factorial
+from multiprocessing import get_context
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, build_graph
 from .indices import Profile
@@ -193,61 +202,126 @@ def complement_profile(n: int, masks: list[int]) -> Profile | None:
     return profile_from_masks(n, comp, edges)
 
 
-def iter_connected_profiles(n: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, Profile]]:
-    """(mask, profile) for every connected labeled graph on n vertices
-    whose edge bitmask lies in [lo, hi)."""
-    nbits = n * (n - 1) // 2
-    if hi is None:
-        hi = 1 << nbits
-    min_m = n - 1
-    for mask in range(lo, hi):
-        if mask.bit_count() < min_m:
-            continue
-        adj, edges = mask_adjacency(n, mask)
-        p = profile_from_masks(n, adj, edges)
-        if p is not None:
-            yield mask, p
+# --- isomorphism classes ---------------------------------------------------
 
 
-# --- isomorphism reduction for small graphs --------------------------------
+def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """(key, orders): the smallest graph6 order key over all labelings of
+    the graph with adjacency bitmasks `adj`, and every vertex order that
+    attains it (order[p] is the vertex labeled p).
+
+    The key is the concatenation of the columns of the labeled adjacency
+    matrix; column j holds the adjacency of the j-th vertex to the earlier
+    ones, the earliest as the most significant bit.  The orders are built
+    column by column, keeping at depth j only those whose column j is
+    minimal.  The surviving orders form one coset of Aut(G), so there are
+    |Aut(G)| of them, and the entries at position p across them are the
+    orbit of the vertex at p.
+    """
+    states = [((), (1 << n) - 1, [0] * n)]  # (order, unplaced vertices, columns)
+    key = 0
+    for j in range(n):
+        best = min(cols[v] for _, free, cols in states for v in _bits(free))
+        key = (key << j) | best
+        nxt = []
+        for order, free, cols in states:
+            for v in _bits(free):
+                if cols[v] == best:
+                    row = adj[v]
+                    nxt.append((order + (v,), free & ~(1 << v),
+                                [(c << 1) | ((row >> u) & 1) for u, c in enumerate(cols)]))
+        states = nxt
+    return key, [order for order, _, _ in states]
 
 
-@lru_cache(maxsize=8)
-def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    pairs = pair_list(n)
-    index = {p: b for b, p in enumerate(pairs)}
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        mp = [0] * len(pairs)
-        for b, (i, j) in enumerate(pairs):
-            a, c = perm[i], perm[j]
-            mp[b] = index[(a, c) if a < c else (c, a)]
-        maps.append(tuple(mp))
-    return tuple(maps)
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """Minimum edge bitmask over all vertex relabelings (n <= 7 is practical)."""
-    best = mask
-    for mp in _perm_bit_maps(n):
-        mm = mask
-        out = 0
-        while mm:
-            low = mm & -mm
-            out |= 1 << mp[low.bit_length() - 1]
-            mm ^= low
-        if out < best:
-            best = out
-    return best
+    """Edge bitmask of the canonical labeling: the first labeling of the
+    graph in graph6 order.  Equal for exactly the isomorphic graphs."""
+    return g6_order_key(n, canonical_form(n, mask_adjacency(n, mask)[0])[0])
+
+
+def _connected_without(adj: list[int], n: int, v: int) -> bool:
+    """Whether the graph stays connected when vertex v is removed."""
+    rest = ((1 << n) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & rest & ~seen
+        seen |= new
+        frontier |= new
+    return seen == rest
+
+
+def _new_vertex_is_canonical(n: int, adj: list[int], orders: list[tuple[int, ...]]) -> bool:
+    """True when vertex n-1 is in the orbit of the canonical deletion vertex:
+    the last vertex of the canonical order whose removal leaves the graph
+    connected."""
+    first = orders[0]
+    pos = next(p for p in range(n - 1, -1, -1) if _connected_without(adj, n, first[p]))
+    return any(order[pos] == n - 1 for order in orders)
+
+
+def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
+                            ) -> Iterator[tuple[int, int, Profile]]:
+    """(canonical mask, n!/|Aut(G)|, profile) for one graph per isomorphism
+    class of connected n-vertex graphs; the middle item is the number of
+    labeled graphs in the class.
+
+    With `parents`, the canonical masks of some (n-1)-vertex classes, only
+    the classes grown from those; each class has one parent, so disjoint
+    parent sets give disjoint classes.  Without, every class.
+    """
+    if n == 1:
+        yield 0, 1, profile_from_masks(1, [0], [])
+        return
+    if parents is None:
+        parents = [mask for mask, _, _ in iter_connected_profiles(n - 1)]
+    new = n - 1
+    n_labelings = factorial(n)
+    for parent in parents:
+        parent_adj, parent_edges = mask_adjacency(new, parent)
+        accepted = set()  # recording rejected keys too would lose classes
+        for nbrs in range(1, 1 << new):
+            adj = parent_adj + [nbrs]
+            for u in _bits(nbrs):
+                adj[u] |= 1 << new
+            key, orders = canonical_form(n, adj)
+            if key in accepted or not _new_vertex_is_canonical(n, adj, orders):
+                continue
+            accepted.add(key)
+            edges = parent_edges + [(u, new) for u in _bits(nbrs)]
+            yield g6_order_key(n, key), n_labelings // len(orders), profile_from_masks(n, adj, edges)
+
+
+def labelings(n: int, mask: int) -> set[int]:
+    """Edge bitmasks of every labeled graph isomorphic to this one, by all
+    n! relabelings; only the witnesses of a violating class need them."""
+    _, edges = mask_adjacency(n, mask)
+    out = set()
+    for perm in itertools.permutations(range(n)):
+        relabeled = 0
+        for i, j in edges:
+            a, b = perm[i], perm[j]
+            if a > b:
+                a, b = b, a
+            relabeled |= 1 << (b * (b - 1) // 2 + a)
+        out.add(relabeled)
+    return out
 
 
 def nonisomorphic_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n
-    vertices, in ascending canonical-mask order."""
-    seen = set()
-    for mask, _ in iter_connected_profiles(n):
-        seen.add(canonical_mask(n, mask))
-    return [mask_to_graph(n, m) for m in sorted(seen)]
+    vertices, its canonical labeling, in ascending canonical-mask order."""
+    return [mask_to_graph(n, mask) for mask in sorted(m for m, _, _ in iter_connected_profiles(n))]
 
 
 # --- free trees -------------------------------------------------------------
@@ -320,24 +394,22 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 
 # --- value enumeration (inverse-problem tooling) ----------------------------
 
-_SCAN_CHUNK_BITS = 15
 
-
-def _scan_chunk(args: tuple[str, int, int, int]) -> dict[int, tuple[int, int]]:
-    """Worker: map attained index value -> (g6 order key, mask) best in range."""
-    index_name, n, lo, hi = args
+def _scan_chunk(args: tuple[str, int, int]) -> tuple[dict[int, int], list[int]]:
+    """Worker: attained index value -> smallest canonical key over the
+    n-vertex classes grown from one parent class, and those classes'
+    canonical masks."""
+    index_name, n, parent = args
     field = Profile._fields.index(index_name)
-    best: dict[int, tuple[int, int]] = {}
-    for mask, profile in iter_connected_profiles(n, lo, hi):
+    best: dict[int, int] = {}
+    masks = []
+    for mask, _, profile in iter_connected_profiles(n, (parent,)):
+        masks.append(mask)
         val = profile[field]
-        cur = best.get(val)
-        if cur is None:
-            best[val] = (g6_order_key(n, mask), mask)
-        else:
-            key = g6_order_key(n, mask)
-            if key < cur[0]:
-                best[val] = (key, mask)
-    return best
+        key = g6_order_key(n, mask)
+        if key < best.get(val, key + 1):
+            best[val] = key
+    return best, masks
 
 
 def worker_count(threads: int, jobs: int) -> int:
@@ -347,39 +419,51 @@ def worker_count(threads: int, jobs: int) -> int:
     return max(1, min(threads or cpus, cpus, jobs))
 
 
-def scan_chunks(n: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) mask ranges for one n, independent of worker count."""
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
-    step = 1 << _SCAN_CHUNK_BITS
-    if total <= step:
-        return [(0, total)]
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def sweep_levels(worker: Callable, head: tuple, max_n: int, threads: int
+                 ) -> Iterator[tuple[int, list]]:
+    """For n = 2..max_n in turn, yield (n, parts): worker((*head, n, parent))
+    is one job per (n-1)-vertex class, and returns (part, the canonical masks
+    of the n-vertex classes grown from that parent).  The masks are the next
+    level's parents.  Jobs are fixed and their parts come in job order, so
+    the result does not depend on the worker count.  The last level, which
+    holds most of the work, runs in a pool of `worker_count(threads, jobs)`
+    processes."""
+    parents = [0]
+    for n in range(2, max_n + 1):
+        jobs = [(*head, n, parent) for parent in parents]
+        workers = worker_count(threads, len(jobs)) if n == max_n else 1
+        if workers > 1:
+            with get_context("fork").Pool(workers) as pool:
+                outs = pool.map(worker, jobs, chunksize=1)
+        else:
+            outs = map(worker, jobs)
+        parts, parents = [], []
+        for part, children in outs:
+            parts.append(part)
+            parents.extend(children)
+        yield n, parts
 
 
-def scan_values(index_name: str, max_n: int, pool=None) -> dict[int, tuple[int, str]]:
+def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:
     """Attained value -> (smallest n, graph6 of the first witness in graph6
-    order) over all connected labeled graphs with 2 <= n <= max_n."""
+    order) over all connected graphs with 2 <= n <= max_n, one job per parent
+    class on `threads` workers (0 = one per CPU).  Each class is scanned
+    once: its canonical labeling is the first of its labeled graphs in
+    graph6 order."""
     if index_name not in Profile._fields:
         raise ValueError(f"unknown index {index_name!r}")
     out: dict[int, tuple[int, str]] = {}
     from .graphio import write_graph6  # local import to avoid a cycle
 
-    for n in range(2, max_n + 1):
-        jobs = [(index_name, n, lo, hi) for lo, hi in scan_chunks(n)]
-        if pool is not None and len(jobs) > 1:
-            partials = pool.map(_scan_chunk, jobs)
-        else:
-            partials = [_scan_chunk(job) for job in jobs]
-        merged: dict[int, tuple[int, int]] = {}
-        for part in partials:
-            for val, (key, mask) in part.items():
-                cur = merged.get(val)
-                if cur is None or key < cur[0]:
-                    merged[val] = (key, mask)
-        for val, (_, mask) in merged.items():
+    for n, parts in sweep_levels(_scan_chunk, (index_name,), max_n, threads):
+        merged: dict[int, int] = {}
+        for part in parts:
+            for val, key in part.items():
+                if key < merged.get(val, key + 1):
+                    merged[val] = key
+        for val, key in merged.items():
             if val not in out:
-                out[val] = (n, write_graph6(mask_to_graph(n, mask)))
+                out[val] = (n, write_graph6(mask_to_graph(n, g6_order_key(n, key))))
     return out
 
 

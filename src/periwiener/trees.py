@@ -90,36 +90,39 @@ def peripheral_wiener_by_edge_cuts(t: TreeView) -> int:
     return sum(size[v] * (k - size[v]) for v in t.order[1:])
 
 
-def _path_cut_sum(t: TreeView, candidates: tuple[int, ...]) -> int:
+def _path_cut_sum(t: TreeView, marked: frozenset[int] | None) -> int:
     """Sum over unordered vertex pairs of (u-side count) * (v-side count),
-    counting only `candidates` as side members."""
-    dist = t.dm.dist
-    n = t.graph.n
-    total = 0
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            duv = du[v]
-            u_side = 0
-            v_side = 0
-            for x in candidates:
-                if dv[x] == du[x] + duv:
-                    u_side += 1
-                elif du[x] == dv[x] + duv:
-                    v_side += 1
-            total += u_side * v_side
-    return total
+    counting only `marked` vertices (all vertices when marked is None).
+
+    The u side of the u-v path is the subtree of u when the tree hangs from
+    v.  With the tree rooted as in `t` and sub[x] the marked count below x,
+    that side holds sub[u] marked vertices, unless u is an ancestor of v:
+    then it holds K - sub[c], for K marked in all and c the child of u
+    toward v.  So a pair contributes sub[u] * sub[v] unless one endpoint is
+    an ancestor of the other, and the ancestor pairs of each v are summed
+    along its root path; O(n) overall.
+    """
+    sub = _subtree_counts(t, marked)
+    k = sub[t.order[0]]
+    above = [0] * t.graph.n  # sum of sub[a] over the proper ancestors a of x
+    cut = [0] * t.graph.n  # sum of k - sub[y] over y from x up to below the root
+    for x in t.order[1:]:
+        p = t.parent[x]
+        above[x] = above[p] + sub[p]
+        cut[x] = cut[p] + k - sub[x]
+    total = sum(sub)
+    all_pairs = (total * total - sum(c * c for c in sub)) // 2
+    return all_pairs + sum(c * (cut[x] - above[x]) for x, c in enumerate(sub))
 
 
 def hyper_wiener_by_path_cuts(t: TreeView) -> int:
     """WW(T) as the sum over vertex pairs of the two side sizes multiplied."""
-    return _path_cut_sum(t, tuple(range(t.graph.n)))
+    return _path_cut_sum(t, None)
 
 
 def peripheral_hyper_wiener_by_path_cuts(t: TreeView) -> int:
     """PWW(T) with sides counting peripheral vertices only."""
-    return _path_cut_sum(t, tuple(sorted(t.periphery)))
+    return _path_cut_sum(t, t.periphery)
 
 
 # --- closed forms (evaluated verbatim as registered) -----------------------

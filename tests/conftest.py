@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from periwiener import corpus
 from periwiener.graphs import Graph, build_graph
 
 
@@ -43,6 +44,16 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
         if all(((perm[u], perm[v]) in eb or (perm[v], perm[u]) in eb) for u, v in a.edges()):
             return True
     return False
+
+
+def labeled_connected(n: int):
+    """Oracle corpus: (edge bitmask, profile) for every labeled connected
+    graph on n vertices, by sweeping all 2^C(n,2) edge subsets."""
+    for mask in range(1 << (n * (n - 1) // 2)):
+        masks, edges = corpus.mask_adjacency(n, mask)
+        p = corpus.profile_from_masks(n, masks, edges)
+        if p is not None:
+            yield mask, p
 
 
 def fig2_tree() -> Graph:

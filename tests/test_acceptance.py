@@ -8,6 +8,7 @@ are available.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import time
@@ -231,6 +232,25 @@ def test_criterion_9_enumerate_values_pww():
             assert index_vector(g).pww == int(val)
             assert int(val) not in gaps
         assert elapsed < scaled(120), f"enumeration took {elapsed:.1f}s"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_full_report_bytes_golden(full_run):
+    # the default report as the labeled sweep over every connected graph
+    # wrote it; the class sweep must keep these bytes
+    report, _ = full_run
+    assert _sha256(report.to_json()) == (
+        "128004b8efe12f693eef726ec0a69003952ecc89b36477101086a416a62990fa")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_enumerate_values_pww_n7_golden(threads):
+    # the CSV as the labeled sweep wrote it, at either worker count
+    assert _sha256(enumerate_values_csv("pww", 7, threads=threads)) == (
+        "9d401dc8abe395ffd6e5a7cdd26bdc6b019dbc2a11995caefc4812c1e7d231d1")
 
 
 def test_criterion_10_round_trips_and_fuzz():

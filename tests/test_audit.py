@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import labeled_connected
 from periwiener import audit, corpus
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube
@@ -235,6 +236,80 @@ class TestCheckErrors:
                 assert r.note == "ZeroDivisionError: integer division or modulo by zero"
             else:
                 assert r == want[r.id]
+
+
+def _labeled_reference(instances, checks):
+    """Oracle for the class sweep: each labeled graph checked on its own,
+    every witness kept, then sorted and capped; the first exception stops
+    its claim."""
+    out = {}
+    for cid, fn in checks:
+        tested = violations = 0
+        witnesses = []
+        error = None
+        for g, args in instances:
+            try:
+                r = fn(*args)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                break
+            if r is audit._NA:
+                continue
+            tested += 1
+            if r is not None:
+                violations += 1
+                key = corpus.g6_order_key(g.n, corpus.graph_to_mask(g))
+                witnesses.append((g.n, key, write_graph6(g)) + r)
+        out[cid] = (tested, violations, sorted(witnesses)[:audit._MAX_WITNESSES], error)
+    return out
+
+
+def _fields(accs):
+    return {cid: (a.tested, a.violations, a.witnesses, a.error) for cid, a in accs.items()}
+
+
+def _diameter_3(n, masks, p):
+    return ("diam=3", "diam!=3") if p.diameter == 3 else None
+
+
+def _unicyclic(n, masks, p):
+    return ("m=n", "m!=n") if p.m == n else None
+
+
+class TestClassSweep:
+    """One check per isomorphism class, weighted n!/|Aut|, against every
+    labeled graph checked one by one (max_n 5)."""
+
+    BUDGET = dict(max_n=5, trials=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_corpus_checks_match_labeled_sweep(self, monkeypatch, threads):
+        # two patched checks fail on some graphs only, so orbit expansion
+        # and the witness pruning run; threads=2 forks the pool at n = 5
+        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-1", _diameter_3)
+        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-2", _unicyclic)
+        checks = list(audit._CORPUS_CHECKS.items())
+        accs = {cid: audit._Acc() for cid, _ in checks}
+        audit._sweep_corpus(list(accs), accs, audit.Budget(threads=threads, **self.BUDGET))
+        labeled = [(corpus.mask_to_graph(n, mask), (n, corpus.mask_adjacency(n, mask)[0], p))
+                   for n in range(2, 6) for mask, p in labeled_connected(n)]
+        want = _labeled_reference(labeled, checks)
+        assert _fields(accs) == want
+        assert want["HASSE-1"][1] > audit._MAX_WITNESSES
+        assert len({w[0] for w in want["HASSE-2"][2]}) > 1  # witnesses from two orders
+
+    def test_corpus6_matches_labeled_sweep(self):
+        checks = list(audit._CORPUS6_CHECKS.items())
+        accs = {cid: audit._Acc() for cid, _ in checks}
+        audit._evaluate(audit._corpus6_instances(audit.Budget(**self.BUDGET)), checks, accs)
+        labeled = []
+        for n in range(2, 6):
+            for mask, _ in labeled_connected(n):
+                g = corpus.mask_to_graph(n, mask)
+                labeled.append((g, (g, distance_matrix(g))))
+        want = _labeled_reference(labeled, checks)
+        assert _fields(accs) == want
+        assert want["DEF-PWW-ALT"][1] > audit._MAX_WITNESSES
 
 
 class TestBudget:

@@ -1,8 +1,11 @@
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import connected_graphs, random_connected
+from conftest import connected_graphs, labeled_connected, random_connected
 from periwiener import corpus
 from periwiener.generators import path, star
 from periwiener.graphs import build_graph, complement
@@ -10,11 +13,11 @@ from periwiener.graphio import write_graph6
 from periwiener.indices import index_vector
 from periwiener.trees import as_tree, complement_tree_pww
 
-# labeled connected graph counts (recounted independently in
+# labeled connected graph counts, OEIS A001187 (recounted independently in
 # test_counts_cross_checked_by_union_find below, up to n = 5)
-LABELED_CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
-# non-isomorphic connected graph counts
-ISO_CONNECTED = {2: 1, 3: 2, 4: 6, 5: 21}
+LABELED_CONNECTED = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+# non-isomorphic connected graph counts, OEIS A001349
+ISO_CONNECTED = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # non-isomorphic tree counts by order
 FREE_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 
@@ -24,7 +27,7 @@ class TestProfile:
 
     def test_profile_matches_definitions_exhaustively(self):
         for n in range(2, 6):
-            for mask, prof in corpus.iter_connected_profiles(n):
+            for mask, prof in labeled_connected(n):
                 g = corpus.mask_to_graph(n, mask)
                 assert prof == corpus.profile_of(g) == index_vector(g)
 
@@ -71,8 +74,8 @@ class TestProfile:
 
 class TestEnumeration:
     def test_labeled_connected_counts(self):
-        for n, expect in LABELED_CONNECTED.items():
-            assert sum(1 for _ in corpus.iter_connected_profiles(n)) == expect
+        for n in range(2, 7):
+            assert sum(1 for _ in labeled_connected(n)) == LABELED_CONNECTED[n]
 
     def test_counts_cross_checked_by_union_find(self):
         # independent connectivity test over all edge subsets
@@ -112,25 +115,115 @@ class TestEnumeration:
         assert by_key == by_string
 
 
+def _brute_orders(n, adj):
+    """Oracle: (smallest graph6 order key over all n! labelings, the set of
+    vertex orders that reach it); order[p] is the vertex labeled p."""
+    edges = [(i, j) for j in range(n) for i in range(j) if adj[i] >> j & 1]
+    index = {p: b for b, p in enumerate(corpus.pair_list(n))}
+    best, orders = None, set()
+    for order in itertools.permutations(range(n)):
+        label = {v: p for p, v in enumerate(order)}
+        mask = 0
+        for i, j in edges:
+            a, b = sorted((label[i], label[j]))
+            mask |= 1 << index[(a, b)]
+        key = corpus.g6_order_key(n, mask)
+        if best is None or key < best:
+            best, orders = key, set()
+        if key == best:
+            orders.add(order)
+    return best, orders
+
+
+def _connected_without(n, adj, v):
+    seen, stack = set(), [next(u for u in range(n) if u != v)]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(w for w in range(n) if adj[u] >> w & 1 and w != v)
+    return len(seen) == n - 1
+
+
+def _relabel(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 class TestIsomorphismReduction:
     def test_counts(self):
         for n, expect in ISO_CONNECTED.items():
             assert len(corpus.nonisomorphic_connected(n)) == expect
 
+    def test_orbit_sums_are_labeled_counts(self):
+        for n, expect in LABELED_CONNECTED.items():
+            assert sum(w for _, w, _ in corpus.iter_connected_profiles(n)) == expect
+
     def test_classes_are_distinct(self):
-        reps = corpus.nonisomorphic_connected(5)
-        masks = {corpus.canonical_mask(5, corpus.graph_to_mask(g)) for g in reps}
+        reps = corpus.nonisomorphic_connected(6)
+        masks = {corpus.canonical_mask(6, corpus.graph_to_mask(g)) for g in reps}
         assert len(masks) == len(reps)
 
-    def test_canonical_mask_invariant_under_relabeling(self, rng):
-        import itertools
+    def test_classes_are_canonical_with_profiles(self):
+        for n in range(2, 7):
+            for mask, weight, prof in corpus.iter_connected_profiles(n):
+                assert corpus.canonical_mask(n, mask) == mask
+                assert prof == corpus.profile_of(corpus.mask_to_graph(n, mask))
+                assert weight == len(corpus.labelings(n, mask))
 
+    def test_parents_split_the_classes(self):
+        parents = [mask for mask, _, _ in corpus.iter_connected_profiles(5)]
+        children = [mask for parent in parents
+                    for mask, _, _ in corpus.iter_connected_profiles(6, [parent])]
+        assert children == [mask for mask, _, _ in corpus.iter_connected_profiles(6)]
+
+    def test_canonical_form_matches_brute_force(self):
+        # every labeled connected graph on up to 5 vertices: the key, and the
+        # minimizing orders, whose number is |Aut(G)|
+        for n in range(2, 6):
+            for mask, _ in labeled_connected(n):
+                adj = corpus.mask_adjacency(n, mask)[0]
+                key, orders = corpus.canonical_form(n, adj)
+                assert (key, set(orders)) == _brute_orders(n, adj)
+                assert len(orders) == len(set(orders))
+                assert corpus.canonical_mask(n, mask) == corpus.g6_order_key(n, key)
+
+    def test_children_are_the_canonical_augmentations(self):
+        # a child (parent + vertex n-1 joined to nbrs) is kept exactly when
+        # vertex n-1 is in the orbit of the last vertex of the canonical
+        # order whose removal leaves the graph connected, and no child of
+        # the same parent with that canonical key came first
+        for n in range(3, 7):
+            for parent, _, _ in corpus.iter_connected_profiles(n - 1):
+                want, seen = [], set()
+                for nbrs in range(1, 1 << (n - 1)):
+                    adj = corpus.mask_adjacency(n - 1, parent)[0] + [nbrs]
+                    for u in range(n - 1):
+                        if nbrs >> u & 1:
+                            adj[u] |= 1 << (n - 1)
+                    key, orders = _brute_orders(n, adj)
+                    first = min(orders)
+                    pos = max(p for p in range(n) if _connected_without(n, adj, first[p]))
+                    if key not in seen and n - 1 in {order[pos] for order in orders}:
+                        seen.add(key)
+                        want.append(corpus.g6_order_key(n, key))
+                got = [mask for mask, _, _ in corpus.iter_connected_profiles(n, [parent])]
+                assert got == want
+
+    def test_canonical_mask_invariant_under_relabeling(self, rng):
         g = random_connected(rng, 5)
         base = corpus.canonical_mask(5, corpus.graph_to_mask(g))
         for perm in itertools.islice(itertools.permutations(range(5)), 20):
-            edges = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges()]
-            h = build_graph(5, edges)
+            h = _relabel(g, perm)
             assert corpus.canonical_mask(5, corpus.graph_to_mask(h)) == base
+
+    @given(connected_graphs(min_n=6, max_n=8), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_mask_invariant_property(self, g, rnd):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = _relabel(g, perm)
+        assert (corpus.canonical_mask(g.n, corpus.graph_to_mask(h))
+                == corpus.canonical_mask(g.n, corpus.graph_to_mask(g)))
 
 
 class TestFreeTrees:
@@ -184,11 +277,3 @@ class TestScanValues:
     def test_unknown_index(self):
         with pytest.raises(ValueError):
             corpus.scan_values("zz", 4)
-
-    def test_scan_chunks_cover_range(self):
-        for n in (4, 6, 7):
-            chunks = corpus.scan_chunks(n)
-            assert chunks[0][0] == 0
-            assert chunks[-1][1] == 1 << (n * (n - 1) // 2)
-            for (a, b), (c, d) in zip(chunks, chunks[1:]):
-                assert b == c

@@ -1,6 +1,10 @@
+import random
+from itertools import chain
+
 import pytest
 
 from conftest import fig2_tree
+from periwiener.corpus import all_free_trees
 from periwiener.errors import (
     InvalidCodeError,
     InvalidParameterError,
@@ -40,6 +44,20 @@ from periwiener.trees import (
     tree_pww_bounds,
     wiener_by_edge_cuts,
 )
+
+
+def _path_cut_sum_cubic(tv, candidates):
+    """O(n^3) oracle: every vertex pair, every candidate side member, sides
+    read off the distance matrix (x is on the u side of the u-v path iff
+    d(x,v) = d(x,u) + d(u,v))."""
+    dist = tv.dm.dist
+    total = 0
+    for u in range(tv.graph.n):
+        for v in range(u + 1, tv.graph.n):
+            u_side = sum(1 for x in candidates if dist[v][x] == dist[u][x] + dist[u][v])
+            v_side = sum(1 for x in candidates if dist[u][x] == dist[v][x] + dist[u][v])
+            total += u_side * v_side
+    return total
 
 
 def _random_trees(count=60, max_n=40):
@@ -101,6 +119,18 @@ class TestCutFormulas:
             assert hyper_wiener_by_path_cuts(tv) == hyper_wiener(dm)
             assert peripheral_wiener_by_edge_cuts(tv) == peripheral_wiener(dm)
             assert peripheral_hyper_wiener_by_path_cuts(tv) == peripheral_hyper_wiener(dm)
+
+    def test_path_cuts_match_cubic_oracle(self):
+        # every free tree on 2..10 vertices, then random trees up to 200
+        # vertices, with all vertices and with the periphery as side members
+        rng = random.Random(31337)
+        randoms = [random_tree(rng.randrange(2, 201), seed=rng.randrange(1 << 30))
+                   for _ in range(4)]
+        for g in chain(all_free_trees(2, 10), randoms, [random_tree(200, seed=7)]):
+            tv = as_tree(g)
+            assert hyper_wiener_by_path_cuts(tv) == _path_cut_sum_cubic(tv, range(g.n))
+            assert (peripheral_hyper_wiener_by_path_cuts(tv)
+                    == _path_cut_sum_cubic(tv, sorted(tv.periphery)))
 
     def test_side_count_consistency(self):
         for g in _random_trees(count=20, max_n=16):
