@@ -8,9 +8,11 @@ checks).  A run *matches* when every final status equals its registration;
 any flip is the failure signal.  Desk-corrected variants of the discrepancy
 formulas ride along as shadow claims, outside the registry proper.
 
-A suite is an instance stream plus a check table (claim id -> check).  One
-loop, `_evaluate`, runs every table over its stream and does the counting,
-witness selection and error handling for all of them.  The exhaustive
+Each claim's registry row names its suite and holds its check.  Each
+shared suite (corpus, corpus6, trees, products) has one instance stream,
+swept once for all its requested claims; a family or fixed claim's row
+carries its own instances.  One loop, `_evaluate`, does the counting,
+witness selection and error handling for every pass.  The exhaustive
 corpus checks one graph per isomorphism class, weighted by its n!/|Aut(G)|
 labelings, so the counts and witnesses are those of every labeled graph;
 a process pool evaluates its largest order, one job per parent class.
@@ -75,8 +77,8 @@ class Budget:
     threads: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.max_n <= 8:
-            raise InvalidParameterError(f"max_n must be in 2..8, got {self.max_n}")
+        if not 2 <= self.max_n <= corpus.MAX_N:
+            raise InvalidParameterError(f"max_n must be in 2..{corpus.MAX_N}, got {self.max_n}")
         if self.trials < 0:
             raise InvalidParameterError(f"trials must be >= 0, got {self.trials}")
         if self.threads < 0:
@@ -86,13 +88,17 @@ class Budget:
 @dataclass(frozen=True, slots=True)
 class Claim:
     """One registered statement: stable id, readable statement text,
-    evaluation suite, and the pre-registered expected status."""
+    evaluation suite, the pre-registered expected status, and its check.
+    A family or fixed claim also carries its instances: a callable whose
+    items are the check's args, its graph first."""
 
     id: str
     description: str
     anchor: str
     suite: str
     expected: str
+    check: Callable
+    instances: Callable | None = None
     shadow: bool = False
 
 
@@ -134,123 +140,7 @@ def hypercube_pww(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# claim registry
-# --------------------------------------------------------------------------
-
-
-def register_claims() -> list[Claim]:
-    """The full registry, in fixed order."""
-    c = Claim
-    return [
-        c("P1-1", "Closed form for PWW of complete graphs.",
-          "PWW(K_n) = C(n,2)", "family", EXPECT_HOLDS),
-        c("P1-2", "Closed form for PWW of stars.",
-          "PWW(K_{1,n}) = 3*C(n,2) for n >= 2", "family", EXPECT_HOLDS),
-        c("P1-3", "Closed form for PWW of complete bipartite graphs.",
-          "PWW(K_{m,n}) = 3*C(n,2) + 3*C(m,2) + m*n for n >= m >= 2", "family", EXPECT_HOLDS),
-        c("P1-4", "Lower bound C(k,2) with equality exactly on complete graphs.",
-          "PWW(G) >= C(k,2), equality iff G = K_k", "corpus", EXPECT_HOLDS),
-        c("HASSE-1", "Peripheral Wiener never exceeds Wiener.",
-          "PW(G) <= W(G)", "corpus", EXPECT_HOLDS),
-        c("HASSE-2", "Peripheral Wiener never exceeds peripheral hyper-Wiener.",
-          "PW(G) <= PWW(G)", "corpus", EXPECT_HOLDS),
-        c("HASSE-3", "Peripheral hyper-Wiener never exceeds hyper-Wiener.",
-          "PWW(G) <= WW(G)", "corpus", EXPECT_HOLDS),
-        c("HASSE-4", "Wiener never exceeds hyper-Wiener.",
-          "W(G) <= WW(G)", "corpus", EXPECT_HOLDS),
-        c("EQ-COMPLETE", "All four indices coincide exactly on complete graphs.",
-          "W = PW = WW = PWW iff G is complete", "corpus", EXPECT_HOLDS),
-        c("EQ-P2", "Triple equality chains characterize the single edge.",
-          "PWW = WW = TWW iff PW = W = TW iff G = P_2", "corpus", EXPECT_HOLDS),
-        c("INCOMP-W-PWW", "W and PWW are incomparable in general.",
-          "W(P_3) > PWW(P_3); W(K_{1,4}) < PWW(K_{1,4}); W(P_2) = PWW(P_2)",
-          "fixed", EXPECT_HOLDS),
-        c("T-BOUNDS", "PWW sandwiched between WW-derived bounds.",
-          "WW - (d(d-1)/2)(C(n,2)-C(k,2)) <= PWW <= WW - C(n,2) + C(k,2)",
-          "corpus", EXPECT_HOLDS),
-        c("C-DIAM2", "At diameter 2 the upper WW-derived bound is exact.",
-          "diam = 2 implies PWW = WW - C(n,2) + C(k,2)", "corpus", EXPECT_HOLDS),
-        c("T-DIAM2", "Diameter-2 closed form from order, size, periphery.",
-          "diam = 2 implies PWW = 2*C(n,2) + C(k,2) - 2m", "corpus", EXPECT_HOLDS),
-        c("FIG2-NONCONVERSE", "The diameter-2 formula value can occur without diameter 2.",
-          "a diameter-3 tree has PWW = 15 = 2*C(5,2) + C(3,2) - 2*4", "fixed", EXPECT_HOLDS),
-        c("T-PW-D3", "PW bounds for diameter >= 3 from order, size, diameter, k.",
-          "d*ceil(k/2) - (d-3)(C(n,2)-C(k,2)) - m <= PW <= "
-          "(d-1)C(n,2) + (d+1)C(k,2) - (d-2)m - (d-1)ceil(k/2)", "corpus", EXPECT_HOLDS),
-        c("T-PWW-D3", "PWW bounds for diameter >= 3 from order, size, diameter, k.",
-          "(d(d+1)/2)ceil(k/2) + ((6-d(d-1))/2)(C(n,2)-C(k,2)) - 2m <= PWW <= "
-          "((d(d-1)-2)/2)C(n,2) + ((d(d+1)+2)/2)C(k,2) - ((2-d(d-1))/2)m - (d(d-1)/2)ceil(k/2)",
-          "corpus", EXPECT_HOLDS),
-        c("L-PROD-DIST", "Distances in a cartesian product add coordinatewise.",
-          "d((a,x),(b,y) | GxH) = d(a,b|G) + d(x,y|H)", "products", EXPECT_HOLDS),
-        c("C-PROD-PERI", "Periphery of a product is the product of peripheries.",
-          "Peri(GxH) = Peri(G) x Peri(H)", "products", EXPECT_HOLDS),
-        c("T-PW-PROD", "PW of a product from factor PW values and periphery sizes.",
-          "PW(G1xG2) = k2^2*PW(G1) + k1^2*PW(G2)", "products", EXPECT_HOLDS),
-        c("T-PWW-PROD", "PWW of a product gains a PW cross term.",
-          "PWW(G1xG2) = k2^2*PWW(G1) + k1^2*PWW(G2) + 2*PW(G1)*PW(G2)",
-          "products", EXPECT_HOLDS),
-        c("C-HYPERCUBE", "Registered hypercube closed form (fails from Q_3 on).",
-          "PWW(Q_n) = sum_{i=1..n} 3^(n-i) * 2^(n+i-2)", "family", EXPECT_DISCREPANCY),
-        c("T-PW-TREE", "Edge-cut formula for the peripheral Wiener of a tree.",
-          "PW(T) = sum over edges of a1(e)*a2(e)", "trees", EXPECT_HOLDS),
-        c("T-PWW-TREE", "Path-cut formula for the peripheral hyper-Wiener of a tree.",
-          "PWW(T) = sum over vertex pairs of a1(pi_uv)*a2(pi_uv)", "trees", EXPECT_HOLDS),
-        c("T-TREE-BOUNDS-LO", "Registered tree lower bound (fails already on P_2).",
-          "k*C(d+2k-3,2) <= PWW(T)", "trees", EXPECT_DISCREPANCY),
-        c("T-TREE-BOUNDS-HI", "Registered tree upper bound (valid, loose by 4x).",
-          "PWW(T) <= 4*C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS),
-        c("T-STAR", "Diameter-2 trees are stars with a closed form.",
-          "PWW(star on n+1 vertices) = 3*C(n,2)", "family", EXPECT_HOLDS),
-        c("T-DSTAR", "Registered double-star closed form (wrong linear terms).",
-          "PWW(S_{m,n}) = 6mn + 3m + 3n", "family", EXPECT_DISCREPANCY),
-        c("P-DIAM4", "Diameter-4 closed form over grandchild sets.",
-          "PWW = 10*sum_{i<j}|C_i||C_j| + 3*sum_i C(|C_i|,2)", "family", EXPECT_HOLDS),
-        c("L-DIAM-COMP", "Large diameter forces a small-diameter connected complement.",
-          "diam(G) >= 4 implies complement(G) connected with diam <= 2",
-          "corpus", EXPECT_HOLDS),
-        c("T-COMP-TREE", "Dichotomy for PWW of a tree's connected complement.",
-          "PWW(comp(T)) = 6 iff diam(T) = 3; = (n^2+3n-4)/2 iff diam(T) > 3",
-          "trees", EXPECT_HOLDS),
-        c("T-CATERPILLAR", "Caterpillar closed form from the code ends and spine length.",
-          "PWW(C) = 3*C(c_1,2) + 3*C(c_s,2) + (c_1*c_s/2)(s+1)(s+2)",
-          "family", EXPECT_HOLDS),
-        c("T-LOBSTER", "Registered lobster closed form (final term lacks a half).",
-          "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + c_s(c_1+c)(s+1)(s+2)",
-          "family", EXPECT_DISCREPANCY),
-        c("DEF-PWW-ALT", "Vertex-sum rewriting of PWW (squares a sum; wrong in general).",
-          "(1/2) sum_{pairs in Peri} (d + d^2) = (1/4) sum_{v in Peri} (d_P(v) + d_P(v)^2)",
-          "corpus6", EXPECT_DISCREPANCY),
-        c("OBS-NO-2-5", "Observed value gaps: PWW never hits 2 or 5.",
-          "no connected graph attains PWW = 2 or PWW = 5", "corpus", EXPECT_HOLDS),
-    ]
-
-
-def register_shadow_claims() -> list[Claim]:
-    """Desk-corrected companions to the discrepancy claims."""
-    c = Claim
-    return [
-        c("S-DSTAR-FIX", "Corrected double-star closed form.",
-          "PWW(S_{m,n}) = 6mn + 3*C(m,2) + 3*C(n,2)", "family", EXPECT_HOLDS, shadow=True),
-        c("S-LOBSTER-FIX", "Corrected lobster closed form (final term halved).",
-          "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + (c_s(c_1+c)/2)(s+1)(s+2)",
-          "family", EXPECT_HOLDS, shadow=True),
-        c("S-HYPERCUBE-FIX", "Corrected hypercube closed form.",
-          "PWW(Q_n) = n(n+3)*4^(n-2)", "family", EXPECT_HOLDS, shadow=True),
-        c("S-TREE-UB-TIGHT", "Tree upper bound without the factor 4 (tight on stars).",
-          "PWW(T) <= C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS, shadow=True),
-    ]
-
-
-def claims_by_id() -> dict[str, Claim]:
-    out = {}
-    for claim in register_claims() + register_shadow_claims():
-        out[claim.id] = claim
-    return out
-
-
-# --------------------------------------------------------------------------
-# suites: each is an instance stream plus a check table (see _evaluate)
+# suites: the checks of each suite, and the streams of the shared ones
 # --------------------------------------------------------------------------
 
 
@@ -372,34 +262,17 @@ def _chk_obs_no_2_5(n, masks, p):
     return None
 
 
-_CORPUS_CHECKS: dict[str, Callable] = {
-    "P1-4": _chk_p1_4,
-    "HASSE-1": _chk_le("pw", "w"),
-    "HASSE-2": _chk_le("pw", "pww"),
-    "HASSE-3": _chk_le("pww", "ww"),
-    "HASSE-4": _chk_le("w", "ww"),
-    "EQ-COMPLETE": _chk_eq_complete,
-    "EQ-P2": _chk_eq_p2,
-    "T-BOUNDS": _chk_t_bounds,
-    "C-DIAM2": _chk_c_diam2,
-    "T-DIAM2": _chk_t_diam2,
-    "T-PW-D3": _chk_pw_d3,
-    "T-PWW-D3": _chk_pww_d3,
-    "L-DIAM-COMP": _chk_diam_comp,
-    "OBS-NO-2-5": _chk_obs_no_2_5,
-}
-
-
 def _corpus_chunk(job: tuple) -> tuple[dict[str, _Acc], list[int]]:
     """Pool worker: the corpus checks `ids` over the n-vertex classes grown
     from one (n-1)-vertex parent class; returns the accumulators and the
-    classes' canonical masks, which are parents at the next order."""
+    classes' canonical masks, which are parents at the next order.  The
+    checks are found by id in the registry, which a forked worker shares."""
     ids, n, parent = job
     accs = {cid: _Acc() for cid in ids}
     classes = list(corpus.iter_connected_profiles(n, (parent,)))
     instances = (((n, mask), weight, (n, corpus.mask_adjacency(n, mask)[0], p))
                  for mask, weight, p in classes)
-    _evaluate(instances, [(cid, _CORPUS_CHECKS[cid]) for cid in ids], accs)
+    _evaluate(instances, [(cid, _CLAIMS[cid].check) for cid in ids], accs)
     return accs, [mask for mask, _, _ in classes]
 
 
@@ -446,11 +319,6 @@ def _chk_def_pww_alt(graph, dm):
     if 4 * pair_form == vertex_sum:
         return None
     return (f"pair form = {pair_form}", f"vertex form = {vertex_sum}/4")
-
-
-_CORPUS6_CHECKS: dict[str, Callable] = {
-    "DEF-PWW-ALT": _chk_def_pww_alt,
-}
 
 
 def _corpus6_instances(budget: Budget):
@@ -513,23 +381,12 @@ def _chk_comp_tree(g, p, tv):
             f"6 iff diam=3, (n^2+3n-4)/2={big} iff diam>3")
 
 
-_TREE_CHECKS: dict[str, Callable] = {
-    "T-PW-TREE": _chk_pw_tree,
-    "T-PWW-TREE": _chk_pww_tree,
-    "T-TREE-BOUNDS-LO": _chk_tree_lo,
-    "T-TREE-BOUNDS-HI": _chk_tree_hi,
-    "T-COMP-TREE": _chk_comp_tree,
-    "S-TREE-UB-TIGHT": _chk_tree_hi_tight,
-}
-
-
 def _tree_instances(budget: Budget):
     rng = random.Random(budget.seed * 7919 + 5)
     randoms = (generators.random_tree(rng.randrange(2, RANDOM_TREE_MAX_N + 1),
                                       seed=rng.randrange(1 << 30))
                for _ in range(budget.trials))
     for g in chain(corpus.all_free_trees(2, TREE_SUITE_MAX_N), randoms):
-        # the tree view keeps a distance matrix, for its periphery
         yield g, 1, (g, corpus.profile_of(g), trees.as_tree(g))
 
 
@@ -582,14 +439,6 @@ def _chk_pww_prod(g, h, dm_g, dm_h, dm_p):
     return (f"PWW(product)={got}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
 
 
-_PRODUCT_CHECKS: dict[str, Callable] = {
-    "L-PROD-DIST": _chk_prod_dist,
-    "C-PROD-PERI": _chk_prod_peri,
-    "T-PW-PROD": _chk_pw_prod,
-    "T-PWW-PROD": _chk_pww_prod,
-}
-
-
 def _product_instances(budget: Budget):
     """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
     vertices, then `trials` random pairs; the witness is their product."""
@@ -604,18 +453,29 @@ def _product_instances(budget: Budget):
         yield prod, 1, (g, h, distance_matrix(g), distance_matrix(h), distance_matrix(prod))
 
 
-# family suite: one instance stream per row --------------------------------
+# family suite: args (graph, family parameters), streamed by each claim ---
 
 
-def _fam_sizes(make: Callable, lo: int, hi: int) -> Iterator[tuple[tuple, Graph]]:
+def _pww_equals(value: Callable, label: str) -> Callable:
+    """Check that PWW of a family member equals value(*params)."""
+
+    def check(g, params):
+        want = value(*params)
+        pww = corpus.profile_of(g).pww
+        return None if pww == want else (f"PWW={pww}", f"{label} = {want}")
+
+    return check
+
+
+def _fam_sizes(make: Callable, lo: int, hi: int) -> Iterator[tuple[Graph, tuple]]:
     for nn in range(lo, hi + 1):
-        yield (nn,), make(nn)
+        yield make(nn), (nn,)
 
 
-def _fam_pairs(make: Callable, m_lo: int) -> Iterator[tuple[tuple, Graph]]:
+def _fam_pairs(make: Callable, m_lo: int) -> Iterator[tuple[Graph, tuple]]:
     for m in range(m_lo, FAMILY_MAX + 1):
         for nn in range(m, FAMILY_MAX + 1):
-            yield (m, nn), make(m, nn)
+            yield make(m, nn), (m, nn)
 
 
 _fam_complete = partial(_fam_sizes, generators.complete, 2, COMPLETE_MAX)
@@ -629,7 +489,7 @@ def _fam_diam4():
     for size in range(2, DIAM4_TUPLE_MAX + 1):
         for counts in combinations_with_replacement(range(DIAM4_CHILD_MAX + 1), size):
             if sum(1 for x in counts if x >= 1) >= 2:
-                yield (counts,), generators.rooted_depth2_tree(counts)
+                yield generators.rooted_depth2_tree(counts), (counts,)
 
 
 def _fam_caterpillar():
@@ -638,7 +498,7 @@ def _fam_caterpillar():
             for cs in range(1, CATERPILLAR_LEAF_MAX + 1):
                 for mids in product(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
                     code = (c1, *mids, cs)
-                    yield (code,), generators.caterpillar(code)
+                    yield generators.caterpillar(code), (code,)
 
 
 def _fam_lobster():
@@ -648,40 +508,10 @@ def _fam_lobster():
                 for mids in product(range(3), repeat=s - 3):
                     code = (c1, 0, *mids, cs)
                     for cc in range(1, 4):
-                        yield (code, cc), generators.lobster(code, cc)
+                        yield generators.lobster(code, cc), (code, cc)
 
 
-# (claim id, instance stream, value fn, label): the claim holds where PWW of
-# every streamed graph equals value(*params)
-_FAMILY: tuple[tuple[str, Callable, Callable, str], ...] = (
-    ("P1-1", _fam_complete, lambda nn: comb(nn, 2), "C(n,2)"),
-    ("P1-2", _fam_star, lambda nn: 3 * comb(nn, 2), "3*C(n,2)"),
-    ("P1-3", _fam_kmn, lambda m, nn: 3 * comb(nn, 2) + 3 * comb(m, 2) + m * nn,
-     "3C(n,2)+3C(m,2)+mn"),
-    ("T-STAR", _fam_star, trees.closed_form_star, "3*C(n,2)"),
-    ("T-DSTAR", _fam_dstar, trees.closed_form_double_star, "6mn+3m+3n"),
-    ("S-DSTAR-FIX", _fam_dstar, trees.double_star_pww, "6mn+3C(m,2)+3C(n,2)"),
-    ("P-DIAM4", _fam_diam4, trees.closed_form_diam4, "closed form"),
-    ("T-CATERPILLAR", _fam_caterpillar, trees.closed_form_caterpillar, "closed form"),
-    ("T-LOBSTER", _fam_lobster, trees.closed_form_lobster, "registered form"),
-    ("S-LOBSTER-FIX", _fam_lobster, trees.lobster_pww, "corrected form"),
-    ("C-HYPERCUBE", _fam_hypercube, hypercube_series_value, "series value"),
-    ("S-HYPERCUBE-FIX", _fam_hypercube, hypercube_pww, "n(n+3)4^(n-2)"),
-)
-
-
-def _family_instances(stream: Callable):
-    for params, g in stream():
-        yield g, 1, (params, g)
-
-
-def _chk_family(value, label, params, g):
-    want = value(*params)
-    pww = corpus.profile_of(g).pww
-    return None if pww == want else (f"PWW={pww}", f"{label} = {want}")
-
-
-# fixed suite: a few named graphs per claim --------------------------------
+# fixed suite: a few named graphs per claim, each case the check's args ---
 
 
 def _chk_incomp(g, sign, statement):
@@ -689,6 +519,12 @@ def _chk_incomp(g, sign, statement):
     if (p.w > p.pww) - (p.w < p.pww) == sign:
         return None
     return (f"W={p.w}, PWW={p.pww}", statement)
+
+
+def _incomp_cases():
+    return ((generators.path(3), 1, "W > PWW on P_3"),
+            (generators.star(4), -1, "W < PWW on K_{1,4}"),
+            (generators.path(2), 0, "W = PWW on P_2"))
 
 
 def _chk_fig2(g):
@@ -700,13 +536,151 @@ def _chk_fig2(g):
             "PWW = 15 = formula value while diam = 3")
 
 
-# (claim id, cases, check): each case is the check's args, its graph first
-_FIXED: tuple[tuple[str, tuple, Callable], ...] = (
-    ("INCOMP-W-PWW", ((generators.path(3), 1, "W > PWW on P_3"),
-                      (generators.star(4), -1, "W < PWW on K_{1,4}"),
-                      (generators.path(2), 0, "W = PWW on P_2")), _chk_incomp),
-    ("FIG2-NONCONVERSE", ((fig2_tree(),),), _chk_fig2),
-)
+# the shared suites' streams of (subject, weight, args), see _evaluate
+_STREAMS: dict[str, Callable[[Budget], Iterator[tuple]]] = {
+    "corpus": _random_graphs,  # run_claims sweeps the exhaustive corpus first
+    "corpus6": _corpus6_instances,
+    "trees": _tree_instances,
+    "products": _product_instances,
+}
+
+
+# --------------------------------------------------------------------------
+# claim registry: one row per claim, with its suite and its check
+# --------------------------------------------------------------------------
+
+
+def _registry() -> dict[str, Claim]:
+    c = Claim
+    rows = [
+        c("P1-1", "Closed form for PWW of complete graphs.",
+          "PWW(K_n) = C(n,2)", "family", EXPECT_HOLDS,
+          _pww_equals(lambda nn: comb(nn, 2), "C(n,2)"), _fam_complete),
+        c("P1-2", "Closed form for PWW of stars.",
+          "PWW(K_{1,n}) = 3*C(n,2) for n >= 2", "family", EXPECT_HOLDS,
+          _pww_equals(lambda nn: 3 * comb(nn, 2), "3*C(n,2)"), _fam_star),
+        c("P1-3", "Closed form for PWW of complete bipartite graphs.",
+          "PWW(K_{m,n}) = 3*C(n,2) + 3*C(m,2) + m*n for n >= m >= 2", "family", EXPECT_HOLDS,
+          _pww_equals(lambda m, nn: 3 * comb(nn, 2) + 3 * comb(m, 2) + m * nn,
+                      "3C(n,2)+3C(m,2)+mn"), _fam_kmn),
+        c("P1-4", "Lower bound C(k,2) with equality exactly on complete graphs.",
+          "PWW(G) >= C(k,2), equality iff G = K_k", "corpus", EXPECT_HOLDS, _chk_p1_4),
+        c("HASSE-1", "Peripheral Wiener never exceeds Wiener.",
+          "PW(G) <= W(G)", "corpus", EXPECT_HOLDS, _chk_le("pw", "w")),
+        c("HASSE-2", "Peripheral Wiener never exceeds peripheral hyper-Wiener.",
+          "PW(G) <= PWW(G)", "corpus", EXPECT_HOLDS, _chk_le("pw", "pww")),
+        c("HASSE-3", "Peripheral hyper-Wiener never exceeds hyper-Wiener.",
+          "PWW(G) <= WW(G)", "corpus", EXPECT_HOLDS, _chk_le("pww", "ww")),
+        c("HASSE-4", "Wiener never exceeds hyper-Wiener.",
+          "W(G) <= WW(G)", "corpus", EXPECT_HOLDS, _chk_le("w", "ww")),
+        c("EQ-COMPLETE", "All four indices coincide exactly on complete graphs.",
+          "W = PW = WW = PWW iff G is complete", "corpus", EXPECT_HOLDS, _chk_eq_complete),
+        c("EQ-P2", "Triple equality chains characterize the single edge.",
+          "PWW = WW = TWW iff PW = W = TW iff G = P_2", "corpus", EXPECT_HOLDS, _chk_eq_p2),
+        c("INCOMP-W-PWW", "W and PWW are incomparable in general.",
+          "W(P_3) > PWW(P_3); W(K_{1,4}) < PWW(K_{1,4}); W(P_2) = PWW(P_2)",
+          "fixed", EXPECT_HOLDS, _chk_incomp, _incomp_cases),
+        c("T-BOUNDS", "PWW sandwiched between WW-derived bounds.",
+          "WW - (d(d-1)/2)(C(n,2)-C(k,2)) <= PWW <= WW - C(n,2) + C(k,2)",
+          "corpus", EXPECT_HOLDS, _chk_t_bounds),
+        c("C-DIAM2", "At diameter 2 the upper WW-derived bound is exact.",
+          "diam = 2 implies PWW = WW - C(n,2) + C(k,2)", "corpus", EXPECT_HOLDS, _chk_c_diam2),
+        c("T-DIAM2", "Diameter-2 closed form from order, size, periphery.",
+          "diam = 2 implies PWW = 2*C(n,2) + C(k,2) - 2m", "corpus", EXPECT_HOLDS, _chk_t_diam2),
+        c("FIG2-NONCONVERSE", "The diameter-2 formula value can occur without diameter 2.",
+          "a diameter-3 tree has PWW = 15 = 2*C(5,2) + C(3,2) - 2*4", "fixed", EXPECT_HOLDS,
+          _chk_fig2, lambda: ((fig2_tree(),),)),
+        c("T-PW-D3", "PW bounds for diameter >= 3 from order, size, diameter, k.",
+          "d*ceil(k/2) - (d-3)(C(n,2)-C(k,2)) - m <= PW <= "
+          "(d-1)C(n,2) + (d+1)C(k,2) - (d-2)m - (d-1)ceil(k/2)", "corpus", EXPECT_HOLDS,
+          _chk_pw_d3),
+        c("T-PWW-D3", "PWW bounds for diameter >= 3 from order, size, diameter, k.",
+          "(d(d+1)/2)ceil(k/2) + ((6-d(d-1))/2)(C(n,2)-C(k,2)) - 2m <= PWW <= "
+          "((d(d-1)-2)/2)C(n,2) + ((d(d+1)+2)/2)C(k,2) - ((2-d(d-1))/2)m - (d(d-1)/2)ceil(k/2)",
+          "corpus", EXPECT_HOLDS, _chk_pww_d3),
+        c("L-PROD-DIST", "Distances in a cartesian product add coordinatewise.",
+          "d((a,x),(b,y) | GxH) = d(a,b|G) + d(x,y|H)", "products", EXPECT_HOLDS,
+          _chk_prod_dist),
+        c("C-PROD-PERI", "Periphery of a product is the product of peripheries.",
+          "Peri(GxH) = Peri(G) x Peri(H)", "products", EXPECT_HOLDS, _chk_prod_peri),
+        c("T-PW-PROD", "PW of a product from factor PW values and periphery sizes.",
+          "PW(G1xG2) = k2^2*PW(G1) + k1^2*PW(G2)", "products", EXPECT_HOLDS, _chk_pw_prod),
+        c("T-PWW-PROD", "PWW of a product gains a PW cross term.",
+          "PWW(G1xG2) = k2^2*PWW(G1) + k1^2*PWW(G2) + 2*PW(G1)*PW(G2)",
+          "products", EXPECT_HOLDS, _chk_pww_prod),
+        c("C-HYPERCUBE", "Registered hypercube closed form (fails from Q_3 on).",
+          "PWW(Q_n) = sum_{i=1..n} 3^(n-i) * 2^(n+i-2)", "family", EXPECT_DISCREPANCY,
+          _pww_equals(hypercube_series_value, "series value"), _fam_hypercube),
+        c("T-PW-TREE", "Edge-cut formula for the peripheral Wiener of a tree.",
+          "PW(T) = sum over edges of a1(e)*a2(e)", "trees", EXPECT_HOLDS, _chk_pw_tree),
+        c("T-PWW-TREE", "Path-cut formula for the peripheral hyper-Wiener of a tree.",
+          "PWW(T) = sum over vertex pairs of a1(pi_uv)*a2(pi_uv)", "trees", EXPECT_HOLDS,
+          _chk_pww_tree),
+        c("T-TREE-BOUNDS-LO", "Registered tree lower bound (fails already on P_2).",
+          "k*C(d+2k-3,2) <= PWW(T)", "trees", EXPECT_DISCREPANCY, _chk_tree_lo),
+        c("T-TREE-BOUNDS-HI", "Registered tree upper bound (valid, loose by 4x).",
+          "PWW(T) <= 4*C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS, _chk_tree_hi),
+        c("T-STAR", "Diameter-2 trees are stars with a closed form.",
+          "PWW(star on n+1 vertices) = 3*C(n,2)", "family", EXPECT_HOLDS,
+          _pww_equals(trees.closed_form_star, "3*C(n,2)"), _fam_star),
+        c("T-DSTAR", "Registered double-star closed form (wrong linear terms).",
+          "PWW(S_{m,n}) = 6mn + 3m + 3n", "family", EXPECT_DISCREPANCY,
+          _pww_equals(trees.closed_form_double_star, "6mn+3m+3n"), _fam_dstar),
+        c("P-DIAM4", "Diameter-4 closed form over grandchild sets.",
+          "PWW = 10*sum_{i<j}|C_i||C_j| + 3*sum_i C(|C_i|,2)", "family", EXPECT_HOLDS,
+          _pww_equals(trees.closed_form_diam4, "closed form"), _fam_diam4),
+        c("L-DIAM-COMP", "Large diameter forces a small-diameter connected complement.",
+          "diam(G) >= 4 implies complement(G) connected with diam <= 2",
+          "corpus", EXPECT_HOLDS, _chk_diam_comp),
+        c("T-COMP-TREE", "Dichotomy for PWW of a tree's connected complement.",
+          "PWW(comp(T)) = 6 iff diam(T) = 3; = (n^2+3n-4)/2 iff diam(T) > 3",
+          "trees", EXPECT_HOLDS, _chk_comp_tree),
+        c("T-CATERPILLAR", "Caterpillar closed form from the code ends and spine length.",
+          "PWW(C) = 3*C(c_1,2) + 3*C(c_s,2) + (c_1*c_s/2)(s+1)(s+2)",
+          "family", EXPECT_HOLDS,
+          _pww_equals(trees.closed_form_caterpillar, "closed form"), _fam_caterpillar),
+        c("T-LOBSTER", "Registered lobster closed form (final term lacks a half).",
+          "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + c_s(c_1+c)(s+1)(s+2)",
+          "family", EXPECT_DISCREPANCY,
+          _pww_equals(trees.closed_form_lobster, "registered form"), _fam_lobster),
+        c("DEF-PWW-ALT", "Vertex-sum rewriting of PWW (squares a sum; wrong in general).",
+          "(1/2) sum_{pairs in Peri} (d + d^2) = (1/4) sum_{v in Peri} (d_P(v) + d_P(v)^2)",
+          "corpus6", EXPECT_DISCREPANCY, _chk_def_pww_alt),
+        c("OBS-NO-2-5", "Observed value gaps: PWW never hits 2 or 5.",
+          "no connected graph attains PWW = 2 or PWW = 5", "corpus", EXPECT_HOLDS,
+          _chk_obs_no_2_5),
+        # shadow claims: desk-corrected companions to the discrepancy claims
+        c("S-DSTAR-FIX", "Corrected double-star closed form.",
+          "PWW(S_{m,n}) = 6mn + 3*C(m,2) + 3*C(n,2)", "family", EXPECT_HOLDS,
+          _pww_equals(trees.double_star_pww, "6mn+3C(m,2)+3C(n,2)"), _fam_dstar, shadow=True),
+        c("S-LOBSTER-FIX", "Corrected lobster closed form (final term halved).",
+          "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + (c_s(c_1+c)/2)(s+1)(s+2)",
+          "family", EXPECT_HOLDS,
+          _pww_equals(trees.lobster_pww, "corrected form"), _fam_lobster, shadow=True),
+        c("S-HYPERCUBE-FIX", "Corrected hypercube closed form.",
+          "PWW(Q_n) = n(n+3)*4^(n-2)", "family", EXPECT_HOLDS,
+          _pww_equals(hypercube_pww, "n(n+3)4^(n-2)"), _fam_hypercube, shadow=True),
+        c("S-TREE-UB-TIGHT", "Tree upper bound without the factor 4 (tight on stars).",
+          "PWW(T) <= C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS, _chk_tree_hi_tight, shadow=True),
+    ]
+    return {row.id: row for row in rows}
+
+
+_CLAIMS = _registry()
+
+
+def register_claims() -> list[Claim]:
+    """The full registry, in fixed order."""
+    return [c for c in _CLAIMS.values() if not c.shadow]
+
+
+def register_shadow_claims() -> list[Claim]:
+    """Desk-corrected companions to the discrepancy claims."""
+    return [c for c in _CLAIMS.values() if c.shadow]
+
+
+def claims_by_id() -> dict[str, Claim]:
+    return dict(_CLAIMS)
 
 
 # --------------------------------------------------------------------------
@@ -796,19 +770,6 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
                 _add_witnesses(acc, subject, r)
 
 
-def _passes(budget: Budget):
-    """(instances, check table) for every pass of the audit: the claims of
-    one table are checked in one sweep of its instances."""
-    yield _random_graphs(budget), _CORPUS_CHECKS
-    yield _corpus6_instances(budget), _CORPUS6_CHECKS
-    yield _tree_instances(budget), _TREE_CHECKS
-    yield _product_instances(budget), _PRODUCT_CHECKS
-    for cid, stream, value, label in _FAMILY:
-        yield _family_instances(stream), {cid: partial(_chk_family, value, label)}
-    for cid, cases, check in _FIXED:
-        yield ((case[0], 1, case) for case in cases), {cid: check}
-
-
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
     if acc.error is not None or acc.tested == 0:
         status = STATUS_SKIPPED
@@ -838,16 +799,24 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
 
 
 def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
-    """Evaluate the given claims, sharing one pass per instance stream."""
+    """Evaluate the given claims: the claims of a shared suite in one sweep
+    of its stream, a claim with its own instances in a sweep of those.
+    Rows are read from the registry by id, as the pool workers read them."""
     claims = list(claims)
     accs = {c.id: _Acc() for c in claims}
-    for instances, table in _passes(budget):
-        checks = [(cid, fn) for cid, fn in table.items() if cid in accs]
-        if not checks:
-            continue
-        if table is _CORPUS_CHECKS:  # the exhaustive sweep precedes the random graphs
+    rows = [_CLAIMS[cid] for cid in accs]
+    shared: dict[str, list[tuple[str, Callable]]] = {}
+    for row in rows:
+        if row.instances is None:
+            shared.setdefault(row.suite, []).append((row.id, row.check))
+    for suite, checks in shared.items():
+        if suite == "corpus":  # the exhaustive sweep precedes the random graphs
             _sweep_corpus([cid for cid, _ in checks], accs, budget)
-        _evaluate(instances, checks, accs)
+        _evaluate(_STREAMS[suite](budget), checks, accs)
+    for row in rows:
+        if row.instances is not None:
+            own = ((args[0], 1, args) for args in row.instances())
+            _evaluate(own, [(row.id, row.check)], accs)
     return [_finalize(c, accs[c.id]) for c in claims]
 
 

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from typing import Callable, TextIO
 
 from . import audit, corpus, generators, trees
 from .errors import (
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="run the claim registry")
     p_audit.add_argument("--claims", default=None, help="comma-separated claim ids")
     p_audit.add_argument("--max-n", type=int, default=7, dest="max_n",
-                         help="exhaustive corpus ceiling (2..8)")
+                         help=f"exhaustive corpus ceiling (2..{corpus.MAX_N})")
     p_audit.add_argument("--trials", type=int, default=1000)
     p_audit.add_argument("--seed", type=int, default=audit.DEFAULT_SEED)
     p_audit.add_argument("--threads", type=int, default=0, help="0 = one per CPU")
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate-values",
                             help="attained index values over all connected graphs")
-    p_enum.add_argument("--max-n", type=int, default=7, dest="max_n", help="2..8")
+    p_enum.add_argument("--max-n", type=int, default=7, dest="max_n",
+                        help=f"2..{corpus.MAX_N}")
     p_enum.add_argument("--indices", default="pww", help="one of w,ww,pw,pww,tw,tww")
     p_enum.add_argument("--threads", type=int, default=0)
     p_enum.add_argument("--output", default="-")
@@ -124,10 +126,20 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _open_output(path: str):
+def _write_output(path: str, write: Callable[[TextIO], object]) -> int:
+    """Call write(out) on stdout (path "-") or on the file at path.  Returns
+    0, or 2 after one stderr line when the file cannot be opened."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        write(sys.stdout)
+        return 0
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        write(out)
+    return 0
 
 
 def _cmd_compute(args) -> int:
@@ -169,13 +181,7 @@ def _cmd_compute(args) -> int:
         rows.append(row)
 
     columns = list(_STRUCT_COLUMNS) + names
-    out, close = _open_output(args.output)
-    try:
-        _emit_rows(out, rows, columns, args.emit)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _write_output(args.output, lambda out: _emit_rows(out, rows, columns, args.emit))
 
 
 def _profile(g: Graph) -> Profile:
@@ -231,16 +237,8 @@ def _cmd_gen(args) -> int:
     except (_PARSE_ERRORS + (ValueError,)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out, close = _open_output(args.output)
-    try:
-        if args.emit == "graph6":
-            out.write(write_graph6(g) + "\n")
-        else:
-            out.write(write_edge_list(g))
-    finally:
-        if close:
-            out.close()
-    return 0
+    text = write_graph6(g) + "\n" if args.emit == "graph6" else write_edge_list(g)
+    return _write_output(args.output, lambda out: out.write(text))
 
 
 def _build_family(family: str, params: list[str], seed: int) -> Graph:
@@ -294,16 +292,12 @@ def _cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.table())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    if args.output and _write_output(args.output, lambda out: out.write(report.to_json())):
+        return 2
     return 0 if report.ok() else 1
 
 
 def _cmd_enumerate(args) -> int:
-    if not 2 <= args.max_n <= 8:
-        print(f"error: --max-n must be in 2..8, got {args.max_n}", file=sys.stderr)
-        return 2
     name = args.indices.strip()
     if name not in _INDEX_NAMES:
         print(f"error: unknown index {name!r}", file=sys.stderr)
@@ -311,14 +305,12 @@ def _cmd_enumerate(args) -> int:
     if args.threads < 0:
         print(f"error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
         return 2
-    text = enumerate_values_csv(name, args.max_n, args.threads)
-    out, close = _open_output(args.output)
     try:
-        out.write(text)
-    finally:
-        if close:
-            out.close()
-    return 0
+        text = enumerate_values_csv(name, args.max_n, args.threads)
+    except InvalidParameterError as exc:  # max_n outside the corpus ceiling
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return _write_output(args.output, lambda out: out.write(text))
 
 
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:

@@ -28,8 +28,13 @@ from math import factorial
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
+from .errors import InvalidParameterError
 from .graphs import Graph, build_graph
 from .indices import Profile
+
+# The largest order of an exhaustive sweep: n = 8 takes about a minute in
+# one process, n = 9 would take hours.
+MAX_N = 8
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +432,10 @@ def sweep_levels(worker: Callable, head: tuple, max_n: int, threads: int
     level's parents.  Jobs are fixed and their parts come in job order, so
     the result does not depend on the worker count.  The last level, which
     holds most of the work, runs in a pool of `worker_count(threads, jobs)`
-    processes."""
+    processes.  Raises InvalidParameterError, before any job runs, unless
+    2 <= max_n <= MAX_N."""
+    if not 2 <= max_n <= MAX_N:
+        raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
     parents = [0]
     for n in range(2, max_n + 1):
         jobs = [(*head, n, parent) for parent in parents]
@@ -449,7 +457,7 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     order) over all connected graphs with 2 <= n <= max_n, one job per parent
     class on `threads` workers (0 = one per CPU).  Each class is scanned
     once: its canonical labeling is the first of its labeled graphs in
-    graph6 order."""
+    graph6 order.  max_n is at most MAX_N (see sweep_levels)."""
     if index_name not in Profile._fields:
         raise ValueError(f"unknown index {index_name!r}")
     out: dict[int, tuple[int, str]] = {}

@@ -17,50 +17,64 @@ from dataclasses import dataclass
 from math import comb
 
 from . import corpus
-from .errors import InvalidCodeError, InvalidParameterError, InvariantError, NotATreeError
+from .errors import (
+    InvalidCodeError,
+    InvalidParameterError,
+    InvariantError,
+    NotATreeError,
+    NotConnectedError,
+)
 from .generators import CaterpillarCode, _as_code
-from .graphs import DistanceMatrix, Graph, distance_matrix
+from .graphs import Graph
 
 
 @dataclass(frozen=True, slots=True)
 class TreeView:
-    """A tree with its metric, a rooted traversal order, and vertex flags."""
+    """A tree with a rooted traversal order and its periphery."""
 
     graph: Graph
-    dm: DistanceMatrix
     order: tuple[int, ...]
     parent: tuple[int, ...]
     periphery: frozenset[int]
-    pendants: frozenset[int]
 
 
-def as_tree(g: Graph, dm: DistanceMatrix | None = None) -> TreeView:
-    """Check acyclicity + connectivity and set up the rooted view."""
-    if dm is None:
-        dm = distance_matrix(g)  # raises NotConnectedError when disconnected
-    if g.m != g.n - 1:
-        raise NotATreeError(f"m = {g.m} but a tree on {g.n} vertices has {g.n - 1} edges")
-    # BFS from 0 gives a parent array and a preorder usable for subtree sums.
+def _bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS order from source, parents, and distances (-1 where unreached)."""
     parent = [-1] * g.n
-    order = [0]
-    seen = bytearray(g.n)
-    seen[0] = 1
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
+    dist = [-1] * g.n
+    dist[source] = 0
+    order = [source]
+    for u in order:  # the loop also visits the vertices appended below
         for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
                 parent[v] = u
                 order.append(v)
+    return order, parent, dist
+
+
+def as_tree(g: Graph) -> TreeView:
+    """Check connectivity + acyclicity and set up the rooted view.
+
+    The periphery takes three BFS passes and no distance matrix: in a tree,
+    the last vertex a BFS reaches is an end a of a diametral path, the last
+    one a BFS from a reaches is its other end b, and ecc(v) = max(d(v,a),
+    d(v,b)) for every v.
+    """
+    # BFS from 0 gives a parent array and a preorder usable for subtree sums.
+    order, parent, _ = _bfs(g, 0)
+    if len(order) < g.n:
+        raise NotConnectedError("graph is not connected")
+    if g.m != g.n - 1:
+        raise NotATreeError(f"m = {g.m} but a tree on {g.n} vertices has {g.n - 1} edges")
+    ends, _, dist_a = _bfs(g, order[-1])
+    dist_b = _bfs(g, ends[-1])[2]
+    diameter = dist_a[ends[-1]]
     return TreeView(
         graph=g,
-        dm=dm,
         order=tuple(order),
         parent=tuple(parent),
-        periphery=dm.periphery,
-        pendants=frozenset(v for v in range(g.n) if g.degree(v) == 1),
+        periphery=frozenset(v for v in range(g.n) if max(dist_a[v], dist_b[v]) == diameter),
     )
 
 

@@ -145,7 +145,7 @@ def test_criterion_5_tree_cut_formulas():
         def check(g):
             nonlocal checked
             dm = distance_matrix(g)
-            tv = as_tree(g, dm)
+            tv = as_tree(g)
             assert wiener_by_edge_cuts(tv) == wiener(dm)
             assert hyper_wiener_by_path_cuts(tv) == hyper_wiener(dm)
             assert peripheral_wiener_by_edge_cuts(tv) == peripheral_wiener(dm)

@@ -1,9 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from conftest import labeled_connected
-from periwiener import audit, corpus
+from periwiener import audit, corpus, generators
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube
 from periwiener.graphio import write_graph6
@@ -60,20 +61,18 @@ class TestRegistry:
         assert {c.id for c in audit.register_claims()} == want
 
     def test_each_claim_checked_by_its_suite(self):
-        # the engine finds a claim's check through the tables, so each
-        # registered suite name must name the table that holds the check
-        tables = {
-            "corpus": set(audit._CORPUS_CHECKS),
-            "corpus6": set(audit._CORPUS6_CHECKS),
-            "trees": set(audit._TREE_CHECKS),
-            "products": set(audit._PRODUCT_CHECKS),
-            "family": {row[0] for row in audit._FAMILY},
-            "fixed": {row[0] for row in audit._FIXED},
-        }
+        # every row holds a callable check, and the engine streams its suite:
+        # a shared suite's stream, or for family and fixed claims the row's own
         claims = audit.register_claims() + audit.register_shadow_claims()
+        assert len(claims) == 39
         for c in claims:
-            assert c.id in tables[c.suite], c.id
-        assert sum(len(ids) for ids in tables.values()) == len(claims)
+            assert callable(c.check), c.id
+            if c.suite in audit._STREAMS:
+                assert c.instances is None, c.id
+            else:
+                assert c.suite in ("family", "fixed"), c.id
+                assert callable(c.instances), c.id
+        assert {c.suite for c in claims} == set(audit._STREAMS) | {"family", "fixed"}
 
     def test_shadows(self):
         shadows = audit.register_shadow_claims()
@@ -217,25 +216,45 @@ def _divide_by_zero(*args):
     return 1 // 0
 
 
+def _patch_check(monkeypatch, cid, check):
+    """Replace one registry row's check for the length of a test."""
+    monkeypatch.setitem(audit._CLAIMS, cid, replace(audit._CLAIMS[cid], check=check))
+
+
 class TestCheckErrors:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_raising_check_skips_only_its_claim(self, monkeypatch, threads):
         # threads=2 runs the corpus sweep in the fork pool, whose workers see
-        # the patched check table
+        # the patched registry
         budget = audit.Budget(max_n=4, trials=10, threads=threads)
         clean = audit.run_all(budget)
-        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-2", _divide_by_zero)
-        monkeypatch.setattr(audit, "_FAMILY", tuple(
-            (cid, stream, _divide_by_zero if cid == "P1-3" else value, label)
-            for cid, stream, value, label in audit._FAMILY))
+        _patch_check(monkeypatch, "HASSE-2", _divide_by_zero)
+        _patch_check(monkeypatch, "P1-3", _divide_by_zero)
         broken = audit.run_all(budget)
         want = {r.id: r for r in clean.results + clean.shadow_results}
         for r in broken.results + broken.shadow_results:
             if r.id in ("HASSE-2", "P1-3"):
                 assert r.status == audit.STATUS_SKIPPED
                 assert r.note == "ZeroDivisionError: integer division or modulo by zero"
+                assert r.instances_tested == 0  # each sweep job raised at once
             else:
                 assert r == want[r.id]
+
+
+class TestFilteredRun:
+    def test_filter_builds_only_its_claims_instances(self, monkeypatch):
+        # C-HYPERCUBE streams hypercubes only: no other family, no random
+        # graphs or trees, no corpus sweep
+        def not_needed(*args, **kwargs):
+            raise AssertionError("a stream the claim does not use was built")
+
+        for name in ("caterpillar", "lobster", "random_tree", "random_connected_graph"):
+            monkeypatch.setattr(generators, name, not_needed)
+        monkeypatch.setattr(corpus, "sweep_levels", not_needed)
+        (res,) = audit.run_claims([audit.claims_by_id()["C-HYPERCUBE"]],
+                                  audit.Budget(max_n=4, trials=10, threads=1))
+        assert res.status == audit.STATUS_VIOLATED and not res.note
+        assert res.instances_tested == audit.HYPERCUBE_MAX - 1
 
 
 def _labeled_reference(instances, checks):
@@ -276,6 +295,10 @@ def _unicyclic(n, masks, p):
     return ("m=n", "m!=n") if p.m == n else None
 
 
+def _suite_checks(suite):
+    return [(c.id, c.check) for c in audit._CLAIMS.values() if c.suite == suite]
+
+
 class TestClassSweep:
     """One check per isomorphism class, weighted n!/|Aut|, against every
     labeled graph checked one by one (max_n 5)."""
@@ -286,9 +309,9 @@ class TestClassSweep:
     def test_corpus_checks_match_labeled_sweep(self, monkeypatch, threads):
         # two patched checks fail on some graphs only, so orbit expansion
         # and the witness pruning run; threads=2 forks the pool at n = 5
-        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-1", _diameter_3)
-        monkeypatch.setitem(audit._CORPUS_CHECKS, "HASSE-2", _unicyclic)
-        checks = list(audit._CORPUS_CHECKS.items())
+        _patch_check(monkeypatch, "HASSE-1", _diameter_3)
+        _patch_check(monkeypatch, "HASSE-2", _unicyclic)
+        checks = _suite_checks("corpus")
         accs = {cid: audit._Acc() for cid, _ in checks}
         audit._sweep_corpus(list(accs), accs, audit.Budget(threads=threads, **self.BUDGET))
         labeled = [(corpus.mask_to_graph(n, mask), (n, corpus.mask_adjacency(n, mask)[0], p))
@@ -299,7 +322,7 @@ class TestClassSweep:
         assert len({w[0] for w in want["HASSE-2"][2]}) > 1  # witnesses from two orders
 
     def test_corpus6_matches_labeled_sweep(self):
-        checks = list(audit._CORPUS6_CHECKS.items())
+        checks = _suite_checks("corpus6")
         accs = {cid: audit._Acc() for cid, _ in checks}
         audit._evaluate(audit._corpus6_instances(audit.Budget(**self.BUDGET)), checks, accs)
         labeled = []

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from periwiener import trees
 from periwiener.cli import enumerate_values_csv, main
 from periwiener.generators import hypercube
@@ -231,6 +232,26 @@ class TestEnumerateValues:
         csv_text = enumerate_values_csv("tw", 4, threads=1)
         first = csv_text.splitlines()[1]
         assert first.startswith("0,")
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("audit", "--claims", "FIG2-NONCONVERSE", "--trials", "0", "--threads", "1"),
+        ("compute", "--input", "{p3}"),
+        ("gen", "path", "3"),
+        ("enumerate-values", "--max-n", "3", "--threads", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        # exit 1 means "audit mismatch", so an unwritable --output is a usage
+        # error: exit 2, one stderr line, no traceback
+        p3 = tmp_path / "p3.el"
+        p3.write_text("3\n0 1\n1 2\n")
+        bad = tmp_path / "missing" / "out.txt"
+        argv = [a.format(p3=p3) for a in argv] + ["--output", str(bad)]
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert err == f"error: {bad}: No such file or directory\n"
+        assert not bad.parent.exists()
 
 
 class TestEntryPoint:

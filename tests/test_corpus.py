@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import connected_graphs, labeled_connected, random_connected
 from periwiener import corpus
+from periwiener.errors import InvalidParameterError
 from periwiener.generators import path, star
 from periwiener.graphs import build_graph, complement
 from periwiener.graphio import write_graph6
@@ -277,3 +278,16 @@ class TestScanValues:
     def test_unknown_index(self):
         with pytest.raises(ValueError):
             corpus.scan_values("zz", 4)
+
+    @pytest.mark.parametrize("max_n", [1, corpus.MAX_N + 1])
+    def test_ceiling_checked_before_any_job(self, monkeypatch, max_n):
+        # n = 9 would run for hours: the sweep refuses it before any job
+        # runs or any pool forks
+        def no_job(*args):
+            raise AssertionError("a job or pool was started")
+
+        monkeypatch.setattr(corpus, "_scan_chunk", no_job)
+        monkeypatch.setattr(corpus, "iter_connected_profiles", no_job)
+        monkeypatch.setattr(corpus, "get_context", no_job)
+        with pytest.raises(InvalidParameterError, match=f"got {max_n}"):
+            corpus.scan_values("pww", max_n)

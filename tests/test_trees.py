@@ -50,7 +50,7 @@ def _path_cut_sum_cubic(tv, candidates):
     """O(n^3) oracle: every vertex pair, every candidate side member, sides
     read off the distance matrix (x is on the u side of the u-v path iff
     d(x,v) = d(x,u) + d(u,v))."""
-    dist = tv.dm.dist
+    dist = distance_matrix(tv.graph).dist
     total = 0
     for u in range(tv.graph.n):
         for v in range(u + 1, tv.graph.n):
@@ -82,8 +82,21 @@ class TestAsTree:
 
     def test_flags(self):
         tv = as_tree(fig2_tree())
-        assert tv.pendants == {1, 2, 4}
         assert tv.periphery == {1, 2, 4}
+
+    def test_disconnected_with_tree_edge_count_rejected(self):
+        # a triangle plus an isolated vertex has m = n - 1
+        with pytest.raises(NotConnectedError):
+            as_tree(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+
+    def test_periphery_matches_distance_matrix(self):
+        # the three-BFS periphery against all-pairs eccentricities: every
+        # free tree on 1..10 vertices, then random trees up to 200 vertices
+        rng = random.Random(4242)
+        randoms = [random_tree(rng.randrange(2, 201), seed=rng.randrange(1 << 30))
+                   for _ in range(60)]
+        for g in chain(all_free_trees(1, 10), randoms, [random_tree(200, seed=11)]):
+            assert as_tree(g).periphery == distance_matrix(g).periphery
 
 
 class TestCutFormulas:
@@ -114,7 +127,7 @@ class TestCutFormulas:
     def test_all_four_match_definitions_on_random_trees(self):
         for g in _random_trees():
             dm = distance_matrix(g)
-            tv = as_tree(g, dm)
+            tv = as_tree(g)
             assert wiener_by_edge_cuts(tv) == wiener(dm)
             assert hyper_wiener_by_path_cuts(tv) == hyper_wiener(dm)
             assert peripheral_wiener_by_edge_cuts(tv) == peripheral_wiener(dm)
@@ -135,7 +148,8 @@ class TestCutFormulas:
     def test_side_count_consistency(self):
         for g in _random_trees(count=20, max_n=16):
             dm = distance_matrix(g)
-            tv = as_tree(g, dm)
+            tv = as_tree(g)
+            assert tv.periphery == dm.periphery
             n, k = g.n, len(dm.periphery)
             # edges: the two sides partition everything
             for u, v in g.edges():
@@ -253,7 +267,7 @@ class TestComplementOfTree:
             got = complement_tree_pww(tv)
             if got is None:
                 continue
-            d = tv.dm.diameter
+            d = distance_matrix(g).diameter
             n = g.n
             if d == 3:
                 assert got == 6
