@@ -4,7 +4,6 @@ every registered closed form and bound against brute-force oracles."""
 
 from .errors import (
     EdgeListSyntaxError,
-    EmptyVertexSetError,
     GraphError,
     InvalidCodeError,
     InvalidParameterError,
@@ -24,15 +23,12 @@ from .graphs import (
     cartesian_product,
     complement,
     distance_matrix,
-    induced_subgraph,
     is_connected,
 )
 from .graphio import (
-    EdgeListDocument,
     iter_graph6,
     parse_edge_list,
     parse_graph6,
-    read_edge_list_document,
     write_edge_list,
     write_graph6,
 )
@@ -53,9 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DistanceMatrix",
-    "EdgeListDocument",
     "EdgeListSyntaxError",
-    "EmptyVertexSetError",
     "Graph",
     "GraphError",
     "InvalidCodeError",
@@ -75,7 +69,6 @@ __all__ = [
     "distance_matrix",
     "hyper_wiener",
     "index_vector",
-    "induced_subgraph",
     "is_connected",
     "iter_graph6",
     "parse_edge_list",
@@ -84,7 +77,6 @@ __all__ = [
     "peripheral_distance_number",
     "peripheral_hyper_wiener",
     "peripheral_wiener",
-    "read_edge_list_document",
     "terminal_hyper_wiener",
     "terminal_wiener",
     "wiener",

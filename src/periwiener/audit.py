@@ -31,14 +31,9 @@ from typing import Callable, Iterable, Iterator
 
 from . import corpus, generators, trees
 from .errors import InvalidParameterError
-from .graphs import Graph, build_graph, cartesian_product, distance_matrix
+from .graphs import Graph, build_graph, cartesian_product
 from .graphio import write_graph6
-from .indices import (
-    Profile,
-    peripheral_distance_number,
-    peripheral_hyper_wiener,
-    peripheral_wiener,
-)
+from .indices import Profile
 
 DEFAULT_SEED = 1729
 
@@ -306,26 +301,25 @@ def _random_graphs(budget: Budget):
         yield g, 1, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
 
 
-# corpus6 suite: args (graph, distance matrix) -----------------------------
+# corpus6 suite: args (profile, reach layers) -----------------------------
 
 
-def _chk_def_pww_alt(graph, dm):
-    pair_form = peripheral_hyper_wiener(dm)
+def _chk_def_pww_alt(p, balls):
+    peri = corpus.periphery_mask(balls)
     vertex_sum = 0
-    for v in dm.periphery:
-        dp = peripheral_distance_number(dm, v)
-        vertex_sum += dp + dp * dp
+    for v, dp in enumerate(corpus.distance_sums(balls, peri)):
+        if (peri >> v) & 1:
+            vertex_sum += dp + dp * dp
     # compare 4 * pair form against the raw vertex sum to stay in integers
-    if 4 * pair_form == vertex_sum:
+    if 4 * p.pww == vertex_sum:
         return None
-    return (f"pair form = {pair_form}", f"vertex form = {vertex_sum}/4")
+    return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
 
 
 def _corpus6_instances(budget: Budget):
     for n in range(2, min(6, budget.max_n) + 1):
         for mask, weight, _ in corpus.iter_connected_profiles(n):
-            g = corpus.mask_to_graph(n, mask)
-            yield (n, mask), weight, (g, distance_matrix(g))
+            yield (n, mask), weight, corpus.layered_profile(corpus.mask_to_graph(n, mask))
 
 
 # tree suite: args (tree, profile, tree view) ------------------------------
@@ -390,53 +384,65 @@ def _tree_instances(budget: Budget):
         yield g, 1, (g, corpus.profile_of(g), trees.as_tree(g))
 
 
-# product suite: args (G, H, their distance matrices, that of G x H) -------
+# product suite: args ((profile, reach layers) of G, of H and of G x H) -----
 
 
-def _chk_prod_dist(g, h, dm_g, dm_h, dm_p):
-    nh = h.n
-    dg, dh, dp = dm_g.dist, dm_h.dist, dm_p.dist
-    for a in range(g.n):
-        for x in range(nh):
-            u = a * nh + x
-            row = dp[u]
-            for b in range(g.n):
-                dab = dg[a][b]
-                for y in range(nh):
-                    if row[b * nh + y] != dab + dh[x][y]:
-                        return (
-                            f"d(({a},{x}),({b},{y})) = {row[b * nh + y]}",
-                            f"{dab} + {dh[x][y]}",
-                        )
+def _distance(balls, v, u):
+    return next(t for t, layer in enumerate(balls) if (layer[v] >> u) & 1)
+
+
+def _chk_prod_dist(lg, lh, lp):
+    """Ball by ball: ball_t((a,x)) = union over i+j=t of ball_i(a) x ball_j(x)."""
+    (pg, bg), (ph, bh), (_, bp) = lg, lh, lp
+    nh = ph.n
+    # vertex (b, y) is bit b*nh + y: a ball of G fills whole blocks of nh
+    # bits, and a ball of H repeats in every block
+    block = (1 << nh) - 1
+    every_block = sum(1 << (b * nh) for b in range(pg.n))
+    rows = [[sum(block << (b * nh) for b in range(pg.n) if (ball >> b) & 1) for ball in layer]
+            for layer in bg]
+    cols = [[ball * every_block for ball in layer] for layer in bh]
+    # past its diameter a factor's ball is the whole factor
+    rows += [rows[-1]] * (len(bp) - len(rows))
+    cols += [cols[-1]] * (len(bp) - len(cols))
+    for t, layer in enumerate(bp):
+        for a in range(pg.n):
+            for x in range(nh):
+                want = 0
+                for i in range(t + 1):
+                    want |= rows[i][a] & cols[t - i][x]
+                diff = layer[a * nh + x] ^ want
+                if diff:
+                    b, y = divmod((diff & -diff).bit_length() - 1, nh)
+                    return (f"d(({a},{x}),({b},{y})) = {_distance(bp, a * nh + x, b * nh + y)}",
+                            f"{_distance(bg, a, b)} + {_distance(bh, x, y)}")
     return None
 
 
-def _chk_prod_peri(g, h, dm_g, dm_h, dm_p):
-    nh = h.n
-    want = {a * nh + x for a in dm_g.periphery for x in dm_h.periphery}
-    got = set(dm_p.periphery)
+def _chk_prod_peri(lg, lh, lp):
+    nh = lh[0].n
+    peri_g, peri_h = corpus.periphery_mask(lg[1]), corpus.periphery_mask(lh[1])
+    want = sum(peri_h << (a * nh) for a in range(lg[0].n) if (peri_g >> a) & 1)
+    got = corpus.periphery_mask(lp[1])
     if got == want:
         return None
-    return (f"Peri(product) size {len(got)}", f"Peri(G) x Peri(H) size {len(want)}")
+    return (f"Peri(product) size {got.bit_count()}", f"Peri(G) x Peri(H) size {want.bit_count()}")
 
 
-def _chk_pw_prod(g, h, dm_g, dm_h, dm_p):
-    k1, k2 = len(dm_g.periphery), len(dm_h.periphery)
-    want = k2 ** 2 * peripheral_wiener(dm_g) + k1 ** 2 * peripheral_wiener(dm_h)
-    got = peripheral_wiener(dm_p)
-    if got == want:
+def _chk_pw_prod(lg, lh, lp):
+    pg, ph, pp = lg[0], lh[0], lp[0]
+    want = ph.k ** 2 * pg.pw + pg.k ** 2 * ph.pw
+    if pp.pw == want:
         return None
-    return (f"PW(product)={got}", f"k2^2*PW1 + k1^2*PW2 = {want}")
+    return (f"PW(product)={pp.pw}", f"k2^2*PW1 + k1^2*PW2 = {want}")
 
 
-def _chk_pww_prod(g, h, dm_g, dm_h, dm_p):
-    k1, k2 = len(dm_g.periphery), len(dm_h.periphery)
-    want = (k2 ** 2 * peripheral_hyper_wiener(dm_g) + k1 ** 2 * peripheral_hyper_wiener(dm_h)
-            + 2 * peripheral_wiener(dm_g) * peripheral_wiener(dm_h))
-    got = peripheral_hyper_wiener(dm_p)
-    if got == want:
+def _chk_pww_prod(lg, lh, lp):
+    pg, ph, pp = lg[0], lh[0], lp[0]
+    want = ph.k ** 2 * pg.pww + pg.k ** 2 * ph.pww + 2 * pg.pw * ph.pw
+    if pp.pww == want:
         return None
-    return (f"PWW(product)={got}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
+    return (f"PWW(product)={pp.pww}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
 
 
 def _product_instances(budget: Budget):
@@ -450,7 +456,7 @@ def _product_instances(budget: Budget):
                 _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials))
     for g, h in chain(combinations_with_replacement(factors, 2), randoms):
         prod = cartesian_product(g, h)
-        yield prod, 1, (g, h, distance_matrix(g), distance_matrix(h), distance_matrix(prod))
+        yield prod, 1, tuple(map(corpus.layered_profile, (g, h, prod)))
 
 
 # family suite: args (graph, family parameters), streamed by each claim ---
@@ -820,12 +826,6 @@ def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
     return [_finalize(c, accs[c.id]) for c in claims]
 
 
-def run_claim(claim: Claim | str, budget: Budget) -> ClaimResult:
-    if isinstance(claim, str):
-        claim = claims_by_id()[claim]
-    return run_claims([claim], budget)[0]
-
-
 @dataclass(slots=True)
 class AuditReport:
     results: list[ClaimResult]
@@ -893,19 +893,25 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def run_all(budget: Budget | None = None, claim_ids: list[str] | None = None) -> AuditReport:
-    """Evaluate the registry (optionally a subset) plus shadow claims."""
-    budget = budget or Budget()
+def select_claims(claim_ids: list[str] | None = None) -> tuple[list[Claim], list[Claim]]:
+    """(registry claims, shadow claims) in fixed order, only those in
+    `claim_ids` when it is given; InvalidParameterError on an unknown id."""
     registry = register_claims()
     shadows = register_shadow_claims()
     if claim_ids is not None:
         wanted = set(claim_ids)
-        known = {c.id for c in registry + shadows}
-        unknown = wanted - known
+        unknown = wanted - set(_CLAIMS)
         if unknown:
             raise InvalidParameterError(f"unknown claim ids: {sorted(unknown)}")
         registry = [c for c in registry if c.id in wanted]
         shadows = [c for c in shadows if c.id in wanted]
+    return registry, shadows
+
+
+def run_all(budget: Budget | None = None, claim_ids: list[str] | None = None) -> AuditReport:
+    """Evaluate the registry (optionally a subset) plus shadow claims."""
+    budget = budget or Budget()
+    registry, shadows = select_claims(claim_ids)
     results = run_claims(registry + shadows, budget)
     split = len(registry)
     return AuditReport(results=results[:split], shadow_results=results[split:], budget=budget)

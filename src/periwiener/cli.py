@@ -287,12 +287,23 @@ def _cmd_audit(args) -> int:
     try:
         budget = audit.Budget(max_n=args.max_n, trials=args.trials,
                               seed=args.seed, threads=args.threads)
-        report = audit.run_all(budget, claim_ids=claim_ids)
+        audit.select_claims(claim_ids)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.table())
-    if args.output and _write_output(args.output, lambda out: out.write(report.to_json())):
+    report = None
+
+    def run(out: TextIO | None) -> None:
+        nonlocal report
+        report = audit.run_all(budget, claim_ids=claim_ids)
+        print(report.table())
+        if out is not None:
+            out.write(report.to_json())
+
+    # the output is opened before the run, so a bad path costs no audit
+    if args.output is None:
+        run(None)
+    elif _write_output(args.output, run):
         return 2
     return 0 if report.ok() else 1
 

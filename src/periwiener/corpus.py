@@ -1,11 +1,14 @@
 """The metric engine and the instance corpora for sweeps.
 
-`profile_of` (over `profile_from_masks`) computes the `indices.Profile` of a
-graph from adjacency bitmasks, without per-pair distance matrices; `compute`
-and every audit suite that needs only the six indices use it.  Beside it:
-one canonical graph per isomorphism class of connected graphs, with its
-number of labelings n!/|Aut(G)|, by canonical augmentation; all free trees
-up to a ceiling; and the attained-value scan.
+`reach_layers` is the one metric engine: from adjacency bitmasks it builds,
+layer by layer, the ball of every radius around every vertex, without
+per-pair distances.  `profile_from_masks` and `profile_of` read the
+`indices.Profile` of a graph off those layers, and `layered_profile` hands
+the layers on as well, for checks that need the periphery or distances
+(`periphery_mask`, `distance_sums`).  `compute` and every audit suite use
+them.  Beside the engine: one canonical graph per isomorphism class of
+connected graphs, with its number of labelings n!/|Aut(G)|, by canonical
+augmentation; all free trees up to a ceiling; and the attained-value scan.
 
 The canonical labeling of a graph is the one that comes first in graph6
 string order (smallest `g6_order_key`).  Classes grow one vertex at a time
@@ -14,7 +17,7 @@ of an (n-1)-vertex class joins vertex n-1 to a non-empty neighbour set, and
 is kept only when vertex n-1 lies in the orbit of its canonical deletion
 vertex, so each class has exactly one parent class.
 
-Edge bit b of a mask corresponds to pair_list(n)[b], which is the graph6
+Edge bit b of a mask corresponds to graphio.pair_list(n)[b], the graph6
 column order (0,1),(0,2),(1,2),(0,3),...  A mask therefore maps directly
 onto a graph6 record for the same n.
 """
@@ -29,6 +32,7 @@ from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidParameterError
+from .graphio import pair_list, write_graph6
 from .graphs import Graph, build_graph
 from .indices import Profile
 
@@ -36,16 +40,13 @@ from .indices import Profile
 # one process, n = 9 would take hours.
 MAX_N = 8
 
-
-@lru_cache(maxsize=None)
-def pair_list(n: int) -> tuple[tuple[int, int], ...]:
-    """Vertex pairs in graph6 column order."""
-    return tuple((i, j) for j in range(1, n) for i in range(j))
+# the sweeps decode masks of a few small orders over and over
+_pairs = lru_cache(maxsize=None)(pair_list)
 
 
 def mask_adjacency(n: int, mask: int) -> tuple[list[int], list[tuple[int, int]]]:
     """Adjacency bitmasks and edge list for an edge-subset bitmask."""
-    pairs = pair_list(n)
+    pairs = _pairs(n)
     adj = [0] * n
     edges = []
     mm = mask
@@ -60,7 +61,7 @@ def mask_adjacency(n: int, mask: int) -> tuple[list[int], list[tuple[int, int]]]
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = pair_list(n)
+    pairs = _pairs(n)
     mm = mask
     edges = []
     while mm:
@@ -71,7 +72,7 @@ def mask_to_graph(n: int, mask: int) -> Graph:
 
 
 def graph_to_mask(g: Graph) -> int:
-    index = {p: b for b, p in enumerate(pair_list(g.n))}
+    index = {p: b for b, p in enumerate(_pairs(g.n))}
     mask = 0
     for e in g.edges():
         mask |= 1 << index[e]
@@ -90,26 +91,22 @@ def g6_order_key(n: int, mask: int) -> int:
     return key
 
 
-def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -> Profile | None:
-    """Profile via layered reachability sets; None when disconnected.
-
-    Layer t holds, per vertex, the bitmask of vertices within distance t;
-    popcount differences between layers count ordered pairs at each exact
-    distance, which yields all six indices without per-pair BFS.
-    """
+def reach_layers(n: int, masks: list[int], edges: list[tuple[int, int]]
+                 ) -> tuple[list[list[int]], int] | None:
+    """(balls, radius) of a graph given by adjacency bitmasks and its edge
+    list, or None when it is disconnected.  balls[t][v] is the bitmask of
+    the vertices within distance t of v, for t = 0..diameter, so the
+    diameter is len(balls) - 1.  Each layer grows every ball at once by one
+    pass over the edges; no per-pair distances are formed."""
     if n == 1:
-        return Profile(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+        return [[1]], 0
     full = (1 << n) - 1
     cur = [masks[v] | (1 << v) for v in range(n)]
-    layers: list[list[int] | None] = [None, cur]
-    ecc = [0] * n
-    pending = []
-    for v in range(n):
-        if cur[v] == full:
-            ecc[v] = 1
-        else:
-            pending.append(v)
-    t = 1
+    balls = [[1 << v for v in range(n)], cur]
+    # the vertices whose ball is not yet full, and the first layer at which
+    # some ball is full (0 until then)
+    pending = [v for v in range(n) if cur[v] != full]
+    radius = 1 if len(pending) < n else 0
     while pending:
         new = cur[:]
         for i, j in edges:
@@ -117,27 +114,56 @@ def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -
             new[j] |= cur[i]
         if new == cur:
             return None
-        t += 1
         cur = new
-        layers.append(cur)
-        still = []
-        for v in pending:
-            if cur[v] == full:
-                ecc[v] = t
-            else:
-                still.append(v)
+        balls.append(cur)
+        still = [v for v in pending if cur[v] != full]
+        if not radius and len(still) < len(pending):
+            radius = len(balls) - 1
         pending = still
-    diameter = t
-    radius = min(ecc)
-    m = len(edges)
+    return balls, radius
 
+
+def periphery_mask(balls: list[list[int]]) -> int:
+    """Bitmask of the peripheral vertices: those whose ball of radius
+    diameter - 1 still misses a vertex."""
+    full = (1 << len(balls[0])) - 1
+    if len(balls) == 1:
+        return full
+    mask = 0
+    for v, ball in enumerate(balls[-2]):
+        if ball != full:
+            mask |= 1 << v
+    return mask
+
+
+def distance_sums(balls: list[list[int]], mask: int) -> list[int]:
+    """For each vertex v, the sum of d(v, u) over the vertices u in `mask`:
+    u adds one for each ball around v, below the last, that misses it."""
+    size = mask.bit_count()
+    sums = [0] * len(balls[0])
+    for layer in balls[:-1]:
+        for v, ball in enumerate(layer):
+            sums[v] += size - (ball & mask).bit_count()
+    return sums
+
+
+def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -> Profile | None:
+    """Profile via the reach layers; None when disconnected."""
+    reach = reach_layers(n, masks, edges)
+    return None if reach is None else _layer_profile(n, masks, len(edges), *reach)
+
+
+def _layer_profile(n: int, masks: list[int], m: int, balls: list[list[int]], radius: int
+                   ) -> Profile:
+    """The six indices from the reach layers: popcount differences between
+    consecutive layers count the ordered pairs at each exact distance."""
+    full = (1 << n) - 1
     sum_d = 0
     sum_dd = 0
     prev = n
-    for tt in range(1, diameter + 1):
-        row = layers[tt]
+    for tt in range(1, len(balls)):
         s = 0
-        for r in row:
+        for r in balls[tt]:
             s += r.bit_count()
         c = s - prev
         if c:
@@ -146,18 +172,13 @@ def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -
         prev = s
     w = sum_d // 2
     ww = sum_dd // 4
-
-    peri_mask = 0
-    peri = []
-    for v in range(n):
-        if ecc[v] == diameter:
-            peri_mask |= 1 << v
-            peri.append(v)
-    k = len(peri)
+    peri_mask = periphery_mask(balls)
+    k = peri_mask.bit_count()
     if k == n:
         pw, pww = w, ww
     else:
-        pw, pww = _masked_pair_sums(layers, diameter, peri, peri_mask)
+        peri = [v for v in range(n) if (peri_mask >> v) & 1]
+        pw, pww = _masked_pair_sums(balls, peri, peri_mask)
 
     pend_mask = 0
     pend = []
@@ -172,17 +193,18 @@ def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -
     elif pend_mask == full:
         tw, tww = w, ww
     else:
-        tw, tww = _masked_pair_sums(layers, diameter, pend, pend_mask)
+        tw, tww = _masked_pair_sums(balls, pend, pend_mask)
 
-    return Profile(n, m, diameter, radius, k, len(pend), w, ww, pw, pww, tw, tww)
+    return Profile(n, m, len(balls) - 1, radius, k, len(pend), w, ww, pw, pww, tw, tww)
 
 
-def _masked_pair_sums(layers, diameter, sel, sel_mask) -> tuple[int, int]:
+def _masked_pair_sums(balls, sel, sel_mask) -> tuple[int, int]:
+    """(sum of d, sum of (d + d^2) / 2) over the unordered pairs within `sel`."""
     sum_d = 0
     sum_dd = 0
     prev = len(sel)
-    for tt in range(1, diameter + 1):
-        row = layers[tt]
+    for tt in range(1, len(balls)):
+        row = balls[tt]
         s = 0
         for v in sel:
             s += (row[v] & sel_mask).bit_count()
@@ -197,6 +219,15 @@ def _masked_pair_sums(layers, diameter, sel, sel_mask) -> tuple[int, int]:
 def profile_of(g: Graph) -> Profile | None:
     """Profile of an in-memory graph; None when disconnected."""
     return profile_from_masks(g.n, g.adjacency_masks(), list(g.edges()))
+
+
+def layered_profile(g: Graph) -> tuple[Profile, list[list[int]]] | None:
+    """(profile, balls) of an in-memory graph, the balls as in
+    `reach_layers`; None when disconnected."""
+    masks = g.adjacency_masks()
+    edges = list(g.edges())
+    reach = reach_layers(g.n, masks, edges)
+    return None if reach is None else (_layer_profile(g.n, masks, len(edges), *reach), reach[0])
 
 
 def complement_profile(n: int, masks: list[int]) -> Profile | None:
@@ -461,8 +492,6 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     if index_name not in Profile._fields:
         raise ValueError(f"unknown index {index_name!r}")
     out: dict[int, tuple[int, str]] = {}
-    from .graphio import write_graph6  # local import to avoid a cycle
-
     for n, parts in sweep_levels(_scan_chunk, (index_name,), max_n, threads):
         merged: dict[int, int] = {}
         for part in parts:

@@ -21,10 +21,6 @@ class TrivialGraphError(GraphError):
     """Index operations reject the one-vertex graph."""
 
 
-class EmptyVertexSetError(GraphError):
-    """An induced subgraph needs at least one vertex."""
-
-
 class NotATreeError(GraphError):
     """Tree-only machinery received a graph with a cycle."""
 

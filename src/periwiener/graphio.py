@@ -10,7 +10,6 @@ column order (0,1),(0,2),(1,2),(0,3),...  Short form covers n <= 62, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -26,15 +25,6 @@ from .graphs import Graph, build_graph
 MAX_GRAPH6_ORDER = 258
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeListDocument:
-    """Parsed edge-list text: declared order, edges in file order, comments."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    comments: tuple[str, ...]
-
-
 def _as_text(data: str | bytes) -> str:
     if isinstance(data, bytes):
         try:
@@ -44,18 +34,14 @@ def _as_text(data: str | bytes) -> str:
     return data
 
 
-def read_edge_list_document(data: str | bytes) -> EdgeListDocument:
-    """Parse edge-list text into a document, validating as it goes."""
+def parse_edge_list(data: str | bytes) -> Graph:
+    """Parse edge-list text, naming the line of the first bad record."""
     text = _as_text(data)
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    comments: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line)
+        if not line or line.startswith("#"):
             continue
         fields = line.split()
         if n is None:
@@ -75,7 +61,7 @@ def read_edge_list_document(data: str | bytes) -> EdgeListDocument:
         edges.append((u, v))
     if n is None:
         raise EdgeListSyntaxError(0, "no vertex count found")
-    return EdgeListDocument(n=n, edges=tuple(edges), comments=tuple(comments))
+    return build_graph(n, edges)
 
 
 def _is_int(s: str) -> bool:
@@ -84,14 +70,8 @@ def _is_int(s: str) -> bool:
     return s.isdigit()
 
 
-def parse_edge_list(data: str | bytes) -> Graph:
-    doc = read_edge_list_document(data)
-    return build_graph(doc.n, doc.edges)
-
-
-def write_edge_list(g: Graph, comments: tuple[str, ...] = ()) -> str:
-    lines = list(comments)
-    lines.append(str(g.n))
+def write_edge_list(g: Graph) -> str:
+    lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
@@ -101,7 +81,8 @@ def write_edge_list(g: Graph, comments: tuple[str, ...] = ()) -> str:
 _HEADER = ">>graph6<<"
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
+def pair_list(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs in graph6 column order: bit b of a record is pair b."""
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
@@ -151,7 +132,7 @@ def parse_graph6(data: str | bytes) -> Graph:
     if len(body) != need:
         raise MalformedGraph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
     edges: list[tuple[int, int]] = []
-    pairs = _pair_order(n)
+    pairs = pair_list(n)
     bit = 0
     for b in body:
         if not 63 <= b <= 126:

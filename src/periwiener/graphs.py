@@ -1,4 +1,5 @@
-"""Immutable simple graphs and the exact unweighted shortest-path engine.
+"""Immutable simple graphs, and the BFS distance matrix that the tests and
+the benchmark use as the oracle for the `corpus` reach layers.
 
 Vertices are always 0..n-1.  Graphs are frozen after construction and safe
 to share; every operator returns a new graph.
@@ -10,12 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    EmptyVertexSetError,
-    NotConnectedError,
-    SelfLoopError,
-    VertexRangeError,
-)
+from .errors import NotConnectedError, SelfLoopError, VertexRangeError
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,17 +160,3 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
                 sets[u].add(b * nh + x)
     return Graph(g.n * nh, tuple(tuple(sorted(s)) for s in sets))
 
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertices, relabeled 0..|S|-1 in ascending order."""
-    keep = sorted(set(vertices))
-    if not keep:
-        raise EmptyVertexSetError("induced subgraph needs at least one vertex")
-    for v in keep:
-        if not (0 <= v < g.n):
-            raise VertexRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    relabel = {v: i for i, v in enumerate(keep)}
-    out: list[tuple[int, ...]] = []
-    for v in keep:
-        out.append(tuple(relabel[w] for w in g.adj[v] if w in relabel))
-    return Graph(len(keep), tuple(out))

@@ -1,9 +1,10 @@
 """The six distance-based indices, computed straight from their definitions,
 and `Profile`, the one record that holds them.
 
-Everything here is exact integer arithmetic over a DistanceMatrix; these
-functions are the brute-force oracle that every closed form in the audit
-registry, and the bitmask engine in `corpus`, is compared against.
+Everything here is exact integer arithmetic over a DistanceMatrix.  These
+functions are the brute-force oracle that the tests hold the `corpus`
+reach-layer engine to, and through it every audit check; the program itself
+uses only `Profile`.
 """
 
 from __future__ import annotations

@@ -1,20 +1,28 @@
+import ast
 import hashlib
+import inspect
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import labeled_connected
-from periwiener import audit, corpus, generators
+from periwiener import audit, corpus, generators, indices
 from periwiener.errors import InvalidParameterError
-from periwiener.generators import cycle, hypercube
+from periwiener.generators import cycle, hypercube, path
 from periwiener.graphio import write_graph6
-from periwiener.graphs import distance_matrix
+from periwiener.graphs import build_graph, cartesian_product, distance_matrix
 from periwiener.indices import (
     peripheral_distance_number,
     peripheral_hyper_wiener,
 )
 
 FAST = audit.Budget(max_n=4, trials=10, threads=1)
+
+
+def _run_one(cid, budget):
+    return audit.run_claims([audit.claims_by_id()[cid]], budget)[0]
 
 EXPECTED_DISCREPANCIES = {
     "C-HYPERCUBE",
@@ -84,17 +92,17 @@ class TestRegistry:
 
 class TestSingleClaims:
     def test_t_diam2_holds(self):
-        res = audit.run_claim("T-DIAM2", FAST)
+        res = _run_one("T-DIAM2", FAST)
         assert res.status == audit.STATUS_HOLDS
         assert res.instances_tested > 0
         assert res.matched
 
     def test_p1_4_holds(self):
-        res = audit.run_claim("P1-4", FAST)
+        res = _run_one("P1-4", FAST)
         assert res.status == audit.STATUS_HOLDS
 
     def test_def_pww_alt_minimal_witness_is_k3(self):
-        res = audit.run_claim("DEF-PWW-ALT", audit.Budget(max_n=6, trials=0, threads=1))
+        res = _run_one("DEF-PWW-ALT", audit.Budget(max_n=6, trials=0, threads=1))
         assert res.status == audit.STATUS_VIOLATED
         assert res.matched
         # K_3 is the smallest graph where the two expressions part ways
@@ -112,7 +120,7 @@ class TestSingleClaims:
         assert vertex_sum // 4 == 20
 
     def test_hypercube_claim_violated_at_q3(self):
-        res = audit.run_claim("C-HYPERCUBE", FAST)
+        res = _run_one("C-HYPERCUBE", FAST)
         assert res.status == audit.STATUS_VIOLATED
         assert res.matched
         assert audit.hypercube_series_value(3) == 76
@@ -128,27 +136,106 @@ class TestSingleClaims:
         assert audit.hypercube_pww(4) == 448
 
     def test_tree_lower_bound_violated(self):
-        res = audit.run_claim("T-TREE-BOUNDS-LO", audit.Budget(max_n=4, trials=0, threads=1))
+        res = _run_one("T-TREE-BOUNDS-LO", audit.Budget(max_n=4, trials=0, threads=1))
         assert res.status == audit.STATUS_VIOLATED
         # P_2 already violates: bound 2 against PWW 1
         assert res.witnesses[0]["graph6"] == "A_"
 
     def test_dstar_violated_and_shadow_holds(self):
-        bad = audit.run_claim("T-DSTAR", FAST)
-        good = audit.run_claim("S-DSTAR-FIX", FAST)
+        bad = _run_one("T-DSTAR", FAST)
+        good = _run_one("S-DSTAR-FIX", FAST)
         assert bad.status == audit.STATUS_VIOLATED
         assert good.status == audit.STATUS_HOLDS
         # exactly one sampled double star satisfies the registered form: S_{3,3}
         assert bad.instances_tested - bad.violations == 1
 
     def test_lobster_violated_everywhere(self):
-        res = audit.run_claim("T-LOBSTER", FAST)
+        res = _run_one("T-LOBSTER", FAST)
         assert res.status == audit.STATUS_VIOLATED
         assert res.violations == res.instances_tested
 
     def test_unknown_claim(self):
+        # rows are read from the registry by id, so a stray row cannot run
+        stray = replace(audit.claims_by_id()["P1-4"], id="NOPE")
         with pytest.raises(KeyError):
-            audit.run_claim("NOPE", FAST)
+            audit.run_claims([stray], FAST)
+
+
+class TestProductChecks:
+    def test_every_moved_edge_caught(self):
+        # P_3 x P_4 with one edge moved: the distance check catches every
+        # move (the removed pair is no longer adjacent), the periphery check
+        # every move that changes the periphery, and the message agrees
+        # with BFS
+        g, h = path(3), path(4)
+        lg, lh = corpus.layered_profile(g), corpus.layered_profile(h)
+        prod = cartesian_product(g, h)
+        dist, peri = (audit.claims_by_id()[cid].check for cid in ("L-PROD-DIST", "C-PROD-PERI"))
+        assert dist(lg, lh, corpus.layered_profile(prod)) is None
+        assert peri(lg, lh, corpus.layered_profile(prod)) is None
+        edges = list(prod.edges())
+        want_peri = {a * h.n + x for a in (0, 2) for x in (0, 3)}
+        moved = caught_peri = 0
+        for e in edges:
+            for f in corpus.pair_list(prod.n):
+                if f in edges:
+                    continue
+                mutant = build_graph(prod.n, [x for x in edges if x != e] + [f])
+                lp = corpus.layered_profile(mutant)
+                if lp is None:
+                    continue
+                moved += 1
+                dm = distance_matrix(mutant)
+                observed, expected = dist(lg, lh, lp)
+                a, x, b, y, d = map(int, re.fullmatch(
+                    r"d\(\((\d+),(\d+)\),\((\d+),(\d+)\)\) = (\d+)", observed).groups())
+                assert d == dm.dist[a * h.n + x][b * h.n + y]
+                assert expected == f"{abs(a - b)} + {abs(x - y)}"
+                r = peri(lg, lh, lp)
+                assert (r is None) == (set(dm.periphery) == want_peri)
+                caught_peri += r is not None
+        assert moved > 500 and caught_peri > 100
+
+    def test_deeper_ball_checked(self):
+        # a ball of radius 2 that misses (2,0), at distance 2 from (0,0)
+        g, h = path(3), path(4)
+        p, balls = corpus.layered_profile(cartesian_product(g, h))
+        balls = [list(layer) for layer in balls]
+        balls[2][0] &= ~(1 << 8)
+        check = audit.claims_by_id()["L-PROD-DIST"].check
+        got = check(corpus.layered_profile(g), corpus.layered_profile(h), (p, balls))
+        assert got == ("d((0,0),(2,0)) = 3", "2 + 0")
+
+
+def _identifiers(path_):
+    """Every imported, read or attribute name in a module's source."""
+    for node in ast.walk(ast.parse(path_.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+class TestOneEngine:
+    def test_only_the_oracle_uses_the_distance_matrix(self):
+        # the program computes every metric from the corpus reach layers;
+        # the BFS matrix and the definitional indices are the tests' oracle
+        # (graphs defines the matrix, and the package namespace re-exports
+        # both for library users)
+        src = Path(audit.__file__).parent
+        for path_ in sorted(src.glob("*.py")):
+            if path_.stem not in ("graphs", "indices", "__init__"):
+                names = set(_identifiers(path_))
+                assert not names & {"distance_matrix", "DistanceMatrix"}, path_.name
+        definitional = {name for name, fn in vars(indices).items()
+                        if inspect.isfunction(fn) and fn.__module__ == indices.__name__}
+        assert "peripheral_distance_number" in definitional
+        assert not set(_identifiers(src / "audit.py")) & definitional
+        imports = [node for node in ast.walk(ast.parse((src / "audit.py").read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "indices"]
+        assert [a.name for node in imports for a in node.names] == ["Profile"]
 
 
 class TestRunAll:
@@ -207,7 +294,7 @@ class TestRunAll:
         assert doc["summary"]["mismatched"] == 0
 
     def test_witnesses_capped_and_sorted(self):
-        res = audit.run_claim("T-LOBSTER", FAST)
+        res = _run_one("T-LOBSTER", FAST)
         assert len(res.witnesses) <= 10
         assert res.violations > 10
 
@@ -329,7 +416,7 @@ class TestClassSweep:
         for n in range(2, 6):
             for mask, _ in labeled_connected(n):
                 g = corpus.mask_to_graph(n, mask)
-                labeled.append((g, (g, distance_matrix(g))))
+                labeled.append((g, corpus.layered_profile(g)))
         want = _labeled_reference(labeled, checks)
         assert _fields(accs) == want
         assert want["DEF-PWW-ALT"][1] > audit._MAX_WITNESSES

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from periwiener import trees
+from periwiener import audit, trees
 from periwiener.cli import enumerate_values_csv, main
 from periwiener.generators import hypercube
 from periwiener.graphio import parse_graph6, write_graph6
@@ -252,6 +252,24 @@ class TestOutputErrors:
         assert rc == 2
         assert err == f"error: {bad}: No such file or directory\n"
         assert not bad.parent.exists()
+
+
+    def test_audit_output_checked_before_any_suite(self, tmp_path, capsys, monkeypatch):
+        # an unwritable --output fails before the audit runs; a rejected
+        # budget or claim id fails before the output is opened
+        def not_run(*args, **kwargs):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr(audit, "run_claims", not_run)
+        bad = tmp_path / "missing" / "out.json"
+        rc, out, err = run_cli(capsys, "audit", "--output", str(bad))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {bad}: No such file or directory\n"
+        good = tmp_path / "out.json"
+        for argv in (("--max-n", "12"), ("--claims", "NOPE")):
+            rc, out, _ = run_cli(capsys, "audit", *argv, "--output", str(good))
+            assert (rc, out) == (2, "")
+            assert not good.exists()
 
 
 class TestEntryPoint:

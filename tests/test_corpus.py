@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import connected_graphs, labeled_connected, random_connected
 from periwiener import corpus
 from periwiener.errors import InvalidParameterError
-from periwiener.generators import path, star
-from periwiener.graphs import build_graph, complement
+from periwiener.generators import path, random_tree, star
+from periwiener.graphs import build_graph, cartesian_product, complement, distance_matrix
 from periwiener.graphio import write_graph6
-from periwiener.indices import index_vector
+from periwiener.indices import index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
 
 # labeled connected graph counts, OEIS A001187 (recounted independently in
@@ -53,10 +53,14 @@ class TestProfile:
 
     def test_disconnected_is_none(self):
         assert corpus.profile_of(build_graph(4, [(0, 1), (2, 3)])) is None
+        assert corpus.layered_profile(build_graph(4, [(0, 1), (2, 3)])) is None
 
     def test_single_vertex(self):
         p = corpus.profile_of(build_graph(1, []))
         assert p.n == 1 and p.diameter == 0 and p.k == 1
+        assert corpus.layered_profile(build_graph(1, [])) == (p, [[1]])
+        assert corpus.periphery_mask([[1]]) == 1
+        assert corpus.distance_sums([[1]], 1) == [0]
 
     def test_complement_profile(self, rng):
         for _ in range(30):
@@ -71,6 +75,47 @@ class TestProfile:
         for g in corpus.all_free_trees(2, 10):
             p = corpus.profile_of(complement(g))
             assert complement_tree_pww(as_tree(g)) == (None if p is None else p.pww)
+
+
+def _check_layers(g):
+    """The layer view of g against the BFS oracle and networkx: every ball,
+    the periphery, and every vertex's distance sum to the periphery."""
+    p, balls = corpus.layered_profile(g)
+    dm = distance_matrix(g)
+    ng = nx.Graph(list(g.edges()))
+    ng.add_nodes_from(range(g.n))
+    nx_dist = dict(nx.all_pairs_shortest_path_length(ng))
+    assert [list(row) for row in dm.dist] == [[nx_dist[v][u] for u in range(g.n)]
+                                              for v in range(g.n)]
+    assert p == index_vector(g, dm)
+    assert len(balls) == dm.diameter + 1
+    for t, layer in enumerate(balls):
+        assert layer == [sum(1 << u for u, d in enumerate(row) if d <= t) for row in dm.dist]
+    peri = corpus.periphery_mask(balls)
+    assert peri == sum(1 << v for v in nx.periphery(ng)) == sum(1 << v for v in dm.periphery)
+    assert corpus.distance_sums(balls, peri) == [peripheral_distance_number(dm, v)
+                                                 for v in range(g.n)]
+
+
+class TestReachLayers:
+    """The layer view the audit reads, up to 100 vertices so that the
+    masks pass 64 bits."""
+
+    @given(connected_graphs(max_n=100))
+    @example(path(100))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, g):
+        _check_layers(g)
+
+    def test_random_trees(self, rng):
+        for _ in range(30):
+            _check_layers(random_tree(rng.randrange(2, 101), seed=rng.randrange(1 << 30)))
+
+    def test_products(self, rng):
+        for _ in range(20):
+            g = random_connected(rng, rng.randrange(2, 11), extra=0.1)
+            h = random_connected(rng, rng.randrange(2, 100 // g.n + 1), extra=0.1)
+            _check_layers(cartesian_product(g, h))
 
 
 class TestEnumeration:

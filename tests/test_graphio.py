@@ -19,7 +19,6 @@ from periwiener.graphio import (
     iter_graph6,
     parse_edge_list,
     parse_graph6,
-    read_edge_list_document,
     write_edge_list,
     write_graph6,
 )
@@ -31,8 +30,6 @@ class TestEdgeList:
         assert parse_edge_list("3\n0 1\n1 2\n") == path(3)
 
     def test_k3_with_comment(self):
-        doc = read_edge_list_document("# K3\n3\n0 1\n0 2\n1 2\n")
-        assert doc.comments == ("# K3",)
         assert parse_edge_list("# K3\n3\n0 1\n0 2\n1 2\n") == complete(3)
 
     def test_vertex_out_of_range_names_line(self):

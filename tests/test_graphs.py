@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import connected_graphs, fig2_tree, floyd_warshall, random_connected
-from periwiener.errors import (
-    EmptyVertexSetError,
-    NotConnectedError,
-    SelfLoopError,
-    VertexRangeError,
-)
-from periwiener.generators import complete, cycle, path, star
+from periwiener.errors import NotConnectedError, SelfLoopError, VertexRangeError
+from periwiener.generators import complete, cycle, path
 from periwiener.graphs import (
     build_graph,
     cartesian_product,
     complement,
     distance_matrix,
-    induced_subgraph,
     is_connected,
 )
 
@@ -196,25 +190,3 @@ class TestCartesianProduct:
                 want = {a * h.n + x for a in dg.periphery for x in dh.periphery}
                 assert set(dp.periphery) == want
 
-
-class TestInducedSubgraph:
-    def test_triangle_from_k5(self):
-        g = induced_subgraph(complete(5), {0, 1, 2})
-        assert g.n == 3 and g.m == 3
-
-    def test_path_periphery_isolated(self):
-        g = path(5)
-        sub = induced_subgraph(g, distance_matrix(g).periphery)
-        assert sub.n == 2 and sub.m == 0
-
-    def test_identity(self):
-        g = star(4)
-        assert induced_subgraph(g, range(g.n)) == g
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyVertexSetError):
-            induced_subgraph(path(3), set())
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(VertexRangeError):
-            induced_subgraph(path(3), {0, 5})
