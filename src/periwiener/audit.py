@@ -702,7 +702,7 @@ class _Acc:
     def __init__(self):
         self.tested = 0
         self.violations = 0
-        self.witnesses: list[tuple] = []  # (n, key, graph6, observed, expected)
+        self.witnesses: list[tuple] = []  # (n, edge mask, graph6, observed, expected)
         self.error: str | None = None
 
     def add_witness(self, entry: tuple) -> None:
@@ -712,11 +712,11 @@ class _Acc:
             insort(kept, entry)
             del kept[_MAX_WITNESSES:]
 
-    def admits(self, n: int, key: int) -> bool:
-        """Whether a witness of n vertices and graph6 order key `key` would
-        enter the list."""
+    def admits(self, n: int, mask: int) -> bool:
+        """Whether a witness of n vertices and edge mask `mask` would enter
+        the list."""
         kept = self.witnesses
-        return len(kept) < _MAX_WITNESSES or (n, key) < kept[-1][:2]
+        return len(kept) < _MAX_WITNESSES or (n, mask) < kept[-1][:2]
 
     def merge(self, other: _Acc) -> None:
         """Fold in a later part of the same claim's instances."""
@@ -729,22 +729,20 @@ class _Acc:
 
 
 def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
-    """Offer the witnesses of one violation: (n, graph6 order key, graph6,
+    """Offer the witnesses of one violation: (n, edge mask, graph6,
     observed, expected), which sort the smallest graphs in graph6 order
     first.  A Graph gives one; an isomorphism class (n, canonical mask) gives
     each of its labeled graphs, unless the list is already full of entries
-    below its canonical key, the smallest key in the class."""
+    below its canonical mask, the smallest mask in the class."""
     if isinstance(subject, Graph):
-        key = corpus.g6_order_key(subject.n, corpus.graph_to_mask(subject))
-        acc.add_witness((subject.n, key, write_graph6(subject)) + r)
+        acc.add_witness((subject.n, corpus.g6_order_key(subject), write_graph6(subject)) + r)
         return
     n, mask = subject
-    if not acc.admits(n, corpus.g6_order_key(n, mask)):
+    if not acc.admits(n, mask):
         return
     for labeled in corpus.labelings(n, mask):
-        key = corpus.g6_order_key(n, labeled)
-        if acc.admits(n, key):
-            acc.add_witness((n, key, write_graph6(corpus.mask_to_graph(n, labeled))) + r)
+        if acc.admits(n, labeled):
+            acc.add_witness((n, labeled, write_graph6(corpus.mask_to_graph(n, labeled))) + r)
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
@@ -788,7 +786,7 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
         note = ""
     witnesses = [
         {"graph6": g6, "observed": obs, "expected": exp}
-        for (_n, _key, g6, obs, exp) in acc.witnesses
+        for (_n, _mask, g6, obs, exp) in acc.witnesses
     ]
     return ClaimResult(
         id=claim.id,

@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from . import audit, corpus, generators, trees
 from .errors import (
@@ -73,9 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--output", default="-")
 
     p_gen = sub.add_parser("gen", help="emit a named family member")
-    p_gen.add_argument("family", help="complete|path|cycle|complete-bipartite|star|"
-                                      "double-star|hypercube|caterpillar|lobster|"
-                                      "random-tree|random-graph")
+    p_gen.add_argument("family", help="|".join(_FAMILIES))
     p_gen.add_argument("params", nargs="*", help="family parameters")
     p_gen.add_argument("--emit", choices=("edgelist", "graph6"), default="edgelist")
     p_gen.add_argument("--seed", type=int, default=audit.DEFAULT_SEED)
@@ -229,6 +227,31 @@ def _parse_code(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+class _Family(NamedTuple):
+    make: Callable[..., Graph]
+    parsers: tuple[Callable[[str], object], ...]  # one per parameter
+    usage: str | None = None  # the message for a wrong parameter count
+    seeded: bool = False  # make takes the --seed value as seed=
+
+
+_FAMILIES = {
+    "complete": _Family(generators.complete, (int,)),
+    "path": _Family(generators.path, (int,)),
+    "cycle": _Family(generators.cycle, (int,)),
+    "complete-bipartite": _Family(generators.complete_bipartite, (int, int)),
+    "star": _Family(generators.star, (int,)),
+    "double-star": _Family(generators.double_star, (int, int)),
+    "hypercube": _Family(generators.hypercube, (int,)),
+    "caterpillar": _Family(generators.caterpillar, (_parse_code,),
+                           "caterpillar takes one code like 2,0,3"),
+    "lobster": _Family(generators.lobster, (_parse_code, int),
+                       "lobster takes a code like 1,0,1 and a leaf count"),
+    "random-tree": _Family(generators.random_tree, (int,), seeded=True),
+    "random-graph": _Family(generators.random_connected_graph, (int, float),
+                            "random-graph takes n and p", seeded=True),
+}
+
+
 def _cmd_gen(args) -> int:
     family = args.family.replace("_", "-")
     params = args.params
@@ -242,42 +265,14 @@ def _cmd_gen(args) -> int:
 
 
 def _build_family(family: str, params: list[str], seed: int) -> Graph:
-    def want(count: int) -> list[int]:
-        if len(params) != count:
-            raise InvalidParameterError(
-                f"{family} takes {count} parameter(s), got {len(params)}")
-        return [int(x) for x in params]
-
-    if family == "complete":
-        return generators.complete(*want(1))
-    if family == "path":
-        return generators.path(*want(1))
-    if family == "cycle":
-        return generators.cycle(*want(1))
-    if family == "complete-bipartite":
-        return generators.complete_bipartite(*want(2))
-    if family == "star":
-        return generators.star(*want(1))
-    if family == "double-star":
-        return generators.double_star(*want(2))
-    if family == "hypercube":
-        return generators.hypercube(*want(1))
-    if family == "caterpillar":
-        if len(params) != 1:
-            raise InvalidParameterError("caterpillar takes one code like 2,0,3")
-        return generators.caterpillar(_parse_code(params[0]))
-    if family == "lobster":
-        if len(params) != 2:
-            raise InvalidParameterError("lobster takes a code like 1,0,1 and a leaf count")
-        return generators.lobster(_parse_code(params[0]), int(params[1]))
-    if family == "random-tree":
-        (n,) = want(1)
-        return generators.random_tree(n, seed=seed)
-    if family == "random-graph":
-        if len(params) != 2:
-            raise InvalidParameterError("random-graph takes n and p")
-        return generators.random_connected_graph(int(params[0]), float(params[1]), seed=seed)
-    raise InvalidParameterError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise InvalidParameterError(f"unknown family {family!r}")
+    make, parsers, usage, seeded = _FAMILIES[family]
+    if len(params) != len(parsers):
+        raise InvalidParameterError(
+            usage or f"{family} takes {len(parsers)} parameter(s), got {len(params)}")
+    values = [parse(text) for parse, text in zip(parsers, params)]
+    return make(*values, seed=seed) if seeded else make(*values)
 
 
 def _cmd_audit(args) -> int:

@@ -11,28 +11,26 @@ connected graphs, with its number of labelings n!/|Aut(G)|, by canonical
 augmentation; all free trees up to a ceiling; and the attained-value scan.
 
 The canonical labeling of a graph is the one that comes first in graph6
-string order (smallest `g6_order_key`).  Classes grow one vertex at a time
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998): a child
-of an (n-1)-vertex class joins vertex n-1 to a non-empty neighbour set, and
-is kept only when vertex n-1 lies in the orbit of its canonical deletion
-vertex, so each class has exactly one parent class.
+string order, the one with the smallest edge mask.  Classes grow one vertex
+at a time (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998): a child of an (n-1)-vertex class joins vertex n-1 to a non-empty
+neighbour set, and is kept only when vertex n-1 lies in the orbit of its
+canonical deletion vertex, so each class has exactly one parent class.
 
-Edge bit b of a mask corresponds to graphio.pair_list(n)[b], the graph6
-column order (0,1),(0,2),(1,2),(0,3),...  A mask therefore maps directly
-onto a graph6 record for the same n.
+Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
+as one integer, so integer order is graph6 string order for a fixed n.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache
 from math import factorial
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidParameterError
-from .graphio import pair_list, write_graph6
+from .graphio import edge_mask, mask_edges, write_graph6
 from .graphs import Graph, build_graph
 from .indices import Profile
 
@@ -40,55 +38,25 @@ from .indices import Profile
 # one process, n = 9 would take hours.
 MAX_N = 8
 
-# the sweeps decode masks of a few small orders over and over
-_pairs = lru_cache(maxsize=None)(pair_list)
-
 
 def mask_adjacency(n: int, mask: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Adjacency bitmasks and edge list for an edge-subset bitmask."""
-    pairs = _pairs(n)
+    """Adjacency bitmasks and edge list for an edge mask."""
     adj = [0] * n
-    edges = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        i, j = pairs[low.bit_length() - 1]
+    edges = mask_edges(n, mask)
+    for i, j in edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-        edges.append((i, j))
-        mm ^= low
     return adj, edges
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = _pairs(n)
-    mm = mask
-    edges = []
-    while mm:
-        low = mm & -mm
-        edges.append(pairs[low.bit_length() - 1])
-        mm ^= low
-    return build_graph(n, edges)
+    return build_graph(n, mask_edges(n, mask))
 
 
-def graph_to_mask(g: Graph) -> int:
-    index = {p: b for b, p in enumerate(_pairs(g.n))}
-    mask = 0
-    for e in g.edges():
-        mask |= 1 << index[e]
-    return mask
-
-
-def g6_order_key(n: int, mask: int) -> int:
-    """Integer whose ordering matches graph6 string order for fixed n."""
-    nbits = n * (n - 1) // 2
-    key = 0
-    mm = mask
-    while mm:
-        low = mm & -mm
-        key |= 1 << (nbits - low.bit_length())
-        mm ^= low
-    return key
+def g6_order_key(g: Graph) -> int:
+    """The edge mask of a labeled graph, which orders graphs of one order as
+    their graph6 strings."""
+    return edge_mask(g.n, g.edges())
 
 
 def reach_layers(n: int, masks: list[int], edges: list[tuple[int, int]]
@@ -242,11 +210,11 @@ def complement_profile(n: int, masks: list[int]) -> Profile | None:
 
 
 def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """(key, orders): the smallest graph6 order key over all labelings of
-    the graph with adjacency bitmasks `adj`, and every vertex order that
-    attains it (order[p] is the vertex labeled p).
+    """(mask, orders): the smallest edge mask over all labelings of the
+    graph with adjacency bitmasks `adj`, and every vertex order that attains
+    it (order[p] is the vertex labeled p).
 
-    The key is the concatenation of the columns of the labeled adjacency
+    The mask is the concatenation of the columns of the labeled adjacency
     matrix; column j holds the adjacency of the j-th vertex to the earlier
     ones, the earliest as the most significant bit.  The orders are built
     column by column, keeping at depth j only those whose column j is
@@ -255,10 +223,10 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     orbit of the vertex at p.
     """
     states = [((), (1 << n) - 1, [0] * n)]  # (order, unplaced vertices, columns)
-    key = 0
+    mask = 0
     for j in range(n):
         best = min(cols[v] for _, free, cols in states for v in _bits(free))
-        key = (key << j) | best
+        mask = (mask << j) | best
         nxt = []
         for order, free, cols in states:
             for v in _bits(free):
@@ -267,7 +235,7 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
                     nxt.append((order + (v,), free & ~(1 << v),
                                 [(c << 1) | ((row >> u) & 1) for u, c in enumerate(cols)]))
         states = nxt
-    return key, [order for order, _, _ in states]
+    return mask, [order for order, _, _ in states]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -281,7 +249,7 @@ def _bits(mask: int) -> Iterator[int]:
 def canonical_mask(n: int, mask: int) -> int:
     """Edge bitmask of the canonical labeling: the first labeling of the
     graph in graph6 order.  Equal for exactly the isomorphic graphs."""
-    return g6_order_key(n, canonical_form(n, mask_adjacency(n, mask)[0])[0])
+    return canonical_form(n, mask_adjacency(n, mask)[0])[0]
 
 
 def _connected_without(adj: list[int], n: int, v: int) -> bool:
@@ -325,33 +293,25 @@ def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
     n_labelings = factorial(n)
     for parent in parents:
         parent_adj, parent_edges = mask_adjacency(new, parent)
-        accepted = set()  # recording rejected keys too would lose classes
+        accepted = set()  # recording rejected masks too would lose classes
         for nbrs in range(1, 1 << new):
             adj = parent_adj + [nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
-            key, orders = canonical_form(n, adj)
-            if key in accepted or not _new_vertex_is_canonical(n, adj, orders):
+            mask, orders = canonical_form(n, adj)
+            if mask in accepted or not _new_vertex_is_canonical(n, adj, orders):
                 continue
-            accepted.add(key)
+            accepted.add(mask)
             edges = parent_edges + [(u, new) for u in _bits(nbrs)]
-            yield g6_order_key(n, key), n_labelings // len(orders), profile_from_masks(n, adj, edges)
+            yield mask, n_labelings // len(orders), profile_from_masks(n, adj, edges)
 
 
 def labelings(n: int, mask: int) -> set[int]:
-    """Edge bitmasks of every labeled graph isomorphic to this one, by all
-    n! relabelings; only the witnesses of a violating class need them."""
-    _, edges = mask_adjacency(n, mask)
-    out = set()
-    for perm in itertools.permutations(range(n)):
-        relabeled = 0
-        for i, j in edges:
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            relabeled |= 1 << (b * (b - 1) // 2 + a)
-        out.add(relabeled)
-    return out
+    """Edge masks of every labeled graph isomorphic to this one, by all n!
+    relabelings; only the witnesses of a violating class need them."""
+    edges = mask_edges(n, mask)
+    return {edge_mask(n, [(perm[i], perm[j]) for i, j in edges])
+            for perm in itertools.permutations(range(n))}
 
 
 def nonisomorphic_connected(n: int) -> list[Graph]:
@@ -432,7 +392,7 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 
 
 def _scan_chunk(args: tuple[str, int, int]) -> tuple[dict[int, int], list[int]]:
-    """Worker: attained index value -> smallest canonical key over the
+    """Worker: attained index value -> smallest canonical mask over the
     n-vertex classes grown from one parent class, and those classes'
     canonical masks."""
     index_name, n, parent = args
@@ -442,9 +402,8 @@ def _scan_chunk(args: tuple[str, int, int]) -> tuple[dict[int, int], list[int]]:
     for mask, _, profile in iter_connected_profiles(n, (parent,)):
         masks.append(mask)
         val = profile[field]
-        key = g6_order_key(n, mask)
-        if key < best.get(val, key + 1):
-            best[val] = key
+        if mask < best.get(val, mask + 1):
+            best[val] = mask
     return best, masks
 
 
@@ -495,12 +454,12 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     for n, parts in sweep_levels(_scan_chunk, (index_name,), max_n, threads):
         merged: dict[int, int] = {}
         for part in parts:
-            for val, key in part.items():
-                if key < merged.get(val, key + 1):
-                    merged[val] = key
-        for val, key in merged.items():
+            for val, mask in part.items():
+                if mask < merged.get(val, mask + 1):
+                    merged[val] = mask
+        for val, mask in merged.items():
             if val not in out:
-                out[val] = (n, write_graph6(mask_to_graph(n, g6_order_key(n, key))))
+                out[val] = (n, write_graph6(mask_to_graph(n, mask)))
     return out
 
 

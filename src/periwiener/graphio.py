@@ -4,13 +4,23 @@ Edge-list format: first non-comment line is the vertex count, every later
 non-comment line is "u v" with 0-based endpoints; '#' starts a comment line.
 
 graph6: printable-ASCII encoding of the upper-triangle adjacency bits in
-column order (0,1),(0,2),(1,2),(0,3),...  Short form covers n <= 62, the
-4-byte long form is accepted and emitted for 63 <= n <= 258.
+column order (0,1),(0,2),(1,2),(0,3),..., six bits per byte, first bit
+highest.  Short form covers n <= 62, the 4-byte long form is accepted and
+emitted for 63 <= n <= 258.
+
+Edge masks: the one encoding of an edge set in this package.  Pair (i, j),
+i < j, has column index b = j(j-1)/2 + i and sits at bit C(n,2)-1-b of the
+mask, so a mask is the graph6 data bits read as one integer, and masks of
+the same order compare as their graph6 records do.  `edge_mask` and
+`mask_edges` convert between edges and masks; the graph6 codec writes and
+reads a mask six bits per byte.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import base64
+from math import isqrt
+from typing import Iterable, Iterator
 
 from .errors import (
     EdgeListSyntaxError,
@@ -81,9 +91,36 @@ def write_edge_list(g: Graph) -> str:
 _HEADER = ">>graph6<<"
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs in graph6 column order: bit b of a record is pair b."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
+# A graph6 data byte is a six-bit group plus 63, and base64 writes the same
+# six-bit groups, first bit highest, in its own alphabet: the codec is
+# base64 with that alphabet swapped for bytes 63..126.
+_G6_BYTES = bytes(range(63, 127))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_G6 = bytes.maketrans(_G6_BYTES, _B64_ALPHABET)
+_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_BYTES)
+
+
+def edge_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The edge mask of `edges` on n vertices (see the module docstring)."""
+    bits = bytearray(b"0" * (n * (n - 1) // 2))
+    for i, j in edges:
+        if i > j:
+            i, j = j, i
+        bits[j * (j - 1) // 2 + i] = ord("1")
+    return int(bits or b"0", 2)
+
+
+def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of an edge mask on n vertices, in column
+    order."""
+    bits = format(mask, f"0{n * (n - 1) // 2}b")
+    edges = []
+    b = bits.find("1")
+    while b >= 0:
+        j = (1 + isqrt(8 * b + 1)) // 2
+        edges.append((b - j * (j - 1) // 2, j))
+        b = bits.find("1", b + 1)
+    return edges
 
 
 def _decode_order(payload: bytes) -> tuple[int, int]:
@@ -131,20 +168,17 @@ def parse_graph6(data: str | bytes) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise MalformedGraph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
-    edges: list[tuple[int, int]] = []
-    pairs = pair_list(n)
-    bit = 0
-    for b in body:
-        if not 63 <= b <= 126:
-            raise MalformedGraph6Error(f"byte {b} outside graph6 range 63..126")
-        val = b - 63
-        for k in range(6):
-            if (val >> (5 - k)) & 1:
-                if bit >= nbits:
-                    raise MalformedGraph6Error("nonzero padding bits")
-                edges.append(pairs[bit])
-            bit += 1
-    return build_graph(n, edges)
+    stray = body.translate(None, _G6_BYTES)
+    if stray:
+        raise MalformedGraph6Error(f"byte {stray[0]} outside graph6 range 63..126")
+    # whole base64 quads: each pad "A" is a zero group, dropped again below
+    extra = -need % 4
+    data = base64.b64decode(body.translate(_FROM_G6) + b"A" * extra)
+    pad = 6 * need - nbits
+    mask = int.from_bytes(data, "big") >> (6 * extra)
+    if mask & ((1 << pad) - 1):
+        raise MalformedGraph6Error("nonzero padding bits")
+    return build_graph(n, mask_edges(n, mask >> pad))
 
 
 def write_graph6(g: Graph) -> str:
@@ -153,30 +187,18 @@ def write_graph6(g: Graph) -> str:
     if n > MAX_GRAPH6_ORDER:
         raise TooLargeError(f"graph6 writer supports n <= {MAX_GRAPH6_ORDER}, got {n}")
     if n <= 62:
-        out = [chr(63 + n)]
+        header = chr(63 + n)
     else:
-        out = ["~", chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    masks = g.adjacency_masks()
+        header = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
     nbits = n * (n - 1) // 2
-    val = 0
-    filled = 0
-    bit = 0
-    for j in range(1, n):
-        mj = masks[j]
-        for i in range(j):
-            val = (val << 1) | ((mj >> i) & 1)
-            filled += 1
-            bit += 1
-            if filled == 6:
-                out.append(chr(63 + val))
-                val = 0
-                filled = 0
-    if filled:
-        val <<= 6 - filled
-        out.append(chr(63 + val))
-    if bit != nbits:
-        raise InvariantError(f"wrote {bit} adjacency bits, expected {nbits}")
-    return "".join(out)
+    need = (nbits + 5) // 6
+    # base64 encodes whole 24-bit groups: pad the mask with zero bits to them
+    quads = -(-nbits // 24)
+    data = (edge_mask(n, g.edges()) << (24 * quads - nbits)).to_bytes(3 * quads, "big")
+    body = base64.b64encode(data).translate(_TO_G6)[:need].decode("ascii")
+    if len(body) != need:
+        raise InvariantError(f"wrote {len(body)} data bytes, expected {need}")
+    return header + body
 
 
 def iter_graph6(data: str | bytes) -> Iterator[Graph]:

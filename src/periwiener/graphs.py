@@ -28,9 +28,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

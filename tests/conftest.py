@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -44,6 +45,29 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
         if all(((perm[u], perm[v]) in eb or (perm[v], perm[u]) in eb) for u, v in a.edges()):
             return True
     return False
+
+
+def graph6_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pairs in graph6 column order (0,1),(0,2),(1,2),(0,3),...,
+    written out here so that the tests share no pair order with graphio."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def nx_graph6(g: Graph) -> str:
+    """The graph6 record of g as networkx writes it."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(ng, header=False).strip().decode("ascii")
+
+
+def nx_mask(g: Graph) -> int:
+    """Oracle edge mask: the data bits of networkx's graph6 record of g,
+    first bit highest, padding dropped."""
+    record = nx_graph6(g)
+    body = record[1:] if g.n <= 62 else record[4:]
+    bits = "".join(format(ord(c) - 63, "06b") for c in body)[:g.n * (g.n - 1) // 2]
+    return int(bits or "0", 2)
 
 
 def labeled_connected(n: int):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import labeled_connected
+from conftest import graph6_pairs, labeled_connected, nx_graph6, nx_mask
 from periwiener import audit, corpus, generators, indices
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube, path
@@ -177,7 +177,7 @@ class TestProductChecks:
         want_peri = {a * h.n + x for a in (0, 2) for x in (0, 3)}
         moved = caught_peri = 0
         for e in edges:
-            for f in corpus.pair_list(prod.n):
+            for f in graph6_pairs(prod.n):
                 if f in edges:
                     continue
                 mutant = build_graph(prod.n, [x for x in edges if x != e] + [f])
@@ -364,8 +364,7 @@ def _labeled_reference(instances, checks):
             tested += 1
             if r is not None:
                 violations += 1
-                key = corpus.g6_order_key(g.n, corpus.graph_to_mask(g))
-                witnesses.append((g.n, key, write_graph6(g)) + r)
+                witnesses.append((g.n, nx_mask(g), nx_graph6(g)) + r)
         out[cid] = (tested, violations, sorted(witnesses)[:audit._MAX_WITNESSES], error)
     return out
 

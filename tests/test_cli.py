@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -155,6 +156,41 @@ class TestGen:
     def test_bad_arity(self, capsys):
         rc, _, _ = run_cli(capsys, "gen", "star")
         assert rc == 2
+
+    # parameters for every family the help names
+    FAMILY_PARAMS = {
+        "complete": ["4"], "path": ["4"], "cycle": ["4"], "complete-bipartite": ["2", "3"],
+        "star": ["4"], "double-star": ["2", "3"], "hypercube": ["3"],
+        "caterpillar": ["2,0,3"], "lobster": ["1,0,1", "1"], "random-tree": ["9"],
+        "random-graph": ["9", "0.5"],
+    }
+
+    def test_every_family_in_help_builds(self, capsys):
+        rc, out, _ = run_cli(capsys, "gen", "--help")
+        assert rc == 0
+        # argparse wraps the list at hyphens, so drop the line breaks
+        listed = re.search(r"^ +family\s+(.*?)^ +params\s", out.split("positional arguments:")[1],
+                           re.MULTILINE | re.DOTALL)
+        assert "".join(listed.group(1).split()).split("|") == list(self.FAMILY_PARAMS)
+        for family, params in self.FAMILY_PARAMS.items():
+            rc, out, err = run_cli(capsys, "gen", family, *params, "--emit", "graph6")
+            assert (rc, err) == (0, ""), family
+            assert parse_graph6(out.strip()).n > 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["star"], "star takes 1 parameter(s), got 0"),
+        (["double-star", "1"], "double-star takes 2 parameter(s), got 1"),
+        (["random-tree", "4", "5"], "random-tree takes 1 parameter(s), got 2"),
+        (["caterpillar"], "caterpillar takes one code like 2,0,3"),
+        (["lobster", "1,0,1"], "lobster takes a code like 1,0,1 and a leaf count"),
+        (["random-graph", "9"], "random-graph takes n and p"),
+        (["dodecahedron", "1"], "unknown family 'dodecahedron'"),
+        (["path", "x"], "invalid literal for int()"),
+    ])
+    def test_usage_messages(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "gen", *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
 
 class TestAudit:

@@ -5,12 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, labeled_connected, random_connected
+from conftest import (
+    connected_graphs,
+    graph6_pairs,
+    labeled_connected,
+    nx_graph6,
+    nx_mask,
+    random_connected,
+)
 from periwiener import corpus
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import path, random_tree, star
 from periwiener.graphs import build_graph, cartesian_product, complement, distance_matrix
-from periwiener.graphio import write_graph6
 from periwiener.indices import index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
 
@@ -126,7 +132,7 @@ class TestEnumeration:
     def test_counts_cross_checked_by_union_find(self):
         # independent connectivity test over all edge subsets
         for n in range(2, 6):
-            pairs = corpus.pair_list(n)
+            pairs = graph6_pairs(n)
             count = 0
             for mask in range(1 << len(pairs)):
                 parent = list(range(n))
@@ -148,32 +154,37 @@ class TestEnumeration:
             assert count == LABELED_CONNECTED[n]
 
     def test_mask_graph_round_trip(self, rng):
+        # the edge mask is the data bits of the graph's graph6 record
         for _ in range(50):
             g = random_connected(rng, rng.randrange(2, 10))
-            assert corpus.mask_to_graph(g.n, corpus.graph_to_mask(g)) == g
+            mask = nx_mask(g)
+            assert corpus.g6_order_key(g) == mask
+            assert corpus.mask_to_graph(g.n, mask) == g
+            adj, edges = corpus.mask_adjacency(g.n, mask)
+            assert adj == g.adjacency_masks()
+            present = set(g.edges())
+            assert edges == [p for p in graph6_pairs(g.n) if p in present]
 
     def test_g6_order_key_matches_string_order(self, rng):
         n = 6
         nbits = n * (n - 1) // 2
         masks = [rng.randrange(1 << nbits) for _ in range(80)]
-        by_key = sorted(masks, key=lambda m: corpus.g6_order_key(n, m))
-        by_string = sorted(masks, key=lambda m: write_graph6(corpus.mask_to_graph(n, m)))
-        assert by_key == by_string
+        graphs = [corpus.mask_to_graph(n, m) for m in masks]
+        by_string = sorted(graphs, key=nx_graph6)
+        assert sorted(graphs, key=corpus.g6_order_key) == by_string
+        assert [corpus.mask_to_graph(n, m) for m in sorted(masks)] == by_string
 
 
 def _brute_orders(n, adj):
-    """Oracle: (smallest graph6 order key over all n! labelings, the set of
-    vertex orders that reach it); order[p] is the vertex labeled p."""
+    """Oracle: (smallest edge mask over all n! labelings, the set of vertex
+    orders that reach it); order[p] is the vertex labeled p.  A mask is the
+    labeled graph's graph6 data bits, pair 0 highest."""
     edges = [(i, j) for j in range(n) for i in range(j) if adj[i] >> j & 1]
-    index = {p: b for b, p in enumerate(corpus.pair_list(n))}
     best, orders = None, set()
     for order in itertools.permutations(range(n)):
         label = {v: p for p, v in enumerate(order)}
-        mask = 0
-        for i, j in edges:
-            a, b = sorted((label[i], label[j]))
-            mask |= 1 << index[(a, b)]
-        key = corpus.g6_order_key(n, mask)
+        labeled = {tuple(sorted((label[i], label[j]))) for i, j in edges}
+        key = int("".join("1" if p in labeled else "0" for p in graph6_pairs(n)), 2)
         if best is None or key < best:
             best, orders = key, set()
         if key == best:
@@ -206,7 +217,7 @@ class TestIsomorphismReduction:
 
     def test_classes_are_distinct(self):
         reps = corpus.nonisomorphic_connected(6)
-        masks = {corpus.canonical_mask(6, corpus.graph_to_mask(g)) for g in reps}
+        masks = {corpus.canonical_mask(6, corpus.g6_order_key(g)) for g in reps}
         assert len(masks) == len(reps)
 
     def test_classes_are_canonical_with_profiles(self):
@@ -215,6 +226,15 @@ class TestIsomorphismReduction:
                 assert corpus.canonical_mask(n, mask) == mask
                 assert prof == corpus.profile_of(corpus.mask_to_graph(n, mask))
                 assert weight == len(corpus.labelings(n, mask))
+
+    def test_labelings_are_the_relabeled_masks(self):
+        # the canonical mask is the smallest of its class's labeled masks
+        for n in range(2, 6):
+            for mask, _, _ in corpus.iter_connected_profiles(n):
+                g = corpus.mask_to_graph(n, mask)
+                want = {nx_mask(_relabel(g, perm)) for perm in itertools.permutations(range(n))}
+                assert corpus.labelings(n, mask) == want
+                assert min(want) == mask
 
     def test_parents_split_the_classes(self):
         parents = [mask for mask, _, _ in corpus.iter_connected_profiles(5)]
@@ -231,7 +251,7 @@ class TestIsomorphismReduction:
                 key, orders = corpus.canonical_form(n, adj)
                 assert (key, set(orders)) == _brute_orders(n, adj)
                 assert len(orders) == len(set(orders))
-                assert corpus.canonical_mask(n, mask) == corpus.g6_order_key(n, key)
+                assert corpus.canonical_mask(n, mask) == key
 
     def test_children_are_the_canonical_augmentations(self):
         # a child (parent + vertex n-1 joined to nbrs) is kept exactly when
@@ -251,16 +271,16 @@ class TestIsomorphismReduction:
                     pos = max(p for p in range(n) if _connected_without(n, adj, first[p]))
                     if key not in seen and n - 1 in {order[pos] for order in orders}:
                         seen.add(key)
-                        want.append(corpus.g6_order_key(n, key))
+                        want.append(key)
                 got = [mask for mask, _, _ in corpus.iter_connected_profiles(n, [parent])]
                 assert got == want
 
     def test_canonical_mask_invariant_under_relabeling(self, rng):
         g = random_connected(rng, 5)
-        base = corpus.canonical_mask(5, corpus.graph_to_mask(g))
+        base = corpus.canonical_mask(5, corpus.g6_order_key(g))
         for perm in itertools.islice(itertools.permutations(range(5)), 20):
             h = _relabel(g, perm)
-            assert corpus.canonical_mask(5, corpus.graph_to_mask(h)) == base
+            assert corpus.canonical_mask(5, corpus.g6_order_key(h)) == base
 
     @given(connected_graphs(min_n=6, max_n=8), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -268,8 +288,8 @@ class TestIsomorphismReduction:
         perm = list(range(g.n))
         rnd.shuffle(perm)
         h = _relabel(g, perm)
-        assert (corpus.canonical_mask(g.n, corpus.graph_to_mask(h))
-                == corpus.canonical_mask(g.n, corpus.graph_to_mask(g)))
+        assert (corpus.canonical_mask(g.n, corpus.g6_order_key(h))
+                == corpus.canonical_mask(g.n, corpus.g6_order_key(g)))
 
 
 class TestFreeTrees:

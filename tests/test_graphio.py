@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected
+from conftest import nx_graph6, random_connected
 from periwiener.errors import (
     EdgeListSyntaxError,
     GraphError,
@@ -63,9 +63,9 @@ class TestEdgeList:
             pass
 
 
-def _random_graph(rng, n):
+def _random_graph(rng, n, density=0.4):
     edges = [
-        (i, j) for j in range(1, n) for i in range(j) if rng.random() < 0.4
+        (i, j) for j in range(1, n) for i in range(j) if rng.random() < density
     ]
     return build_graph(n, edges)
 
@@ -115,13 +115,38 @@ class TestGraph6:
     def test_matches_networkx(self, rng):
         for _ in range(100):
             g = _random_graph(rng, rng.randrange(1, 25))
-            ng = nx.Graph()
-            ng.add_nodes_from(range(g.n))
-            ng.add_edges_from(g.edges())
-            nx_bytes = nx.to_graph6_bytes(ng, header=False).strip()
-            assert write_graph6(g).encode() == nx_bytes
+            assert write_graph6(g) == nx_graph6(g)
             back = nx.from_graph6_bytes(write_graph6(g).encode())
             assert set(back.edges()) == {tuple(e) for e in g.edges()}
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 100, 258])
+    @pytest.mark.parametrize("density", [0.02, 0.5])
+    def test_matches_networkx_long_form(self, n, density):
+        # both directions, on both sides of the short/long form boundary
+        g = _random_graph(random.Random(n), n, density)
+        record = write_graph6(g)
+        assert record == nx_graph6(g)
+        assert record.startswith("~") == (n > 62)
+        back = nx.from_graph6_bytes(record.encode())
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == sorted(g.edges())
+        assert parse_graph6(nx_graph6(g)) == g
+
+    @pytest.mark.parametrize("n, pad", [(2, 5), (3, 3), (5, 2)])
+    def test_nonzero_padding_rejected(self, n, pad):
+        # C(n,2) mod 6 is 0, 1, 3 or 4, so 5, 3 and 2 are the padding widths
+        record = write_graph6(complete(n))
+        assert (6 * (len(record) - 1) - n * (n - 1) // 2) == pad
+        assert parse_graph6(record) == complete(n)
+        for bit in range(pad):
+            bad = record[:-1] + chr(63 + ((ord(record[-1]) - 63) | 1 << bit))
+            with pytest.raises(MalformedGraph6Error, match="padding"):
+                parse_graph6(bad)
+
+    def test_byte_above_range_inside_long_body(self):
+        record = write_graph6(_random_graph(random.Random(1), 100))
+        mid = len(record) // 2
+        with pytest.raises(MalformedGraph6Error, match="byte 127 outside"):
+            parse_graph6(record[:mid] + "\x7f" + record[mid + 1:])
 
     @pytest.mark.parametrize(
         "bad",
