@@ -317,8 +317,8 @@ def _chk_def_pww_alt(p, balls):
 
 
 def _corpus6_instances(budget: Budget):
-    for n in range(2, min(6, budget.max_n) + 1):
-        for mask, weight, _ in corpus.iter_connected_profiles(n):
+    for n, classes in corpus.class_levels(min(6, budget.max_n)):
+        for mask, weight, _ in classes:
             yield (n, mask), weight, corpus.layered_profile(corpus.mask_to_graph(n, mask))
 
 
@@ -448,9 +448,8 @@ def _chk_pww_prod(lg, lh, lp):
 def _product_instances(budget: Budget):
     """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
     vertices, then `trials` random pairs; the witness is their product."""
-    factors: list[Graph] = []
-    for n in range(2, FACTOR_MAX_N + 1):
-        factors.extend(corpus.nonisomorphic_connected(n))
+    factors = [corpus.mask_to_graph(n, mask) for n, classes in corpus.class_levels(FACTOR_MAX_N)
+               for mask in sorted(m for m, _, _ in classes)]
     rng = random.Random(budget.seed * 104729 + 11)
     randoms = ((_random_connected(rng, 2, RANDOM_FACTOR_MAX_N),
                 _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials))

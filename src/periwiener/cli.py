@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+import textwrap
 from typing import Callable, NamedTuple, TextIO
 
 from . import audit, corpus, generators, trees
@@ -54,6 +55,14 @@ _INDEX_NAMES = ("w", "ww", "pw", "pww", "tw", "tww")
 _STRUCT_COLUMNS = ("graph", "n", "m", "diameter", "radius", "k", "pendants")
 
 
+class _WholeWordsFormatter(argparse.HelpFormatter):
+    """Wraps help text at spaces only, so that a family name such as
+    random-tree is never split at its hyphen."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="periwiener",
@@ -72,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the same values cross-checked by the tree cut formulas")
     p_compute.add_argument("--output", default="-")
 
-    p_gen = sub.add_parser("gen", help="emit a named family member")
-    p_gen.add_argument("family", help="|".join(_FAMILIES))
+    p_gen = sub.add_parser("gen", help="emit a named family member",
+                           formatter_class=_WholeWordsFormatter)
+    p_gen.add_argument("family", help=", ".join(_FAMILIES))
     p_gen.add_argument("params", nargs="*", help="family parameters")
     p_gen.add_argument("--emit", choices=("edgelist", "graph6"), default="edgelist")
     p_gen.add_argument("--seed", type=int, default=audit.DEFAULT_SEED)

@@ -13,9 +13,14 @@ augmentation; all free trees up to a ceiling; and the attained-value scan.
 The canonical labeling of a graph is the one that comes first in graph6
 string order, the one with the smallest edge mask.  Classes grow one vertex
 at a time (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-1998): a child of an (n-1)-vertex class joins vertex n-1 to a non-empty
-neighbour set, and is kept only when vertex n-1 lies in the orbit of its
-canonical deletion vertex, so each class has exactly one parent class.
+1998): a child of an (n-1)-vertex class, in its canonical labeling, joins
+vertex n-1 to a non-empty neighbour set taken once per orbit of
+Aut(parent), and is kept only when vertex n-1 lies in the orbit of the
+deletion vertex m(G), so each class has exactly one parent class.  m(G) is
+the non-cut vertex with the largest (degree, sorted neighbour degrees); on
+a tie, the tied vertex that sits last in the canonical order.  So the
+invariant settles most children, and a canonical form is computed only for
+a kept child, which needs its mask and |Aut(G)| anyway, or a tie.
 
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
@@ -34,8 +39,10 @@ from .graphio import edge_mask, mask_edges, write_graph6
 from .graphs import Graph, build_graph
 from .indices import Profile
 
-# The largest order of an exhaustive sweep: n = 8 takes about a minute in
-# one process, n = 9 would take hours.
+# The largest order of an exhaustive sweep.  Generating every class up to
+# n = 8 takes about 6 s in one process on a 2-vCPU guest, and
+# `enumerate-values --max-n 8` about 5 s with 2 workers; the n = 9 classes
+# alone take about 220 s more.
 MAX_N = 8
 
 
@@ -222,20 +229,20 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     |Aut(G)| of them, and the entries at position p across them are the
     orbit of the vertex at p.
     """
-    states = [((), (1 << n) - 1, [0] * n)]  # (order, unplaced vertices, columns)
+    rows = [[(row >> u) & 1 for u in range(n)] for row in adj]
+    states = [((), [(v, 0) for v in range(n)])]  # (order, [(unplaced vertex, column)])
     mask = 0
     for j in range(n):
-        best = min(cols[v] for _, free, cols in states for v in _bits(free))
+        best = min([c for _, cols in states for _, c in cols])
         mask = (mask << j) | best
         nxt = []
-        for order, free, cols in states:
-            for v in _bits(free):
-                if cols[v] == best:
-                    row = adj[v]
-                    nxt.append((order + (v,), free & ~(1 << v),
-                                [(c << 1) | ((row >> u) & 1) for u, c in enumerate(cols)]))
+        for order, cols in states:
+            for v, c in cols:
+                if c == best:
+                    row = rows[v]
+                    nxt.append((order + (v,), [(u, (cu << 1) | row[u]) for u, cu in cols if u != v]))
         states = nxt
-    return mask, [order for order, _, _ in states]
+    return mask, [order for order, _ in states]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -265,13 +272,45 @@ def _connected_without(adj: list[int], n: int, v: int) -> bool:
     return seen == rest
 
 
-def _new_vertex_is_canonical(n: int, adj: list[int], orders: list[tuple[int, ...]]) -> bool:
-    """True when vertex n-1 is in the orbit of the canonical deletion vertex:
-    the last vertex of the canonical order whose removal leaves the graph
-    connected."""
-    first = orders[0]
-    pos = next(p for p in range(n - 1, -1, -1) if _connected_without(adj, n, first[p]))
-    return any(order[pos] == n - 1 for order in orders)
+def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[int]:
+    """The non-empty subsets of range(k), as bitmasks in ascending order,
+    that are the smallest of their orbit under the permutation group
+    `autos`."""
+    seen = bytearray(1 << k)
+    images = [[1 << u for u in sigma] for sigma in autos]
+    reps = []
+    for s in range(1, 1 << k):
+        if not seen[s]:
+            reps.append(s)
+            members = list(_bits(s))
+            for bit in images:
+                img = 0
+                for u in members:
+                    img |= bit[u]
+                seen[img] = 1
+    return reps
+
+
+def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
+    """The cheap half of the deletion rule.  m(G) is a non-cut vertex of
+    largest (degree, sorted neighbour degrees), and vertex n-1, whose
+    removal leaves the parent, is never a cut vertex.  None when another
+    non-cut vertex has a larger invariant, so that n-1 is not in the orbit
+    of m(G); otherwise the other non-cut vertices whose invariant ties with
+    that of n-1 (none when n-1 is m(G))."""
+    deg = [a.bit_count() for a in adj]
+    new = n - 1
+    top = (deg[new], sorted([deg[u] for u in _bits(adj[new])]))
+    ties = []
+    for v in range(new):
+        if deg[v] < top[0]:
+            continue
+        inv = (deg[v], sorted([deg[u] for u in _bits(adj[v])]))
+        if inv >= top and _connected_without(adj, n, v):
+            if inv > top:
+                return None
+            ties.append(v)
+    return ties
 
 
 def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
@@ -283,6 +322,15 @@ def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
     With `parents`, the canonical masks of some (n-1)-vertex classes, only
     the classes grown from those; each class has one parent, so disjoint
     parent sets give disjoint classes.  Without, every class.
+
+    A child joins vertex n-1 of the parent, in its canonical labeling, to a
+    neighbour set that is the smallest of its orbit under Aut(parent).  It
+    is kept when vertex n-1 is in the orbit of the deletion vertex m(G):
+    among the non-cut vertices of largest (degree, sorted neighbour
+    degrees), the one that sits last in the canonical order.  The invariant
+    alone decides most children.  A canonical form is computed once per
+    parent (its automorphisms), once per kept child (its mask and weight)
+    and once per rejected tie.
     """
     if n == 1:
         yield 0, 1, profile_from_masks(1, [0], [])
@@ -293,15 +341,22 @@ def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
     n_labelings = factorial(n)
     for parent in parents:
         parent_adj, parent_edges = mask_adjacency(new, parent)
-        accepted = set()  # recording rejected masks too would lose classes
-        for nbrs in range(1, 1 << new):
+        parent_mask, autos = canonical_form(new, parent_adj)
+        if parent_mask != parent:
+            raise InvalidParameterError(f"parent {parent} is not a canonical mask")
+        for nbrs in _orbit_minimal_sets(new, autos):
             adj = parent_adj + [nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
-            mask, orders = canonical_form(n, adj)
-            if mask in accepted or not _new_vertex_is_canonical(n, adj, orders):
+            ties = _rival_deletion_vertices(n, adj)
+            if ties is None:
                 continue
-            accepted.add(mask)
+            mask, orders = canonical_form(n, adj)
+            if ties:
+                # m(G) is the tied vertex that sits last in the canonical order
+                pos = max(orders[0].index(v) for v in ties + [new])
+                if all(order[pos] != new for order in orders):
+                    continue
             edges = parent_edges + [(u, new) for u in _bits(nbrs)]
             yield mask, n_labelings // len(orders), profile_from_masks(n, adj, edges)
 
@@ -312,6 +367,16 @@ def labelings(n: int, mask: int) -> set[int]:
     edges = mask_edges(n, mask)
     return {edge_mask(n, [(perm[i], perm[j]) for i, j in edges])
             for perm in itertools.permutations(range(n))}
+
+
+def class_levels(max_n: int) -> Iterator[tuple[int, list[tuple[int, int, Profile]]]]:
+    """(n, the items of iter_connected_profiles(n)) for n = 2..max_n, each
+    level grown from the one before, so every level is generated once."""
+    parents = [0]
+    for n in range(2, max_n + 1):
+        classes = list(iter_connected_profiles(n, parents))
+        yield n, classes
+        parents = [mask for mask, _, _ in classes]
 
 
 def nonisomorphic_connected(n: int) -> list[Graph]:

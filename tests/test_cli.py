@@ -5,7 +5,7 @@ import sys
 
 import pytest
 from periwiener import audit, trees
-from periwiener.cli import enumerate_values_csv, main
+from periwiener.cli import _FAMILIES, enumerate_values_csv, main
 from periwiener.generators import hypercube
 from periwiener.graphio import parse_graph6, write_graph6
 from periwiener.indices import index_vector
@@ -165,17 +165,26 @@ class TestGen:
         "random-graph": ["9", "0.5"],
     }
 
-    def test_every_family_in_help_builds(self, capsys):
+    def _listed_families(self, capsys):
         rc, out, _ = run_cli(capsys, "gen", "--help")
         assert rc == 0
-        # argparse wraps the list at hyphens, so drop the line breaks
         listed = re.search(r"^ +family\s+(.*?)^ +params\s", out.split("positional arguments:")[1],
                            re.MULTILINE | re.DOTALL)
-        assert "".join(listed.group(1).split()).split("|") == list(self.FAMILY_PARAMS)
+        return " ".join(listed.group(1).split()).split(", ")
+
+    def test_every_family_in_help_builds(self, capsys):
+        assert self._listed_families(capsys) == list(self.FAMILY_PARAMS)
         for family, params in self.FAMILY_PARAMS.items():
             rc, out, err = run_cli(capsys, "gen", family, *params, "--emit", "graph6")
             assert (rc, err) == (0, ""), family
             assert parse_graph6(out.strip()).n > 1
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    def test_help_keeps_family_names_whole(self, capsys, monkeypatch, columns):
+        # argparse wraps at hyphens by default: at 80 columns it printed
+        # "random-" and "tree" on two lines
+        monkeypatch.setenv("COLUMNS", columns)
+        assert self._listed_families(capsys) == list(_FAMILIES)
 
     @pytest.mark.parametrize("argv, message", [
         (["star"], "star takes 1 parameter(s), got 0"),

@@ -1,9 +1,11 @@
 import itertools
+from math import factorial
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import (
     connected_graphs,
@@ -202,6 +204,14 @@ def _connected_without(n, adj, v):
     return len(seen) == n - 1
 
 
+def _invariant(g):
+    """Each vertex's degree, sorted neighbour degrees and triangle count,
+    as a multiset: equal on isomorphic graphs."""
+    tri = nx.triangles(g)
+    return tuple(sorted((g.degree(v), tuple(sorted(g.degree(u) for u in g[v])), tri[v])
+                        for v in g))
+
+
 def _relabel(g, perm):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -242,6 +252,12 @@ class TestIsomorphismReduction:
                     for mask, _, _ in corpus.iter_connected_profiles(6, [parent])]
         assert children == [mask for mask, _, _ in corpus.iter_connected_profiles(6)]
 
+    def test_class_levels_are_the_levels(self):
+        levels = list(corpus.class_levels(6))
+        assert [n for n, _ in levels] == [2, 3, 4, 5, 6]
+        for n, classes in levels:
+            assert classes == list(corpus.iter_connected_profiles(n))
+
     def test_canonical_form_matches_brute_force(self):
         # every labeled connected graph on up to 5 vertices: the key, and the
         # minimizing orders, whose number is |Aut(G)|
@@ -255,25 +271,64 @@ class TestIsomorphismReduction:
 
     def test_children_are_the_canonical_augmentations(self):
         # a child (parent + vertex n-1 joined to nbrs) is kept exactly when
-        # vertex n-1 is in the orbit of the last vertex of the canonical
-        # order whose removal leaves the graph connected, and no child of
-        # the same parent with that canonical key came first
+        # nbrs is the smallest set of its orbit under Aut(parent) and vertex
+        # n-1 is in the orbit of m(G): of the non-cut vertices with the
+        # largest (degree, sorted neighbour degrees), the one that sits last
+        # in the canonical order
         for n in range(3, 7):
             for parent, _, _ in corpus.iter_connected_profiles(n - 1):
-                want, seen = [], set()
+                parent_adj = corpus.mask_adjacency(n - 1, parent)[0]
+                key, autos = _brute_orders(n - 1, parent_adj)
+                assert key == parent  # so the minimizing orders are Aut(parent)
+                want = []
                 for nbrs in range(1, 1 << (n - 1)):
-                    adj = corpus.mask_adjacency(n - 1, parent)[0] + [nbrs]
+                    image = {sum(1 << sigma[u] for u in range(n - 1) if nbrs >> u & 1)
+                             for sigma in autos}
+                    if min(image) != nbrs:
+                        continue
+                    adj = parent_adj + [nbrs]
                     for u in range(n - 1):
                         if nbrs >> u & 1:
                             adj[u] |= 1 << (n - 1)
                     key, orders = _brute_orders(n, adj)
+                    deg = [bin(a).count("1") for a in adj]
+                    inv = {v: (deg[v], sorted(deg[u] for u in range(n) if adj[v] >> u & 1))
+                           for v in range(n) if _connected_without(n, adj, v)}
+                    tied = [v for v in inv if inv[v] == max(inv.values())]
                     first = min(orders)
-                    pos = max(p for p in range(n) if _connected_without(n, adj, first[p]))
-                    if key not in seen and n - 1 in {order[pos] for order in orders}:
-                        seen.add(key)
+                    pos = max(first.index(v) for v in tied)
+                    if n - 1 in {order[pos] for order in orders}:
                         want.append(key)
                 got = [mask for mask, _, _ in corpus.iter_connected_profiles(n, [parent])]
                 assert got == want
+                assert len(set(got)) == len(got)
+
+    def test_parent_must_be_canonical(self):
+        # the path 0-1-2 is P_3 in a labeling that is not its canonical one
+        # (0-2-1), so its automorphisms are not the minimizing orders
+        with pytest.raises(InvalidParameterError, match="not a canonical mask"):
+            next(corpus.iter_connected_profiles(4, [corpus.g6_order_key(path(3))]))
+
+    def test_matches_networkx_atlas(self):
+        # independent oracle: every connected graph of networkx's atlas (one
+        # per isomorphism class, up to 7 vertices) is isomorphic to exactly
+        # one class, every class is hit, and each class's weight is
+        # n!/|Aut| with |Aut| counted by networkx's matcher
+        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_connected(g)]
+        for n in range(2, 8):
+            buckets = {}
+            for mask, weight, prof in corpus.iter_connected_profiles(n):
+                g = nx.Graph(corpus.mask_adjacency(n, mask)[1])
+                buckets.setdefault(_invariant(g), []).append([g, weight, prof, 0])
+            for h in (h for h in atlas if h.number_of_nodes() == n):
+                hits = [c for c in buckets.get(_invariant(h), []) if nx.is_isomorphic(c[0], h)]
+                assert len(hits) == 1
+                _, weight, prof, _ = cls = hits[0]
+                cls[3] += 1
+                aut = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+                assert weight == factorial(n) // aut
+                assert prof.w == nx.wiener_index(h)
+            assert all(c[3] == 1 for bucket in buckets.values() for c in bucket)
 
     def test_canonical_mask_invariant_under_relabeling(self, rng):
         g = random_connected(rng, 5)
@@ -346,7 +401,7 @@ class TestScanValues:
 
     @pytest.mark.parametrize("max_n", [1, corpus.MAX_N + 1])
     def test_ceiling_checked_before_any_job(self, monkeypatch, max_n):
-        # n = 9 would run for hours: the sweep refuses it before any job
+        # n = 9 is past the ceiling: the sweep refuses it before any job
         # runs or any pool forks
         def no_job(*args):
             raise AssertionError("a job or pool was started")
