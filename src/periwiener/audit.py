@@ -14,8 +14,17 @@ swept once for all its requested claims; a family or fixed claim's row
 carries its own instances.  One loop, `_evaluate`, does the counting,
 witness selection and error handling for every pass.  The exhaustive
 corpus checks one graph per isomorphism class, weighted by its n!/|Aut(G)|
-labelings, so the counts and witnesses are those of every labeled graph;
-a process pool evaluates its largest order, one job per parent class.
+labelings, so the counts and witnesses are those of every labeled graph.
+
+`run_claims` cuts every requested stream into a fixed list of jobs and
+runs them all in one process pool: the corpus classes of the largest order
+(one job per parent class, the smaller orders from one walk of the class
+levels in the parent); the random graphs, trees and factor pairs in blocks
+whose draws the parent makes in seed order; and in slices the pairs of
+small factors, the free trees, the corpus6 orders and each family or
+fixed claim's parameters.  Each claim's parts merge in its stream's order,
+and a part after one whose check raised counts nothing, so the report is
+that of one serial pass whatever the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -84,8 +93,9 @@ class Budget:
 class Claim:
     """One registered statement: stable id, readable statement text,
     evaluation suite, the pre-registered expected status, and its check.
-    A family or fixed claim also carries its instances: a callable whose
-    items are the check's args, its graph first."""
+    A family or fixed claim also carries its instances: instances(*key)
+    yields the check's args, its graph first, for each key in `slices`; the
+    slices, in order, make up the claim's stream."""
 
     id: str
     description: str
@@ -95,6 +105,7 @@ class Claim:
     check: Callable
     instances: Callable | None = None
     shadow: bool = False
+    slices: tuple = ((),)
 
 
 @dataclass(slots=True)
@@ -257,48 +268,46 @@ def _chk_obs_no_2_5(n, masks, p):
     return None
 
 
-def _corpus_chunk(job: tuple) -> tuple[dict[str, _Acc], list[int]]:
+def _class_instances(n: int, classes: Iterable[tuple[int, int, Profile]]):
+    for mask, weight, p in classes:
+        yield (n, mask), weight, (n, corpus.mask_adjacency(n, mask)[0], p)
+
+
+def _corpus_chunk(ids: list[str], n: int, parent: int) -> dict[str, _Acc]:
     """Pool worker: the corpus checks `ids` over the n-vertex classes grown
-    from one (n-1)-vertex parent class; returns the accumulators and the
-    classes' canonical masks, which are parents at the next order.  The
-    checks are found by id in the registry, which a forked worker shares."""
-    ids, n, parent = job
-    accs = {cid: _Acc() for cid in ids}
-    classes = list(corpus.iter_connected_profiles(n, (parent,)))
-    instances = (((n, mask), weight, (n, corpus.mask_adjacency(n, mask)[0], p))
-                 for mask, weight, p in classes)
-    _evaluate(instances, [(cid, _CLAIMS[cid].check) for cid in ids], accs)
-    return accs, [mask for mask, _, _ in classes]
+    from one (n-1)-vertex parent class."""
+    return _stream_chunk(ids, _class_instances, (n, corpus.iter_connected_profiles(n, (parent,))))
 
 
-def _sweep_corpus(ids: list[str], accs: dict[str, _Acc], budget: Budget) -> None:
-    """The exhaustive part of the corpus suite: every connected graph up to
-    max_n vertices, one check per isomorphism class counted for each of its
-    labelings.  The jobs are fixed and merged in order, so the report does
-    not depend on the worker count."""
-    for _, parts in corpus.sweep_levels(_corpus_chunk, (ids,), budget.max_n, budget.threads):
-        for part in parts:
-            for cid, acc in part.items():
-                accs[cid].merge(acc)
+def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, float, int]:
+    """The (order, edge probability, seed) of one random connected graph,
+    three draws of rng; `generators.random_connected_graph` takes them."""
+    return rng.randrange(n_lo, n_hi + 1), rng.uniform(0.3, 0.85), rng.randrange(1 << 30)
 
 
-def _random_connected(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
-    for _ in range(5):
-        n = rng.randrange(n_lo, n_hi + 1)
-        p = rng.uniform(0.3, 0.85)
-        try:
-            return generators.random_connected_graph(n, p, seed=rng.randrange(1 << 30))
-        except InvalidParameterError:
-            continue
-    raise InvalidParameterError("random connected sampling kept failing")
-
-
-def _random_graphs(budget: Budget):
+def _graph_draws(budget: Budget) -> list[tuple[int, float, int]]:
+    """The draws of the 10 x trials random connected graphs."""
     rng = random.Random(budget.seed * 1_000_003 + 101)
-    for _ in range(budget.trials * 10):
-        g = _random_connected(rng, 8, 24)
+    return [_connected_draw(rng, 8, 24) for _ in range(budget.trials * 10)]
+
+
+def _random_graphs(draws: list[tuple[int, float, int]]):
+    for draw in draws:
+        g = generators.random_connected_graph(*draw)
         masks = g.adjacency_masks()
         yield g, 1, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
+
+
+def _corpus_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+    """Every connected graph up to max_n vertices, one check per isomorphism
+    class counted for each of its labelings, then 10 x trials random
+    connected graphs.  The smaller orders come from the walked levels, the
+    largest in one job per parent class."""
+    n = budget.max_n
+    jobs = [(_stream_chunk, (ids, _class_instances, (k, level(k)))) for k in range(2, n)]
+    parents = [mask for mask, _, _ in level(n - 1)] if n > 2 else [0]
+    jobs += [(_corpus_chunk, (ids, n, parent)) for parent in parents]
+    return jobs + _blocks(ids, _random_graphs, _graph_draws(budget))
 
 
 # corpus6 suite: args (profile, reach layers) -----------------------------
@@ -316,10 +325,16 @@ def _chk_def_pww_alt(p, balls):
     return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
 
 
-def _corpus6_instances(budget: Budget):
-    for n, classes in corpus.class_levels(min(6, budget.max_n)):
-        for mask, weight, _ in classes:
-            yield (n, mask), weight, corpus.layered_profile(corpus.mask_to_graph(n, mask))
+def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
+    for mask, weight, _ in classes:
+        yield (n, mask), weight, corpus.layered_profile(corpus.mask_to_graph(n, mask))
+
+
+def _corpus6_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+    """Every connected graph up to min(6, max_n) vertices, by class, one job
+    per order."""
+    return [(_stream_chunk, (ids, _corpus6_instances, (n, level(n))))
+            for n in range(2, min(6, budget.max_n) + 1)]
 
 
 # tree suite: args (tree, profile, tree view) ------------------------------
@@ -375,13 +390,31 @@ def _chk_comp_tree(g, p, tv):
             f"6 iff diam=3, (n^2+3n-4)/2={big} iff diam>3")
 
 
-def _tree_instances(budget: Budget):
-    rng = random.Random(budget.seed * 7919 + 5)
-    randoms = (generators.random_tree(rng.randrange(2, RANDOM_TREE_MAX_N + 1),
-                                      seed=rng.randrange(1 << 30))
-               for _ in range(budget.trials))
-    for g in chain(corpus.all_free_trees(2, TREE_SUITE_MAX_N), randoms):
+def _tree_instances(graphs: Iterable[Graph]):
+    for g in graphs:
         yield g, 1, (g, corpus.profile_of(g), trees.as_tree(g))
+
+
+def _free_trees():
+    return _tree_instances(corpus.all_free_trees(2, TREE_SUITE_MAX_N))
+
+
+def _random_trees(draws: list[tuple[int, int]]):
+    return _tree_instances(generators.random_tree(n, seed) for n, seed in draws)
+
+
+def _tree_draws(budget: Budget) -> list[tuple[int, int]]:
+    """The (order, seed) of each random tree."""
+    rng = random.Random(budget.seed * 7919 + 5)
+    return [(rng.randrange(2, RANDOM_TREE_MAX_N + 1), rng.randrange(1 << 30))
+            for _ in range(budget.trials)]
+
+
+def _tree_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+    """Every free tree up to TREE_SUITE_MAX_N vertices, then `trials` random
+    trees."""
+    free = (_stream_chunk, (ids, _free_trees, ()))
+    return [free] + _blocks(ids, _random_trees, _tree_draws(budget))
 
 
 # product suite: args ((profile, reach layers) of G, of H and of G x H) -----
@@ -445,17 +478,27 @@ def _chk_pww_prod(lg, lh, lp):
     return (f"PWW(product)={pp.pww}", f"k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = {want}")
 
 
-def _product_instances(budget: Budget):
-    """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
-    vertices, then `trials` random pairs; the witness is their product."""
-    factors = [corpus.mask_to_graph(n, mask) for n, classes in corpus.class_levels(FACTOR_MAX_N)
-               for mask in sorted(m for m, _, _ in classes)]
-    rng = random.Random(budget.seed * 104729 + 11)
-    randoms = ((_random_connected(rng, 2, RANDOM_FACTOR_MAX_N),
-                _random_connected(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials))
-    for g, h in chain(combinations_with_replacement(factors, 2), randoms):
+def _product_instances(pairs: Iterable[tuple[Graph, Graph]]):
+    for g, h in pairs:
         prod = cartesian_product(g, h)
         yield prod, 1, tuple(map(corpus.layered_profile, (g, h, prod)))
+
+
+def _random_products(draws: list[tuple[tuple, tuple]]):
+    return _product_instances((generators.random_connected_graph(*a),
+                               generators.random_connected_graph(*b)) for a, b in draws)
+
+
+def _product_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+    """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
+    vertices, then `trials` random pairs; the witness is their product."""
+    factors = [corpus.mask_to_graph(n, mask) for n in range(2, FACTOR_MAX_N + 1)
+               for mask in sorted(m for m, _, _ in level(n))]
+    rng = random.Random(budget.seed * 104729 + 11)
+    draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
+              _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials)]
+    return (_blocks(ids, _product_instances, list(combinations_with_replacement(factors, 2)))
+            + _blocks(ids, _random_products, draws))
 
 
 # family suite: args (graph, family parameters), streamed by each claim ---
@@ -497,13 +540,17 @@ def _fam_diam4():
                 yield generators.rooted_depth2_tree(counts), (counts,)
 
 
-def _fam_caterpillar():
-    for s in range(2, CATERPILLAR_SPINE_MAX + 1):
-        for c1 in range(1, CATERPILLAR_LEAF_MAX + 1):
-            for cs in range(1, CATERPILLAR_LEAF_MAX + 1):
-                for mids in product(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
-                    code = (c1, *mids, cs)
-                    yield generators.caterpillar(code), (code,)
+def _fam_caterpillar(s: int, c1: int):
+    """The caterpillars of spine length s and first code entry c1, one slice
+    of the claim's instances."""
+    for cs in range(1, CATERPILLAR_LEAF_MAX + 1):
+        for mids in product(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
+            code = (c1, *mids, cs)
+            yield generators.caterpillar(code), (code,)
+
+
+_CATERPILLAR_SLICES = tuple((s, c1) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
+                            for c1 in range(1, CATERPILLAR_LEAF_MAX + 1))
 
 
 def _fam_lobster():
@@ -541,12 +588,14 @@ def _chk_fig2(g):
             "PWW = 15 = formula value while diam = 3")
 
 
-# the shared suites' streams of (subject, weight, args), see _evaluate
-_STREAMS: dict[str, Callable[[Budget], Iterator[tuple]]] = {
-    "corpus": _random_graphs,  # run_claims sweeps the exhaustive corpus first
-    "corpus6": _corpus6_instances,
-    "trees": _tree_instances,
-    "products": _product_instances,
+# each shared suite's stream, as its fixed list of jobs in stream order:
+# stream(ids, budget, level) for the checks `ids`, where level(n) is the list
+# of n-vertex classes of the one walk of corpus.class_levels
+_STREAMS: dict[str, Callable[[list[str], Budget, Callable], list[tuple]]] = {
+    "corpus": _corpus_jobs,
+    "corpus6": _corpus6_jobs,
+    "trees": _tree_jobs,
+    "products": _product_jobs,
 }
 
 
@@ -643,7 +692,8 @@ def _registry() -> dict[str, Claim]:
         c("T-CATERPILLAR", "Caterpillar closed form from the code ends and spine length.",
           "PWW(C) = 3*C(c_1,2) + 3*C(c_s,2) + (c_1*c_s/2)(s+1)(s+2)",
           "family", EXPECT_HOLDS,
-          _pww_equals(trees.closed_form_caterpillar, "closed form"), _fam_caterpillar),
+          _pww_equals(trees.closed_form_caterpillar, "closed form"), _fam_caterpillar,
+          slices=_CATERPILLAR_SLICES),
         c("T-LOBSTER", "Registered lobster closed form (final term lacks a half).",
           "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + c_s(c_1+c)(s+1)(s+2)",
           "family", EXPECT_DISCREPANCY,
@@ -718,11 +768,14 @@ class _Acc:
         return len(kept) < _MAX_WITNESSES or (n, mask) < kept[-1][:2]
 
     def merge(self, other: _Acc) -> None:
-        """Fold in a later part of the same claim's instances."""
+        """Fold in the next part of the same claim's stream.  Once a part
+        carries an error, the later parts are ignored, as a single pass
+        stops at the first exception."""
+        if self.error is not None:
+            return
         self.tested += other.tested
         self.violations += other.violations
-        if self.error is None:
-            self.error = other.error
+        self.error = other.error
         for entry in other.witnesses:
             self.add_witness(entry)
 
@@ -801,25 +854,76 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
     )
 
 
-def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
-    """Evaluate the given claims: the claims of a shared suite in one sweep
-    of its stream, a claim with its own instances in a sweep of those.
-    Rows are read from the registry by id, as the pool workers read them."""
-    claims = list(claims)
-    accs = {c.id: _Acc() for c in claims}
-    rows = [_CLAIMS[cid] for cid in accs]
-    shared: dict[str, list[tuple[str, Callable]]] = {}
+_BLOCK = 250  # instances per job of a random stream or of the factor pairs
+
+
+def _blocks(ids: list[str], source: Callable, items: list) -> list[tuple]:
+    """Jobs over `items` in consecutive blocks: source(block) yields a
+    block's instances."""
+    return [(_stream_chunk, (ids, source, (items[i:i + _BLOCK],)))
+            for i in range(0, len(items), _BLOCK)]
+
+
+def _own_instances(cid: str, key: tuple):
+    for args in _CLAIMS[cid].instances(*key):
+        yield args[0], 1, args
+
+
+def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _Acc]:
+    """Pool worker: the checks `ids` over one part of a stream, the
+    instances of source(*args).  The checks are found by id in the
+    registry, which a forked worker shares."""
+    accs = {cid: _Acc() for cid in ids}
+    _evaluate(source(*args), [(cid, _CLAIMS[cid].check) for cid in ids], accs)
+    return accs
+
+
+def _run_job(job: tuple) -> dict[str, _Acc]:
+    worker, args = job
+    return worker(*args)
+
+
+def _jobs(rows: list[Claim], budget: Budget) -> list[tuple]:
+    """The jobs of the given claims, each stream's in its own order: one
+    stream per requested shared suite, then one per family or fixed claim,
+    a job per slice.  The corpus, corpus6 and product streams read the
+    class levels of one walk, taken only as far as they ask."""
+    shared: dict[str, list[str]] = {}
     for row in rows:
         if row.instances is None:
-            shared.setdefault(row.suite, []).append((row.id, row.check))
-    for suite, checks in shared.items():
-        if suite == "corpus":  # the exhaustive sweep precedes the random graphs
-            _sweep_corpus([cid for cid, _ in checks], accs, budget)
-        _evaluate(_STREAMS[suite](budget), checks, accs)
+            shared.setdefault(row.suite, []).append(row.id)
+    walk = corpus.class_levels(corpus.MAX_N)
+    levels: dict[int, list] = {}
+
+    def level(n: int) -> list[tuple[int, int, Profile]]:
+        while n not in levels:
+            k, classes = next(walk)
+            levels[k] = classes
+        return levels[n]
+
+    jobs = [job for suite, ids in shared.items() for job in _STREAMS[suite](ids, budget, level)]
     for row in rows:
         if row.instances is not None:
-            own = ((args[0], 1, args) for args in row.instances())
-            _evaluate(own, [(row.id, row.check)], accs)
+            jobs += [(_stream_chunk, ([row.id], _own_instances, (row.id, key)))
+                     for key in row.slices]
+    return jobs
+
+
+def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
+    """Evaluate the given claims: every requested stream as a fixed list of
+    jobs, all run in one pool (`corpus.run_jobs`), and each claim's parts
+    merged in its stream's order, so the report does not depend on the
+    worker count.  Rows are read from the registry by id, as the pool
+    workers read them."""
+    claims = list(claims)
+    accs = {c.id: _Acc() for c in claims}
+    jobs = _jobs([_CLAIMS[cid] for cid in accs], budget)
+    # the pool takes the jobs last first: the family slices, the largest
+    # jobs, end the list, and the many small corpus jobs begin it, so that
+    # those come last and even out the workers' loads
+    for part in corpus.run_jobs(_run_job, jobs[::-1], budget.threads)[::-1]:
+        for cid, acc in part.items():
+            accs[cid].merge(acc)
     return [_finalize(c, accs[c.id]) for c in claims]
 
 

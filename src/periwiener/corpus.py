@@ -479,6 +479,17 @@ def worker_count(threads: int, jobs: int) -> int:
     return max(1, min(threads or cpus, cpus, jobs))
 
 
+def run_jobs(worker: Callable, jobs: list, threads: int) -> list:
+    """[worker(job) for job in jobs], in job order: in a fork pool of
+    `worker_count(threads, len(jobs))` processes, or in this process, in
+    order and with no pool, when that count is 1."""
+    workers = worker_count(threads, len(jobs))
+    if workers == 1:
+        return [worker(job) for job in jobs]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(worker, jobs, chunksize=1)
+
+
 def sweep_levels(worker: Callable, head: tuple, max_n: int, threads: int
                  ) -> Iterator[tuple[int, list]]:
     """For n = 2..max_n in turn, yield (n, parts): worker((*head, n, parent))
@@ -486,20 +497,14 @@ def sweep_levels(worker: Callable, head: tuple, max_n: int, threads: int
     of the n-vertex classes grown from that parent).  The masks are the next
     level's parents.  Jobs are fixed and their parts come in job order, so
     the result does not depend on the worker count.  The last level, which
-    holds most of the work, runs in a pool of `worker_count(threads, jobs)`
-    processes.  Raises InvalidParameterError, before any job runs, unless
-    2 <= max_n <= MAX_N."""
+    holds most of the work, runs in `run_jobs` on `threads` workers.  Raises
+    InvalidParameterError, before any job runs, unless 2 <= max_n <= MAX_N."""
     if not 2 <= max_n <= MAX_N:
         raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
     parents = [0]
     for n in range(2, max_n + 1):
         jobs = [(*head, n, parent) for parent in parents]
-        workers = worker_count(threads, len(jobs)) if n == max_n else 1
-        if workers > 1:
-            with get_context("fork").Pool(workers) as pool:
-                outs = pool.map(worker, jobs, chunksize=1)
-        else:
-            outs = map(worker, jobs)
+        outs = run_jobs(worker, jobs, threads if n == max_n else 1)
         parts, parents = [], []
         for part, children in outs:
             parts.append(part)

@@ -1,8 +1,11 @@
 import ast
 import hashlib
 import inspect
+import random
 import re
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -311,8 +314,8 @@ def _patch_check(monkeypatch, cid, check):
 class TestCheckErrors:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_raising_check_skips_only_its_claim(self, monkeypatch, threads):
-        # threads=2 runs the corpus sweep in the fork pool, whose workers see
-        # the patched registry
+        # threads=2 runs every job in the fork pool, whose workers see the
+        # patched registry
         budget = audit.Budget(max_n=4, trials=10, threads=threads)
         clean = audit.run_all(budget)
         _patch_check(monkeypatch, "HASSE-2", _divide_by_zero)
@@ -327,17 +330,73 @@ class TestCheckErrors:
             else:
                 assert r == want[r.id]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):
+        # a corpus check that raises from the first diameter-4 class (n = 5,
+        # a walked level; the n = 6 parent jobs hold more) and a tree check
+        # that raises from the first random tree of diameter 12 (several
+        # random blocks hold one): the split run counts as one serial pass,
+        # which stops at the first exception
+        def raise_at_diameter_4(n, masks, p):
+            if p.diameter == 4:
+                raise ValueError(f"diameter 4 at n = {n}")
+
+        def raise_at_diameter_12(g, p, tv):
+            if p.diameter >= 12:
+                raise ValueError(f"diameter {p.diameter} at n = {g.n}")
+
+        _patch_check(monkeypatch, "HASSE-1", raise_at_diameter_4)
+        _patch_check(monkeypatch, "T-PW-TREE", raise_at_diameter_12)
+        corpus_budget = audit.Budget(max_n=6, trials=30, threads=threads)
+        corpus_stream = chain(
+            chain.from_iterable(audit._class_instances(n, classes)
+                                for n, classes in corpus.class_levels(6)),
+            audit._random_graphs(audit._graph_draws(corpus_budget)))
+        tree_budget = audit.Budget(max_n=6, trials=600, threads=threads)  # 3 random blocks
+        tree_stream = chain(audit._free_trees(),
+                            audit._random_trees(audit._tree_draws(tree_budget)))
+        got = []
+        for cid, budget, stream in (("HASSE-1", corpus_budget, corpus_stream),
+                                    ("T-PW-TREE", tree_budget, tree_stream)):
+            row = audit._CLAIMS[cid]
+            (r,) = audit.run_claims([row], budget)
+            accs = {cid: audit._Acc()}
+            audit._evaluate(stream, [(cid, row.check)], accs)
+            serial = accs[cid]
+            assert serial.error and serial.tested > 0
+            assert (r.status, r.instances_tested, r.note) == (
+                audit.STATUS_SKIPPED, serial.tested, serial.error)
+            got.append(r.instances_tested)
+        # each raising part after the first counts nothing
+        assert got == [43, 200]
+
+
+class TestRandomDraws:
+    def test_three_draws_per_random_graph(self):
+        # a trial's order, edge probability and seed are drawn in the parent
+        # before its block runs, so each trial takes exactly three draws
+        rng, ref = random.Random(3), random.Random(3)
+        for lo, hi in ((8, 24), (2, 6), (2, 2)):
+            draw = audit._connected_draw(rng, lo, hi)
+            assert draw == (ref.randrange(lo, hi + 1), ref.uniform(0.3, 0.85),
+                            ref.randrange(1 << 30))
+            assert rng.getstate() == ref.getstate()
+        budget = audit.Budget(trials=7, seed=11)
+        rng = random.Random(11 * 1_000_003 + 101)
+        assert audit._graph_draws(budget) == [audit._connected_draw(rng, 8, 24)
+                                              for _ in range(70)]
+
 
 class TestFilteredRun:
     def test_filter_builds_only_its_claims_instances(self, monkeypatch):
         # C-HYPERCUBE streams hypercubes only: no other family, no random
-        # graphs or trees, no corpus sweep
+        # graphs or trees, no class of the corpus
         def not_needed(*args, **kwargs):
             raise AssertionError("a stream the claim does not use was built")
 
         for name in ("caterpillar", "lobster", "random_tree", "random_connected_graph"):
             monkeypatch.setattr(generators, name, not_needed)
-        monkeypatch.setattr(corpus, "sweep_levels", not_needed)
+        monkeypatch.setattr(corpus, "iter_connected_profiles", not_needed)
         (res,) = audit.run_claims([audit.claims_by_id()["C-HYPERCUBE"]],
                                   audit.Budget(max_n=4, trials=10, threads=1))
         assert res.status == audit.STATUS_VIOLATED and not res.note
@@ -369,8 +428,15 @@ def _labeled_reference(instances, checks):
     return out
 
 
-def _fields(accs):
-    return {cid: (a.tested, a.violations, a.witnesses, a.error) for cid, a in accs.items()}
+def _result_fields(results):
+    return {r.id: (r.instances_tested, r.violations, r.witnesses, r.note) for r in results}
+
+
+def _reference_fields(want):
+    return {cid: (tested, violations,
+                  [{"graph6": g6, "observed": obs, "expected": exp}
+                   for (_n, _mask, g6, obs, exp) in witnesses], error or "")
+            for cid, (tested, violations, witnesses, error) in want.items()}
 
 
 def _diameter_3(n, masks, p):
@@ -394,31 +460,73 @@ class TestClassSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_corpus_checks_match_labeled_sweep(self, monkeypatch, threads):
         # two patched checks fail on some graphs only, so orbit expansion
-        # and the witness pruning run; threads=2 forks the pool at n = 5
+        # and the witness pruning run; threads=2 runs the jobs in the pool
         _patch_check(monkeypatch, "HASSE-1", _diameter_3)
         _patch_check(monkeypatch, "HASSE-2", _unicyclic)
         checks = _suite_checks("corpus")
-        accs = {cid: audit._Acc() for cid, _ in checks}
-        audit._sweep_corpus(list(accs), accs, audit.Budget(threads=threads, **self.BUDGET))
+        results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],
+                                   audit.Budget(threads=threads, **self.BUDGET))
         labeled = [(corpus.mask_to_graph(n, mask), (n, corpus.mask_adjacency(n, mask)[0], p))
                    for n in range(2, 6) for mask, p in labeled_connected(n)]
         want = _labeled_reference(labeled, checks)
-        assert _fields(accs) == want
+        assert _result_fields(results) == _reference_fields(want)
         assert want["HASSE-1"][1] > audit._MAX_WITNESSES
         assert len({w[0] for w in want["HASSE-2"][2]}) > 1  # witnesses from two orders
 
     def test_corpus6_matches_labeled_sweep(self):
         checks = _suite_checks("corpus6")
-        accs = {cid: audit._Acc() for cid, _ in checks}
-        audit._evaluate(audit._corpus6_instances(audit.Budget(**self.BUDGET)), checks, accs)
+        results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],
+                                   audit.Budget(**self.BUDGET))
         labeled = []
         for n in range(2, 6):
             for mask, _ in labeled_connected(n):
                 g = corpus.mask_to_graph(n, mask)
                 labeled.append((g, corpus.layered_profile(g)))
         want = _labeled_reference(labeled, checks)
-        assert _fields(accs) == want
+        assert _result_fields(results) == _reference_fields(want)
         assert want["DEF-PWW-ALT"][1] > audit._MAX_WITNESSES
+
+
+def _count_pools(monkeypatch):
+    """Record each pool that corpus.run_jobs starts."""
+    pools = []
+    real = corpus.get_context
+
+    def counting(method):
+        pools.append(method)
+        return real(method)
+
+    monkeypatch.setattr(corpus, "get_context", counting)
+    return pools
+
+
+class TestOnePool:
+    """Every requested stream as fixed jobs in one pool per run_claims."""
+
+    BUDGET = dict(max_n=5, trials=50)
+
+    def test_every_suite_splits_into_jobs(self):
+        jobs = audit._jobs(list(audit._CLAIMS.values()), audit.Budget(**self.BUDGET))
+        per_suite = Counter(audit._CLAIMS[args[0][0]].suite for _, args in jobs)
+        assert set(per_suite) == set(audit._STREAMS) | {"family", "fixed"}
+        assert min(per_suite.values()) >= 2, per_suite
+
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        pools = _count_pools(monkeypatch)
+        outs = []
+        for threads in (1, 2, 3):
+            before = len(pools)
+            outs.append(audit.run_all(audit.Budget(threads=threads, **self.BUDGET)).to_json())
+            started = len(pools) - before
+            assert started == (corpus.worker_count(threads, 100) > 1), threads
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_single_fixed_claim_starts_no_pool(self, monkeypatch):
+        pools = _count_pools(monkeypatch)
+        (res,) = audit.run_claims([audit.claims_by_id()["FIG2-NONCONVERSE"]],
+                                  audit.Budget(threads=2))
+        assert res.status == audit.STATUS_HOLDS
+        assert pools == []
 
 
 class TestBudget:
