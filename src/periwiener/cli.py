@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--claims", default=None, help="comma-separated claim ids")
     p_audit.add_argument("--max-n", type=int, default=7, dest="max_n",
                          help=f"exhaustive corpus ceiling (2..{corpus.MAX_N})")
-    p_audit.add_argument("--trials", type=int, default=1000)
+    p_audit.add_argument("--trials", type=int, default=1000,
+                         help=f"random trials per suite (0..{audit.MAX_TRIALS})")
     p_audit.add_argument("--seed", type=int, default=audit.DEFAULT_SEED)
     p_audit.add_argument("--threads", type=int, default=0, help="0 = one per CPU")
     p_audit.add_argument("--output", default=None, help="write the JSON report here")
@@ -287,7 +288,7 @@ def _build_family(family: str, params: list[str], seed: int) -> Graph:
 
 def _cmd_audit(args) -> int:
     claim_ids = None
-    if args.claims:
+    if args.claims is not None:
         claim_ids = [s.strip() for s in args.claims.split(",") if s.strip()]
     try:
         budget = audit.Budget(max_n=args.max_n, trials=args.trials,

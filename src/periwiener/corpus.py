@@ -22,6 +22,13 @@ a tie, the tied vertex that sits last in the canonical order.  So the
 invariant settles most children, and a canonical form is computed only for
 a kept child, which needs its mask and |Aut(G)| anyway, or a tie.
 
+`class_levels` is the one walk of the levels: each order is grown once,
+from the order below, when first asked for.  The largest order of a sweep,
+which holds most of the work, is grown instead as one job per class of the
+order below.  `run_jobs` runs such jobs, (fn, args) pairs fixed in advance,
+in one fork pool and returns their results in job order; the value scan of
+`enumerate-values` and every audit suite use it.
+
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
 """
@@ -313,15 +320,13 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     return ties
 
 
-def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
-                            ) -> Iterator[tuple[int, int, Profile]]:
+def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[int, int, Profile]]:
     """(canonical mask, n!/|Aut(G)|, profile) for one graph per isomorphism
-    class of connected n-vertex graphs; the middle item is the number of
-    labeled graphs in the class.
-
-    With `parents`, the canonical masks of some (n-1)-vertex classes, only
-    the classes grown from those; each class has one parent, so disjoint
-    parent sets give disjoint classes.  Without, every class.
+    class of connected n-vertex graphs grown from `parents`, the canonical
+    masks of some (n-1)-vertex classes; the middle item is the number of
+    labeled graphs in the class.  Each class has one parent, so disjoint
+    parent sets give disjoint classes, and all the (n-1)-vertex classes give
+    every n-vertex class (`class_levels`).
 
     A child joins vertex n-1 of the parent, in its canonical labeling, to a
     neighbour set that is the smallest of its orbit under Aut(parent).  It
@@ -332,11 +337,6 @@ def iter_connected_profiles(n: int, parents: Iterable[int] | None = None
     parent (its automorphisms), once per kept child (its mask and weight)
     and once per rejected tie.
     """
-    if n == 1:
-        yield 0, 1, profile_from_masks(1, [0], [])
-        return
-    if parents is None:
-        parents = [mask for mask, _, _ in iter_connected_profiles(n - 1)]
     new = n - 1
     n_labelings = factorial(n)
     for parent in parents:
@@ -369,20 +369,25 @@ def labelings(n: int, mask: int) -> set[int]:
             for perm in itertools.permutations(range(n))}
 
 
-def class_levels(max_n: int) -> Iterator[tuple[int, list[tuple[int, int, Profile]]]]:
-    """(n, the items of iter_connected_profiles(n)) for n = 2..max_n, each
-    level grown from the one before, so every level is generated once."""
-    parents = [0]
-    for n in range(2, max_n + 1):
-        classes = list(iter_connected_profiles(n, parents))
-        yield n, classes
-        parents = [mask for mask, _, _ in classes]
+def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
+    """The one walk of the class levels: level(n), for 1 <= n <= MAX_N, is
+    the list of (canonical mask, n!/|Aut(G)|, profile) of every connected
+    n-vertex class, as `iter_connected_profiles` yields them.  Each order is
+    grown once, from the order below, the first time it is asked for, and
+    kept by this walk only, so a new walk starts from scratch.  level(n)
+    raises InvalidParameterError, before any generation, for n outside
+    1..MAX_N."""
+    levels = [[(0, 1, profile_from_masks(1, [0], []))]]
 
+    def level(n: int) -> list[tuple[int, int, Profile]]:
+        if not 1 <= n <= MAX_N:
+            raise InvalidParameterError(f"n must be in 1..{MAX_N}, got {n}")
+        while len(levels) < n:
+            parents = [mask for mask, _, _ in levels[-1]]
+            levels.append(list(iter_connected_profiles(len(levels) + 1, parents)))
+        return levels[n - 1]
 
-def nonisomorphic_connected(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected graphs on n
-    vertices, its canonical labeling, in ascending canonical-mask order."""
-    return [mask_to_graph(n, mask) for mask in sorted(m for m, _, _ in iter_connected_profiles(n))]
+    return level
 
 
 # --- free trees -------------------------------------------------------------
@@ -456,20 +461,20 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 # --- value enumeration (inverse-problem tooling) ----------------------------
 
 
-def _scan_chunk(args: tuple[str, int, int]) -> tuple[dict[int, int], list[int]]:
-    """Worker: attained index value -> smallest canonical mask over the
-    n-vertex classes grown from one parent class, and those classes'
-    canonical masks."""
-    index_name, n, parent = args
-    field = Profile._fields.index(index_name)
+def _smallest_masks(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Value -> the smallest mask over the (value, mask) pairs."""
     best: dict[int, int] = {}
-    masks = []
-    for mask, _, profile in iter_connected_profiles(n, (parent,)):
-        masks.append(mask)
-        val = profile[field]
+    for val, mask in pairs:
         if mask < best.get(val, mask + 1):
             best[val] = mask
-    return best, masks
+    return best
+
+
+def _scan_chunk(index_name: str, n: int, parent: int) -> dict[int, int]:
+    """Worker: attained index value -> smallest canonical mask over the
+    n-vertex classes grown from one parent class."""
+    field = Profile._fields.index(index_name)
+    return _smallest_masks((p[field], mask) for mask, _, p in iter_connected_profiles(n, (parent,)))
 
 
 def worker_count(threads: int, jobs: int) -> int:
@@ -479,55 +484,45 @@ def worker_count(threads: int, jobs: int) -> int:
     return max(1, min(threads or cpus, cpus, jobs))
 
 
-def run_jobs(worker: Callable, jobs: list, threads: int) -> list:
-    """[worker(job) for job in jobs], in job order: in a fork pool of
+def _call(fn: Callable, args: tuple):
+    return fn(*args)
+
+
+def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
+    """[fn(*args) for fn, args in jobs], in job order: in a fork pool of
     `worker_count(threads, len(jobs))` processes, or in this process, in
-    order and with no pool, when that count is 1."""
+    order and with no pool, when that count is 1.  Jobs are fixed before
+    any runs, so the result does not depend on the worker count."""
     workers = worker_count(threads, len(jobs))
     if workers == 1:
-        return [worker(job) for job in jobs]
+        return [fn(*args) for fn, args in jobs]
     with get_context("fork").Pool(workers) as pool:
-        return pool.map(worker, jobs, chunksize=1)
-
-
-def sweep_levels(worker: Callable, head: tuple, max_n: int, threads: int
-                 ) -> Iterator[tuple[int, list]]:
-    """For n = 2..max_n in turn, yield (n, parts): worker((*head, n, parent))
-    is one job per (n-1)-vertex class, and returns (part, the canonical masks
-    of the n-vertex classes grown from that parent).  The masks are the next
-    level's parents.  Jobs are fixed and their parts come in job order, so
-    the result does not depend on the worker count.  The last level, which
-    holds most of the work, runs in `run_jobs` on `threads` workers.  Raises
-    InvalidParameterError, before any job runs, unless 2 <= max_n <= MAX_N."""
-    if not 2 <= max_n <= MAX_N:
-        raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
-    parents = [0]
-    for n in range(2, max_n + 1):
-        jobs = [(*head, n, parent) for parent in parents]
-        outs = run_jobs(worker, jobs, threads if n == max_n else 1)
-        parts, parents = [], []
-        for part, children in outs:
-            parts.append(part)
-            parents.extend(children)
-        yield n, parts
+        return pool.starmap(_call, jobs, chunksize=1)
 
 
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:
     """Attained value -> (smallest n, graph6 of the first witness in graph6
-    order) over all connected graphs with 2 <= n <= max_n, one job per parent
-    class on `threads` workers (0 = one per CPU).  Each class is scanned
-    once: its canonical labeling is the first of its labeled graphs in
-    graph6 order.  max_n is at most MAX_N (see sweep_levels)."""
+    order) over all connected graphs with 2 <= n <= max_n.  The orders below
+    max_n are read from one walk of the class levels; order max_n, which
+    holds most of the work, runs as one job per (max_n-1)-vertex class on
+    `threads` workers (0 = one per CPU).  Each class is scanned once: its
+    canonical labeling is the first of its labeled graphs in graph6 order.
+    Raises, before any work, ValueError on an unknown index and
+    InvalidParameterError unless 2 <= max_n <= MAX_N."""
     if index_name not in Profile._fields:
         raise ValueError(f"unknown index {index_name!r}")
+    if not 2 <= max_n <= MAX_N:
+        raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
+    field = Profile._fields.index(index_name)
+    level = class_levels()
+    per_order = [_smallest_masks((p[field], mask) for mask, _, p in level(n))
+                 for n in range(2, max_n)]
+    jobs = [(_scan_chunk, (index_name, max_n, parent)) for parent, _, _ in level(max_n - 1)]
+    parts = run_jobs(jobs, threads)
+    per_order.append(_smallest_masks(pair for part in parts for pair in part.items()))
     out: dict[int, tuple[int, str]] = {}
-    for n, parts in sweep_levels(_scan_chunk, (index_name,), max_n, threads):
-        merged: dict[int, int] = {}
-        for part in parts:
-            for val, mask in part.items():
-                if mask < merged.get(val, mask + 1):
-                    merged[val] = mask
-        for val, mask in merged.items():
+    for n, best in enumerate(per_order, 2):
+        for val, mask in best.items():
             if val not in out:
                 out[val] = (n, write_graph6(mask_to_graph(n, mask)))
     return out

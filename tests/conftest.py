@@ -110,3 +110,17 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 10):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def profile_calls(monkeypatch) -> list[int]:
+    """The order n of each corpus.iter_connected_profiles call in the test."""
+    calls = []
+    real = corpus.iter_connected_profiles
+
+    def counting(n, parents):
+        calls.append(n)
+        return real(n, parents)
+
+    monkeypatch.setattr(corpus, "iter_connected_profiles", counting)
+    return calls

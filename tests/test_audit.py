@@ -330,6 +330,19 @@ class TestCheckErrors:
             else:
                 assert r == want[r.id]
 
+    def test_no_instance_drawn_once_no_check_is_live(self):
+        drawn = []
+
+        def source():
+            for g in (path(2), path(3), path(4)):
+                drawn.append(g)
+                yield g, 1, (g,)
+
+        accs = {"FIG2-NONCONVERSE": audit._Acc()}
+        audit._evaluate(source(), [("FIG2-NONCONVERSE", _divide_by_zero)], accs)
+        assert accs["FIG2-NONCONVERSE"].error.startswith("ZeroDivisionError")
+        assert len(drawn) == 1
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):
         # a corpus check that raises from the first diameter-4 class (n = 5,
@@ -348,9 +361,9 @@ class TestCheckErrors:
         _patch_check(monkeypatch, "HASSE-1", raise_at_diameter_4)
         _patch_check(monkeypatch, "T-PW-TREE", raise_at_diameter_12)
         corpus_budget = audit.Budget(max_n=6, trials=30, threads=threads)
+        level = corpus.class_levels()
         corpus_stream = chain(
-            chain.from_iterable(audit._class_instances(n, classes)
-                                for n, classes in corpus.class_levels(6)),
+            chain.from_iterable(audit._class_instances(n, level(n)) for n in range(2, 7)),
             audit._random_graphs(audit._graph_draws(corpus_budget)))
         tree_budget = audit.Budget(max_n=6, trials=600, threads=threads)  # 3 random blocks
         tree_stream = chain(audit._free_trees(),
@@ -511,6 +524,12 @@ class TestOnePool:
         assert set(per_suite) == set(audit._STREAMS) | {"family", "fixed"}
         assert min(per_suite.values()) >= 2, per_suite
 
+    def test_each_order_grown_once(self, profile_calls):
+        # the corpus, corpus6 and product streams share one walk of the
+        # class levels; the corpus jobs at max_n are built, not run
+        audit._jobs(list(audit._CLAIMS.values()), audit.Budget(max_n=6, trials=0))
+        assert sorted(profile_calls) == [2, 3, 4, 5, 6]
+
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         pools = _count_pools(monkeypatch)
         outs = []
@@ -537,6 +556,9 @@ class TestBudget:
             audit.Budget(max_n=9)
         with pytest.raises(InvalidParameterError):
             audit.Budget(trials=-1)
+        with pytest.raises(InvalidParameterError, match="trials must be in 0..100000"):
+            audit.Budget(trials=audit.MAX_TRIALS + 1)
+        assert audit.Budget(trials=audit.MAX_TRIALS).trials == audit.MAX_TRIALS
         with pytest.raises(InvalidParameterError):
             audit.Budget(threads=-5)
 

@@ -233,6 +233,27 @@ class TestAudit:
         rc, _, err = run_cli(capsys, "audit", "--claims", "NOPE")
         assert rc == 2
 
+    @pytest.mark.parametrize("claims", [",", "", " , "])
+    def test_empty_claim_list_exits_2(self, capsys, monkeypatch, claims):
+        # a --claims value that names no claim is a usage error, not an
+        # empty audit that "matched"
+        def not_run(*args, **kwargs):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr(audit, "run_claims", not_run)
+        rc, out, err = run_cli(capsys, "audit", "--claims", claims)
+        assert (rc, out, err) == (2, "", "error: no claim ids given\n")
+
+    def test_trials_ceiling_exits_2_before_any_draw(self, capsys, monkeypatch):
+        def not_drawn(*args, **kwargs):
+            raise AssertionError("a random draw was made")
+
+        for name in ("_graph_draws", "_tree_draws", "_connected_draw", "run_claims"):
+            monkeypatch.setattr(audit, name, not_drawn)
+        rc, out, err = run_cli(capsys, "audit", "--trials", str(audit.MAX_TRIALS + 1))
+        assert (rc, out) == (2, "")
+        assert err == f"error: trials must be in 0..{audit.MAX_TRIALS}, got {audit.MAX_TRIALS + 1}\n"
+
 
 class TestEnumerateValues:
     def test_pw_small(self, capsys):

@@ -218,45 +218,64 @@ def _relabel(g, perm):
 
 class TestIsomorphismReduction:
     def test_counts(self):
+        level = corpus.class_levels()
         for n, expect in ISO_CONNECTED.items():
-            assert len(corpus.nonisomorphic_connected(n)) == expect
+            assert len(level(n)) == expect
 
     def test_orbit_sums_are_labeled_counts(self):
+        level = corpus.class_levels()
         for n, expect in LABELED_CONNECTED.items():
-            assert sum(w for _, w, _ in corpus.iter_connected_profiles(n)) == expect
+            assert sum(w for _, w, _ in level(n)) == expect
 
     def test_classes_are_distinct(self):
-        reps = corpus.nonisomorphic_connected(6)
-        masks = {corpus.canonical_mask(6, corpus.g6_order_key(g)) for g in reps}
-        assert len(masks) == len(reps)
+        masks = [mask for mask, _, _ in corpus.class_levels()(6)]
+        assert len({corpus.canonical_mask(6, mask) for mask in masks}) == len(masks)
 
     def test_classes_are_canonical_with_profiles(self):
+        level = corpus.class_levels()
         for n in range(2, 7):
-            for mask, weight, prof in corpus.iter_connected_profiles(n):
+            for mask, weight, prof in level(n):
                 assert corpus.canonical_mask(n, mask) == mask
                 assert prof == corpus.profile_of(corpus.mask_to_graph(n, mask))
                 assert weight == len(corpus.labelings(n, mask))
 
     def test_labelings_are_the_relabeled_masks(self):
         # the canonical mask is the smallest of its class's labeled masks
+        level = corpus.class_levels()
         for n in range(2, 6):
-            for mask, _, _ in corpus.iter_connected_profiles(n):
+            for mask, _, _ in level(n):
                 g = corpus.mask_to_graph(n, mask)
                 want = {nx_mask(_relabel(g, perm)) for perm in itertools.permutations(range(n))}
                 assert corpus.labelings(n, mask) == want
                 assert min(want) == mask
 
     def test_parents_split_the_classes(self):
-        parents = [mask for mask, _, _ in corpus.iter_connected_profiles(5)]
-        children = [mask for parent in parents
+        level = corpus.class_levels()
+        children = [mask for parent, _, _ in level(5)
                     for mask, _, _ in corpus.iter_connected_profiles(6, [parent])]
-        assert children == [mask for mask, _, _ in corpus.iter_connected_profiles(6)]
+        assert children == [mask for mask, _, _ in level(6)]
 
-    def test_class_levels_are_the_levels(self):
-        levels = list(corpus.class_levels(6))
-        assert [n for n, _ in levels] == [2, 3, 4, 5, 6]
-        for n, classes in levels:
-            assert classes == list(corpus.iter_connected_profiles(n))
+    def test_class_levels_are_the_levels(self, profile_calls):
+        # each order is grown once, from the order below, when first asked
+        # for; a second walk grows its own levels
+        level = corpus.class_levels()
+        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0], []))]
+        assert profile_calls == []
+        six = level(6)
+        assert profile_calls == [2, 3, 4, 5, 6]
+        for n in range(2, 7):
+            parents = [mask for mask, _, _ in level(n - 1)]
+            assert level(n) == list(corpus.iter_connected_profiles(n, parents))
+        assert level(6) is six
+        other = corpus.class_levels()(6)
+        assert other == six and other is not six
+
+    @pytest.mark.parametrize("n", [0, corpus.MAX_N + 1])
+    def test_level_outside_the_ceiling(self, profile_calls, n):
+        level = corpus.class_levels()
+        with pytest.raises(InvalidParameterError, match=f"got {n}"):
+            level(n)
+        assert profile_calls == []
 
     def test_canonical_form_matches_brute_force(self):
         # every labeled connected graph on up to 5 vertices: the key, and the
@@ -275,8 +294,9 @@ class TestIsomorphismReduction:
         # n-1 is in the orbit of m(G): of the non-cut vertices with the
         # largest (degree, sorted neighbour degrees), the one that sits last
         # in the canonical order
+        level = corpus.class_levels()
         for n in range(3, 7):
-            for parent, _, _ in corpus.iter_connected_profiles(n - 1):
+            for parent, _, _ in level(n - 1):
                 parent_adj = corpus.mask_adjacency(n - 1, parent)[0]
                 key, autos = _brute_orders(n - 1, parent_adj)
                 assert key == parent  # so the minimizing orders are Aut(parent)
@@ -315,9 +335,10 @@ class TestIsomorphismReduction:
         # one class, every class is hit, and each class's weight is
         # n!/|Aut| with |Aut| counted by networkx's matcher
         atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_connected(g)]
+        level = corpus.class_levels()
         for n in range(2, 8):
             buckets = {}
-            for mask, weight, prof in corpus.iter_connected_profiles(n):
+            for mask, weight, prof in level(n):
                 g = nx.Graph(corpus.mask_adjacency(n, mask)[1])
                 buckets.setdefault(_invariant(g), []).append([g, weight, prof, 0])
             for h in (h for h in atlas if h.number_of_nodes() == n):
@@ -411,3 +432,10 @@ class TestScanValues:
         monkeypatch.setattr(corpus, "get_context", no_job)
         with pytest.raises(InvalidParameterError, match=f"got {max_n}"):
             corpus.scan_values("pww", max_n)
+
+    def test_each_lower_order_grown_once(self, profile_calls):
+        # orders 2..5 come from one walk of the class levels, order 6 from
+        # one job per class of order 5
+        corpus.scan_values("pww", 6)
+        assert [n for n in profile_calls if n < 6] == [2, 3, 4, 5]
+        assert profile_calls.count(6) == 21
