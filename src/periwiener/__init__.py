@@ -21,7 +21,6 @@ from .graphs import (
     Graph,
     build_graph,
     cartesian_product,
-    complement,
     distance_matrix,
     is_connected,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "VertexRangeError",
     "build_graph",
     "cartesian_product",
-    "complement",
     "distance_matrix",
     "hyper_wiener",
     "index_vector",

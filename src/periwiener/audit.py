@@ -276,7 +276,7 @@ def _chk_obs_no_2_5(n, masks, p):
 
 def _class_instances(n: int, classes: Iterable[tuple[int, int, Profile]]):
     for mask, weight, p in classes:
-        yield (n, mask), weight, (n, corpus.mask_adjacency(n, mask)[0], p)
+        yield (n, mask), weight, (n, corpus.mask_adjacency(n, mask), p)
 
 
 def _corpus_chunk(ids: list[str], n: int, parent: int) -> dict[str, _Acc]:
@@ -300,8 +300,7 @@ def _graph_draws(budget: Budget) -> list[tuple[int, float, int]]:
 def _random_graphs(draws: list[tuple[int, float, int]]):
     for draw in draws:
         g = generators.random_connected_graph(*draw)
-        masks = g.adjacency_masks()
-        yield g, 1, (g.n, masks, corpus.profile_from_masks(g.n, masks, list(g.edges())))
+        yield g, 1, (g.n, g.masks, corpus.profile_from_masks(g.n, g.masks))
 
 
 def _corpus_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
@@ -332,7 +331,7 @@ def _chk_def_pww_alt(p, balls):
 
 def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
     for mask, weight, _ in classes:
-        yield (n, mask), weight, corpus.layered_profile(corpus.mask_to_graph(n, mask))
+        yield (n, mask), weight, corpus.layered_profile(Graph(n, corpus.mask_adjacency(n, mask)))
 
 
 def _corpus6_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
@@ -497,7 +496,7 @@ def _random_products(draws: list[tuple[tuple, tuple]]):
 def _product_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
     """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
     vertices, then `trials` random pairs; the witness is their product."""
-    factors = [corpus.mask_to_graph(n, mask) for n in range(2, FACTOR_MAX_N + 1)
+    factors = [Graph(n, corpus.mask_adjacency(n, mask)) for n in range(2, FACTOR_MAX_N + 1)
                for mask in sorted(m for m, _, _ in level(n))]
     rng = random.Random(budget.seed * 104729 + 11)
     draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
@@ -799,7 +798,8 @@ def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
         return
     for labeled in corpus.labelings(n, mask):
         if acc.admits(n, labeled):
-            acc.add_witness((n, labeled, write_graph6(corpus.mask_to_graph(n, labeled))) + r)
+            g6 = write_graph6(Graph(n, corpus.mask_adjacency(n, labeled)))
+            acc.add_witness((n, labeled, g6) + r)
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],

@@ -39,11 +39,11 @@ import itertools
 import os
 from math import factorial
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
 from .graphio import edge_mask, mask_edges, write_graph6
-from .graphs import Graph, build_graph
+from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import Profile
 
 # The largest order of an exhaustive sweep.  Generating every class up to
@@ -53,18 +53,14 @@ from .indices import Profile
 MAX_N = 8
 
 
-def mask_adjacency(n: int, mask: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Adjacency bitmasks and edge list for an edge mask."""
+def mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
+    """Adjacency bitmasks of an edge mask; `Graph(n, mask_adjacency(n,
+    mask))` is its graph."""
     adj = [0] * n
-    edges = mask_edges(n, mask)
-    for i, j in edges:
+    for i, j in mask_edges(n, mask):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return adj, edges
-
-
-def mask_to_graph(n: int, mask: int) -> Graph:
-    return build_graph(n, mask_edges(n, mask))
+    return tuple(adj)
 
 
 def g6_order_key(g: Graph) -> int:
@@ -73,13 +69,12 @@ def g6_order_key(g: Graph) -> int:
     return edge_mask(g.n, g.edges())
 
 
-def reach_layers(n: int, masks: list[int], edges: list[tuple[int, int]]
-                 ) -> tuple[list[list[int]], int] | None:
-    """(balls, radius) of a graph given by adjacency bitmasks and its edge
-    list, or None when it is disconnected.  balls[t][v] is the bitmask of
-    the vertices within distance t of v, for t = 0..diameter, so the
-    diameter is len(balls) - 1.  Each layer grows every ball at once by one
-    pass over the edges; no per-pair distances are formed."""
+def reach_layers(n: int, masks: Sequence[int]) -> tuple[list[list[int]], int] | None:
+    """(balls, radius) of a graph given by adjacency bitmasks, or None when
+    it is disconnected.  balls[t][v] is the bitmask of the vertices within
+    distance t of v, for t = 0..diameter, so the diameter is len(balls) - 1.
+    Each layer grows every ball at once by one pass over the edges; no
+    per-pair distances are formed."""
     if n == 1:
         return [[1]], 0
     full = (1 << n) - 1
@@ -89,6 +84,7 @@ def reach_layers(n: int, masks: list[int], edges: list[tuple[int, int]]
     # some ball is full (0 until then)
     pending = [v for v in range(n) if cur[v] != full]
     radius = 1 if len(pending) < n else 0
+    edges = _edge_list(masks) if pending else []
     while pending:
         new = cur[:]
         for i, j in edges:
@@ -129,14 +125,13 @@ def distance_sums(balls: list[list[int]], mask: int) -> list[int]:
     return sums
 
 
-def profile_from_masks(n: int, masks: list[int], edges: list[tuple[int, int]]) -> Profile | None:
+def profile_from_masks(n: int, masks: Sequence[int]) -> Profile | None:
     """Profile via the reach layers; None when disconnected."""
-    reach = reach_layers(n, masks, edges)
-    return None if reach is None else _layer_profile(n, masks, len(edges), *reach)
+    reach = reach_layers(n, masks)
+    return None if reach is None else _layer_profile(n, masks, *reach)
 
 
-def _layer_profile(n: int, masks: list[int], m: int, balls: list[list[int]], radius: int
-                   ) -> Profile:
+def _layer_profile(n: int, masks: Sequence[int], balls: list[list[int]], radius: int) -> Profile:
     """The six indices from the reach layers: popcount differences between
     consecutive layers count the ordered pairs at each exact distance."""
     full = (1 << n) - 1
@@ -164,8 +159,11 @@ def _layer_profile(n: int, masks: list[int], m: int, balls: list[list[int]], rad
 
     pend_mask = 0
     pend = []
+    degrees = 0
     for v in range(n):
-        if masks[v].bit_count() == 1:
+        d = masks[v].bit_count()
+        degrees += d
+        if d == 1:
             pend_mask |= 1 << v
             pend.append(v)
     if len(pend) < 2:
@@ -177,7 +175,7 @@ def _layer_profile(n: int, masks: list[int], m: int, balls: list[list[int]], rad
     else:
         tw, tww = _masked_pair_sums(balls, pend, pend_mask)
 
-    return Profile(n, m, len(balls) - 1, radius, k, len(pend), w, ww, pw, pww, tw, tww)
+    return Profile(n, degrees // 2, len(balls) - 1, radius, k, len(pend), w, ww, pw, pww, tw, tww)
 
 
 def _masked_pair_sums(balls, sel, sel_mask) -> tuple[int, int]:
@@ -200,24 +198,20 @@ def _masked_pair_sums(balls, sel, sel_mask) -> tuple[int, int]:
 
 def profile_of(g: Graph) -> Profile | None:
     """Profile of an in-memory graph; None when disconnected."""
-    return profile_from_masks(g.n, g.adjacency_masks(), list(g.edges()))
+    return profile_from_masks(g.n, g.masks)
 
 
 def layered_profile(g: Graph) -> tuple[Profile, list[list[int]]] | None:
     """(profile, balls) of an in-memory graph, the balls as in
     `reach_layers`; None when disconnected."""
-    masks = g.adjacency_masks()
-    edges = list(g.edges())
-    reach = reach_layers(g.n, masks, edges)
-    return None if reach is None else (_layer_profile(g.n, masks, len(edges), *reach), reach[0])
+    reach = reach_layers(g.n, g.masks)
+    return None if reach is None else (_layer_profile(g.n, g.masks, *reach), reach[0])
 
 
-def complement_profile(n: int, masks: list[int]) -> Profile | None:
+def complement_profile(n: int, masks: Sequence[int]) -> Profile | None:
     """Profile of the complement, straight from adjacency bitmasks."""
     full = (1 << n) - 1
-    comp = [(~masks[v]) & full & ~(1 << v) for v in range(n)]
-    edges = [(i, j) for j in range(1, n) for i in range(j) if (comp[i] >> j) & 1]
-    return profile_from_masks(n, comp, edges)
+    return profile_from_masks(n, [(~masks[v]) & full & ~(1 << v) for v in range(n)])
 
 
 # --- isomorphism classes ---------------------------------------------------
@@ -252,31 +246,10 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     return mask, [order for order, _ in states]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def canonical_mask(n: int, mask: int) -> int:
     """Edge bitmask of the canonical labeling: the first labeling of the
     graph in graph6 order.  Equal for exactly the isomorphic graphs."""
-    return canonical_form(n, mask_adjacency(n, mask)[0])[0]
-
-
-def _connected_without(adj: list[int], n: int, v: int) -> bool:
-    """Whether the graph stays connected when vertex v is removed."""
-    rest = ((1 << n) - 1) & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & rest & ~seen
-        seen |= new
-        frontier |= new
-    return seen == rest
+    return canonical_form(n, mask_adjacency(n, mask))[0]
 
 
 def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[int]:
@@ -306,6 +279,7 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     of m(G); otherwise the other non-cut vertices whose invariant ties with
     that of n-1 (none when n-1 is m(G))."""
     deg = [a.bit_count() for a in adj]
+    full = (1 << n) - 1
     new = n - 1
     top = (deg[new], sorted([deg[u] for u in _bits(adj[new])]))
     ties = []
@@ -313,7 +287,7 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
         if deg[v] < top[0]:
             continue
         inv = (deg[v], sorted([deg[u] for u in _bits(adj[v])]))
-        if inv >= top and _connected_without(adj, n, v):
+        if inv >= top and _connected_on(adj, full & ~(1 << v)):
             if inv > top:
                 return None
             ties.append(v)
@@ -340,12 +314,12 @@ def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[in
     new = n - 1
     n_labelings = factorial(n)
     for parent in parents:
-        parent_adj, parent_edges = mask_adjacency(new, parent)
+        parent_adj = mask_adjacency(new, parent)
         parent_mask, autos = canonical_form(new, parent_adj)
         if parent_mask != parent:
             raise InvalidParameterError(f"parent {parent} is not a canonical mask")
         for nbrs in _orbit_minimal_sets(new, autos):
-            adj = parent_adj + [nbrs]
+            adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
             ties = _rival_deletion_vertices(n, adj)
@@ -357,8 +331,7 @@ def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[in
                 pos = max(orders[0].index(v) for v in ties + [new])
                 if all(order[pos] != new for order in orders):
                     continue
-            edges = parent_edges + [(u, new) for u in _bits(nbrs)]
-            yield mask, n_labelings // len(orders), profile_from_masks(n, adj, edges)
+            yield mask, n_labelings // len(orders), profile_from_masks(n, adj)
 
 
 def labelings(n: int, mask: int) -> set[int]:
@@ -377,7 +350,7 @@ def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
     kept by this walk only, so a new walk starts from scratch.  level(n)
     raises InvalidParameterError, before any generation, for n outside
     1..MAX_N."""
-    levels = [[(0, 1, profile_from_masks(1, [0], []))]]
+    levels = [[(0, 1, profile_from_masks(1, (0,)))]]
 
     def level(n: int) -> list[tuple[int, int, Profile]]:
         if not 1 <= n <= MAX_N:
@@ -406,7 +379,7 @@ def _centers(g: Graph) -> list[int]:
         nxt = []
         for v in layer:
             deg[v] = 0
-            for u in g.adj[v]:
+            for u in _bits(g.masks[v]):
                 if deg[u] > 1:
                     deg[u] -= 1
                     if deg[u] == 1:
@@ -416,10 +389,8 @@ def _centers(g: Graph) -> list[int]:
 
 
 def _encode_rooted(g: Graph, root: int, blocked: int) -> str:
-    children = [u for u in g.adj[root] if u != blocked]
-    if not children:
-        return "()"
-    return "(" + "".join(sorted(_encode_rooted(g, u, root) for u in children)) + ")"
+    codes = sorted(_encode_rooted(g, u, root) for u in _bits(g.masks[root]) if u != blocked)
+    return "(" + "".join(codes) + ")"
 
 
 def tree_certificate(g: Graph) -> str:
@@ -439,13 +410,15 @@ def free_trees(n: int) -> list[Graph]:
     """
     if n < 1:
         return []
-    level: dict[str, Graph] = {tree_certificate(build_graph(1, [])): build_graph(1, [])}
+    single = Graph(1, (0,))
+    level: dict[str, Graph] = {tree_certificate(single): single}
     for size in range(2, n + 1):
         nxt: dict[str, Graph] = {}
         for g in level.values():
             for v in range(g.n):
-                edges = list(g.edges()) + [(v, g.n)]
-                cand = build_graph(g.n + 1, edges)
+                masks = [*g.masks, 1 << v]
+                masks[v] |= 1 << g.n
+                cand = Graph(g.n + 1, tuple(masks))
                 cert = tree_certificate(cand)
                 if cert not in nxt:
                     nxt[cert] = cand
@@ -524,7 +497,7 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     for n, best in enumerate(per_order, 2):
         for val, mask in best.items():
             if val not in out:
-                out[val] = (n, write_graph6(mask_to_graph(n, mask)))
+                out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
     return out
 
 

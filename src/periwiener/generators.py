@@ -106,13 +106,14 @@ def caterpillar(code: CaterpillarCode | Sequence[int]) -> Graph:
     total = s + sum(code.counts)
     if total < 2:
         raise InvalidCodeError("caterpillar needs at least 2 vertices")
-    edges = [(i, i + 1) for i in range(s - 1)]
-    nxt = s
+    masks = [0] * s
+    for i in range(s - 1):
+        masks[i] |= 1 << (i + 1)
+        masks[i + 1] |= 1 << i
     for i, c in enumerate(code.counts):
-        for _ in range(c):
-            edges.append((i, nxt))
-            nxt += 1
-    return build_graph(total, edges)
+        masks[i] |= ((1 << c) - 1) << len(masks)
+        masks += [1 << i] * c
+    return Graph(total, tuple(masks))
 
 
 def lobster(code: CaterpillarCode | Sequence[int], c: int) -> Graph:
@@ -128,12 +129,12 @@ def lobster(code: CaterpillarCode | Sequence[int], c: int) -> Graph:
         raise InvalidCodeError(f"lobster needs c_2 = 0, got {code.counts[1]}")
     if c < 1:
         raise InvalidParameterError(f"lobster needs c >= 1, got {c}")
-    base = caterpillar(code)
-    center = base.n
-    edges = list(base.edges())
-    edges.append((1, center))
-    edges += [(center, center + 1 + i) for i in range(c)]
-    return build_graph(base.n + 1 + c, edges)
+    masks = list(caterpillar(code).masks)
+    center = len(masks)
+    masks[1] |= 1 << center
+    masks.append((1 << 1) | (((1 << c) - 1) << (center + 1)))
+    masks += [1 << center] * c
+    return Graph(center + 1 + c, tuple(masks))
 
 
 def rooted_depth2_tree(children_counts: Sequence[int]) -> Graph:
@@ -189,10 +190,16 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         raise InvalidParameterError(f"random graph needs n >= 2, got {n}")
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     for _ in range(_SAMPLER_ATTEMPTS):
-        edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
-        g = build_graph(n, edges)
+        # one draw per pair, in graph6 column order (0,1),(0,2),(1,2),...
+        masks = [0] * n
+        for j in range(1, n):
+            for i in range(j):
+                if draw() < p:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        g = Graph(n, tuple(masks))
         if is_connected(g):
             return g
     raise InvalidParameterError(

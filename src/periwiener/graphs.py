@@ -1,49 +1,64 @@
 """Immutable simple graphs, and the BFS distance matrix that the tests and
 the benchmark use as the oracle for the `corpus` reach layers.
 
-Vertices are always 0..n-1.  Graphs are frozen after construction and safe
-to share; every operator returns a new graph.
+Vertices are always 0..n-1.  A graph is its adjacency bitmasks: bit v of
+masks[u] is set iff uv is an edge, the form the metric engine reads.
+Graphs are frozen after construction and safe to share; every operator
+returns a new graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotConnectedError, SelfLoopError, VertexRangeError
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _edge_list(masks: Iterable[int]) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of adjacency bitmasks: u ascending, then v."""
+    return [(u, v) for u, a in enumerate(masks) for v in _bits(a >> (u + 1) << (u + 1))]
+
+
+def _connected_on(masks: Sequence[int], vertices: int) -> bool:
+    """Whether the subgraph induced on the vertex bitmask `vertices` is
+    connected (true when it is empty), by one frontier search from its
+    lowest vertex."""
+    seen = frontier = vertices & -vertices
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks[low.bit_length() - 1] & vertices & ~seen
+        seen |= new
+        frontier |= new
+    return seen == vertices
+
+
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph with per-vertex sorted adjacency tuples."""
+    """Simple undirected graph; masks[v] is the bitmask of v's neighbours."""
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.masks[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield u, v
-
-    def adjacency_masks(self) -> list[int]:
-        """Adjacency as one bitmask per vertex (bit v set iff uv is an edge)."""
-        masks = [0] * self.n
-        for u in range(self.n):
-            for v in self.adj[u]:
-                masks[u] |= 1 << v
-        return masks
+        """The edges (u, v), u < v: u ascending, then v."""
+        return iter(_edge_list(self.masks))
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -54,31 +69,37 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise VertexRangeError(f"vertex count must be >= 1, got {n}")
-    sets: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
     for u, v in edges:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        sets[u].add(v)
-        sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in sets))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches all vertices (true for n=1)."""
-    seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """True iff a search from vertex 0 reaches all vertices (true for n=1)."""
+    return _connected_on(g.masks, (1 << g.n) - 1)
+
+
+def _bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
+    """BFS order from source, parents, and distances (-1 where unreached)."""
+    parent = [-1] * g.n
+    dist = [-1] * g.n
+    dist[source] = 0
+    order = [source]
+    seen = 1 << source
+    for u in order:  # the loop also visits the vertices appended below
+        new = g.masks[u] & ~seen
+        seen |= new
+        for v in _bits(new):
+            dist[v] = dist[u] + 1
+            parent[v] = u
+            order.append(v)
+    return order, parent, dist
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +111,6 @@ class DistanceMatrix:
     ecc: tuple[int, ...]
     radius: int
     diameter: int
-    center: frozenset[int]
     periphery: frozenset[int]
 
 
@@ -100,44 +120,22 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     Raises NotConnectedError when any vertex is unreachable.
     """
     n = g.n
-    adj = g.adj
     rows: list[tuple[int, ...]] = []
     for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque((s,))
-        while q:
-            u = q.popleft()
-            du1 = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du1
-                    q.append(v)
-        if min(dist) < 0:
+        order, _, dist = _bfs(g, s)
+        if len(order) < n:
             raise NotConnectedError("graph is not connected")
         rows.append(tuple(dist))
     ecc = tuple(max(r) for r in rows)
-    radius = min(ecc)
     diameter = max(ecc)
     return DistanceMatrix(
         n=n,
         dist=tuple(rows),
         ecc=ecc,
-        radius=radius,
+        radius=min(ecc),
         diameter=diameter,
-        center=frozenset(v for v in range(n) if ecc[v] == radius),
         periphery=frozenset(v for v in range(n) if ecc[v] == diameter),
     )
-
-
-def complement(g: Graph) -> Graph:
-    """Same vertices, exactly the missing edges.  May be disconnected."""
-    n = g.n
-    out = []
-    for u in range(n):
-        present = set(g.adj[u])
-        out.append(tuple(v for v in range(n) if v != u and v not in present))
-    return Graph(n, tuple(out))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -146,14 +144,12 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (a,x)(b,y) is an edge iff a == b and xy in E(h), or ab in E(g) and x == y.
     """
     nh = h.n
-    sets: list[set[int]] = [set() for _ in range(g.n * nh)]
-    for a in range(g.n):
+    masks = []
+    for a, ga in enumerate(g.masks):
+        across = 0  # bit b*nh for each neighbour b of a: the copies of x = 0
+        for b in _bits(ga):
+            across |= 1 << (b * nh)
         base = a * nh
-        for x in range(nh):
-            u = base + x
-            for y in h.adj[x]:
-                sets[u].add(base + y)
-            for b in g.adj[a]:
-                sets[u].add(b * nh + x)
-    return Graph(g.n * nh, tuple(tuple(sorted(s)) for s in sets))
-
+        for x, hx in enumerate(h.masks):
+            masks.append((hx << base) | (across << x))
+    return Graph(g.n * nh, tuple(masks))

@@ -25,7 +25,7 @@ from .errors import (
     NotConnectedError,
 )
 from .generators import CaterpillarCode, _as_code
-from .graphs import Graph
+from .graphs import Graph, _bfs
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,21 +36,6 @@ class TreeView:
     order: tuple[int, ...]
     parent: tuple[int, ...]
     periphery: frozenset[int]
-
-
-def _bfs(g: Graph, source: int) -> tuple[list[int], list[int], list[int]]:
-    """BFS order from source, parents, and distances (-1 where unreached)."""
-    parent = [-1] * g.n
-    dist = [-1] * g.n
-    dist[source] = 0
-    order = [source]
-    for u in order:  # the loop also visits the vertices appended below
-        for v in g.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                order.append(v)
-    return order, parent, dist
 
 
 def as_tree(g: Graph) -> TreeView:
@@ -244,5 +229,5 @@ def complement_tree_pww(t: TreeView) -> int | None:
     g = t.graph
     if g.n < 2:
         return None
-    p = corpus.complement_profile(g.n, g.adjacency_masks())
+    p = corpus.complement_profile(g.n, g.masks)
     return None if p is None else p.pww

@@ -53,12 +53,17 @@ def graph6_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def nx_graph6(g: Graph) -> str:
-    """The graph6 record of g as networkx writes it."""
+def to_nx(g: Graph) -> nx.Graph:
+    """g as a networkx graph on the vertices 0..n-1."""
     ng = nx.Graph()
     ng.add_nodes_from(range(g.n))
     ng.add_edges_from(g.edges())
-    return nx.to_graph6_bytes(ng, header=False).strip().decode("ascii")
+    return ng
+
+
+def nx_graph6(g: Graph) -> str:
+    """The graph6 record of g as networkx writes it."""
+    return nx.to_graph6_bytes(to_nx(g), header=False).strip().decode("ascii")
 
 
 def nx_mask(g: Graph) -> int:
@@ -74,8 +79,7 @@ def labeled_connected(n: int):
     """Oracle corpus: (edge bitmask, profile) for every labeled connected
     graph on n vertices, by sweeping all 2^C(n,2) edge subsets."""
     for mask in range(1 << (n * (n - 1) // 2)):
-        masks, edges = corpus.mask_adjacency(n, mask)
-        p = corpus.profile_from_masks(n, masks, edges)
+        p = corpus.profile_from_masks(n, corpus.mask_adjacency(n, mask))
         if p is not None:
             yield mask, p
 

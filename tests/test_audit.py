@@ -15,7 +15,7 @@ from periwiener import audit, corpus, generators, indices
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube, path
 from periwiener.graphio import write_graph6
-from periwiener.graphs import build_graph, cartesian_product, distance_matrix
+from periwiener.graphs import Graph, build_graph, cartesian_product, distance_matrix
 from periwiener.indices import (
     peripheral_distance_number,
     peripheral_hyper_wiener,
@@ -479,8 +479,11 @@ class TestClassSweep:
         checks = _suite_checks("corpus")
         results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],
                                    audit.Budget(threads=threads, **self.BUDGET))
-        labeled = [(corpus.mask_to_graph(n, mask), (n, corpus.mask_adjacency(n, mask)[0], p))
-                   for n in range(2, 6) for mask, p in labeled_connected(n)]
+        labeled = []
+        for n in range(2, 6):
+            for mask, p in labeled_connected(n):
+                adj = corpus.mask_adjacency(n, mask)
+                labeled.append((Graph(n, adj), (n, adj, p)))
         want = _labeled_reference(labeled, checks)
         assert _result_fields(results) == _reference_fields(want)
         assert want["HASSE-1"][1] > audit._MAX_WITNESSES
@@ -493,7 +496,7 @@ class TestClassSweep:
         labeled = []
         for n in range(2, 6):
             for mask, _ in labeled_connected(n):
-                g = corpus.mask_to_graph(n, mask)
+                g = Graph(n, corpus.mask_adjacency(n, mask))
                 labeled.append((g, corpus.layered_profile(g)))
         want = _labeled_reference(labeled, checks)
         assert _result_fields(results) == _reference_fields(want)

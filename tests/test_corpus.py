@@ -14,11 +14,12 @@ from conftest import (
     nx_graph6,
     nx_mask,
     random_connected,
+    to_nx,
 )
 from periwiener import corpus
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import path, random_tree, star
-from periwiener.graphs import build_graph, cartesian_product, complement, distance_matrix
+from periwiener.graphs import Graph, build_graph, cartesian_product, distance_matrix
 from periwiener.indices import index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
 
@@ -37,7 +38,7 @@ class TestProfile:
     def test_profile_matches_definitions_exhaustively(self):
         for n in range(2, 6):
             for mask, prof in labeled_connected(n):
-                g = corpus.mask_to_graph(n, mask)
+                g = Graph(n, corpus.mask_adjacency(n, mask))
                 assert prof == corpus.profile_of(g) == index_vector(g)
 
     def test_profile_matches_definitions_on_random(self, rng):
@@ -71,18 +72,38 @@ class TestProfile:
         assert corpus.distance_sums([[1]], 1) == [0]
 
     def test_complement_profile(self, rng):
-        for _ in range(30):
+        # against the definitions on networkx's complement; None exactly
+        # when that complement is disconnected
+        seen = set()
+        for _ in range(60):
             g = random_connected(rng, rng.randrange(2, 12))
-            via_masks = corpus.complement_profile(g.n, g.adjacency_masks())
-            direct = corpus.profile_of(complement(g))
-            assert via_masks == direct
+            comp = nx.complement(to_nx(g))
+            p = corpus.complement_profile(g.n, g.masks)
+            seen.add(p is None)
+            if nx.is_connected(comp):
+                assert p == index_vector(build_graph(g.n, comp.edges()))
+                assert p.w == nx.wiener_index(comp)
+            else:
+                assert p is None
+        assert seen == {True, False}
+
+    def test_path4_complement_is_path(self):
+        # P_4 = 0-1-2-3 has the complement 2-0-3-1, again a path
+        assert corpus.complement_profile(4, path(4).masks) == corpus.profile_of(path(4))
+
+    def test_large_diameter_gives_small_complement_diameter(self):
+        for n in (5, 6, 7, 9):
+            p = corpus.complement_profile(n, path(n).masks)  # diameter n-1 >= 4
+            assert p is not None and p.diameter <= 2
 
     def test_complement_tree_pww_matches_profile(self):
         # every free tree on 2..10 vertices; None exactly when the
         # complement is disconnected
         for g in corpus.all_free_trees(2, 10):
-            p = corpus.profile_of(complement(g))
-            assert complement_tree_pww(as_tree(g)) == (None if p is None else p.pww)
+            comp = nx.complement(to_nx(g))
+            want = (index_vector(build_graph(g.n, comp.edges())).pww
+                    if nx.is_connected(comp) else None)
+            assert complement_tree_pww(as_tree(g)) == want
 
 
 def _check_layers(g):
@@ -161,20 +182,19 @@ class TestEnumeration:
             g = random_connected(rng, rng.randrange(2, 10))
             mask = nx_mask(g)
             assert corpus.g6_order_key(g) == mask
-            assert corpus.mask_to_graph(g.n, mask) == g
-            adj, edges = corpus.mask_adjacency(g.n, mask)
-            assert adj == g.adjacency_masks()
-            present = set(g.edges())
-            assert edges == [p for p in graph6_pairs(g.n) if p in present]
+            adj = corpus.mask_adjacency(g.n, mask)
+            assert Graph(g.n, adj) == g
+            ng = to_nx(g)
+            assert adj == tuple(sum(1 << u for u in ng[v]) for v in range(g.n))
 
     def test_g6_order_key_matches_string_order(self, rng):
         n = 6
         nbits = n * (n - 1) // 2
         masks = [rng.randrange(1 << nbits) for _ in range(80)]
-        graphs = [corpus.mask_to_graph(n, m) for m in masks]
+        graphs = [Graph(n, corpus.mask_adjacency(n, m)) for m in masks]
         by_string = sorted(graphs, key=nx_graph6)
         assert sorted(graphs, key=corpus.g6_order_key) == by_string
-        assert [corpus.mask_to_graph(n, m) for m in sorted(masks)] == by_string
+        assert [Graph(n, corpus.mask_adjacency(n, m)) for m in sorted(masks)] == by_string
 
 
 def _brute_orders(n, adj):
@@ -236,7 +256,7 @@ class TestIsomorphismReduction:
         for n in range(2, 7):
             for mask, weight, prof in level(n):
                 assert corpus.canonical_mask(n, mask) == mask
-                assert prof == corpus.profile_of(corpus.mask_to_graph(n, mask))
+                assert prof == corpus.profile_of(Graph(n, corpus.mask_adjacency(n, mask)))
                 assert weight == len(corpus.labelings(n, mask))
 
     def test_labelings_are_the_relabeled_masks(self):
@@ -244,7 +264,7 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(2, 6):
             for mask, _, _ in level(n):
-                g = corpus.mask_to_graph(n, mask)
+                g = Graph(n, corpus.mask_adjacency(n, mask))
                 want = {nx_mask(_relabel(g, perm)) for perm in itertools.permutations(range(n))}
                 assert corpus.labelings(n, mask) == want
                 assert min(want) == mask
@@ -259,7 +279,7 @@ class TestIsomorphismReduction:
         # each order is grown once, from the order below, when first asked
         # for; a second walk grows its own levels
         level = corpus.class_levels()
-        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0], []))]
+        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]))]
         assert profile_calls == []
         six = level(6)
         assert profile_calls == [2, 3, 4, 5, 6]
@@ -282,7 +302,7 @@ class TestIsomorphismReduction:
         # minimizing orders, whose number is |Aut(G)|
         for n in range(2, 6):
             for mask, _ in labeled_connected(n):
-                adj = corpus.mask_adjacency(n, mask)[0]
+                adj = corpus.mask_adjacency(n, mask)
                 key, orders = corpus.canonical_form(n, adj)
                 assert (key, set(orders)) == _brute_orders(n, adj)
                 assert len(orders) == len(set(orders))
@@ -297,7 +317,7 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(3, 7):
             for parent, _, _ in level(n - 1):
-                parent_adj = corpus.mask_adjacency(n - 1, parent)[0]
+                parent_adj = corpus.mask_adjacency(n - 1, parent)
                 key, autos = _brute_orders(n - 1, parent_adj)
                 assert key == parent  # so the minimizing orders are Aut(parent)
                 want = []
@@ -306,7 +326,7 @@ class TestIsomorphismReduction:
                              for sigma in autos}
                     if min(image) != nbrs:
                         continue
-                    adj = parent_adj + [nbrs]
+                    adj = [*parent_adj, nbrs]
                     for u in range(n - 1):
                         if nbrs >> u & 1:
                             adj[u] |= 1 << (n - 1)
@@ -339,7 +359,7 @@ class TestIsomorphismReduction:
         for n in range(2, 8):
             buckets = {}
             for mask, weight, prof in level(n):
-                g = nx.Graph(corpus.mask_adjacency(n, mask)[1])
+                g = to_nx(Graph(n, corpus.mask_adjacency(n, mask)))
                 buckets.setdefault(_invariant(g), []).append([g, weight, prof, 0])
             for h in (h for h in atlas if h.number_of_nodes() == n):
                 hits = [c for c in buckets.get(_invariant(h), []) if nx.is_isomorphic(c[0], h)]

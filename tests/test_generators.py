@@ -1,6 +1,10 @@
+import random
+
+import networkx as nx
 import pytest
 
-from conftest import brute_isomorphic
+from conftest import brute_isomorphic, to_nx
+from periwiener import cli
 from periwiener.corpus import tree_certificate
 from periwiener.errors import InvalidCodeError, InvalidParameterError, TooLargeError
 from periwiener.generators import (
@@ -18,7 +22,113 @@ from periwiener.generators import (
     rooted_depth2_tree,
     star,
 )
-from periwiener.graphs import cartesian_product, distance_matrix, is_connected
+from periwiener.graphs import build_graph, cartesian_product, distance_matrix, is_connected
+
+
+def _nx_caterpillar(counts):
+    """The caterpillar numbering: spine 0..s-1, then each spine vertex's
+    leaves in order."""
+    ng = nx.path_graph(len(counts))
+    for i, c in enumerate(counts):
+        for _ in range(c):
+            ng.add_edge(i, ng.number_of_nodes())
+    return ng
+
+
+def _nx_lobster(counts, c):
+    """The caterpillar, then the star center joined to spine vertex 1, then
+    its c leaves."""
+    ng = _nx_caterpillar(counts)
+    center = ng.number_of_nodes()
+    ng.add_edge(1, center)
+    ng.add_edges_from((center, center + 1 + i) for i in range(c))
+    return ng
+
+
+def _nx_double_star(m, n):
+    """Centers 0 and 1, then the m leaves of 0, then the n leaves of 1."""
+    return nx.Graph([(0, 1)] + [(0, 2 + i) for i in range(m)]
+                    + [(1, 2 + m + j) for j in range(n)])
+
+
+def _nx_hypercube(d):
+    """Vertices numbered by their bit strings: adjacent iff one bit differs
+    (networkx names the vertices of Q_1 0 and 1, not by 1-tuples)."""
+    if d == 1:
+        return nx.hypercube_graph(1)
+    return nx.relabel_nodes(nx.hypercube_graph(d), lambda bits: int("".join(map(str, bits)), 2))
+
+
+def _nx_random_tree(n, seed):
+    """The labeled tree of the Pruefer sequence of n - 2 draws of randrange(n)."""
+    rng = random.Random(seed)
+    return nx.from_prufer_sequence([rng.randrange(n) for _ in range(n - 2)])
+
+
+def _nx_random_graph(n, p, seed):
+    """G(n, p) with one random() per pair in graph6 column order (0,1),
+    (0,2), (1,2), ..., redrawn until connected."""
+    rng = random.Random(seed)
+    while True:
+        ng = nx.empty_graph(n)
+        ng.add_edges_from((i, j) for j in range(1, n) for i in range(j) if rng.random() < p)
+        if nx.is_connected(ng):
+            return ng
+
+
+def _nx_product(g, h):
+    """networkx's product with (a, x) numbered row-major a*|V(h)| + x."""
+    prod = nx.cartesian_product(to_nx(g), to_nx(h))
+    return nx.relabel_nodes(prod, lambda ax: ax[0] * h.n + ax[1])
+
+
+# (family, gen parameters, --seed, the networkx graph under the documented
+# numbering); every family of `periwiener gen` has a case
+_NX_CASES = [
+    ("complete", ["1"], 0, nx.complete_graph(1)),
+    ("complete", ["6"], 0, nx.complete_graph(6)),
+    ("path", ["7"], 0, nx.path_graph(7)),
+    ("cycle", ["7"], 0, nx.cycle_graph(7)),
+    ("complete-bipartite", ["3", "4"], 0, nx.complete_bipartite_graph(3, 4)),
+    ("star", ["5"], 0, nx.star_graph(5)),
+    ("double-star", ["2", "3"], 0, _nx_double_star(2, 3)),
+    ("hypercube", ["1"], 0, _nx_hypercube(1)),
+    ("hypercube", ["5"], 0, _nx_hypercube(5)),
+    ("caterpillar", ["2,0,3"], 0, _nx_caterpillar((2, 0, 3))),
+    ("caterpillar", ["3"], 0, _nx_caterpillar((3,))),
+    ("lobster", ["1,0,1", "2"], 0, _nx_lobster((1, 0, 1), 2)),
+    ("lobster", ["2,0,0,3", "1"], 0, _nx_lobster((2, 0, 0, 3), 1)),
+    ("random-tree", ["40"], 3, _nx_random_tree(40, 3)),
+    ("random-tree", ["2"], 1, _nx_random_tree(2, 1)),
+    ("random-graph", ["30", "0.2"], 3, _nx_random_graph(30, 0.2, 3)),
+    ("random-graph", ["12", "0.15"], 8, _nx_random_graph(12, 0.15, 8)),
+]
+
+
+def _same_graph(g, ng):
+    """g has the vertices and edges of ng, and its masks are those that
+    build_graph makes of its edges: symmetric, loop-free, below bit n."""
+    assert sorted(ng.nodes) == list(range(g.n))
+    assert set(g.edges()) == {(min(e), max(e)) for e in ng.edges()}
+    assert g == build_graph(g.n, g.edges())
+
+
+class TestMatchesNetworkx:
+    @pytest.mark.parametrize("family, params, seed, ng", _NX_CASES,
+                             ids=[f"{f}-{'-'.join(p)}" for f, p, _, _ in _NX_CASES])
+    def test_family(self, family, params, seed, ng):
+        _same_graph(cli._build_family(family, params, seed), ng)
+
+    def test_every_family_has_a_case(self):
+        assert {family for family, _, _, _ in _NX_CASES} == set(cli._FAMILIES)
+
+    def test_cartesian_product(self, rng):
+        pairs = [(path(3), cycle(4)), (complete(1), path(3)), (star(3), complete(2))]
+        pairs += [(random_connected_graph(rng.randrange(2, 7), 0.5, seed=rng.randrange(1 << 30)),
+                   random_connected_graph(rng.randrange(2, 7), 0.5, seed=rng.randrange(1 << 30)))
+                  for _ in range(10)]
+        for g, h in pairs:
+            _same_graph(cartesian_product(g, h), _nx_product(g, h))
 
 
 class TestBasicFamilies:
@@ -83,7 +193,7 @@ class TestHypercube:
             g = hypercube(n)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
-                    assert g.has_edge(u, v) == ((u ^ v).bit_count() == 1)
+                    assert bool(g.masks[u] >> v & 1) == ((u ^ v).bit_count() == 1)
 
     def test_all_vertices_peripheral(self):
         dm = distance_matrix(hypercube(4))

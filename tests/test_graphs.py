@@ -4,13 +4,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, fig2_tree, floyd_warshall, random_connected
+from conftest import connected_graphs, fig2_tree, floyd_warshall, random_connected, to_nx
 from periwiener.errors import NotConnectedError, SelfLoopError, VertexRangeError
 from periwiener.generators import complete, cycle, path
 from periwiener.graphs import (
+    Graph,
+    _connected_on,
     build_graph,
     cartesian_product,
-    complement,
     distance_matrix,
     is_connected,
 )
@@ -20,7 +21,8 @@ class TestBuildGraph:
     def test_path_graph(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         assert g.n == 3 and g.m == 2
-        assert g.adj == ((1,), (0, 2), (1,))
+        assert g.masks == (0b010, 0b101, 0b010)
+        assert list(g.edges()) == [(0, 1), (1, 2)]
 
     def test_cycle(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -59,19 +61,37 @@ class TestConnectivity:
     def test_single_vertex(self):
         assert is_connected(build_graph(1, []))
 
+    def test_matches_networkx(self, rng):
+        # G(n, p) over a range of p, so that both answers occur; then every
+        # single vertex removed, which is what the deletion rule asks
+        answers = set()
+        for _ in range(300):
+            n = rng.randrange(1, 13)
+            p = rng.uniform(0.05, 0.6)
+            g = build_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            ng = to_nx(g)
+            answers.add(nx.is_connected(ng))
+            assert is_connected(g) == nx.is_connected(ng)
+            for v in range(n):
+                rest = ng.subgraph(u for u in range(n) if u != v)
+                want = n == 1 or nx.is_connected(rest)
+                assert _connected_on(g.masks, ((1 << n) - 1) & ~(1 << v)) == want
+        assert answers == {True, False}
+
 
 class TestDistanceMatrix:
     def test_path5_profile(self):
         dm = distance_matrix(path(5))
         assert dm.diameter == 4
         assert dm.radius == 2
-        assert dm.center == {2}
+        assert dm.ecc == (4, 3, 2, 3, 4)
         assert dm.periphery == {0, 4}
 
     def test_cycle4_self_centered(self):
         dm = distance_matrix(cycle(4))
         assert set(dm.ecc) == {2}
-        assert dm.center == dm.periphery == {0, 1, 2, 3}
+        assert dm.radius == dm.diameter == 2
+        assert dm.periphery == {0, 1, 2, 3}
 
     def test_fig2_tree(self):
         dm = distance_matrix(fig2_tree())
@@ -117,34 +137,15 @@ class TestDistanceMatrix:
             for v in range(u + 1, n):
                 d = dm.dist[u][v]
                 assert d == dm.dist[v][u] > 0
-                assert (d == 1) == g.has_edge(u, v)
+                assert (d == 1) == bool(g.masks[u] >> v & 1)
         for u in range(n):
             for v in range(n):
                 for w in range(n):
                     assert dm.dist[u][w] <= dm.dist[u][v] + dm.dist[v][w]
+        assert dm.ecc == tuple(max(row) for row in dm.dist)
+        assert (dm.radius, dm.diameter) == (min(dm.ecc), max(dm.ecc))
         assert dm.radius <= dm.diameter <= 2 * dm.radius
-        assert dm.center and dm.periphery
-
-
-class TestComplement:
-    def test_complete_to_empty(self):
-        assert complement(complete(4)).m == 0
-
-    def test_path4_complement_is_path(self):
-        g = complement(path(4))
-        assert set(g.edges()) == {(0, 2), (0, 3), (1, 3)}
-
-    @given(connected_graphs(max_n=12))
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, g):
-        assert complement(complement(g)) == g
-
-    def test_large_diameter_gives_small_complement_diameter(self):
-        for n in (5, 6, 7, 9):
-            g = path(n)  # diameter n-1 >= 4
-            comp = complement(g)
-            assert is_connected(comp)
-            assert distance_matrix(comp).diameter <= 2
+        assert dm.periphery == {v for v in range(n) if dm.ecc[v] == dm.diameter}
 
 
 class TestCartesianProduct:
@@ -180,10 +181,10 @@ class TestCartesianProduct:
                             )
 
     def test_periphery_multiplies(self):
-        from periwiener.corpus import class_levels, mask_to_graph
+        from periwiener.corpus import class_levels, mask_adjacency
 
         level = class_levels()
-        factors = [mask_to_graph(n, mask) for n in (2, 3, 4) for mask, _, _ in level(n)]
+        factors = [Graph(n, mask_adjacency(n, mask)) for n in (2, 3, 4) for mask, _, _ in level(n)]
         for g in factors:
             for h in factors:
                 dg, dh = distance_matrix(g), distance_matrix(h)

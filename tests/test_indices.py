@@ -191,7 +191,7 @@ class TestIndexVector:
 
 # an asymmetric "distance matrix": the PW pair sum is 1, the vertex sum 0
 _ASYMMETRIC = DistanceMatrix(n=2, dist=((0, 1), (0, 0)), ecc=(1, 1), radius=1, diameter=1,
-                             center=frozenset({0, 1}), periphery=frozenset({0, 1}))
+                             periphery=frozenset({0, 1}))
 
 
 class TestInvariants:
