@@ -14,7 +14,9 @@ swept once for all its requested claims; a family or fixed claim's row
 carries its own instances.  One loop, `_evaluate`, does the counting,
 witness selection and error handling for every pass.  The exhaustive
 corpus checks one graph per isomorphism class, weighted by its n!/|Aut(G)|
-labelings, so the counts and witnesses are those of every labeled graph.
+labelings, and keeps a violating class as one witness key; the report
+expands the kept classes into their labeled graphs, so the counts and
+witnesses are those of every labeled graph.
 
 `run_claims` cuts every requested stream into a fixed list of jobs and
 runs them all in one process pool: the corpus classes of the largest order
@@ -755,7 +757,7 @@ class _Acc:
     def __init__(self):
         self.tested = 0
         self.violations = 0
-        self.witnesses: list[tuple] = []  # (n, edge mask, graph6, observed, expected)
+        self.witnesses: list[tuple] = []  # a job's keys, or `_finalize`'s witnesses
         self.error: str | None = None
 
     def add_witness(self, entry: tuple) -> None:
@@ -785,21 +787,14 @@ class _Acc:
 
 
 def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
-    """Offer the witnesses of one violation: (n, edge mask, graph6,
-    observed, expected), which sort the smallest graphs in graph6 order
-    first.  A Graph gives one; an isomorphism class (n, canonical mask) gives
-    each of its labeled graphs, unless the list is already full of entries
-    below its canonical mask, the smallest mask in the class."""
+    """Offer the key of one violation, (n, edge mask, observed, expected,
+    whole class): a Graph's own mask, or the canonical mask of an
+    isomorphism class (n, mask), the smallest among its labeled graphs.
+    Keys sort as their smallest labeled witnesses do in graph6 order."""
     if isinstance(subject, Graph):
-        acc.add_witness((subject.n, corpus.g6_order_key(subject), write_graph6(subject)) + r)
-        return
-    n, mask = subject
-    if not acc.admits(n, mask):
-        return
-    for labeled in corpus.labelings(n, mask):
-        if acc.admits(n, labeled):
-            g6 = write_graph6(Graph(n, corpus.mask_adjacency(n, labeled)))
-            acc.add_witness((n, labeled, g6) + r)
+        acc.add_witness((subject.n, corpus.g6_order_key(subject)) + r + (False,))
+    else:
+        acc.add_witness(subject + r + (True,))
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
@@ -836,18 +831,23 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
 
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
     if acc.error is not None or acc.tested == 0:
-        status = STATUS_SKIPPED
-        note = acc.error or "no instances in suite"
-    elif acc.violations:
-        status = STATUS_VIOLATED
-        note = ""
+        status, note = STATUS_SKIPPED, acc.error or "no instances in suite"
     else:
-        status = STATUS_HOLDS
-        note = ""
-    witnesses = [
-        {"graph6": g6, "observed": obs, "expected": exp}
-        for (_n, _mask, g6, obs, exp) in acc.witnesses
-    ]
+        status, note = STATUS_VIOLATED if acc.violations else STATUS_HOLDS, ""
+    # A key is the smallest labeled witness of its violation, so a labeled
+    # witness whose key is not among the kept ten has ten distinct labeled
+    # witnesses at or below it: expanding the kept keys alone, in order, and
+    # skipping a class whose smallest mask is already too large, gives the
+    # ten smallest labeled witnesses of the whole stream.
+    shown = _Acc()
+    for n, mask, obs, exp, whole_class in acc.witnesses:
+        if not whole_class:
+            shown.add_witness((n, mask, obs, exp))
+        elif shown.admits(n, mask):
+            for labeled in corpus.labelings(n, mask):
+                shown.add_witness((n, labeled, obs, exp))
+    witnesses = [{"graph6": write_graph6(Graph(n, corpus.mask_adjacency(n, mask))),
+                  "observed": obs, "expected": exp} for n, mask, obs, exp in shown.witnesses]
     return ClaimResult(
         id=claim.id,
         description=claim.description,

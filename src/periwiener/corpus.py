@@ -336,7 +336,8 @@ def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[in
 
 def labelings(n: int, mask: int) -> set[int]:
     """Edge masks of every labeled graph isomorphic to this one, by all n!
-    relabelings; only the witnesses of a violating class need them."""
+    relabelings; the audit report expands at most ten witness classes of a
+    claim with it, in the parent process."""
     edges = mask_edges(n, mask)
     return {edge_mask(n, [(perm[i], perm[j]) for i, j in edges])
             for perm in itertools.permutations(range(n))}

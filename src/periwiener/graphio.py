@@ -34,6 +34,13 @@ from .graphs import Graph, build_graph
 
 MAX_GRAPH6_ORDER = 258
 
+# The largest vertex count an edge list may declare: the order of Q_10, the
+# largest input any benchmark workload or test feeds in.  The metric engine
+# keeps reach layers of O(diam * n^2) bits, so a path of 1,000 vertices peaks
+# at 158 MiB and one of 1,500 at 456 MiB (CHANGES.md); an engine with
+# O(n^2) memory can raise this ceiling.
+MAX_EDGE_LIST_ORDER = 1024
+
 
 def _as_text(data: str | bytes) -> str:
     if isinstance(data, bytes):
@@ -60,6 +67,9 @@ def parse_edge_list(data: str | bytes) -> Graph:
             n = int(fields[0])
             if n < 1:
                 raise VertexRangeError(f"line {lineno}: vertex count must be >= 1, got {n}")
+            if n > MAX_EDGE_LIST_ORDER:
+                raise TooLargeError(f"line {lineno}: vertex count {n} exceeds the supported "
+                                    f"maximum {MAX_EDGE_LIST_ORDER}")
             continue
         if len(fields) != 2 or not all(_is_int(f) for f in fields):
             raise EdgeListSyntaxError(lineno, f"expected 'u v', got {line!r}")

@@ -1,10 +1,12 @@
 import ast
 import hashlib
 import inspect
+import os
 import random
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -436,9 +438,24 @@ def _labeled_reference(instances, checks):
             tested += 1
             if r is not None:
                 violations += 1
-                witnesses.append((g.n, nx_mask(g), nx_graph6(g)) + r)
-        out[cid] = (tested, violations, sorted(witnesses)[:audit._MAX_WITNESSES], error)
+                witnesses.append(((g.n, nx_mask(g)) + r, g))
+        # graph6 records of one order sort as their masks: write only the kept
+        kept = sorted(witnesses, key=lambda w: w[0])[:audit._MAX_WITNESSES]
+        kept = [(n, mask, nx_graph6(g), *r) for (n, mask, *r), g in kept]
+        out[cid] = (tested, violations, kept, error)
     return out
+
+
+@cache
+def _labeled_corpus(max_n):
+    """Every labeled connected graph up to max_n vertices, with the corpus
+    checks' args."""
+    labeled = []
+    for n in range(2, max_n + 1):
+        for mask, p in labeled_connected(n):
+            adj = corpus.mask_adjacency(n, mask)
+            labeled.append((Graph(n, adj), (n, adj, p)))
+    return labeled
 
 
 def _result_fields(results):
@@ -460,6 +477,14 @@ def _unicyclic(n, masks, p):
     return ("m=n", "m!=n") if p.m == n else None
 
 
+def _diameter_3_at_6(n, masks, p):
+    return ("diam=3", "n=6, diam!=3") if n == 6 and p.diameter == 3 else None
+
+
+def _always(*args):
+    return ("always", "never")
+
+
 def _suite_checks(suite):
     return [(c.id, c.check) for c in audit._CLAIMS.values() if c.suite == suite]
 
@@ -479,15 +504,56 @@ class TestClassSweep:
         checks = _suite_checks("corpus")
         results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],
                                    audit.Budget(threads=threads, **self.BUDGET))
-        labeled = []
-        for n in range(2, 6):
-            for mask, p in labeled_connected(n):
-                adj = corpus.mask_adjacency(n, mask)
-                labeled.append((Graph(n, adj), (n, adj, p)))
-        want = _labeled_reference(labeled, checks)
+        want = _labeled_reference(_labeled_corpus(5), checks)
         assert _result_fields(results) == _reference_fields(want)
         assert want["HASSE-1"][1] > audit._MAX_WITNESSES
         assert len({w[0] for w in want["HASSE-2"][2]}) > 1  # witnesses from two orders
+
+    @pytest.mark.parametrize("check, violations, first, last", [
+        # witnesses of the top order only, from its parent jobs
+        (_diameter_3_at_6, 12_540, "E?Fg", "E?Ro"),
+        # witnesses of the lowest orders, which a few classes fill
+        (_always, 27_475, "A_", "CR"),
+    ], ids=["diameter-3-at-6", "always"])
+    def test_witnesses_merged_across_jobs(self, monkeypatch, check, violations, first, last):
+        # each job offers one key per violating class, and only the report
+        # expands the kept classes; the witnesses must still be the ten
+        # smallest labeled graphs of the whole sweep (max_n 6), at either
+        # worker count
+        _patch_check(monkeypatch, "HASSE-1", check)
+        want = _labeled_reference(_labeled_corpus(6), [("HASSE-1", check)])
+        for threads in (1, 2):
+            (result,) = audit.run_claims([audit._CLAIMS["HASSE-1"]],
+                                         audit.Budget(max_n=6, trials=0, threads=threads))
+            assert _result_fields([result]) == _reference_fields(want), threads
+        witnesses = want["HASSE-1"][2]
+        assert result.violations == violations
+        assert (witnesses[0][2], witnesses[-1][2]) == (first, last)
+        assert len({corpus.canonical_mask(n, mask) for n, mask, *_ in witnesses}) >= 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_the_report_expands_classes(self, monkeypatch, threads):
+        # a claim that fails on every class expands at most ten of them, all
+        # in this process: a job that called labelings would raise
+        calls = []
+        real = corpus.labelings
+        pid = os.getpid()
+
+        def counting(n, mask):
+            if os.getpid() != pid:
+                raise AssertionError("labelings called in a worker")
+            calls.append((n, mask))
+            return real(n, mask)
+
+        monkeypatch.setattr(corpus, "labelings", counting)
+        _patch_check(monkeypatch, "HASSE-4", _always)
+        (result,) = audit.run_claims([audit._CLAIMS["HASSE-4"]],
+                                     audit.Budget(max_n=7, trials=0, threads=threads))
+        assert result.status == audit.STATUS_VIOLATED and not result.note
+        assert result.violations == 1 + 4 + 38 + 728 + 26_704 + 1_866_256  # A001187
+        assert [w["graph6"] for w in result.witnesses] == [
+            "A_", "BW", "Bg", "Bo", "Bw", "CF", "CL", "CM", "CN", "CR"]
+        assert 0 < len(calls) <= audit._MAX_WITNESSES
 
     def test_corpus6_matches_labeled_sweep(self):
         checks = _suite_checks("corpus6")

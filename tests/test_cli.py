@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from periwiener import audit, trees
+from periwiener import audit, graphio, trees
 from periwiener.cli import _FAMILIES, enumerate_values_csv, main
 from periwiener.generators import hypercube
 from periwiener.graphio import parse_graph6, write_graph6
@@ -49,6 +49,22 @@ class TestCompute:
         rc, _, err = run_cli(capsys, "compute", "--input", str(f))
         assert rc == 2
         assert "line 2" in err
+
+    def test_oversized_edge_list_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
+        # the header alone is rejected: no vertex list is allocated for it
+        def not_built(*args):
+            raise AssertionError("build_graph called")
+
+        monkeypatch.setattr(graphio, "build_graph", not_built)
+        f = tmp_path / "huge.el"
+        f.write_text("200000000\n0 1\n")
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {f}: line 1: vertex count 200000000 exceeds the supported "
+                       f"maximum {graphio.MAX_EDGE_LIST_ORDER}\n")
+        monkeypatch.undo()
+        top = graphio.MAX_EDGE_LIST_ORDER
+        assert graphio.parse_edge_list(f"{top}\n").n == top
 
     def test_graph6_multi_record(self, tmp_path, capsys):
         f = tmp_path / "many.g6"
