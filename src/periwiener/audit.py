@@ -1,6 +1,6 @@
 """Registry of quantitative claims about the six indices, and the engine
 that evaluates every claim against brute-force oracles over exhaustive,
-family, and seeded-random instance suites.
+family, and seeded-random instance streams.
 
 Each claim is pre-registered with the status its statement is expected to
 earn ("holds", or "discrepancy" for statements whose stated form fails desk
@@ -8,25 +8,25 @@ checks).  A run *matches* when every final status equals its registration;
 any flip is the failure signal.  Desk-corrected variants of the discrepancy
 formulas ride along as shadow claims, outside the registry proper.
 
-Each claim's registry row names its suite and holds its check.  Each
-shared suite (corpus, corpus6, trees, products) has one instance stream,
-swept once for all its requested claims; a family or fixed claim's row
-carries its own instances.  One loop, `_evaluate`, does the counting,
-witness selection and error handling for every pass.  The exhaustive
-corpus checks one graph per isomorphism class, weighted by its n!/|Aut(G)|
-labelings, and keeps a violating class as one witness key; the report
-expands the kept classes into their labeled graphs, so the counts and
-witnesses are those of every labeled graph.
+Each claim's registry row names its report suite, its check and the stream
+it reads.  `_STREAMS` is the one table of streams (corpus, corpus6, trees,
+products, each family's instance set, the fixed cases), and each requested
+stream is swept once for all the claims that read it.  One loop,
+`_evaluate`, does the counting, witness selection and error handling for
+every pass.  The exhaustive corpus checks one graph per isomorphism class,
+weighted by its n!/|Aut(G)| labelings, and keeps a violating class as one
+witness key; the report expands the kept classes into their labeled
+graphs, so the counts and witnesses are those of every labeled graph.
 
 `run_claims` cuts every requested stream into a fixed list of jobs and
 runs them all in one process pool: the corpus classes of the largest order
 (one job per parent class, the smaller orders from one walk of the class
-levels in the parent); the random graphs, trees and factor pairs in blocks
-whose draws the parent makes in seed order; and in slices the pairs of
-small factors, the free trees, the corpus6 orders and each family or
-fixed claim's parameters.  Each claim's parts merge in its stream's order,
-and a part after one whose check raised counts nothing, so the report is
-that of one serial pass whatever the worker count.
+levels in the parent); the random graphs, trees and factor pairs, the
+family parameters and the fixed cases in blocks whose items the parent
+makes in stream order; the free trees and the corpus6 orders one job each.
+Each claim's parts merge in its stream's order, and a part after one whose
+check raised counts nothing, so the report is that of one serial pass
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import corpus, generators, trees
 from .errors import InvalidParameterError
@@ -99,11 +99,11 @@ class Budget:
 
 @dataclass(frozen=True, slots=True)
 class Claim:
-    """One registered statement: stable id, readable statement text,
-    evaluation suite, the pre-registered expected status, and its check.
-    A family or fixed claim also carries its instances: instances(*key)
-    yields the check's args, its graph first, for each key in `slices`; the
-    slices, in order, make up the claim's stream."""
+    """One registered statement: stable id, readable statement text, the
+    suite it is reported under, the pre-registered expected status, its
+    check, and the stream it reads: a key of `_STREAMS`, by default the
+    suite's name.  The check takes the args of each of the stream's
+    instances."""
 
     id: str
     description: str
@@ -111,9 +111,12 @@ class Claim:
     suite: str
     expected: str
     check: Callable
-    instances: Callable | None = None
+    stream: str = ""
     shadow: bool = False
-    slices: tuple = ((),)
+
+    def __post_init__(self):
+        if not self.stream:
+            object.__setattr__(self, "stream", self.suite)
 
 
 @dataclass(slots=True)
@@ -154,7 +157,7 @@ def hypercube_pww(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# suites: the checks of each suite, and the streams of the shared ones
+# suites: the checks of each suite, and the streams they read
 # --------------------------------------------------------------------------
 
 
@@ -305,15 +308,15 @@ def _random_graphs(draws: list[tuple[int, float, int]]):
         yield g, 1, (g.n, g.masks, corpus.profile_from_masks(g.n, g.masks))
 
 
-def _corpus_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+def _corpus_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every connected graph up to max_n vertices, one check per isomorphism
     class counted for each of its labelings, then 10 x trials random
     connected graphs.  The smaller orders come from the walked levels, the
     largest in one job per parent class."""
     n = budget.max_n
-    jobs = [(_stream_chunk, (ids, _class_instances, (k, level(k)))) for k in range(2, n)]
-    jobs += [(_corpus_chunk, (ids, n, parent)) for parent, _, _ in level(n - 1)]
-    return jobs + _blocks(ids, _random_graphs, _graph_draws(budget))
+    jobs = [(_stream_chunk, (_class_instances, (k, level(k)))) for k in range(2, n)]
+    jobs += [(_corpus_chunk, (n, parent)) for parent, _, _ in level(n - 1)]
+    return jobs + _blocks(_random_graphs, _graph_draws(budget))
 
 
 # corpus6 suite: args (profile, reach layers) -----------------------------
@@ -336,10 +339,10 @@ def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
         yield (n, mask), weight, corpus.layered_profile(Graph(n, corpus.mask_adjacency(n, mask)))
 
 
-def _corpus6_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+def _corpus6_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every connected graph up to min(6, max_n) vertices, by class, one job
     per order."""
-    return [(_stream_chunk, (ids, _corpus6_instances, (n, level(n))))
+    return [(_stream_chunk, (_corpus6_instances, (n, level(n))))
             for n in range(2, min(6, budget.max_n) + 1)]
 
 
@@ -416,11 +419,10 @@ def _tree_draws(budget: Budget) -> list[tuple[int, int]]:
             for _ in range(budget.trials)]
 
 
-def _tree_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+def _tree_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every free tree up to TREE_SUITE_MAX_N vertices, then `trials` random
     trees."""
-    free = (_stream_chunk, (ids, _free_trees, ()))
-    return [free] + _blocks(ids, _random_trees, _tree_draws(budget))
+    return [(_stream_chunk, (_free_trees, ()))] + _blocks(_random_trees, _tree_draws(budget))
 
 
 # product suite: args ((profile, reach layers) of G, of H and of G x H) -----
@@ -495,7 +497,7 @@ def _random_products(draws: list[tuple[tuple, tuple]]):
                                generators.random_connected_graph(*b)) for a, b in draws)
 
 
-def _product_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple]:
+def _product_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
     vertices, then `trials` random pairs; the witness is their product."""
     factors = [Graph(n, corpus.mask_adjacency(n, mask)) for n in range(2, FACTOR_MAX_N + 1)
@@ -503,90 +505,69 @@ def _product_jobs(ids: list[str], budget: Budget, level: Callable) -> list[tuple
     rng = random.Random(budget.seed * 104729 + 11)
     draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
               _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials)]
-    return (_blocks(ids, _product_instances, list(combinations_with_replacement(factors, 2)))
-            + _blocks(ids, _random_products, draws))
+    return (_blocks(_product_instances, list(combinations_with_replacement(factors, 2)))
+            + _blocks(_random_products, draws))
 
 
-# family suite: args (graph, family parameters), streamed by each claim ---
+# family and fixed streams: args (graph, profile, parameters) -------------
 
 
 def _pww_equals(value: Callable, label: str) -> Callable:
     """Check that PWW of a family member equals value(*params)."""
 
-    def check(g, params):
+    def check(g, p, params):
         want = value(*params)
-        pww = corpus.profile_of(g).pww
-        return None if pww == want else (f"PWW={pww}", f"{label} = {want}")
+        return None if p.pww == want else (f"PWW={p.pww}", f"{label} = {want}")
 
     return check
 
 
-def _fam_sizes(make: Callable, lo: int, hi: int) -> Iterator[tuple[Graph, tuple]]:
-    for nn in range(lo, hi + 1):
-        yield make(nn), (nn,)
+def _members(make: Callable, params: list[tuple]):
+    """The family members make(*q), q in `params`, each with its profile and
+    parameters."""
+    for q in params:
+        g = make(*q)
+        yield g, 1, (g, corpus.profile_of(g), q)
 
 
-def _fam_pairs(make: Callable, m_lo: int) -> Iterator[tuple[Graph, tuple]]:
-    for m in range(m_lo, FAMILY_MAX + 1):
-        for nn in range(m, FAMILY_MAX + 1):
-            yield make(m, nn), (m, nn)
+def _family(make: Callable, params: list[tuple]) -> list[tuple]:
+    """A family's stream: the parent lists the parameters, the workers build
+    the members, in blocks."""
+    return _blocks(partial(_members, make), params)
 
 
-_fam_complete = partial(_fam_sizes, generators.complete, 2, COMPLETE_MAX)
-_fam_star = partial(_fam_sizes, generators.star, 2, COMPLETE_MAX)
-_fam_hypercube = partial(_fam_sizes, generators.hypercube, 2, HYPERCUBE_MAX)
-_fam_kmn = partial(_fam_pairs, generators.complete_bipartite, 2)
-_fam_dstar = partial(_fam_pairs, generators.double_star, 1)
+def _diam4_jobs(budget: Budget, level: Callable) -> list[tuple]:
+    """Depth-2 trees, two or more of whose root children have leaves."""
+    return _family(generators.rooted_depth2_tree,
+                   [(counts,) for size in range(2, DIAM4_TUPLE_MAX + 1)
+                    for counts in combinations_with_replacement(range(DIAM4_CHILD_MAX + 1), size)
+                    if sum(1 for x in counts if x >= 1) >= 2])
 
 
-def _fam_diam4():
-    for size in range(2, DIAM4_TUPLE_MAX + 1):
-        for counts in combinations_with_replacement(range(DIAM4_CHILD_MAX + 1), size):
-            if sum(1 for x in counts if x >= 1) >= 2:
-                yield generators.rooted_depth2_tree(counts), (counts,)
+def _caterpillar_jobs(budget: Budget, level: Callable) -> list[tuple]:
+    """Every caterpillar code up to the spine and leaf ceilings."""
+    leaves = range(CATERPILLAR_LEAF_MAX + 1)
+    return _family(generators.caterpillar,
+                   [((c1, *mids, cs),) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
+                    for c1 in leaves[1:] for cs in leaves[1:]
+                    for mids in product(leaves, repeat=s - 2)])
 
 
-def _fam_caterpillar(s: int, c1: int):
-    """The caterpillars of spine length s and first code entry c1, one slice
-    of the claim's instances."""
-    for cs in range(1, CATERPILLAR_LEAF_MAX + 1):
-        for mids in product(range(CATERPILLAR_LEAF_MAX + 1), repeat=s - 2):
-            code = (c1, *mids, cs)
-            yield generators.caterpillar(code), (code,)
+def _lobster_jobs(budget: Budget, level: Callable) -> list[tuple]:
+    """Lobsters of spine length 3 to 5, every count at most 3."""
+    return _family(generators.lobster,
+                   [((c1, 0, *mids, cs), cc) for s in range(3, 6)
+                    for c1 in range(1, 4) for cs in range(1, 4)
+                    for mids in product(range(3), repeat=s - 3) for cc in range(1, 4)])
 
 
-_CATERPILLAR_SLICES = tuple((s, c1) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
-                            for c1 in range(1, CATERPILLAR_LEAF_MAX + 1))
-
-
-def _fam_lobster():
-    for s in range(3, 6):
-        for c1 in range(1, 4):
-            for cs in range(1, 4):
-                for mids in product(range(3), repeat=s - 3):
-                    code = (c1, 0, *mids, cs)
-                    for cc in range(1, 4):
-                        yield generators.lobster(code, cc), (code, cc)
-
-
-# fixed suite: a few named graphs per claim, each case the check's args ---
-
-
-def _chk_incomp(g, sign, statement):
-    p = corpus.profile_of(g)
+def _chk_incomp(g, p, sign, statement):
     if (p.w > p.pww) - (p.w < p.pww) == sign:
         return None
     return (f"W={p.w}, PWW={p.pww}", statement)
 
 
-def _incomp_cases():
-    return ((generators.path(3), 1, "W > PWW on P_3"),
-            (generators.star(4), -1, "W < PWW on K_{1,4}"),
-            (generators.path(2), 0, "W = PWW on P_2"))
-
-
-def _chk_fig2(g):
-    p = corpus.profile_of(g)
+def _chk_fig2(g, p):
     formula = 2 * comb(g.n, 2) + comb(p.k, 2) - 2 * g.m
     if p.pww == 15 and p.diameter == 3 and formula == p.pww:
         return None
@@ -594,19 +575,46 @@ def _chk_fig2(g):
             "PWW = 15 = formula value while diam = 3")
 
 
-# each shared suite's stream, as its fixed list of jobs in stream order:
-# stream(ids, budget, level) for the checks `ids`, where level(n) is the list
-# of n-vertex classes of the one walk of corpus.class_levels
-_STREAMS: dict[str, Callable[[list[str], Budget, Callable], list[tuple]]] = {
+def _cases(cases: list[tuple]):
+    """Named graphs, each with its profile and the rest of its case."""
+    for g, *rest in cases:
+        yield g, 1, (g, corpus.profile_of(g), *rest)
+
+
+# every stream, as its fixed list of jobs in stream order: stream(budget,
+# level) -> [(fn, args)], where level(n) is the list of n-vertex classes of
+# the one walk of corpus.class_levels; a job runs fn(ids, *args) for the
+# checks `ids` of the claims that read the stream
+_STREAMS: dict[str, Callable[[Budget, Callable], list[tuple]]] = {
     "corpus": _corpus_jobs,
     "corpus6": _corpus6_jobs,
     "trees": _tree_jobs,
     "products": _product_jobs,
+    "complete": lambda budget, level: _family(
+        generators.complete, [(nn,) for nn in range(2, COMPLETE_MAX + 1)]),
+    "star": lambda budget, level: _family(
+        generators.star, [(nn,) for nn in range(2, COMPLETE_MAX + 1)]),
+    "complete-bipartite": lambda budget, level: _family(
+        generators.complete_bipartite,
+        [(m, nn) for m in range(2, FAMILY_MAX + 1) for nn in range(m, FAMILY_MAX + 1)]),
+    "double-star": lambda budget, level: _family(
+        generators.double_star,
+        [(m, nn) for m in range(1, FAMILY_MAX + 1) for nn in range(m, FAMILY_MAX + 1)]),
+    "hypercube": lambda budget, level: _family(
+        generators.hypercube, [(d,) for d in range(2, HYPERCUBE_MAX + 1)]),
+    "diameter-4": _diam4_jobs,
+    "caterpillar": _caterpillar_jobs,
+    "lobster": _lobster_jobs,
+    "incomp": lambda budget, level: _blocks(_cases, [
+        (generators.path(3), 1, "W > PWW on P_3"),
+        (generators.star(4), -1, "W < PWW on K_{1,4}"),
+        (generators.path(2), 0, "W = PWW on P_2")]),
+    "fig2": lambda budget, level: _blocks(_cases, [(fig2_tree(),)]),
 }
 
 
 # --------------------------------------------------------------------------
-# claim registry: one row per claim, with its suite and its check
+# claim registry: one row per claim, with its suite, check and stream
 # --------------------------------------------------------------------------
 
 
@@ -615,14 +623,14 @@ def _registry() -> dict[str, Claim]:
     rows = [
         c("P1-1", "Closed form for PWW of complete graphs.",
           "PWW(K_n) = C(n,2)", "family", EXPECT_HOLDS,
-          _pww_equals(lambda nn: comb(nn, 2), "C(n,2)"), _fam_complete),
+          _pww_equals(lambda nn: comb(nn, 2), "C(n,2)"), "complete"),
         c("P1-2", "Closed form for PWW of stars.",
           "PWW(K_{1,n}) = 3*C(n,2) for n >= 2", "family", EXPECT_HOLDS,
-          _pww_equals(lambda nn: 3 * comb(nn, 2), "3*C(n,2)"), _fam_star),
+          _pww_equals(lambda nn: 3 * comb(nn, 2), "3*C(n,2)"), "star"),
         c("P1-3", "Closed form for PWW of complete bipartite graphs.",
           "PWW(K_{m,n}) = 3*C(n,2) + 3*C(m,2) + m*n for n >= m >= 2", "family", EXPECT_HOLDS,
           _pww_equals(lambda m, nn: 3 * comb(nn, 2) + 3 * comb(m, 2) + m * nn,
-                      "3C(n,2)+3C(m,2)+mn"), _fam_kmn),
+                      "3C(n,2)+3C(m,2)+mn"), "complete-bipartite"),
         c("P1-4", "Lower bound C(k,2) with equality exactly on complete graphs.",
           "PWW(G) >= C(k,2), equality iff G = K_k", "corpus", EXPECT_HOLDS, _chk_p1_4),
         c("HASSE-1", "Peripheral Wiener never exceeds Wiener.",
@@ -639,7 +647,7 @@ def _registry() -> dict[str, Claim]:
           "PWW = WW = TWW iff PW = W = TW iff G = P_2", "corpus", EXPECT_HOLDS, _chk_eq_p2),
         c("INCOMP-W-PWW", "W and PWW are incomparable in general.",
           "W(P_3) > PWW(P_3); W(K_{1,4}) < PWW(K_{1,4}); W(P_2) = PWW(P_2)",
-          "fixed", EXPECT_HOLDS, _chk_incomp, _incomp_cases),
+          "fixed", EXPECT_HOLDS, _chk_incomp, "incomp"),
         c("T-BOUNDS", "PWW sandwiched between WW-derived bounds.",
           "WW - (d(d-1)/2)(C(n,2)-C(k,2)) <= PWW <= WW - C(n,2) + C(k,2)",
           "corpus", EXPECT_HOLDS, _chk_t_bounds),
@@ -649,7 +657,7 @@ def _registry() -> dict[str, Claim]:
           "diam = 2 implies PWW = 2*C(n,2) + C(k,2) - 2m", "corpus", EXPECT_HOLDS, _chk_t_diam2),
         c("FIG2-NONCONVERSE", "The diameter-2 formula value can occur without diameter 2.",
           "a diameter-3 tree has PWW = 15 = 2*C(5,2) + C(3,2) - 2*4", "fixed", EXPECT_HOLDS,
-          _chk_fig2, lambda: ((fig2_tree(),),)),
+          _chk_fig2, "fig2"),
         c("T-PW-D3", "PW bounds for diameter >= 3 from order, size, diameter, k.",
           "d*ceil(k/2) - (d-3)(C(n,2)-C(k,2)) - m <= PW <= "
           "(d-1)C(n,2) + (d+1)C(k,2) - (d-2)m - (d-1)ceil(k/2)", "corpus", EXPECT_HOLDS,
@@ -670,7 +678,7 @@ def _registry() -> dict[str, Claim]:
           "products", EXPECT_HOLDS, _chk_pww_prod),
         c("C-HYPERCUBE", "Registered hypercube closed form (fails from Q_3 on).",
           "PWW(Q_n) = sum_{i=1..n} 3^(n-i) * 2^(n+i-2)", "family", EXPECT_DISCREPANCY,
-          _pww_equals(hypercube_series_value, "series value"), _fam_hypercube),
+          _pww_equals(hypercube_series_value, "series value"), "hypercube"),
         c("T-PW-TREE", "Edge-cut formula for the peripheral Wiener of a tree.",
           "PW(T) = sum over edges of a1(e)*a2(e)", "trees", EXPECT_HOLDS, _chk_pw_tree),
         c("T-PWW-TREE", "Path-cut formula for the peripheral hyper-Wiener of a tree.",
@@ -682,13 +690,13 @@ def _registry() -> dict[str, Claim]:
           "PWW(T) <= 4*C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS, _chk_tree_hi),
         c("T-STAR", "Diameter-2 trees are stars with a closed form.",
           "PWW(star on n+1 vertices) = 3*C(n,2)", "family", EXPECT_HOLDS,
-          _pww_equals(trees.closed_form_star, "3*C(n,2)"), _fam_star),
+          _pww_equals(trees.closed_form_star, "3*C(n,2)"), "star"),
         c("T-DSTAR", "Registered double-star closed form (wrong linear terms).",
           "PWW(S_{m,n}) = 6mn + 3m + 3n", "family", EXPECT_DISCREPANCY,
-          _pww_equals(trees.closed_form_double_star, "6mn+3m+3n"), _fam_dstar),
+          _pww_equals(trees.closed_form_double_star, "6mn+3m+3n"), "double-star"),
         c("P-DIAM4", "Diameter-4 closed form over grandchild sets.",
           "PWW = 10*sum_{i<j}|C_i||C_j| + 3*sum_i C(|C_i|,2)", "family", EXPECT_HOLDS,
-          _pww_equals(trees.closed_form_diam4, "closed form"), _fam_diam4),
+          _pww_equals(trees.closed_form_diam4, "closed form"), "diameter-4"),
         c("L-DIAM-COMP", "Large diameter forces a small-diameter connected complement.",
           "diam(G) >= 4 implies complement(G) connected with diam <= 2",
           "corpus", EXPECT_HOLDS, _chk_diam_comp),
@@ -698,12 +706,11 @@ def _registry() -> dict[str, Claim]:
         c("T-CATERPILLAR", "Caterpillar closed form from the code ends and spine length.",
           "PWW(C) = 3*C(c_1,2) + 3*C(c_s,2) + (c_1*c_s/2)(s+1)(s+2)",
           "family", EXPECT_HOLDS,
-          _pww_equals(trees.closed_form_caterpillar, "closed form"), _fam_caterpillar,
-          slices=_CATERPILLAR_SLICES),
+          _pww_equals(trees.closed_form_caterpillar, "closed form"), "caterpillar"),
         c("T-LOBSTER", "Registered lobster closed form (final term lacks a half).",
           "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + c_s(c_1+c)(s+1)(s+2)",
           "family", EXPECT_DISCREPANCY,
-          _pww_equals(trees.closed_form_lobster, "registered form"), _fam_lobster),
+          _pww_equals(trees.closed_form_lobster, "registered form"), "lobster"),
         c("DEF-PWW-ALT", "Vertex-sum rewriting of PWW (squares a sum; wrong in general).",
           "(1/2) sum_{pairs in Peri} (d + d^2) = (1/4) sum_{v in Peri} (d_P(v) + d_P(v)^2)",
           "corpus6", EXPECT_DISCREPANCY, _chk_def_pww_alt),
@@ -713,14 +720,15 @@ def _registry() -> dict[str, Claim]:
         # shadow claims: desk-corrected companions to the discrepancy claims
         c("S-DSTAR-FIX", "Corrected double-star closed form.",
           "PWW(S_{m,n}) = 6mn + 3*C(m,2) + 3*C(n,2)", "family", EXPECT_HOLDS,
-          _pww_equals(trees.double_star_pww, "6mn+3C(m,2)+3C(n,2)"), _fam_dstar, shadow=True),
+          _pww_equals(trees.double_star_pww, "6mn+3C(m,2)+3C(n,2)"), "double-star",
+          shadow=True),
         c("S-LOBSTER-FIX", "Corrected lobster closed form (final term halved).",
           "PWW(T) = 3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + (c_s(c_1+c)/2)(s+1)(s+2)",
           "family", EXPECT_HOLDS,
-          _pww_equals(trees.lobster_pww, "corrected form"), _fam_lobster, shadow=True),
+          _pww_equals(trees.lobster_pww, "corrected form"), "lobster", shadow=True),
         c("S-HYPERCUBE-FIX", "Corrected hypercube closed form.",
           "PWW(Q_n) = n(n+3)*4^(n-2)", "family", EXPECT_HOLDS,
-          _pww_equals(hypercube_pww, "n(n+3)4^(n-2)"), _fam_hypercube, shadow=True),
+          _pww_equals(hypercube_pww, "n(n+3)4^(n-2)"), "hypercube", shadow=True),
         c("S-TREE-UB-TIGHT", "Tree upper bound without the factor 4 (tight on stars).",
           "PWW(T) <= C(d+1,2)*C(k,2)", "trees", EXPECT_HOLDS, _chk_tree_hi_tight, shadow=True),
     ]
@@ -862,19 +870,14 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
     )
 
 
-_BLOCK = 250  # instances per job of a random stream or of the factor pairs
+_BLOCK = 250  # items per job of a blocked stream
 
 
-def _blocks(ids: list[str], source: Callable, items: list) -> list[tuple]:
+def _blocks(source: Callable, items: list) -> list[tuple]:
     """Jobs over `items` in consecutive blocks: source(block) yields a
     block's instances."""
-    return [(_stream_chunk, (ids, source, (items[i:i + _BLOCK],)))
+    return [(_stream_chunk, (source, (items[i:i + _BLOCK],)))
             for i in range(0, len(items), _BLOCK)]
-
-
-def _own_instances(cid: str, key: tuple):
-    for args in _CLAIMS[cid].instances(*key):
-        yield args[0], 1, args
 
 
 def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _Acc]:
@@ -887,21 +890,16 @@ def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _A
 
 
 def _jobs(rows: list[Claim], budget: Budget) -> list[tuple]:
-    """The jobs of the given claims, each stream's in its own order: one
-    stream per requested shared suite, then one per family or fixed claim,
-    a job per slice.  The corpus, corpus6 and product streams read the
-    class levels of one walk, taken only as far as they ask."""
-    shared: dict[str, list[str]] = {}
+    """The jobs of the given claims: each stream that some row reads, once
+    for all its readers, in the order of its first reader and each in its
+    own order.  The corpus, corpus6 and product streams read the class
+    levels of one walk, taken only as far as they ask."""
+    readers: dict[str, list[str]] = {}
     for row in rows:
-        if row.instances is None:
-            shared.setdefault(row.suite, []).append(row.id)
+        readers.setdefault(row.stream, []).append(row.id)
     level = corpus.class_levels()
-    jobs = [job for suite, ids in shared.items() for job in _STREAMS[suite](ids, budget, level)]
-    for row in rows:
-        if row.instances is not None:
-            jobs += [(_stream_chunk, ([row.id], _own_instances, (row.id, key)))
-                     for key in row.slices]
-    return jobs
+    return [(fn, (ids, *args)) for stream, ids in readers.items()
+            for fn, args in _STREAMS[stream](budget, level)]
 
 
 def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
@@ -913,9 +911,10 @@ def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
     claims = list(claims)
     accs = {c.id: _Acc() for c in claims}
     jobs = _jobs([_CLAIMS[cid] for cid in accs], budget)
-    # the pool takes the jobs last first: the family slices, the largest
-    # jobs, end the list, and the many small corpus jobs begin it, so that
-    # those come last and even out the workers' loads
+    # the pool takes the jobs last first: the many small corpus jobs, near
+    # the front of the list, then come last and even out the workers'
+    # loads; the largest jobs, blocks of random trees or products, take
+    # about 0.1 s each
     for part in corpus.run_jobs(jobs[::-1], budget.threads)[::-1]:
         for cid, acc in part.items():
             accs[cid].merge(acc)

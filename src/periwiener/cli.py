@@ -268,10 +268,10 @@ def _cmd_gen(args) -> int:
     params = args.params
     try:
         g = _build_family(family, params, args.seed)
+        text = write_graph6(g) + "\n" if args.emit == "graph6" else write_edge_list(g)
     except (_PARSE_ERRORS + (ValueError,)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = write_graph6(g) + "\n" if args.emit == "graph6" else write_edge_list(g)
     return _write_output(args.output, lambda out: out.write(text))
 
 

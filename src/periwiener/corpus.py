@@ -72,33 +72,28 @@ def g6_order_key(g: Graph) -> int:
 def reach_layers(n: int, masks: Sequence[int]) -> tuple[list[list[int]], int] | None:
     """(balls, radius) of a graph given by adjacency bitmasks, or None when
     it is disconnected.  balls[t][v] is the bitmask of the vertices within
-    distance t of v, for t = 0..diameter, so the diameter is len(balls) - 1.
-    Each layer grows every ball at once by one pass over the edges; no
-    per-pair distances are formed."""
-    if n == 1:
-        return [[1]], 0
+    distance t of v, for t = 0..diameter, so the diameter is len(balls) - 1,
+    and the radius is the first t at which some ball is full.  Each layer
+    grows every ball at once by one pass over the edges; no per-pair
+    distances are formed."""
     full = (1 << n) - 1
-    cur = [masks[v] | (1 << v) for v in range(n)]
-    balls = [[1 << v for v in range(n)], cur]
-    # the vertices whose ball is not yet full, and the first layer at which
-    # some ball is full (0 until then)
-    pending = [v for v in range(n) if cur[v] != full]
-    radius = 1 if len(pending) < n else 0
-    edges = _edge_list(masks) if pending else []
-    while pending:
-        new = cur[:]
-        for i, j in edges:
-            new[i] |= cur[j]
-            new[j] |= cur[i]
+    cur = [1 << v for v in range(n)]
+    balls = [cur]
+    edges = None
+    while min(cur) != full:
+        if len(balls) == 1:  # the closed neighbourhoods
+            new = [m | ball for m, ball in zip(masks, cur)]
+        else:
+            edges = edges or _edge_list(masks)
+            new = cur[:]
+            for i, j in edges:
+                new[i] |= cur[j]
+                new[j] |= cur[i]
         if new == cur:
             return None
         cur = new
         balls.append(cur)
-        still = [v for v in pending if cur[v] != full]
-        if not radius and len(still) < len(pending):
-            radius = len(balls) - 1
-        pending = still
-    return balls, radius
+    return balls, next(t for t, layer in enumerate(balls) if full in layer)
 
 
 def periphery_mask(balls: list[list[int]]) -> int:

@@ -7,6 +7,10 @@ double stars use centers 0 and 1, then the m leaves of 0, then the n
 leaves of 1; caterpillars number the spine 0..s-1 and then append each
 spine vertex's leaves in order; hypercubes index vertices so that
 adjacency means "differs in exactly one bit".
+
+Every constructor raises TooLargeError, before it allocates, for an order
+above `graphio.MAX_EDGE_LIST_ORDER` (1,024), the largest order `compute`
+reads; so Q_10 is the largest hypercube.
 """
 
 from __future__ import annotations
@@ -17,33 +21,42 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCodeError, InvalidParameterError, TooLargeError
+from .graphio import MAX_EDGE_LIST_ORDER
 from .graphs import Graph, build_graph, cartesian_product, is_connected
 
-MAX_HYPERCUBE_DIM = 16
 _SAMPLER_ATTEMPTS = 1000
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_EDGE_LIST_ORDER:
+        raise TooLargeError(f"order {n} exceeds the supported maximum {MAX_EDGE_LIST_ORDER}")
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"complete graph needs n >= 1, got {n}")
+    _check_order(n)
     return build_graph(n, [(i, j) for j in range(1, n) for i in range(j)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"path graph needs n >= 1, got {n}")
+    _check_order(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError(f"cycle graph needs n >= 3, got {n}")
+    _check_order(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise InvalidParameterError(f"complete bipartite needs m, n >= 1, got ({m}, {n})")
+    _check_order(m + n)
     return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
@@ -56,6 +69,7 @@ def double_star(m: int, n: int) -> Graph:
     """Adjacent centers 0 and 1 carrying m and n pendant leaves."""
     if m < 1 or n < 1:
         raise InvalidParameterError(f"double star needs m, n >= 1, got ({m}, {n})")
+    _check_order(2 + m + n)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(m)]
     edges += [(1, 2 + m + j) for j in range(n)]
@@ -66,8 +80,10 @@ def hypercube(n: int) -> Graph:
     """Q_n as the n-fold cartesian product of K_2."""
     if n < 1:
         raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
-    if n > MAX_HYPERCUBE_DIM:
-        raise TooLargeError(f"hypercube dimension capped at {MAX_HYPERCUBE_DIM}, got {n}")
+    # Q_n has 2^n vertices: compare the dimension before forming 2^n
+    if n >= MAX_EDGE_LIST_ORDER.bit_length():
+        raise TooLargeError(f"hypercube Q_{n} exceeds the supported maximum order "
+                            f"{MAX_EDGE_LIST_ORDER}")
     g = complete(2)
     for _ in range(n - 1):
         g = cartesian_product(g, complete(2))
@@ -106,6 +122,7 @@ def caterpillar(code: CaterpillarCode | Sequence[int]) -> Graph:
     total = s + sum(code.counts)
     if total < 2:
         raise InvalidCodeError("caterpillar needs at least 2 vertices")
+    _check_order(total)
     masks = [0] * s
     for i in range(s - 1):
         masks[i] |= 1 << (i + 1)
@@ -129,6 +146,7 @@ def lobster(code: CaterpillarCode | Sequence[int], c: int) -> Graph:
         raise InvalidCodeError(f"lobster needs c_2 = 0, got {code.counts[1]}")
     if c < 1:
         raise InvalidParameterError(f"lobster needs c >= 1, got {c}")
+    _check_order(code.spine_length + sum(code.counts) + 1 + c)
     masks = list(caterpillar(code).masks)
     center = len(masks)
     masks[1] |= 1 << center
@@ -146,6 +164,7 @@ def rooted_depth2_tree(children_counts: Sequence[int]) -> Graph:
     counts = [int(c) for c in children_counts]
     if len(counts) < 1 or any(c < 0 for c in counts):
         raise InvalidParameterError(f"bad children counts {children_counts}")
+    _check_order(1 + len(counts) + sum(counts))
     edges = []
     nxt = 1 + len(counts)
     for i, c in enumerate(counts):
@@ -179,6 +198,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via Pruefer-sequence decoding."""
     if n < 2:
         raise InvalidParameterError(f"random tree needs n >= 2, got {n}")
+    _check_order(n)
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return build_graph(n, _pruefer_decode(seq, n))
@@ -188,6 +208,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by bounded rejection sampling."""
     if n < 2:
         raise InvalidParameterError(f"random graph needs n >= 2, got {n}")
+    _check_order(n)
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
     draw = random.Random(seed).random

@@ -19,6 +19,7 @@ reads a mask six bits per byte.
 from __future__ import annotations
 
 import base64
+import re
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -34,12 +35,17 @@ from .graphs import Graph, build_graph
 
 MAX_GRAPH6_ORDER = 258
 
-# The largest vertex count an edge list may declare: the order of Q_10, the
-# largest input any benchmark workload or test feeds in.  The metric engine
+# The largest vertex count an edge list may declare, and the largest order
+# `generators` builds: the order of Q_10, the largest input any benchmark
+# workload or test feeds in.  The metric engine
 # keeps reach layers of O(diam * n^2) bits, so a path of 1,000 vertices peaks
 # at 158 MiB and one of 1,500 at 456 MiB (CHANGES.md); an engine with
 # O(n^2) memory can raise this ceiling.
 MAX_EDGE_LIST_ORDER = 1024
+
+# An edge-list integer: ASCII digits only, since str.isdigit() also accepts
+# digits such as "²" that int() rejects.
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _as_text(data: str | bytes) -> str:
@@ -62,7 +68,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 1 or not _is_int(fields[0]):
+            if len(fields) != 1 or not _INT.fullmatch(fields[0]):
                 raise EdgeListSyntaxError(lineno, "expected the vertex count")
             n = int(fields[0])
             if n < 1:
@@ -71,7 +77,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
                 raise TooLargeError(f"line {lineno}: vertex count {n} exceeds the supported "
                                     f"maximum {MAX_EDGE_LIST_ORDER}")
             continue
-        if len(fields) != 2 or not all(_is_int(f) for f in fields):
+        if len(fields) != 2 or not all(_INT.fullmatch(f) for f in fields):
             raise EdgeListSyntaxError(lineno, f"expected 'u v', got {line!r}")
         u, v = int(fields[0]), int(fields[1])
         if u == v:
@@ -82,12 +88,6 @@ def parse_edge_list(data: str | bytes) -> Graph:
     if n is None:
         raise EdgeListSyntaxError(0, "no vertex count found")
     return build_graph(n, edges)
-
-
-def _is_int(s: str) -> bool:
-    if s.startswith("-"):
-        s = s[1:]
-    return s.isdigit()
 
 
 def write_edge_list(g: Graph) -> str:

@@ -74,18 +74,18 @@ class TestRegistry:
         assert {c.id for c in audit.register_claims()} == want
 
     def test_each_claim_checked_by_its_suite(self):
-        # every row holds a callable check, and the engine streams its suite:
-        # a shared suite's stream, or for family and fixed claims the row's own
+        # every row holds a callable check and reads a stream of the one
+        # table, a shared suite's row by default its suite's; every stream
+        # has a reader, and the report suites are unchanged
         claims = audit.register_claims() + audit.register_shadow_claims()
         assert len(claims) == 39
         for c in claims:
             assert callable(c.check), c.id
-            if c.suite in audit._STREAMS:
-                assert c.instances is None, c.id
-            else:
-                assert c.suite in ("family", "fixed"), c.id
-                assert callable(c.instances), c.id
-        assert {c.suite for c in claims} == set(audit._STREAMS) | {"family", "fixed"}
+            assert c.stream in audit._STREAMS, c.id
+            assert c.stream == c.suite or c.suite in ("family", "fixed"), c.id
+        assert {c.stream for c in claims} == set(audit._STREAMS)
+        assert {c.suite for c in claims} == {"corpus", "corpus6", "trees", "products",
+                                              "family", "fixed"}
 
     def test_shadows(self):
         shadows = audit.register_shadow_claims()
@@ -588,10 +588,49 @@ class TestOnePool:
     BUDGET = dict(max_n=5, trials=50)
 
     def test_every_suite_splits_into_jobs(self):
-        jobs = audit._jobs(list(audit._CLAIMS.values()), audit.Budget(**self.BUDGET))
-        per_suite = Counter(audit._CLAIMS[args[0][0]].suite for _, args in jobs)
-        assert set(per_suite) == set(audit._STREAMS) | {"family", "fixed"}
+        # each stream is swept once: every job of a stream checks all the
+        # claims that read it, in registry order
+        rows = list(audit._CLAIMS.values())
+        readers = {}
+        for row in rows:
+            readers.setdefault(row.stream, []).append(row.id)
+        per_stream = Counter()
+        for _, (ids, *_args) in audit._jobs(rows, audit.Budget(**self.BUDGET)):
+            (stream,) = {audit._CLAIMS[cid].stream for cid in ids}
+            assert ids == readers[stream], stream
+            per_stream[stream] += 1
+        assert set(per_stream) == set(audit._STREAMS)
+        per_suite = Counter()
+        for stream, jobs in per_stream.items():
+            per_suite[audit._CLAIMS[readers[stream][0]].suite] += jobs
         assert min(per_suite.values()) >= 2, per_suite
+        assert per_stream["caterpillar"] == 50 and per_stream["lobster"] == 2
+
+    def test_no_job_holds_more_than_a_block_of_family_members(self):
+        family = [args for _, args in audit._jobs(list(audit._CLAIMS.values()), audit.Budget())
+                  if audit._CLAIMS[args[0][0]].suite == "family"]
+        sizes = [len(items) for _ids, _source, (items,) in family]
+        assert max(sizes) <= audit._BLOCK
+        assert sum(sizes) == 7 + 7 + 15 + 21 + 5 + 105 + 12_496 + 351, sizes
+
+    @pytest.mark.parametrize("ids, name, calls", [
+        (["P1-2", "T-STAR"], "star", 7),
+        (["T-LOBSTER", "S-LOBSTER-FIX"], "lobster", 351),
+    ])
+    def test_claims_on_one_family_build_it_once(self, monkeypatch, ids, name, calls):
+        made = []
+        real = getattr(generators, name)
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(generators, name, counting)
+        results = audit.run_claims([audit._CLAIMS[cid] for cid in ids],
+                                   audit.Budget(max_n=4, trials=0, threads=1))
+        assert len(made) == calls
+        assert [r.instances_tested for r in results] == [calls, calls]
+        assert all(r.matched and not r.note for r in results)
 
     def test_each_order_grown_once(self, profile_calls):
         # the corpus, corpus6 and product streams share one walk of the

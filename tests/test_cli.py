@@ -66,6 +66,14 @@ class TestCompute:
         top = graphio.MAX_EDGE_LIST_ORDER
         assert graphio.parse_edge_list(f"{top}\n").n == top
 
+    @pytest.mark.parametrize("text", ["²\n", "2\n0 ¹\n", "٣\n"])
+    def test_non_ascii_digit_exits_2(self, tmp_path, capsys, text):
+        f = tmp_path / "digits.el"
+        f.write_text(text, encoding="utf-8")
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {f}: line ") and err.count("\n") == 1
+
     def test_graph6_multi_record(self, tmp_path, capsys):
         f = tmp_path / "many.g6"
         f.write_text("Bw\nBg\n")
@@ -168,6 +176,15 @@ class TestGen:
         assert rc == 0
         rc, out2, _ = run_cli(capsys, "gen", "random-tree", "8", "--seed", "3")
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["path", "1025"], "order 1025 exceeds the supported maximum 1024"),
+        (["hypercube", "11"], "hypercube Q_11 exceeds the supported maximum order 1024"),
+        (["path", "300", "--emit", "graph6"], "graph6 writer supports n <= 258, got 300"),
+    ])
+    def test_too_large_exits_2(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, "gen", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_arity(self, capsys):
         rc, _, _ = run_cli(capsys, "gen", "star")

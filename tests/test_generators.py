@@ -22,6 +22,7 @@ from periwiener.generators import (
     rooted_depth2_tree,
     star,
 )
+from periwiener.graphio import MAX_EDGE_LIST_ORDER
 from periwiener.graphs import build_graph, cartesian_product, distance_matrix, is_connected
 
 
@@ -206,6 +207,28 @@ class TestHypercube:
     def test_dimension_cap(self):
         with pytest.raises(TooLargeError):
             hypercube(17)
+
+
+class TestOrderCeiling:
+    """Every constructor stops at the largest order `compute` reads."""
+
+    TOP = MAX_EDGE_LIST_ORDER
+
+    @pytest.mark.parametrize("make, args", [
+        (complete, (1025,)), (path, (1025,)), (cycle, (1025,)),
+        (complete_bipartite, (1, 1024)), (star, (1024,)), (double_star, (1, 1022)),
+        (hypercube, (11,)), (caterpillar, ((1, 1020, 1),)), (lobster, ((1, 0, 1), 1019)),
+        (rooted_depth2_tree, ((1021, 1),)), (random_tree, (1025, 1)),
+        (random_connected_graph, (1025, 0.5, 1)),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    def test_one_above_the_ceiling_raises(self, make, args):
+        with pytest.raises(TooLargeError, match="exceeds the supported maximum"):
+            make(*args)
+
+    def test_the_ceiling_itself_builds(self):
+        assert hypercube(10).n == path(self.TOP).n == self.TOP
+        assert double_star(1, self.TOP - 3).n == self.TOP
+        assert lobster((1, 0, 1), self.TOP - 6).n == self.TOP
 
 
 class TestCaterpillar:

@@ -46,6 +46,14 @@ class TestEdgeList:
         with pytest.raises(EdgeListSyntaxError):
             parse_edge_list("")
 
+    @pytest.mark.parametrize("text, line", [("²\n", 1), ("2\n0 ¹\n", 2), ("٣\n", 1)])
+    def test_non_ascii_digits_rejected(self, text, line):
+        # str.isdigit() accepts these, but int() does not
+        with pytest.raises(EdgeListSyntaxError, match=f"line {line}"):
+            parse_edge_list(text)
+        with pytest.raises(EdgeListSyntaxError, match=f"line {line}"):
+            parse_edge_list(text.encode("utf-8"))
+
     def test_whitespace_tolerant(self):
         assert parse_edge_list(b"  3 \n\n  0   1 \n 1  2  \n") == path(3)
 
