@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -935,19 +935,10 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         def encode(r: ClaimResult) -> dict:
-            return {
-                "id": r.id,
-                "description": r.description,
-                "anchor": r.anchor,
-                "suite": r.suite,
-                "status": r.status,
-                "expected_status": r.expected,
-                "matched": r.matched,
-                "instances_tested": r.instances_tested,
-                "violations": r.violations,
-                "witnesses": r.witnesses,
-                "note": r.note,
-            }
+            row = asdict(r)
+            row["expected_status"] = row.pop("expected")
+            row["matched"] = r.matched
+            return row
 
         return {
             "schema_version": 1,
@@ -975,8 +966,8 @@ class AuditReport:
     def table(self) -> str:
         lines = [f"{'claim':<18} {'status':<9} {'expected':<12} {'ok':<4} "
                  f"{'tested':>9} {'violations':>10}"]
-        for r in self.results + self.shadow_results:
-            tag = "(shadow) " if r.id.startswith("S-") else ""
+        rows = [(r, "") for r in self.results] + [(r, "(shadow) ") for r in self.shadow_results]
+        for r, tag in rows:
             ok = "yes" if r.matched else "FLIP"
             lines.append(f"{r.id:<18} {r.status:<9} {r.expected:<12} {ok:<4} "
                          f"{r.instances_tested:>9} {r.violations:>10} {tag}{r.note}")

@@ -8,7 +8,8 @@ the layers on as well, for checks that need the periphery or distances
 (`periphery_mask`, `distance_sums`).  `compute` and every audit suite use
 them.  Beside the engine: one canonical graph per isomorphism class of
 connected graphs, with its number of labelings n!/|Aut(G)|, by canonical
-augmentation; all free trees up to a ceiling; and the attained-value scan.
+augmentation; all free trees up to a ceiling, each order grown once; and
+the attained-value scan.
 
 The canonical labeling of a graph is the one that comes first in graph6
 string order, the one with the smallest edge mask.  Classes grow one vertex
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
 from .graphio import edge_mask, mask_edges, write_graph6
-from .graphs import Graph, _bits, _connected_on, _edge_list
+from .graphs import Graph, _bfs, _bits, _connected_on, _edge_list
 from .indices import Profile
 
 # The largest order of an exhaustive sweep.  Generating every class up to
@@ -129,7 +130,6 @@ def profile_from_masks(n: int, masks: Sequence[int]) -> Profile | None:
 def _layer_profile(n: int, masks: Sequence[int], balls: list[list[int]], radius: int) -> Profile:
     """The six indices from the reach layers: popcount differences between
     consecutive layers count the ordered pairs at each exact distance."""
-    full = (1 << n) - 1
     sum_d = 0
     sum_dd = 0
     prev = n
@@ -165,8 +165,6 @@ def _layer_profile(n: int, masks: Sequence[int], balls: list[list[int]], radius:
         tw = tww = 0
     elif pend_mask == peri_mask:
         tw, tww = pw, pww
-    elif pend_mask == full:
-        tw, tww = w, ww
     else:
         tw, tww = _masked_pair_sums(balls, pend, pend_mask)
 
@@ -363,25 +361,16 @@ def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
 
 
 def _centers(g: Graph) -> list[int]:
-    """The 1 or 2 middle vertices found by repeated leaf pruning."""
-    n = g.n
-    if n <= 2:
-        return list(range(n))
-    deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in _bits(g.masks[v]):
-                if deg[u] > 1:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
+    """The 1 or 2 middle vertices of a diametral path a..b: the BFS from 0
+    ends at a, the BFS from a at b, and the middle lies dist(b) // 2 parent
+    steps up from b, with its parent as a second center when the diameter
+    is odd."""
+    order, parent, dist = _bfs(g, _bfs(g, 0)[0][-1])
+    b = order[-1]
+    mid = b
+    for _ in range(dist[b] // 2):
+        mid = parent[mid]
+    return [mid, parent[mid]] if dist[b] % 2 else [mid]
 
 
 def _encode_rooted(g: Graph, root: int, blocked: int) -> str:
@@ -398,33 +387,34 @@ def tree_certificate(g: Graph) -> str:
     return "|".join(sorted((_encode_rooted(g, a, b), _encode_rooted(g, b, a))))
 
 
-def free_trees(n: int) -> list[Graph]:
-    """All non-isomorphic trees on n vertices, in certificate order.
-
-    Built by attaching one leaf in every possible place to every smaller
-    tree and deduplicating by certificate; cheap at n <= 12 scale.
-    """
-    if n < 1:
-        return []
-    single = Graph(1, (0,))
-    level: dict[str, Graph] = {tree_certificate(single): single}
-    for size in range(2, n + 1):
-        nxt: dict[str, Graph] = {}
-        for g in level.values():
-            for v in range(g.n):
-                masks = [*g.masks, 1 << v]
-                masks[v] |= 1 << g.n
-                cand = Graph(g.n + 1, tuple(masks))
-                cert = tree_certificate(cand)
-                if cert not in nxt:
-                    nxt[cert] = cand
-        level = nxt
-    return [level[c] for c in sorted(level)]
-
-
 def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
-    for n in range(min_n, max_n + 1):
-        yield from free_trees(n)
+    """All non-isomorphic trees on min_n..max_n vertices, order by order,
+    each order in certificate order.
+
+    One walk: each order is grown once, from the order below, by attaching
+    one leaf in every possible place to every smaller tree and keeping the
+    first tree of each certificate; cheap at n <= 12 scale.
+    """
+    single = Graph(1, (0,))
+    level = {tree_certificate(single): single}
+    for n in range(1, max_n + 1):
+        if n >= min_n:
+            yield from (level[cert] for cert in sorted(level))
+        if n == max_n:
+            return
+        grown: dict[str, Graph] = {}
+        for g in level.values():
+            for v in range(n):
+                masks = [*g.masks, 1 << v]
+                masks[v] |= 1 << n
+                tree = Graph(n + 1, tuple(masks))
+                grown.setdefault(tree_certificate(tree), tree)
+        level = grown
+
+
+def free_trees(n: int) -> list[Graph]:
+    """All non-isomorphic trees on n vertices, in certificate order."""
+    return list(all_free_trees(n, n))
 
 
 # --- value enumeration (inverse-problem tooling) ----------------------------

@@ -8,6 +8,13 @@ leaves of 1; caterpillars number the spine 0..s-1 and then append each
 spine vertex's leaves in order; hypercubes index vertices so that
 adjacency means "differs in exactly one bit".
 
+A caterpillar or lobster code is a plain tuple of leaf counts (c_1, ...,
+c_s); any sequence of ints is accepted.  Each family's parameter rules are
+written here once, and the closed forms in `trees` call the same checks
+(`_caterpillar_code`, `_lobster_code`, `_check_double_star`), so a
+parameter that breaks a family's rules raises the same error from its
+generator and from its closed forms.
+
 Every constructor raises TooLargeError, before it allocates, for an order
 above `graphio.MAX_EDGE_LIST_ORDER` (1,024), the largest order `compute`
 reads; so Q_10 is the largest hypercube.
@@ -17,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidCodeError, InvalidParameterError, TooLargeError
@@ -25,6 +31,9 @@ from .graphio import MAX_EDGE_LIST_ORDER
 from .graphs import Graph, build_graph, cartesian_product, is_connected
 
 _SAMPLER_ATTEMPTS = 1000
+# the pair draws that the rejection sampler may spend in all: all 1,000
+# attempts up to n = 141, and at least 19 attempts at the largest order
+_SAMPLER_DRAWS = 10_000_000
 
 
 def _check_order(n: int) -> None:
@@ -65,10 +74,14 @@ def star(n: int) -> Graph:
     return complete_bipartite(1, n)
 
 
-def double_star(m: int, n: int) -> Graph:
-    """Adjacent centers 0 and 1 carrying m and n pendant leaves."""
+def _check_double_star(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise InvalidParameterError(f"double star needs m, n >= 1, got ({m}, {n})")
+
+
+def double_star(m: int, n: int) -> Graph:
+    """Adjacent centers 0 and 1 carrying m and n pendant leaves."""
+    _check_double_star(m, n)
     _check_order(2 + m + n)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(m)]
@@ -90,36 +103,37 @@ def hypercube(n: int) -> Graph:
     return g
 
 
-@dataclass(frozen=True, slots=True)
-class CaterpillarCode:
-    """Per-spine-vertex leaf counts (c_1, ..., c_s); ends nonzero when s >= 2."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if len(counts) < 1:
-            raise InvalidCodeError("code needs at least one spine vertex")
-        if any(c < 0 for c in counts):
-            raise InvalidCodeError(f"leaf counts must be >= 0, got {counts}")
-        if len(counts) >= 2 and (counts[0] < 1 or counts[-1] < 1):
-            raise InvalidCodeError(f"end counts must be >= 1, got {counts}")
-
-    @property
-    def spine_length(self) -> int:
-        return len(self.counts)
+def _caterpillar_code(code: Sequence[int]) -> tuple[int, ...]:
+    """The caterpillar code (c_1, ..., c_s) as a tuple of ints: c_i leaves
+    on spine vertex i, ends nonzero when s >= 2."""
+    code = tuple(int(c) for c in code)
+    if len(code) < 1:
+        raise InvalidCodeError("code needs at least one spine vertex")
+    if any(c < 0 for c in code):
+        raise InvalidCodeError(f"leaf counts must be >= 0, got {code}")
+    if len(code) >= 2 and (code[0] < 1 or code[-1] < 1):
+        raise InvalidCodeError(f"end counts must be >= 1, got {code}")
+    return code
 
 
-def _as_code(code: CaterpillarCode | Sequence[int]) -> CaterpillarCode:
-    return code if isinstance(code, CaterpillarCode) else CaterpillarCode(tuple(code))
+def _lobster_code(code: Sequence[int], c: int) -> tuple[int, ...]:
+    """The lobster's caterpillar code as a tuple of ints, checked: spine
+    length >= 3, so the added star leaves are peripheral, c_2 = 0 and c >= 1."""
+    code = _caterpillar_code(code)
+    if len(code) < 3:
+        raise InvalidCodeError(f"lobster needs spine length >= 3, got {len(code)}")
+    if code[1] != 0:
+        raise InvalidCodeError(f"lobster needs c_2 = 0, got {code[1]}")
+    if c < 1:
+        raise InvalidParameterError(f"lobster needs c >= 1, got {c}")
+    return code
 
 
-def caterpillar(code: CaterpillarCode | Sequence[int]) -> Graph:
+def caterpillar(code: Sequence[int]) -> Graph:
     """Tree with spine 0..s-1 and c_i leaves hung on spine vertex i."""
-    code = _as_code(code)
-    s = code.spine_length
-    total = s + sum(code.counts)
+    code = _caterpillar_code(code)
+    s = len(code)
+    total = s + sum(code)
     if total < 2:
         raise InvalidCodeError("caterpillar needs at least 2 vertices")
     _check_order(total)
@@ -127,26 +141,17 @@ def caterpillar(code: CaterpillarCode | Sequence[int]) -> Graph:
     for i in range(s - 1):
         masks[i] |= 1 << (i + 1)
         masks[i + 1] |= 1 << i
-    for i, c in enumerate(code.counts):
+    for i, c in enumerate(code):
         masks[i] |= ((1 << c) - 1) << len(masks)
         masks += [1 << i] * c
     return Graph(total, tuple(masks))
 
 
-def lobster(code: CaterpillarCode | Sequence[int], c: int) -> Graph:
+def lobster(code: Sequence[int], c: int) -> Graph:
     """Caterpillar with code (c_1, 0, c_3, ..., c_s) plus a K_{1,c} whose
-    center is joined to spine vertex u_2.
-
-    Requires s >= 3 so the added star leaves are peripheral.
-    """
-    code = _as_code(code)
-    if code.spine_length < 3:
-        raise InvalidCodeError(f"lobster needs spine length >= 3, got {code.spine_length}")
-    if code.counts[1] != 0:
-        raise InvalidCodeError(f"lobster needs c_2 = 0, got {code.counts[1]}")
-    if c < 1:
-        raise InvalidParameterError(f"lobster needs c >= 1, got {c}")
-    _check_order(code.spine_length + sum(code.counts) + 1 + c)
+    center is joined to spine vertex u_2."""
+    code = _lobster_code(code, c)
+    _check_order(len(code) + sum(code) + 1 + c)
     masks = list(caterpillar(code).masks)
     center = len(masks)
     masks[1] |= 1 << center
@@ -205,14 +210,16 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) conditioned on connectivity by bounded rejection sampling."""
+    """G(n, p) conditioned on connectivity by rejection sampling, bounded by
+    _SAMPLER_ATTEMPTS attempts and _SAMPLER_DRAWS pair draws in all."""
     if n < 2:
         raise InvalidParameterError(f"random graph needs n >= 2, got {n}")
     _check_order(n)
     if not 0 < p <= 1:
         raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
+    attempts = min(_SAMPLER_ATTEMPTS, _SAMPLER_DRAWS // (n * (n - 1) // 2))
     draw = random.Random(seed).random
-    for _ in range(_SAMPLER_ATTEMPTS):
+    for _ in range(attempts):
         # one draw per pair, in graph6 column order (0,1),(0,2),(1,2),...
         masks = [0] * n
         for j in range(1, n):
@@ -224,5 +231,6 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise InvalidParameterError(
-        f"no connected sample in {_SAMPLER_ATTEMPTS} attempts (n={n}, p={p})"
+        f"no connected sample in {attempts} attempts (at most {_SAMPLER_ATTEMPTS} "
+        f"attempts and {_SAMPLER_DRAWS:,} pair draws; n={n}, p={p})"
     )

@@ -18,8 +18,9 @@ from .graphs import DistanceMatrix, Graph, distance_matrix
 class Profile(NamedTuple):
     """Metric summary and all six indices of one connected graph.
 
-    A NamedTuple, because the corpus sweep builds one per labeled graph and
-    reads fields by position (`Profile._fields`)."""
+    A NamedTuple, because the corpus sweep builds one per isomorphism class
+    and the value scan and the audit checks read fields by position
+    (`Profile._fields`)."""
 
     n: int
     m: int

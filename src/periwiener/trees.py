@@ -4,7 +4,11 @@ lobsters, and tree complements.
 
 The closed_form_* functions evaluate the registered formulas verbatim, typos
 and all; the *_pww companions give the desk-corrected exact values.  The
-audit is what compares both against the brute-force indices.
+audit is what compares both against the brute-force indices.  A
+caterpillar or lobster code is a plain tuple of leaf counts (any sequence
+of ints), and each closed form checks its parameters with its family's one
+check in `generators`, so a parameter that breaks a family's rules raises
+the same error from its generator and from its closed forms.
 
 Side convention for path cuts: x lies on the u side of the u-v path iff
 d(x,v) = d(x,u) + d(u,v).  Endpoints count for their own side; vertices
@@ -15,16 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 from . import corpus
-from .errors import (
-    InvalidCodeError,
-    InvalidParameterError,
-    InvariantError,
-    NotATreeError,
-    NotConnectedError,
-)
-from .generators import CaterpillarCode, _as_code
+from .errors import InvalidCodeError, InvalidParameterError, NotATreeError, NotConnectedError
+from .generators import _caterpillar_code, _check_double_star, _lobster_code
 from .graphs import Graph, _bfs
 
 
@@ -136,15 +135,13 @@ def closed_form_star(n: int) -> int:
 
 def closed_form_double_star(m: int, n: int) -> int:
     """Registered double-star closed form, verbatim: 6mn + 3m + 3n."""
-    if m < 1 or n < 1:
-        raise InvalidParameterError(f"double star needs m, n >= 1, got ({m}, {n})")
+    _check_double_star(m, n)
     return 6 * m * n + 3 * m + 3 * n
 
 
 def double_star_pww(m: int, n: int) -> int:
     """Exact PWW of the double star S_{m,n}: 6mn + 3*C(m,2) + 3*C(n,2)."""
-    if m < 1 or n < 1:
-        raise InvalidParameterError(f"double star needs m, n >= 1, got ({m}, {n})")
+    _check_double_star(m, n)
     return 6 * m * n + 3 * comb(m, 2) + 3 * comb(n, 2)
 
 
@@ -163,27 +160,24 @@ def closed_form_diam4(children_counts: list[int]) -> int:
     return 10 * cross + 3 * sum(comb(c, 2) for c in counts)
 
 
-def closed_form_caterpillar(code: CaterpillarCode | tuple[int, ...]) -> int:
+def closed_form_caterpillar(code: Sequence[int]) -> int:
     """Registered caterpillar closed form:
     3*C(c_1,2) + 3*C(c_s,2) + (c_1*c_s/2)(s+1)(s+2)."""
-    code = _as_code(code)
-    s = code.spine_length
+    code = _caterpillar_code(code)
+    s = len(code)
     if s < 2:
         raise InvalidCodeError(f"caterpillar closed form needs spine length >= 2, got {s}")
-    c1, cs = code.counts[0], code.counts[-1]
-    tail = c1 * cs * (s + 1) * (s + 2)
-    if tail % 2:
-        raise InvariantError(f"caterpillar tail term {tail} is odd")
-    return 3 * comb(c1, 2) + 3 * comb(cs, 2) + tail // 2
+    c1, cs = code[0], code[-1]
+    # (s+1)(s+2) is a product of consecutive integers, so the halving is exact
+    return 3 * comb(c1, 2) + 3 * comb(cs, 2) + c1 * cs * (s + 1) * (s + 2) // 2
 
 
-def closed_form_lobster(code: CaterpillarCode | tuple[int, ...], c: int) -> int:
+def closed_form_lobster(code: Sequence[int], c: int) -> int:
     """Registered lobster closed form, verbatim:
     3C(c_1,2) + 3C(c_s,2) + 3C(c,2) + 10*c_1*c + c_s(c_1+c)(s+1)(s+2)."""
-    code = _as_code(code)
-    _check_lobster_params(code, c)
-    s = code.spine_length
-    c1, cs = code.counts[0], code.counts[-1]
+    code = _lobster_code(code, c)
+    s = len(code)
+    c1, cs = code[0], code[-1]
     return (
         3 * comb(c1, 2)
         + 3 * comb(cs, 2)
@@ -193,26 +187,15 @@ def closed_form_lobster(code: CaterpillarCode | tuple[int, ...], c: int) -> int:
     )
 
 
-def lobster_pww(code: CaterpillarCode | tuple[int, ...], c: int) -> int:
+def lobster_pww(code: Sequence[int], c: int) -> int:
     """Exact PWW of the lobster: same as the registered form but with the
     final term halved."""
-    code = _as_code(code)
-    _check_lobster_params(code, c)
-    s = code.spine_length
-    c1, cs = code.counts[0], code.counts[-1]
-    tail = cs * (c1 + c) * (s + 1) * (s + 2)
-    if tail % 2:
-        raise InvariantError(f"lobster tail term {tail} is odd")
-    return 3 * comb(c1, 2) + 3 * comb(cs, 2) + 3 * comb(c, 2) + 10 * c1 * c + tail // 2
-
-
-def _check_lobster_params(code: CaterpillarCode, c: int) -> None:
-    if code.spine_length < 3:
-        raise InvalidCodeError(f"lobster needs spine length >= 3, got {code.spine_length}")
-    if code.counts[1] != 0:
-        raise InvalidCodeError(f"lobster needs c_2 = 0, got {code.counts[1]}")
-    if c < 1:
-        raise InvalidParameterError(f"lobster needs c >= 1, got {c}")
+    code = _lobster_code(code, c)
+    s = len(code)
+    c1, cs = code[0], code[-1]
+    # (s+1)(s+2) is a product of consecutive integers, so the halving is exact
+    tail = cs * (c1 + c) * (s + 1) * (s + 2) // 2
+    return 3 * comb(c1, 2) + 3 * comb(cs, 2) + 3 * comb(c, 2) + 10 * c1 * c + tail
 
 
 def tree_pww_bounds(d: int, k: int) -> tuple[int, int]:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from collections import Counter
 from math import factorial
 
 import networkx as nx
@@ -409,6 +411,29 @@ class TestFreeTrees:
         a = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         b = build_graph(4, [(2, 0), (0, 3), (3, 1)])  # same path relabeled
         assert corpus.tree_certificate(a) == corpus.tree_certificate(b)
+
+    def test_walk_pinned(self):
+        # the certificate and the labeled representative of every free tree
+        # up to n = 12: a change to the walk or to the certificate shows here
+        text = "\n".join(corpus.tree_certificate(t) + " " + repr(t.masks)
+                         for n in range(1, 13) for t in corpus.free_trees(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "77031ac7839851ca6d1f98766c9b0ce9a251d294f2c354ee812f728f87cb9715")
+
+    def test_walk_grows_each_order_once(self, monkeypatch):
+        certified = Counter()
+        certificate = corpus.tree_certificate
+
+        def counting(g):
+            certified[g.n] += 1
+            return certificate(g)
+
+        monkeypatch.setattr(corpus, "tree_certificate", counting)
+        trees = list(corpus.all_free_trees(1, 10))
+        assert [t.n for t in trees] == sorted(t.n for t in trees)
+        assert len(trees) == sum(FREE_TREES.values())
+        # order n is grown once: one candidate per vertex of each (n-1)-vertex tree
+        assert certified == {1: 1, **{n: (n - 1) * FREE_TREES[n - 1] for n in range(2, 11)}}
 
     def test_all_outputs_are_trees(self):
         from periwiener.graphs import is_connected

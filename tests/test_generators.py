@@ -4,11 +4,10 @@ import networkx as nx
 import pytest
 
 from conftest import brute_isomorphic, to_nx
-from periwiener import cli
+from periwiener import cli, generators
 from periwiener.corpus import tree_certificate
 from periwiener.errors import InvalidCodeError, InvalidParameterError, TooLargeError
 from periwiener.generators import (
-    CaterpillarCode,
     caterpillar,
     complete,
     complete_bipartite,
@@ -256,9 +255,9 @@ class TestCaterpillar:
 
     def test_invalid_codes(self):
         with pytest.raises(InvalidCodeError):
-            CaterpillarCode((0, 1))  # first end empty with s >= 2
+            caterpillar((0, 1))  # first end empty with s >= 2
         with pytest.raises(InvalidCodeError):
-            CaterpillarCode((1, -1, 1))
+            caterpillar((1, -1, 1))
         with pytest.raises(InvalidCodeError):
             caterpillar((0,))  # single vertex
 
@@ -314,3 +313,34 @@ class TestRandom:
             random_tree(1, seed=0)
         with pytest.raises(InvalidParameterError):
             random_connected_graph(4, 0.0, seed=0)
+
+
+class TestSamplerBudget:
+    """The rejection sampler of random_connected_graph stops after
+    min(1000, _SAMPLER_DRAWS // C(n,2)) attempts; attempts are counted by
+    the connectivity checks they end in."""
+
+    @staticmethod
+    def _attempts(monkeypatch, n):
+        calls = []
+
+        def never_connected(g):
+            calls.append(g.n)
+            return False
+
+        monkeypatch.setattr(generators, "is_connected", never_connected)
+        with pytest.raises(InvalidParameterError) as info:
+            random_connected_graph(n, 0.5, seed=1)
+        assert str(info.value) == (
+            f"no connected sample in {len(calls)} attempts (at most 1000 attempts and "
+            f"{generators._SAMPLER_DRAWS:,} pair draws; n={n}, p=0.5)")
+        return len(calls)
+
+    def test_small_orders_keep_every_attempt(self, monkeypatch):
+        # the audit's random graphs have at most 24 vertices
+        assert self._attempts(monkeypatch, 24) == 1000
+
+    @pytest.mark.parametrize("n, attempts", [(10, 1000), (100, 20), (400, 1)])
+    def test_attempts_bounded_by_total_draws(self, monkeypatch, n, attempts):
+        monkeypatch.setattr(generators, "_SAMPLER_DRAWS", 100_000)
+        assert self._attempts(monkeypatch, n) == attempts

@@ -249,6 +249,42 @@ class TestClosedForms:
             tree_pww_bounds(0, 2)
 
 
+# each family's generator and closed forms, which share one parameter check
+FAMILY_FORMS = {
+    "caterpillar": (caterpillar, closed_form_caterpillar),
+    "lobster": (lobster, closed_form_lobster, lobster_pww),
+    "double-star": (double_star, closed_form_double_star, double_star_pww),
+}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("caterpillar", ((),)),
+    ("caterpillar", ((0, 1),)),
+    ("caterpillar", ((2, 0),)),
+    ("caterpillar", ((-1,),)),
+    ("caterpillar", ((1, -1, 1),)),
+    ("lobster", ((), 1)),
+    ("lobster", ((0, 0, 1), 1)),
+    ("lobster", ((1, 0, -1, 1), 1)),
+    ("lobster", ((1, 0), 1)),
+    ("lobster", ((1, 1, 1), 1)),
+    ("lobster", ((1, 0, 1), 0)),
+    ("lobster", ((1, 1), 0)),
+    ("double-star", (0, 1)),
+    ("double-star", (2, 0)),
+    ("double-star", (-1, -1)),
+])
+def test_family_forms_reject_alike(family, params):
+    """The generator and every closed form of the family raise the same
+    error type and message on an invalid code or parameter."""
+    errors = set()
+    for form in FAMILY_FORMS[family]:
+        with pytest.raises((InvalidCodeError, InvalidParameterError)) as info:
+            form(*params)
+        errors.add((type(info.value), str(info.value)))
+    assert len(errors) == 1, errors
+
+
 class TestComplementOfTree:
     def test_double_star_case(self):
         assert complement_tree_pww(as_tree(double_star(2, 3))) == 6
