@@ -4,11 +4,13 @@ Subcommands: compute (indices of input graphs), gen (family constructors),
 audit (claim registry run), enumerate-values (attained index values by
 exhaustive enumeration).
 
-Exit codes: 0 success / expectations matched; 1 audit mismatch; 2 usage or
-parse error; 3 precondition failure on an input graph; 4 failed internal
-cross-check (InvariantError, e.g. `compute --method cuts` disagreeing with
-the profile).  Every subcommand is deterministic given its arguments and
-seed.
+Exit codes: 0 success / expectations matched; 1 audit mismatch; otherwise
+the `exit_code` of the error (see errors.py), reported by `main` as one
+`error:` line on stderr: 2 usage or parse error, or an input or output that
+cannot be read or written; 3 precondition failure on an input graph; 4
+failed internal cross-check (InvariantError, e.g. `compute --method cuts`
+disagreeing with the profile).  Every subcommand is deterministic given its
+arguments and seed.
 """
 
 from __future__ import annotations
@@ -17,39 +19,22 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import textwrap
 from typing import Callable, NamedTuple, TextIO
 
 from . import audit, corpus, generators, trees
 from .errors import (
-    EdgeListSyntaxError,
     GraphError,
-    InvalidCodeError,
     InvalidParameterError,
     InvariantError,
-    MalformedGraph6Error,
-    NotATreeError,
     NotConnectedError,
-    SelfLoopError,
-    TooLargeError,
     TrivialGraphError,
-    VertexRangeError,
 )
 from .graphs import Graph
 from .graphio import iter_graph6, parse_edge_list, write_edge_list, write_graph6
 from .indices import Profile
-
-_PARSE_ERRORS = (
-    EdgeListSyntaxError,
-    MalformedGraph6Error,
-    VertexRangeError,
-    SelfLoopError,
-    TooLargeError,
-    InvalidParameterError,
-    InvalidCodeError,
-)
-_PRECONDITION_ERRORS = (NotConnectedError, TrivialGraphError, NotATreeError)
 
 _INDEX_NAMES = ("w", "ww", "pw", "pww", "tw", "tww")
 _STRUCT_COLUMNS = ("graph", "n", "m", "diameter", "radius", "k", "pendants")
@@ -121,11 +106,26 @@ def main(argv: list[str] | None = None) -> int:
         "audit": _cmd_audit,
         "enumerate-values": _cmd_enumerate,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # open and read errors name the file, write errors do not
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it: drop the unwritten rest, not retry at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 def _read_input(path: str) -> bytes:
@@ -135,41 +135,33 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _write_output(path: str, write: Callable[[TextIO], object]) -> int:
-    """Call write(out) on stdout (path "-") or on the file at path.  Returns
-    0, or 2 after one stderr line when the file cannot be opened."""
+def _write_output(path: str, write: Callable[[TextIO], object]) -> None:
+    """Call write(out) on stdout (path "-") or on the file at path."""
     if path == "-":
         write(sys.stdout)
-        return 0
-    try:
-        out = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
-        return 2
-    with out:
+        return
+    with open(path, "w", encoding="utf-8") as out:
         write(out)
-    return 0
+
+
+def _check_index(name: str) -> None:
+    if name not in _INDEX_NAMES:
+        raise InvalidParameterError(f"unknown index {name!r}")
 
 
 def _cmd_compute(args) -> int:
     names = [s.strip() for s in args.indices.split(",") if s.strip()]
     for name in names:
-        if name not in _INDEX_NAMES:
-            print(f"error: unknown index {name!r}", file=sys.stderr)
-            return 2
-    try:
-        data = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _check_index(name)
+    data = _read_input(args.input)
     try:
         if args.format == "edgelist":
             graphs = [parse_edge_list(data)]
         else:
             graphs = list(iter_graph6(data))
-    except _PARSE_ERRORS as exc:
+    except GraphError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
     rows = []
     for idx, g in enumerate(graphs):
@@ -177,12 +169,9 @@ def _cmd_compute(args) -> int:
             p = _profile(g)
             if args.method == "cuts":
                 _check_cuts(g, p)
-        except _PRECONDITION_ERRORS as exc:
+        except GraphError as exc:
             print(f"error: graph {idx}: {exc}", file=sys.stderr)
-            return 3
-        except InvariantError as exc:
-            print(f"error: graph {idx}: {exc}", file=sys.stderr)
-            return 4
+            return exc.exit_code
         # the first six Profile fields are the structure columns after "graph"
         row = dict(zip(_STRUCT_COLUMNS, (idx, *p[:6])))
         for name in names:
@@ -190,7 +179,8 @@ def _cmd_compute(args) -> int:
         rows.append(row)
 
     columns = list(_STRUCT_COLUMNS) + names
-    return _write_output(args.output, lambda out: _emit_rows(out, rows, columns, args.emit))
+    _write_output(args.output, lambda out: _emit_rows(out, rows, columns, args.emit))
+    return 0
 
 
 def _profile(g: Graph) -> Profile:
@@ -264,15 +254,10 @@ _FAMILIES = {
 
 
 def _cmd_gen(args) -> int:
-    family = args.family.replace("_", "-")
-    params = args.params
-    try:
-        g = _build_family(family, params, args.seed)
-        text = write_graph6(g) + "\n" if args.emit == "graph6" else write_edge_list(g)
-    except (_PARSE_ERRORS + (ValueError,)) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _write_output(args.output, lambda out: out.write(text))
+    g = _build_family(args.family.replace("_", "-"), args.params, args.seed)
+    text = write_graph6(g) + "\n" if args.emit == "graph6" else write_edge_list(g)
+    _write_output(args.output, lambda out: out.write(text))
+    return 0
 
 
 def _build_family(family: str, params: list[str], seed: int) -> Graph:
@@ -282,7 +267,10 @@ def _build_family(family: str, params: list[str], seed: int) -> Graph:
     if len(params) != len(parsers):
         raise InvalidParameterError(
             usage or f"{family} takes {len(parsers)} parameter(s), got {len(params)}")
-    values = [parse(text) for parse, text in zip(parsers, params)]
+    try:
+        values = [parse(text) for parse, text in zip(parsers, params)]
+    except ValueError as exc:  # int() or float() of a malformed parameter
+        raise InvalidParameterError(str(exc)) from None
     return make(*values, seed=seed) if seeded else make(*values)
 
 
@@ -290,13 +278,9 @@ def _cmd_audit(args) -> int:
     claim_ids = None
     if args.claims is not None:
         claim_ids = [s.strip() for s in args.claims.split(",") if s.strip()]
-    try:
-        budget = audit.Budget(max_n=args.max_n, trials=args.trials,
-                              seed=args.seed, threads=args.threads)
-        audit.select_claims(claim_ids)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    budget = audit.Budget(max_n=args.max_n, trials=args.trials,
+                          seed=args.seed, threads=args.threads)
+    audit.select_claims(claim_ids)
     report = None
 
     def run(out: TextIO | None) -> None:
@@ -309,25 +293,19 @@ def _cmd_audit(args) -> int:
     # the output is opened before the run, so a bad path costs no audit
     if args.output is None:
         run(None)
-    elif _write_output(args.output, run):
-        return 2
+    else:
+        _write_output(args.output, run)
     return 0 if report.ok() else 1
 
 
 def _cmd_enumerate(args) -> int:
     name = args.indices.strip()
-    if name not in _INDEX_NAMES:
-        print(f"error: unknown index {name!r}", file=sys.stderr)
-        return 2
+    _check_index(name)
     if args.threads < 0:
-        print(f"error: --threads must be >= 0, got {args.threads}", file=sys.stderr)
-        return 2
-    try:
-        text = enumerate_values_csv(name, args.max_n, args.threads)
-    except InvalidParameterError as exc:  # max_n outside the corpus ceiling
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _write_output(args.output, lambda out: out.write(text))
+        raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
+    text = enumerate_values_csv(name, args.max_n, args.threads)
+    _write_output(args.output, lambda out: out.write(text))
+    return 0
 
 
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:

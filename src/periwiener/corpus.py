@@ -466,10 +466,10 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     holds most of the work, runs as one job per (max_n-1)-vertex class on
     `threads` workers (0 = one per CPU).  Each class is scanned once: its
     canonical labeling is the first of its labeled graphs in graph6 order.
-    Raises, before any work, ValueError on an unknown index and
-    InvalidParameterError unless 2 <= max_n <= MAX_N."""
+    Raises InvalidParameterError, before any work, on an unknown index or
+    unless 2 <= max_n <= MAX_N."""
     if index_name not in Profile._fields:
-        raise ValueError(f"unknown index {index_name!r}")
+        raise InvalidParameterError(f"unknown index {index_name!r}")
     if not 2 <= max_n <= MAX_N:
         raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
     field = Profile._fields.index(index_name)

@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on purpose is a GraphError, and each class
+carries the exit code the command line reports it with: 2 (bad usage or
+input) unless it overrides it, 3 for a precondition on an input graph, 4
+for a failed internal cross-check."""
 
 
 class GraphError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    exit_code = 2
 
 
 class SelfLoopError(GraphError):
@@ -16,13 +23,19 @@ class VertexRangeError(GraphError):
 class NotConnectedError(GraphError):
     """A metric operation was asked for on a disconnected graph."""
 
+    exit_code = 3
+
 
 class TrivialGraphError(GraphError):
     """Index operations reject the one-vertex graph."""
 
+    exit_code = 3
+
 
 class NotATreeError(GraphError):
     """Tree-only machinery received a graph with a cycle."""
+
+    exit_code = 3
 
 
 class InvalidParameterError(GraphError):
@@ -51,3 +64,5 @@ class TooLargeError(GraphError):
 
 class InvariantError(GraphError):
     """An internal cross-check failed: two computations of one value disagree."""
+
+    exit_code = 4

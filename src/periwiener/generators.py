@@ -71,6 +71,8 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def star(n: int) -> Graph:
     """K_{1,n}: center 0 with n leaves."""
+    if n < 1:
+        raise InvalidParameterError(f"star needs n >= 1 leaves, got {n}")
     return complete_bipartite(1, n)
 
 

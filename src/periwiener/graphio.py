@@ -25,7 +25,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     EdgeListSyntaxError,
-    InvariantError,
     MalformedGraph6Error,
     SelfLoopError,
     TooLargeError,
@@ -205,10 +204,7 @@ def write_graph6(g: Graph) -> str:
     # base64 encodes whole 24-bit groups: pad the mask with zero bits to them
     quads = -(-nbits // 24)
     data = (edge_mask(n, g.edges()) << (24 * quads - nbits)).to_bytes(3 * quads, "big")
-    body = base64.b64encode(data).translate(_TO_G6)[:need].decode("ascii")
-    if len(body) != need:
-        raise InvariantError(f"wrote {len(body)} data bytes, expected {need}")
-    return header + body
+    return header + base64.b64encode(data).translate(_TO_G6)[:need].decode("ascii")
 
 
 def iter_graph6(data: str | bytes) -> Iterator[Graph]:

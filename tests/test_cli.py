@@ -1,10 +1,12 @@
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
-from periwiener import audit, graphio, trees
+from periwiener import audit, cli, errors, graphio, trees
 from periwiener.cli import _FAMILIES, enumerate_values_csv, main
 from periwiener.generators import hypercube
 from periwiener.graphio import parse_graph6, write_graph6
@@ -228,6 +230,7 @@ class TestGen:
         (["random-graph", "9"], "random-graph takes n and p"),
         (["dodecahedron", "1"], "unknown family 'dodecahedron'"),
         (["path", "x"], "invalid literal for int()"),
+        (["star", "0"], "star needs n >= 1 leaves, got 0"),
     ])
     def test_usage_messages(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, "gen", *argv)
@@ -369,6 +372,89 @@ class TestOutputErrors:
             rc, out, _ = run_cli(capsys, "audit", *argv, "--output", str(good))
             assert (rc, out) == (2, "")
             assert not good.exists()
+
+
+def _error_classes(cls=errors.GraphError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def _raise(exc):
+    def handler(args):
+        raise exc
+    return handler
+
+
+class _FullStdout:
+    """A stdout whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+class TestFailurePath:
+    def test_exit_code_per_class(self):
+        classes = list(_error_classes())
+        assert len(classes) == 12
+        precondition = {errors.NotConnectedError, errors.TrivialGraphError, errors.NotATreeError}
+        for cls in classes:
+            want = 4 if cls is errors.InvariantError else 3 if cls in precondition else 2
+            assert cls.exit_code == want, cls.__name__
+
+    @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+    def test_graph_error_reported_once(self, capsys, monkeypatch, cls):
+        exc = cls(7, "bad") if cls is errors.EdgeListSyntaxError else cls("bad")
+        monkeypatch.setattr(cli, "_cmd_gen", _raise(exc))
+        rc, out, err = run_cli(capsys, "gen", "path", "3")
+        assert (rc, out, err) == (cls.exit_code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("exc, line", [
+        (FileNotFoundError(errno.ENOENT, "No such file or directory", "/x"),
+         "error: /x: No such file or directory"),
+        (OSError(errno.ENOSPC, "No space left on device"), "error: No space left on device"),
+        (OSError("unnumbered"), "error: unnumbered"),
+    ])
+    def test_os_error_reported_once(self, capsys, monkeypatch, exc, line):
+        monkeypatch.setattr(cli, "_cmd_gen", _raise(exc))
+        rc, out, err = run_cli(capsys, "gen", "path", "3")
+        assert (rc, out, err) == (2, "", line + "\n")
+
+    def test_missing_input_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.el"
+        rc, out, err = run_cli(capsys, "compute", "--input", str(missing))
+        assert (rc, out, err) == (2, "", f"error: {missing}: No such file or directory\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "path", "3"),
+        ("audit", "--claims", "FIG2-NONCONVERSE", "--trials", "0", "--threads", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_full_stdout_exits_2(self, capsys, monkeypatch, argv):
+        # exit 1 means "audit mismatch": a report that could not be written
+        # is exit 2 with one error line, not a traceback
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        rc = main(list(argv))
+        err = capsys.readouterr().err
+        assert (rc, err) == (2, "error: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_output_to_full_device_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "gen", "path", "3", "--output", "/dev/full")
+        assert (rc, out, err) == (2, "", "error: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_buffered_stdout_to_full_device_exits_2(self):
+        # with a buffered stdout the write fails at the flush: it is reported
+        # once, and the interpreter's own flush at exit does not fail again
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "periwiener.cli", "gen", "path", "3"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, "error: No space left on device\n")
 
 
 class TestEntryPoint:

@@ -462,7 +462,7 @@ class TestScanValues:
         assert 2 in gaps and 5 in gaps
 
     def test_unknown_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             corpus.scan_values("zz", 4)
 
     @pytest.mark.parametrize("max_n", [1, corpus.MAX_N + 1])
