@@ -335,8 +335,8 @@ def _chk_def_pww_alt(p, balls):
 
 
 def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
-    for mask, weight, _ in classes:
-        yield (n, mask), weight, corpus.layered_profile(Graph(n, corpus.mask_adjacency(n, mask)))
+    for mask, weight, p in classes:
+        yield (n, mask), weight, (p, corpus.reach_layers(n, corpus.mask_adjacency(n, mask))[0])
 
 
 def _corpus6_jobs(budget: Budget, level: Callable) -> list[tuple]:
@@ -401,7 +401,8 @@ def _chk_comp_tree(g, p, tv):
 
 def _tree_instances(graphs: Iterable[Graph]):
     for g in graphs:
-        yield g, 1, (g, corpus.profile_of(g), trees.as_tree(g))
+        tv = trees.as_tree(g)
+        yield g, 1, (g, tv.profile, tv)
 
 
 def _free_trees():
@@ -746,10 +747,6 @@ def register_claims() -> list[Claim]:
 def register_shadow_claims() -> list[Claim]:
     """Desk-corrected companions to the discrepancy claims."""
     return [c for c in _CLAIMS.values() if c.shadow]
-
-
-def claims_by_id() -> dict[str, Claim]:
-    return dict(_CLAIMS)
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
 from .graphio import edge_mask, mask_edges, write_graph6
-from .graphs import Graph, _bfs, _bits, _connected_on, _edge_list
+from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import Profile
 
 # The largest order of an exhaustive sweep.  Generating every class up to
@@ -361,16 +361,18 @@ def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
 
 
 def _centers(g: Graph) -> list[int]:
-    """The 1 or 2 middle vertices of a diametral path a..b: the BFS from 0
-    ends at a, the BFS from a at b, and the middle lies dist(b) // 2 parent
-    steps up from b, with its parent as a second center when the diameter
-    is odd."""
-    order, parent, dist = _bfs(g, _bfs(g, 0)[0][-1])
-    b = order[-1]
-    mid = b
-    for _ in range(dist[b] // 2):
-        mid = parent[mid]
-    return [mid, parent[mid]] if dist[b] % 2 else [mid]
+    """The 1 or 2 centers of a tree: every leaf is peeled at once, round
+    after round, until at most two vertices are left.  A leaf is a vertex
+    with exactly one neighbour among those left."""
+    masks = g.masks
+    left = (1 << g.n) - 1
+    while left.bit_count() > 2:
+        leaves = 0
+        for v in _bits(left):
+            if (masks[v] & left).bit_count() == 1:
+                leaves |= 1 << v
+        left ^= leaves
+    return list(_bits(left))
 
 
 def _encode_rooted(g: Graph, root: int, blocked: int) -> str:
@@ -410,11 +412,6 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
                 tree = Graph(n + 1, tuple(masks))
                 grown.setdefault(tree_certificate(tree), tree)
         level = grown
-
-
-def free_trees(n: int) -> list[Graph]:
-    """All non-isomorphic trees on n vertices, in certificate order."""
-    return list(all_free_trees(n, n))
 
 
 # --- value enumeration (inverse-problem tooling) ----------------------------

@@ -24,41 +24,40 @@ from typing import Sequence
 from . import corpus
 from .errors import InvalidCodeError, InvalidParameterError, NotATreeError, NotConnectedError
 from .generators import _caterpillar_code, _check_double_star, _lobster_code
-from .graphs import Graph, _bfs
+from .graphs import Graph, _bfs, _bits
+from .indices import Profile
 
 
 @dataclass(frozen=True, slots=True)
 class TreeView:
-    """A tree with a rooted traversal order and its periphery."""
+    """A tree with a rooted traversal order, its periphery and its profile."""
 
     graph: Graph
     order: tuple[int, ...]
     parent: tuple[int, ...]
     periphery: frozenset[int]
+    profile: Profile
 
 
 def as_tree(g: Graph) -> TreeView:
     """Check connectivity + acyclicity and set up the rooted view.
 
-    The periphery takes three BFS passes and no distance matrix: in a tree,
-    the last vertex a BFS reaches is an end a of a diametral path, the last
-    one a BFS from a reaches is its other end b, and ecc(v) = max(d(v,a),
-    d(v,b)) for every v.
+    A BFS from vertex 0 gives the rooted order and the parents; one engine
+    pass (`corpus.layered_profile`) gives the profile and, from its reach
+    layers, the periphery.  No distance matrix is built.
     """
-    # BFS from 0 gives a parent array and a preorder usable for subtree sums.
     order, parent, _ = _bfs(g, 0)
     if len(order) < g.n:
         raise NotConnectedError("graph is not connected")
     if g.m != g.n - 1:
         raise NotATreeError(f"m = {g.m} but a tree on {g.n} vertices has {g.n - 1} edges")
-    ends, _, dist_a = _bfs(g, order[-1])
-    dist_b = _bfs(g, ends[-1])[2]
-    diameter = dist_a[ends[-1]]
+    profile, balls = corpus.layered_profile(g)
     return TreeView(
         graph=g,
         order=tuple(order),
         parent=tuple(parent),
-        periphery=frozenset(v for v in range(g.n) if max(dist_a[v], dist_b[v]) == diameter),
+        periphery=frozenset(_bits(corpus.periphery_mask(balls))),
+        profile=profile,
     )
 
 

@@ -27,7 +27,7 @@ FAST = audit.Budget(max_n=4, trials=10, threads=1)
 
 
 def _run_one(cid, budget):
-    return audit.run_claims([audit.claims_by_id()[cid]], budget)[0]
+    return audit.run_claims([audit._CLAIMS[cid]], budget)[0]
 
 EXPECTED_DISCREPANCIES = {
     "C-HYPERCUBE",
@@ -161,7 +161,7 @@ class TestSingleClaims:
 
     def test_unknown_claim(self):
         # rows are read from the registry by id, so a stray row cannot run
-        stray = replace(audit.claims_by_id()["P1-4"], id="NOPE")
+        stray = replace(audit._CLAIMS["P1-4"], id="NOPE")
         with pytest.raises(KeyError):
             audit.run_claims([stray], FAST)
 
@@ -175,7 +175,7 @@ class TestProductChecks:
         g, h = path(3), path(4)
         lg, lh = corpus.layered_profile(g), corpus.layered_profile(h)
         prod = cartesian_product(g, h)
-        dist, peri = (audit.claims_by_id()[cid].check for cid in ("L-PROD-DIST", "C-PROD-PERI"))
+        dist, peri = (audit._CLAIMS[cid].check for cid in ("L-PROD-DIST", "C-PROD-PERI"))
         assert dist(lg, lh, corpus.layered_profile(prod)) is None
         assert peri(lg, lh, corpus.layered_profile(prod)) is None
         edges = list(prod.edges())
@@ -207,7 +207,7 @@ class TestProductChecks:
         p, balls = corpus.layered_profile(cartesian_product(g, h))
         balls = [list(layer) for layer in balls]
         balls[2][0] &= ~(1 << 8)
-        check = audit.claims_by_id()["L-PROD-DIST"].check
+        check = audit._CLAIMS["L-PROD-DIST"].check
         got = check(corpus.layered_profile(g), corpus.layered_profile(h), (p, balls))
         assert got == ("d((0,0),(2,0)) = 3", "2 + 0")
 
@@ -412,7 +412,7 @@ class TestFilteredRun:
         for name in ("caterpillar", "lobster", "random_tree", "random_connected_graph"):
             monkeypatch.setattr(generators, name, not_needed)
         monkeypatch.setattr(corpus, "iter_connected_profiles", not_needed)
-        (res,) = audit.run_claims([audit.claims_by_id()["C-HYPERCUBE"]],
+        (res,) = audit.run_claims([audit._CLAIMS["C-HYPERCUBE"]],
                                   audit.Budget(max_n=4, trials=10, threads=1))
         assert res.status == audit.STATUS_VIOLATED and not res.note
         assert res.instances_tested == audit.HYPERCUBE_MAX - 1
@@ -650,7 +650,7 @@ class TestOnePool:
 
     def test_single_fixed_claim_starts_no_pool(self, monkeypatch):
         pools = _count_pools(monkeypatch)
-        (res,) = audit.run_claims([audit.claims_by_id()["FIG2-NONCONVERSE"]],
+        (res,) = audit.run_claims([audit._CLAIMS["FIG2-NONCONVERSE"]],
                                   audit.Budget(threads=2))
         assert res.status == audit.STATUS_HOLDS
         assert pools == []

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from collections import Counter
 from math import factorial
 
@@ -393,11 +394,11 @@ class TestIsomorphismReduction:
 class TestFreeTrees:
     def test_counts(self):
         for n, expect in FREE_TREES.items():
-            assert len(corpus.free_trees(n)) == expect
+            assert len(list(corpus.all_free_trees(n, n))) == expect
 
     def test_matches_networkx(self):
         for n in range(2, 10):
-            ours = {corpus.tree_certificate(t) for t in corpus.free_trees(n)}
+            ours = {corpus.tree_certificate(t) for t in corpus.all_free_trees(n, n)}
             theirs = set()
             for nt in nx.nonisomorphic_trees(n):
                 g = build_graph(n, list(nt.edges()))
@@ -416,7 +417,7 @@ class TestFreeTrees:
         # the certificate and the labeled representative of every free tree
         # up to n = 12: a change to the walk or to the certificate shows here
         text = "\n".join(corpus.tree_certificate(t) + " " + repr(t.masks)
-                         for n in range(1, 13) for t in corpus.free_trees(n))
+                         for n in range(1, 13) for t in corpus.all_free_trees(n, n))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "77031ac7839851ca6d1f98766c9b0ce9a251d294f2c354ee812f728f87cb9715")
 
@@ -435,10 +436,20 @@ class TestFreeTrees:
         # order n is grown once: one candidate per vertex of each (n-1)-vertex tree
         assert certified == {1: 1, **{n: (n - 1) * FREE_TREES[n - 1] for n in range(2, 11)}}
 
+    def test_centers_are_min_eccentricity(self):
+        # leaf peeling against all-pairs eccentricities: every free tree on
+        # 1..12 vertices, then random trees up to 200 vertices
+        rng = random.Random(97)
+        randoms = [random_tree(rng.randrange(2, 201), seed=rng.randrange(1 << 30))
+                   for _ in range(50)]
+        for t in itertools.chain(corpus.all_free_trees(1, 12), randoms):
+            dm = distance_matrix(t)
+            assert corpus._centers(t) == [v for v in range(t.n) if dm.ecc[v] == dm.radius]
+
     def test_all_outputs_are_trees(self):
         from periwiener.graphs import is_connected
 
-        for t in corpus.free_trees(8):
+        for t in corpus.all_free_trees(8, 8):
             assert t.m == t.n - 1 and is_connected(t)
 
 

@@ -24,6 +24,7 @@ from periwiener.generators import (
 from periwiener.graphs import build_graph, distance_matrix
 from periwiener.indices import (
     hyper_wiener,
+    index_vector,
     peripheral_hyper_wiener,
     peripheral_wiener,
     wiener,
@@ -90,13 +91,16 @@ class TestAsTree:
             as_tree(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
 
     def test_periphery_matches_distance_matrix(self):
-        # the three-BFS periphery against all-pairs eccentricities: every
-        # free tree on 1..10 vertices, then random trees up to 200 vertices
+        # the engine's periphery and profile against all-pairs distances:
+        # every free tree on 1..10 vertices, then random trees up to 200 vertices
         rng = random.Random(4242)
         randoms = [random_tree(rng.randrange(2, 201), seed=rng.randrange(1 << 30))
                    for _ in range(60)]
         for g in chain(all_free_trees(1, 10), randoms, [random_tree(200, seed=11)]):
-            assert as_tree(g).periphery == distance_matrix(g).periphery
+            tv = as_tree(g)
+            assert tv.periphery == distance_matrix(g).periphery
+            if g.n >= 2:
+                assert tv.profile == index_vector(g)
 
 
 class TestCutFormulas:
