@@ -33,7 +33,13 @@ from .errors import (
     TrivialGraphError,
 )
 from .graphs import Graph
-from .graphio import iter_graph6, parse_edge_list, write_edge_list, write_graph6
+from .graphio import (
+    graph6_records,
+    parse_edge_list,
+    parse_graph6,
+    write_edge_list,
+    write_graph6,
+)
 from .indices import Profile
 
 _INDEX_NAMES = ("w", "ww", "pw", "pww", "tw", "tww")
@@ -64,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--method", choices=("definition", "cuts"), default="definition",
                            help="definition: the bitmask profile engine; cuts: trees only, "
                                 "the same values cross-checked by the tree cut formulas")
+    p_compute.add_argument("--threads", type=int, default=0, help="0 = one per CPU")
     p_compute.add_argument("--output", default="-")
 
     p_gen = sub.add_parser("gen", help="emit a named family member",
@@ -153,25 +160,34 @@ def _cmd_compute(args) -> int:
     names = [s.strip() for s in args.indices.split(",") if s.strip()]
     for name in names:
         _check_index(name)
+    if args.threads < 0:
+        raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
     data = _read_input(args.input)
     try:
-        if args.format == "edgelist":
-            graphs = [parse_edge_list(data)]
-        else:
-            graphs = list(iter_graph6(data))
+        records = [data] if args.format == "edgelist" else graph6_records(data)
     except GraphError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return exc.exit_code
 
+    # one interleaved share of the records per worker: sorted streams
+    # spread evenly, and each worker decodes its own records
+    w = corpus.worker_count(args.threads, len(records))
+    parts = corpus.run_jobs(
+        [(_compute_share, (args.format, args.method, records[k::w])) for k in range(w)],
+        args.threads)
+    results: list = [None] * len(records)
+    for k, part in enumerate(parts):
+        results[k::w] = part
+    # a record that does not parse is reported before any graph error
+    for kind in ("input", "graph"):
+        for idx, r in enumerate(results):
+            if not isinstance(r, Profile) and r[0] == kind:
+                where = args.input if kind == "input" else f"graph {idx}"
+                print(f"error: {where}: {r[1]}", file=sys.stderr)
+                return r[2]
+
     rows = []
-    for idx, g in enumerate(graphs):
-        try:
-            p = _profile(g)
-            if args.method == "cuts":
-                _check_cuts(g, p)
-        except GraphError as exc:
-            print(f"error: graph {idx}: {exc}", file=sys.stderr)
-            return exc.exit_code
+    for idx, p in enumerate(results):
         # the first six Profile fields are the structure columns after "graph"
         row = dict(zip(_STRUCT_COLUMNS, (idx, *p[:6])))
         for name in names:
@@ -183,19 +199,39 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _profile(g: Graph) -> Profile:
-    """The profile of a connected input graph with at least 2 vertices."""
-    if g.n < 2:
-        raise TrivialGraphError("index operations need at least 2 vertices")
-    p = corpus.profile_of(g)
-    if p is None:
-        raise NotConnectedError("graph is not connected")
-    return p
+def _compute_share(fmt: str, method: str, records: list) -> list:
+    """The profile of each record, or for a failed one the tuple (kind,
+    message, exit code), kind "input" if it does not parse and "graph" if
+    the graph is rejected.  Plain tuples, not exceptions, come back from a
+    worker, so the parent can report the first failure in input order."""
+    parse = parse_edge_list if fmt == "edgelist" else parse_graph6
+    out: list = []
+    for record in records:
+        try:
+            g = parse(record)
+        except GraphError as exc:
+            out.append(("input", str(exc), exc.exit_code))
+            continue
+        try:
+            if g.n < 2:
+                raise TrivialGraphError("index operations need at least 2 vertices")
+            if method == "cuts":
+                tv = trees.as_tree(g)  # not connected, then not a tree
+                _check_cuts(tv)
+                p = tv.profile
+            else:
+                p = corpus.profile_of(g)
+                if p is None:
+                    raise NotConnectedError("graph is not connected")
+            out.append(p)
+        except GraphError as exc:
+            out.append(("graph", str(exc), exc.exit_code))
+    return out
 
 
-def _check_cuts(g: Graph, p: Profile) -> None:
-    """Require the tree cut formulas to give the profile's W, WW, PW, PWW."""
-    tv = trees.as_tree(g)
+def _check_cuts(tv: trees.TreeView) -> None:
+    """Require the tree cut formulas to give the tree's W, WW, PW, PWW."""
+    p = tv.profile
     cuts = {
         "w": trees.wiener_by_edge_cuts(tv),
         "ww": trees.hyper_wiener_by_path_cuts(tv),

@@ -435,8 +435,12 @@ def _scan_chunk(index_name: str, n: int, parent: int) -> dict[int, int]:
 
 def worker_count(threads: int, jobs: int) -> int:
     """Pool size for `jobs` independent jobs: `threads` workers (0 means one
-    per CPU), never more than the CPUs or the jobs, and at least 1."""
-    cpus = os.cpu_count() or 1
+    per CPU this process may run on), never more than those CPUs or the
+    jobs, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     return max(1, min(threads or cpus, cpus, jobs))
 
 

@@ -187,7 +187,20 @@ def parse_graph6(data: str | bytes) -> Graph:
     mask = int.from_bytes(data, "big") >> (6 * extra)
     if mask & ((1 << pad) - 1):
         raise MalformedGraph6Error("nonzero padding bits")
-    return build_graph(n, mask_edges(n, mask >> pad))
+    # column j holds bits (0, j), ..., (j-1, j): reversed, it is the part of
+    # adj[j] below j, and each of its set bits i puts j into adj[i]
+    cols = format(mask >> pad, f"0{nbits}b")
+    adj = [0] * n
+    for j in range(1, n):
+        start = j * (j - 1) // 2
+        col = cols[start:start + j]
+        adj[j] = int(col[::-1], 2)
+        bit = 1 << j
+        i = col.find("1")
+        while i >= 0:
+            adj[i] |= bit
+            i = col.find("1", i + 1)
+    return Graph(n, tuple(adj))
 
 
 def write_graph6(g: Graph) -> str:
@@ -207,16 +220,17 @@ def write_graph6(g: Graph) -> str:
     return header + base64.b64encode(data).translate(_TO_G6)[:need].decode("ascii")
 
 
-def iter_graph6(data: str | bytes) -> Iterator[Graph]:
-    """Parse newline-separated graph6 records, skipping blank lines."""
+def graph6_records(data: str | bytes) -> list[str]:
+    """The stripped non-blank lines of a graph6 stream, one record each;
+    bytes input must be ASCII."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("ascii")
+            data = data.decode("ascii")
         except UnicodeDecodeError:
             raise MalformedGraph6Error("input contains non-ASCII bytes") from None
-    else:
-        text = data
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            yield parse_graph6(line)
+    return [line for line in map(str.strip, data.splitlines()) if line]
+
+
+def iter_graph6(data: str | bytes) -> Iterator[Graph]:
+    """Parse newline-separated graph6 records, skipping blank lines."""
+    yield from map(parse_graph6, graph6_records(data))

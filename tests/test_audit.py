@@ -674,12 +674,21 @@ class TestBudget:
         # the pure pool-size function shared by audit and enumerate-values;
         # no pool is started here
         monkeypatch.setattr(corpus.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         assert corpus.worker_count(0, 100) == 4
         assert corpus.worker_count(3, 100) == 3
         assert corpus.worker_count(10 ** 6, 100) == 4
         assert corpus.worker_count(0, 2) == 2
         assert corpus.worker_count(3, 1) == 1
         assert corpus.worker_count(0, 0) == 1
+        # the CPUs this process may run on, not the CPUs of the machine
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {1, 3})
+        assert corpus.worker_count(0, 100) == 2
+        assert corpus.worker_count(3, 100) == 2
+        # without an affinity call, the count of the machine
+        monkeypatch.delattr(corpus.os, "sched_getaffinity")
+        assert corpus.worker_count(0, 100) == 4
         monkeypatch.setattr(corpus.os, "cpu_count", lambda: None)
         assert corpus.worker_count(0, 100) == 1
         assert corpus.worker_count(8, 100) == 1

@@ -6,11 +6,21 @@ import subprocess
 import sys
 
 import pytest
-from periwiener import audit, cli, errors, graphio, trees
+from periwiener import audit, cli, corpus, errors, graphio, trees
 from periwiener.cli import _FAMILIES, enumerate_values_csv, main
-from periwiener.generators import hypercube
+from periwiener.generators import (
+    complete,
+    cycle,
+    double_star,
+    hypercube,
+    path,
+    random_connected_graph,
+    random_tree,
+    star,
+)
 from periwiener.graphio import parse_graph6, write_graph6
 from periwiener.indices import index_vector
+from test_audit import _count_pools
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +154,99 @@ class TestCompute:
     def test_unknown_index(self, tmp_path, capsys):
         rc, _, err = run_cli(capsys, "compute", "--indices", "bogus", "--input", "x")
         assert rc == 2
+
+
+# short-form and long-form records (70 and 64 vertices), trees and non-trees
+_MIXED = [path(5), random_tree(70, seed=1), cycle(6), random_connected_graph(64, 0.08, seed=2),
+          star(5), complete(4), double_star(2, 3), hypercube(3), random_tree(20, seed=3)]
+_DISCONNECTED = "C?"  # four isolated vertices
+_MALFORMED = "B"  # an order field with no data byte
+
+
+def _stream(tmp_path, records) -> str:
+    f = tmp_path / "stream.g6"
+    f.write_text("".join(r + "\n" for r in records))
+    return str(f)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+class TestComputeStream:
+    """A graph6 stream runs as one interleaved share of records per worker;
+    the rows and the reported error do not depend on the worker count."""
+
+    @pytest.mark.parametrize("emit", ["csv", "json", "table"])
+    def test_rows_do_not_depend_on_workers(self, tmp_path, capsys, threads, emit):
+        f = _stream(tmp_path, [write_graph6(g) for g in _MIXED])
+        rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                               "--emit", emit, "--threads", threads)
+        assert (rc, err) == (0, "")
+        rc, serial, _ = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                                "--emit", emit, "--threads", "1")
+        assert out == serial
+        if emit == "json":
+            rows = json.loads(out)
+            assert [r["graph"] for r in rows] == list(range(len(_MIXED)))
+            for row, g in zip(rows, _MIXED):
+                iv = index_vector(g)
+                assert (row["n"], row["m"], row["w"], row["pww"], row["tww"]) == \
+                    (iv.n, iv.m, iv.w, iv.pww, iv.tww)
+
+    @pytest.mark.parametrize("records, method, code, line", [
+        # a record that does not parse is reported before any graph error
+        (["Bw", _DISCONNECTED, "Bw", "Bw", "Bw", _MALFORMED, "Bw"], "definition", 2,
+         "error: {f}: expected 1 data bytes for n=3, got 0"),
+        (["Bw", "Bw", _DISCONNECTED, "Bw", _DISCONNECTED, "Bw"], "definition", 3,
+         "error: graph 2: graph is not connected"),
+        (["Bw", "Bw", "Bw", "@", "Bw"], "definition", 3,
+         "error: graph 3: index operations need at least 2 vertices"),
+        (["Bg", "Bg", "Bw", "Bg"], "cuts", 3,
+         "error: graph 2: m = 3 but a tree on 3 vertices has 2 edges"),
+        (["Bg", "Bg", _DISCONNECTED, "Bw"], "cuts", 3,
+         "error: graph 2: graph is not connected"),
+    ])
+    def test_first_failure_in_input_order(self, tmp_path, capsys, threads, records, method,
+                                          code, line):
+        f = _stream(tmp_path, records)
+        rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                               "--method", method, "--threads", threads)
+        assert (rc, out, err) == (code, "", line.format(f=f) + "\n")
+
+    def test_cuts_mismatch_exits_4(self, tmp_path, capsys, monkeypatch, threads):
+        # the forked workers inherit the patched formula
+        monkeypatch.setattr(trees, "peripheral_hyper_wiener_by_path_cuts",
+                            lambda tv: tv.profile.pww - (tv.graph.n == 5))
+        f = _stream(tmp_path, [write_graph6(g) for g in (path(3), path(4), star(4), path(5))])
+        rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                               "--method", "cuts", "--threads", threads)
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: graph 2: cut formulas disagree") and err.count("\n") == 1
+
+    def test_single_job_starts_no_pool(self, tmp_path, capsys, monkeypatch, threads):
+        pools = _count_pools(monkeypatch)
+        el = tmp_path / "c6.el"
+        el.write_text(graphio.write_edge_list(cycle(6)))
+        g6 = _stream(tmp_path, [write_graph6(cycle(6))])
+        for argv in (("--input", str(el)), ("--input", g6, "--format", "graph6")):
+            rc, out, _ = run_cli(capsys, "compute", *argv, "--threads", threads,
+                                 "--emit", "csv")
+            assert rc == 0 and out.splitlines()[1].startswith("0,6,6,3,3,6,0,")
+        assert pools == []
+
+    def test_stream_starts_one_pool_per_worker_count(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        pools = _count_pools(monkeypatch)
+        f = _stream(tmp_path, ["Bw"] * 5)
+        rc, _, _ = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                           "--threads", threads)
+        assert rc == 0
+        assert len(pools) == (corpus.worker_count(int(threads), 5) > 1)
+
+
+def test_compute_negative_threads_exits_2(tmp_path, capsys):
+    f = tmp_path / "p3.el"
+    f.write_text("3\n0 1\n1 2\n")
+    rc, out, err = run_cli(capsys, "compute", "--input", str(f), "--threads", "-1")
+    assert (rc, out, err) == (2, "", "error: --threads must be >= 0, got -1\n")
 
 
 class TestGen:

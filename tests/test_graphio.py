@@ -17,6 +17,7 @@ from periwiener.errors import (
 from periwiener.generators import complete, path
 from periwiener.graphio import (
     iter_graph6,
+    mask_edges,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
@@ -172,6 +173,17 @@ class TestGraph6:
     def test_malformed(self, bad):
         with pytest.raises(MalformedGraph6Error):
             parse_graph6(bad)
+
+    @given(st.sampled_from([1, 2, 3, 7, 62, 63, 64, 128, 258]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decode_matches_mask_edges(self, n, data):
+        # the adjacency rows decoded straight from a record equal the graph
+        # built from the same mask's edge list
+        mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+        g = build_graph(n, mask_edges(n, mask))
+        back = parse_graph6(write_graph6(g))
+        assert back.masks == g.masks
+        assert back == g
 
     def test_multi_record(self):
         graphs = list(iter_graph6("Bw\nBg\n\nA_\n"))
