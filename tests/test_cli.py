@@ -174,6 +174,11 @@ class TestComputeStream:
     """A graph6 stream runs as one interleaved share of records per worker;
     the rows and the reported error do not depend on the worker count."""
 
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        # "--threads 2" starts two workers on any host, one CPU included
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     @pytest.mark.parametrize("emit", ["csv", "json", "table"])
     def test_rows_do_not_depend_on_workers(self, tmp_path, capsys, threads, emit):
         f = _stream(tmp_path, [write_graph6(g) for g in _MIXED])
@@ -239,7 +244,25 @@ class TestComputeStream:
         rc, _, _ = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
                            "--threads", threads)
         assert rc == 0
-        assert len(pools) == (corpus.worker_count(int(threads), 5) > 1)
+        assert len(pools) == (threads == "2")
+
+
+class TestComputeAutoThreads:
+    """Under --threads 0 a graph6 stream goes to the pool only from
+    cli._POOL_MIN_BYTES record bytes on; the rows are the same either way."""
+
+    @pytest.mark.parametrize("limit, pooled", [(10, True), (11, False)])
+    def test_pool_from_min_bytes(self, tmp_path, capsys, monkeypatch, limit, pooled):
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_POOL_MIN_BYTES", limit)
+        pools = _count_pools(monkeypatch)
+        f = _stream(tmp_path, ["Bw", "Bg", "Bw", "C~", "Bw"])  # 10 record bytes
+        rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                               "--emit", "csv")
+        assert (rc, err) == (0, "")
+        assert len(pools) == pooled
+        assert out == run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                              "--emit", "csv", "--threads", "1")[1]
 
 
 def test_compute_negative_threads_exits_2(tmp_path, capsys):
