@@ -11,9 +11,9 @@ adjacency means "differs in exactly one bit".
 A caterpillar or lobster code is a plain tuple of leaf counts (c_1, ...,
 c_s); any sequence of ints is accepted.  Each family's parameter rules are
 written here once, and the closed forms in `trees` call the same checks
-(`_caterpillar_code`, `_lobster_code`, `_check_double_star`), so a
-parameter that breaks a family's rules raises the same error from its
-generator and from its closed forms.
+(`_caterpillar_code`, `_lobster_code`, `_check_double_star`,
+`_depth2_counts`), so a parameter that breaks a family's rules raises the
+same error from its generator and from its closed forms.
 
 Every constructor raises TooLargeError, before it allocates, for an order
 above `graphio.MAX_EDGE_LIST_ORDER` (1,024), the largest order `compute`
@@ -162,15 +162,22 @@ def lobster(code: Sequence[int], c: int) -> Graph:
     return Graph(center + 1 + c, tuple(masks))
 
 
+def _depth2_counts(counts: Sequence[int]) -> list[int]:
+    """The children counts of a depth-2 tree as a list of ints: at least
+    one entry, none negative."""
+    checked = [int(c) for c in counts]
+    if len(checked) < 1 or any(c < 0 for c in checked):
+        raise InvalidParameterError(f"bad children counts {counts}")
+    return checked
+
+
 def rooted_depth2_tree(children_counts: Sequence[int]) -> Graph:
     """Root 0 with one child per entry; entry i carries that many leaf children.
 
     With at least two nonzero entries this is the generic diameter-4 tree
     rooted at its central vertex.
     """
-    counts = [int(c) for c in children_counts]
-    if len(counts) < 1 or any(c < 0 for c in counts):
-        raise InvalidParameterError(f"bad children counts {children_counts}")
+    counts = _depth2_counts(children_counts)
     _check_order(1 + len(counts) + sum(counts))
     edges = []
     nxt = 1 + len(counts)

@@ -11,16 +11,15 @@ emitted for 63 <= n <= 258.
 Edge masks: the one encoding of an edge set in this package.  Pair (i, j),
 i < j, has column index b = j(j-1)/2 + i and sits at bit C(n,2)-1-b of the
 mask, so a mask is the graph6 data bits read as one integer, and masks of
-the same order compare as their graph6 records do.  `edge_mask` and
-`mask_edges` convert between edges and masks; the graph6 codec writes and
-reads a mask six bits per byte.
+the same order compare as their graph6 records do.  `edge_mask` encodes
+edges as a mask and `mask_rows` decodes a mask into adjacency rows; the
+graph6 codec writes and reads a mask six bits per byte.
 """
 
 from __future__ import annotations
 
 import base64
 import re
-from math import isqrt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -119,17 +118,23 @@ def edge_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     return int(bits or b"0", 2)
 
 
-def mask_edges(n: int, mask: int) -> list[tuple[int, int]]:
-    """The edges (i, j), i < j, of an edge mask on n vertices, in column
-    order."""
-    bits = format(mask, f"0{n * (n - 1) // 2}b")
-    edges = []
-    b = bits.find("1")
-    while b >= 0:
-        j = (1 + isqrt(8 * b + 1)) // 2
-        edges.append((b - j * (j - 1) // 2, j))
-        b = bits.find("1", b + 1)
-    return edges
+def mask_rows(n: int, mask: int) -> tuple[int, ...]:
+    """The adjacency rows of an edge mask on n vertices: `Graph(n,
+    mask_rows(n, mask))` is its graph."""
+    # column j holds bits (0, j), ..., (j-1, j): reversed, it is the part of
+    # adj[j] below j, and each of its set bits i puts j into adj[i]
+    cols = format(mask, f"0{n * (n - 1) // 2}b")
+    adj = [0] * n
+    for j in range(1, n):
+        start = j * (j - 1) // 2
+        col = cols[start:start + j]
+        adj[j] = int(col[::-1], 2)
+        bit = 1 << j
+        i = col.find("1")
+        while i >= 0:
+            adj[i] |= bit
+            i = col.find("1", i + 1)
+    return tuple(adj)
 
 
 def _decode_order(payload: bytes) -> tuple[int, int]:
@@ -187,20 +192,7 @@ def parse_graph6(data: str | bytes) -> Graph:
     mask = int.from_bytes(data, "big") >> (6 * extra)
     if mask & ((1 << pad) - 1):
         raise MalformedGraph6Error("nonzero padding bits")
-    # column j holds bits (0, j), ..., (j-1, j): reversed, it is the part of
-    # adj[j] below j, and each of its set bits i puts j into adj[i]
-    cols = format(mask >> pad, f"0{nbits}b")
-    adj = [0] * n
-    for j in range(1, n):
-        start = j * (j - 1) // 2
-        col = cols[start:start + j]
-        adj[j] = int(col[::-1], 2)
-        bit = 1 << j
-        i = col.find("1")
-        while i >= 0:
-            adj[i] |= bit
-            i = col.find("1", i + 1)
-    return Graph(n, tuple(adj))
+    return Graph(n, mask_rows(n, mask >> pad))
 
 
 def write_graph6(g: Graph) -> str:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import corpus
 from .errors import InvalidCodeError, InvalidParameterError, NotATreeError, NotConnectedError
-from .generators import _caterpillar_code, _check_double_star, _lobster_code
+from .generators import _caterpillar_code, _check_double_star, _depth2_counts, _lobster_code
 from .graphs import Graph, _bfs, _bits
 from .indices import Profile
 
@@ -144,9 +144,9 @@ def double_star_pww(m: int, n: int) -> int:
     return 6 * m * n + 3 * comb(m, 2) + 3 * comb(n, 2)
 
 
-def closed_form_diam4(children_counts: list[int]) -> int:
+def closed_form_diam4(children_counts: Sequence[int]) -> int:
     """Registered diameter-4 closed form: 10*sum_{i<j} c_i c_j + 3*sum C(c_i,2)."""
-    counts = [int(c) for c in children_counts]
+    counts = _depth2_counts(children_counts)
     if sum(1 for c in counts if c >= 1) < 2:
         raise InvalidParameterError(
             f"diameter-4 tree needs at least two nonempty child sets, got {counts}"

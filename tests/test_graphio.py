@@ -16,14 +16,15 @@ from periwiener.errors import (
 )
 from periwiener.generators import complete, path
 from periwiener.graphio import (
+    edge_mask,
     iter_graph6,
-    mask_edges,
+    mask_rows,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
     write_graph6,
 )
-from periwiener.graphs import build_graph
+from periwiener.graphs import _edge_list, build_graph
 
 
 class TestEdgeList:
@@ -176,14 +177,19 @@ class TestGraph6:
 
     @given(st.sampled_from([1, 2, 3, 7, 62, 63, 64, 128, 258]), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_decode_matches_mask_edges(self, n, data):
+    def test_decode_matches_bit_oracle(self, n, data):
         # the adjacency rows decoded straight from a record equal the graph
-        # built from the same mask's edge list
-        mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
-        g = build_graph(n, mask_edges(n, mask))
+        # built from the mask's bits read by the definition: pair (i, j),
+        # i < j, is bit C(n,2)-1-(j(j-1)/2+i)
+        top = n * (n - 1) // 2 - 1
+        mask = data.draw(st.integers(0, (1 << top + 1) - 1))
+        g = build_graph(n, [(i, j) for j in range(n) for i in range(j)
+                            if mask >> (top - (j * (j - 1) // 2 + i)) & 1])
         back = parse_graph6(write_graph6(g))
         assert back.masks == g.masks
         assert back == g
+        assert mask_rows(n, mask) == g.masks
+        assert edge_mask(n, _edge_list(mask_rows(n, mask))) == mask
 
     def test_multi_record(self):
         graphs = list(iter_graph6("Bw\nBg\n\nA_\n"))

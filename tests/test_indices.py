@@ -1,6 +1,8 @@
+import ast
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,14 @@ class TestInvariants:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, timeout=60)
         assert proc.stdout.strip() == "raised", proc.stderr
+
+    def test_no_assert_in_the_package(self):
+        # `python -O` strips assert statements, so none may guard an
+        # invariant: every check in the package is an explicit raise
+        package = Path(__file__).resolve().parent.parent / "src" / "periwiener"
+        files = sorted(package.glob("*.py"))
+        assert files
+        found = [f"{path.name}:{node.lineno}" for path in files
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []

@@ -204,6 +204,16 @@ class TestClosedForms:
         with pytest.raises(InvalidParameterError):
             closed_form_diam4([3, 0])
 
+    @pytest.mark.parametrize("counts", [[-1, 1, 1], [2, -3, 2], []])
+    def test_diam4_bad_counts_raise_as_the_generator_does(self, counts):
+        # the closed form checks its counts with the generator's own check,
+        # before math.comb can see a negative count
+        with pytest.raises(InvalidParameterError, match="bad children counts") as gen:
+            rooted_depth2_tree(counts)
+        with pytest.raises(InvalidParameterError, match="bad children counts") as form:
+            closed_form_diam4(counts)
+        assert str(form.value) == str(gen.value)
+
     def test_double_star_formula_vs_truth(self):
         # the registered form overshoots P_4: 6+3+3 = 12 against the true 6
         assert closed_form_double_star(1, 1) == 12
