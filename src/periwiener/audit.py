@@ -281,13 +281,22 @@ def _chk_obs_no_2_5(n, masks, p):
 
 def _class_instances(n: int, classes: Iterable[tuple[int, int, Profile]]):
     for mask, weight, p in classes:
-        yield (n, mask), weight, (n, corpus.mask_adjacency(n, mask), p)
+        rows = corpus.mask_adjacency(n, mask)
+        yield (n, mask, rows), weight, (n, rows, p)
+
+
+def _grown_instances(n: int, parent: int):
+    for mask, weight, p, rows in corpus.iter_connected_profiles(n, (parent,)):
+        yield (n, mask, rows), weight, (n, rows, p)
 
 
 def _corpus_chunk(ids: list[str], n: int, parent: int) -> dict[str, _Acc]:
     """Pool worker: the corpus checks `ids` over the n-vertex classes grown
-    from one (n-1)-vertex parent class."""
-    return _stream_chunk(ids, _class_instances, (n, corpus.iter_connected_profiles(n, (parent,))))
+    from one (n-1)-vertex parent class.  The classes carry their adjacency
+    rows, and most come without a canonical mask; the report searches for
+    one only where the class's witness key could still be kept
+    (`_Acc.key_grown`)."""
+    return _stream_chunk(ids, _grown_instances, (n, parent))
 
 
 def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, float, int]:
@@ -336,7 +345,8 @@ def _chk_def_pww_alt(p, balls):
 
 def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
     for mask, weight, p in classes:
-        yield (n, mask), weight, (p, corpus.reach_layers(n, corpus.mask_adjacency(n, mask))[0])
+        rows = corpus.mask_adjacency(n, mask)
+        yield (n, mask, rows), weight, (p, corpus.reach_layers(n, rows)[0])
 
 
 def _corpus6_jobs(budget: Budget, level: Callable) -> list[tuple]:
@@ -757,12 +767,13 @@ def register_shadow_claims() -> list[Claim]:
 class _Acc:
     """Per-claim accumulator with a capped, sorted witness list."""
 
-    __slots__ = ("tested", "violations", "witnesses", "error")
+    __slots__ = ("tested", "violations", "witnesses", "grown", "error")
 
     def __init__(self):
         self.tested = 0
         self.violations = 0
         self.witnesses: list[tuple] = []  # a job's keys, or `_finalize`'s witnesses
+        self.grown: list[tuple] = []  # classes offered without a key, see `_add_witnesses`
         self.error: str | None = None
 
     def add_witness(self, entry: tuple) -> None:
@@ -778,10 +789,26 @@ class _Acc:
         kept = self.witnesses
         return len(kept) < _MAX_WITNESSES or (n, mask) < kept[-1][:2]
 
+    def could_enter(self, n: int, alpha: int) -> bool:
+        """Whether the key of an n-vertex class of independence number
+        `alpha` could enter the list, decided without its canonical mask:
+        the list holds fewer than _MAX_WITNESSES keys, or its last key has
+        more vertices, or as many and a mask no smaller than the least one
+        such a class can have, 2^(C(n,2) - C(alpha+1,2))
+        (`corpus.independence_number`)."""
+        kept = self.witnesses
+        if len(kept) < _MAX_WITNESSES:
+            return True
+        last_n, last_mask = kept[-1][:2]
+        if last_n != n:
+            return last_n > n
+        return last_mask >> (comb(n, 2) - comb(alpha + 1, 2)) != 0
+
     def merge(self, other: _Acc) -> None:
         """Fold in the next part of the same claim's stream.  Once a part
         carries an error, the later parts are ignored, as a single pass
-        stops at the first exception."""
+        stops at the first exception.  The part's grown classes are kept
+        only while their keys could still enter."""
         if self.error is not None:
             return
         self.tested += other.tested
@@ -789,17 +816,35 @@ class _Acc:
         self.error = other.error
         for entry in other.witnesses:
             self.add_witness(entry)
+        self.grown += [entry for entry in other.grown if self.could_enter(*entry[:2])]
+
+    def key_grown(self) -> None:
+        """Key the grown classes, one canonical form each, in order and the
+        largest independence number first, skipping every class whose key
+        can no longer enter; then no class is left unkeyed."""
+        for n, alpha, rows, obs, exp in sorted(self.grown, key=lambda e: (e[0], -e[1])):
+            if self.could_enter(n, alpha):
+                self.add_witness((n, corpus.canonical_form(n, rows)[0], obs, exp, True))
+        self.grown = []
 
 
 def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
     """Offer the key of one violation, (n, edge mask, observed, expected,
     whole class): a Graph's own mask, or the canonical mask of an
-    isomorphism class (n, mask), the smallest among its labeled graphs.
-    Keys sort as their smallest labeled witnesses do in graph6 order."""
+    isomorphism class (n, mask, rows), the smallest among its labeled
+    graphs.  Keys sort as their smallest labeled witnesses do in graph6
+    order.  A class grown without a mask is kept instead as (n, its
+    independence number, rows, observed, expected), and keyed by the
+    report (`_Acc.key_grown`) only if the keys of the whole stream leave
+    it room."""
     if isinstance(subject, Graph):
         acc.add_witness((subject.n, corpus.g6_order_key(subject)) + r + (False,))
     else:
-        acc.add_witness(subject + r + (True,))
+        n, mask, rows = subject
+        if mask is None:
+            acc.grown.append((n, corpus.independence_number(rows), rows) + r)
+        else:
+            acc.add_witness((n, mask) + r + (True,))
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
@@ -807,13 +852,13 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
     """Apply every (claim id, check) to every instance of a stream.
 
     A stream yields (subject, weight, args): the subject is the graph a
-    witness shows (a Graph, or an isomorphism class as an (n, canonical
-    mask) pair), the weight is the number of labeled graphs it stands for
-    (n!/|Aut(G)| for a class, else 1), and check(*args) returns None
-    (holds), _NA (does not apply) or an (observed, expected) pair.  The first
-    exception a check raises marks only its claim skipped, with the
-    exception as the note; once no check is live, no further instance is
-    drawn.
+    witness shows (a Graph, or an isomorphism class as (n, canonical mask
+    or None, adjacency rows)), the weight is the number of labeled graphs
+    it stands for (n!/|Aut(G)| for a class, else 1), and check(*args)
+    returns None (holds), _NA (does not apply) or an (observed, expected)
+    pair.  The first exception a check raises marks only its claim
+    skipped, with the exception as the note; once no check is live, no
+    further instance is drawn.
     """
     live = [(accs[cid], fn) for cid, fn in checks if accs[cid].error is None]
     for subject, weight, args in instances:
@@ -835,6 +880,7 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
 
 
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
+    acc.key_grown()
     if acc.error is not None or acc.tested == 0:
         status, note = STATUS_SKIPPED, acc.error or "no instances in suite"
     else:

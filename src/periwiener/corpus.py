@@ -20,15 +20,22 @@ Aut(parent), and is kept only when vertex n-1 lies in the orbit of the
 deletion vertex m(G), so each class has exactly one parent class.  m(G) is
 the non-cut vertex with the largest (degree, sorted neighbour degrees); on
 a tie, the tied vertex that sits last in the canonical order.  So the
-invariant settles most children, and a canonical form is computed only for
-a kept child, which needs its mask and |Aut(G)| anyway, or a tie.
+invariant settles most children.  A canonical form is computed only where
+something reads one: for a parent (its automorphisms), for a tie, and for
+a class whose mask an output reads.  A child kept with no tie takes its
+|Aut(G)| from the orbit of its neighbour set under Aut(parent), and comes
+with its adjacency rows but no mask.
 
 `class_levels` is the one walk of the levels: each order is grown once,
-from the order below, when first asked for.  The largest order of a sweep,
-which holds most of the work, is grown instead as one job per class of the
-order below.  `run_jobs` runs such jobs, (fn, args) pairs fixed in advance,
-in one fork pool and returns their results in job order; the value scan of
-`enumerate-values` and every audit suite use it.
+from the order below, when first asked for, and canonicalized, as the
+parents of the next order.  The largest order of a sweep, which holds most
+of the work, is grown instead as one job per class of the order below, and
+its classes are canonicalized only as candidates for an output: by
+independence number for a value's witness (`scan_values`), or as audit
+witness keys that could still be kept.  `run_jobs` runs such jobs, (fn,
+args) pairs fixed in advance, in one fork pool and returns their results
+in job order; the value scan of `enumerate-values` and every audit suite
+use it.
 
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
@@ -47,10 +54,12 @@ from .graphio import edge_mask, mask_rows, write_graph6
 from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import Profile
 
-# The largest order of an exhaustive sweep.  Generating every class up to
-# n = 8 takes about 6 s in one process on a 2-vCPU guest, and
-# `enumerate-values --max-n 8` about 5 s with 2 workers; the n = 9 classes
-# alone take about 220 s more.
+# The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
+# every class up to n = 8 takes about 3.6 s in one process, and
+# `enumerate-values --max-n 8` about 2.1 s wall and 3.6 s CPU with 2
+# workers, with 6,655 canonical forms (4.0 s, 7.2 s and 14,029 when every
+# kept class was canonicalized, by a search over lists of columns); the
+# n = 9 classes alone take about 60 s more, at 157 MiB peak RSS.
 MAX_N = 8
 
 
@@ -218,23 +227,39 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
     matrix; column j holds the adjacency of the j-th vertex to the earlier
     ones, the earliest as the most significant bit.  The orders are built
     column by column, keeping at depth j only those whose column j is
-    minimal.  The surviving orders form one coset of Aut(G), so there are
+    minimal; a partial order is kept with the bitmask of its unplaced
+    vertices.  The surviving orders form one coset of Aut(G), so there are
     |Aut(G)| of them, and the entries at position p across them are the
     orbit of the vertex at p.
     """
-    rows = [[(row >> u) & 1 for u in range(n)] for row in adj]
-    states = [((), [(v, 0) for v in range(n)])]  # (order, [(unplaced vertex, column)])
+    non = [~row for row in adj]
+    states = [((), (1 << n) - 1)]  # (order, unplaced vertices)
     mask = 0
     for j in range(n):
-        best = min([c for _, cols in states for _, c in cols])
+        # a state's smallest column: from its unplaced vertices, keep the
+        # non-neighbours of each placed vertex in turn while any remain
+        best = 1 << j
+        found = []
+        for order, left in states:
+            cand, col = left, 0
+            for v in order:
+                rest = cand & non[v]
+                if rest:
+                    cand = rest
+                    col <<= 1
+                else:
+                    col = col << 1 | 1
+            if col < best:
+                best, found = col, [(order, left, cand)]
+            elif col == best:
+                found.append((order, left, cand))
         mask = (mask << j) | best
-        nxt = []
-        for order, cols in states:
-            for v, c in cols:
-                if c == best:
-                    row = rows[v]
-                    nxt.append((order + (v,), [(u, (cu << 1) | row[u]) for u, cu in cols if u != v]))
-        states = nxt
+        states = []
+        for order, left, cand in found:
+            while cand:
+                low = cand & -cand
+                states.append((order + (low.bit_length() - 1,), left ^ low))
+                cand ^= low
     return mask, [order for order, _ in states]
 
 
@@ -244,22 +269,25 @@ def canonical_mask(n: int, mask: int) -> int:
     return canonical_form(n, mask_adjacency(n, mask))[0]
 
 
-def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[int]:
-    """The non-empty subsets of range(k), as bitmasks in ascending order,
-    that are the smallest of their orbit under the permutation group
-    `autos`."""
+def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """(set, orbit size) for the non-empty subsets of range(k), as bitmasks
+    in ascending order, that are the smallest of their orbit under the
+    permutation group `autos`."""
     seen = bytearray(1 << k)
     images = [[1 << u for u in sigma] for sigma in autos]
     reps = []
     for s in range(1, 1 << k):
         if not seen[s]:
-            reps.append(s)
             members = list(_bits(s))
+            size = 0
             for bit in images:
                 img = 0
                 for u in members:
                     img |= bit[u]
-                seen[img] = 1
+                if not seen[img]:
+                    seen[img] = 1
+                    size += 1
+            reps.append((s, size))
     return reps
 
 
@@ -286,22 +314,27 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     return ties
 
 
-def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[int, int, Profile]]:
-    """(canonical mask, n!/|Aut(G)|, profile) for one graph per isomorphism
-    class of connected n-vertex graphs grown from `parents`, the canonical
-    masks of some (n-1)-vertex classes; the middle item is the number of
-    labeled graphs in the class.  Each class has one parent, so disjoint
-    parent sets give disjoint classes, and all the (n-1)-vertex classes give
-    every n-vertex class (`class_levels`).
+def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[
+        tuple[int | None, int, Profile, tuple[int, ...]]]:
+    """(canonical mask or None, n!/|Aut(G)|, profile, adjacency rows) for
+    one graph per isomorphism class of connected n-vertex graphs grown from
+    `parents`, the canonical masks of some (n-1)-vertex classes; the weight
+    is the number of labeled graphs in the class, and the rows are the
+    class in the labeling it was grown in.  Each class has one parent, so
+    disjoint parent sets give disjoint classes, and all the (n-1)-vertex
+    classes give every n-vertex class (`class_levels`).
 
     A child joins vertex n-1 of the parent, in its canonical labeling, to a
-    neighbour set that is the smallest of its orbit under Aut(parent).  It
+    neighbour set S that is the smallest of its orbit under Aut(parent).  It
     is kept when vertex n-1 is in the orbit of the deletion vertex m(G):
     among the non-cut vertices of largest (degree, sorted neighbour
     degrees), the one that sits last in the canonical order.  The invariant
-    alone decides most children.  A canonical form is computed once per
-    parent (its automorphisms), once per kept child (its mask and weight)
-    and once per rejected tie.
+    alone decides most children.  When it leaves no tie, vertex n-1 alone
+    has the top invariant, so every automorphism fixes it: Aut(G) is the
+    stabiliser of S in Aut(parent), the weight is n!|orbit(S)|/|Aut(parent)|,
+    and no canonical form is computed, so the mask is None (`class_mask`
+    finds it).  A canonical form is computed once per parent (its
+    automorphisms) and once per tie, which yields its mask.
     """
     new = n - 1
     n_labelings = factorial(n)
@@ -310,20 +343,53 @@ def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[tuple[in
         parent_mask, autos = canonical_form(new, parent_adj)
         if parent_mask != parent:
             raise InvalidParameterError(f"parent {parent} is not a canonical mask")
-        for nbrs in _orbit_minimal_sets(new, autos):
+        for nbrs, orbit in _orbit_minimal_sets(new, autos):
             adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
             ties = _rival_deletion_vertices(n, adj)
             if ties is None:
                 continue
-            mask, orders = canonical_form(n, adj)
             if ties:
+                mask, orders = canonical_form(n, adj)
                 # m(G) is the tied vertex that sits last in the canonical order
                 pos = max(orders[0].index(v) for v in ties + [new])
                 if all(order[pos] != new for order in orders):
                     continue
-            yield mask, n_labelings // len(orders), profile_from_masks(n, adj)
+                weight = n_labelings // len(orders)
+            else:
+                mask, weight = None, n_labelings * orbit // len(autos)
+            yield mask, weight, profile_from_masks(n, adj), tuple(adj)
+
+
+def class_mask(n: int, mask: int | None, rows: Sequence[int]) -> int:
+    """The canonical mask of a class as `iter_connected_profiles` yields it:
+    its mask, or, when that is None, one search of its rows."""
+    return canonical_form(n, rows)[0] if mask is None else mask
+
+
+def independence_number(adj: Sequence[int]) -> int:
+    """The largest number of pairwise non-adjacent vertices of the graph
+    with adjacency bitmasks `adj`.  A vertex with at most one neighbour left
+    is in some largest independent set, so only a vertex with more is
+    branched on, taken or dropped.
+
+    A labeling's edge mask starts with fewer than C(α+1, 2) zero bits, and
+    one that lists a largest independent set first starts with at least
+    C(α, 2).  So of two classes of one order, the one with the larger α has
+    the smaller canonical mask."""
+    def alpha(left: int) -> int:
+        if not left:
+            return 0
+        low = left & -left
+        rest = left ^ low
+        nbrs = adj[low.bit_length() - 1]
+        take = 1 + alpha(rest & ~nbrs)
+        if (nbrs & rest).bit_count() <= 1:
+            return take
+        return max(take, alpha(rest))
+
+    return alpha((1 << len(adj)) - 1)
 
 
 def labelings(n: int, mask: int) -> set[int]:
@@ -338,19 +404,22 @@ def labelings(n: int, mask: int) -> set[int]:
 def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
     """The one walk of the class levels: level(n), for 1 <= n <= MAX_N, is
     the list of (canonical mask, n!/|Aut(G)|, profile) of every connected
-    n-vertex class, as `iter_connected_profiles` yields them.  Each order is
-    grown once, from the order below, the first time it is asked for, and
-    kept by this walk only, so a new walk starts from scratch.  level(n)
-    raises InvalidParameterError, before any generation, for n outside
-    1..MAX_N."""
+    n-vertex class, in the order `iter_connected_profiles` yields them.
+    Each order is grown once, from the order below, the first time it is
+    asked for, and every class of it is canonicalized, since the classes
+    are the parents of the next order.  The levels are kept by this walk
+    only, so a new walk starts from scratch.  level(n) raises
+    InvalidParameterError, before any generation, for n outside 1..MAX_N."""
     levels = [[(0, 1, profile_from_masks(1, (0,)))]]
 
     def level(n: int) -> list[tuple[int, int, Profile]]:
         if not 1 <= n <= MAX_N:
             raise InvalidParameterError(f"n must be in 1..{MAX_N}, got {n}")
         while len(levels) < n:
+            k = len(levels) + 1
             parents = [mask for mask, _, _ in levels[-1]]
-            levels.append(list(iter_connected_profiles(len(levels) + 1, parents)))
+            levels.append([(class_mask(k, mask, rows), weight, p)
+                           for mask, weight, p, rows in iter_connected_profiles(k, parents)])
         return levels[n - 1]
 
     return level
@@ -425,11 +494,27 @@ def _smallest_masks(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
     return best
 
 
-def _scan_chunk(index_name: str, n: int, parent: int) -> dict[int, int]:
-    """Worker: attained index value -> smallest canonical mask over the
-    n-vertex classes grown from one parent class."""
+def _largest_alpha(items: Iterable[tuple[int, int, list]]) -> dict[int, tuple[int, list]]:
+    """Value -> (α, rows) over (value, α, rows) items: the rows of every
+    item with the largest α of its value, the only classes that can hold
+    the value's smallest canonical mask (`independence_number`)."""
+    best: dict[int, tuple[int, list]] = {}
+    for val, a, rows in items:
+        top = best.get(val)
+        if top is None or a > top[0]:
+            best[val] = (a, list(rows))
+        elif a == top[0]:
+            top[1].extend(rows)
+    return best
+
+
+def _scan_chunk(index_name: str, n: int, parent: int) -> dict[int, tuple[int, list]]:
+    """Worker: attained index value -> (α, rows) over the n-vertex classes
+    grown from one parent class, as `_largest_alpha` keeps them; no class
+    is canonicalized here."""
     field = Profile._fields.index(index_name)
-    return _smallest_masks((p[field], mask) for mask, _, p in iter_connected_profiles(n, (parent,)))
+    return _largest_alpha((p[field], independence_number(rows), [rows])
+                          for _, _, p, rows in iter_connected_profiles(n, (parent,)))
 
 
 def worker_count(threads: int, jobs: int) -> int:
@@ -466,8 +551,11 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     holds most of the work, runs as one job per (max_n-1)-vertex class on
     `threads` workers (0 = one per CPU).  Each class is scanned once: its
     canonical labeling is the first of its labeled graphs in graph6 order.
-    Raises InvalidParameterError, before any work, on an unknown index or
-    unless 2 <= max_n <= MAX_N."""
+    The jobs canonicalize nothing: they keep, per value, the classes of the
+    largest independence number, and this process canonicalizes those
+    alone, for the values no smaller order attains.  Raises
+    InvalidParameterError, before any work, on an unknown index or unless
+    2 <= max_n <= MAX_N."""
     if index_name not in Profile._fields:
         raise InvalidParameterError(f"unknown index {index_name!r}")
     if not 2 <= max_n <= MAX_N:
@@ -478,7 +566,11 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
                  for n in range(2, max_n)]
     jobs = [(_scan_chunk, (index_name, max_n, parent)) for parent, _, _ in level(max_n - 1)]
     parts = run_jobs(jobs, threads)
-    per_order.append(_smallest_masks(pair for part in parts for pair in part.items()))
+    seen = {val for best in per_order for val in best}
+    top = _largest_alpha((val, a, rows) for part in parts
+                         for val, (a, rows) in part.items() if val not in seen)
+    per_order.append({val: min(canonical_form(max_n, r)[0] for r in rows)
+                      for val, (_, rows) in top.items()})
     out: dict[int, tuple[int, str]] = {}
     for n, best in enumerate(per_order, 2):
         for val, mask in best.items():

@@ -24,8 +24,17 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _edge_list(masks: Iterable[int]) -> list[tuple[int, int]]:
-    """The edges (u, v), u < v, of adjacency bitmasks: u ascending, then v."""
-    return [(u, v) for u, a in enumerate(masks) for v in _bits(a >> (u + 1) << (u + 1))]
+    """The edges (u, v), u < v, of adjacency bitmasks: u ascending, then v.
+    The low-bit loop is inlined: `reach_layers` builds this list for every
+    graph of diameter 2 or more."""
+    edges = []
+    for u, a in enumerate(masks):
+        a = a >> (u + 1) << (u + 1)
+        while a:
+            low = a & -a
+            edges.append((u, low.bit_length() - 1))
+            a ^= low
+    return edges
 
 
 def _connected_on(masks: Sequence[int], vertices: int) -> bool:

@@ -555,6 +555,31 @@ class TestClassSweep:
             "A_", "BW", "Bg", "Bo", "Bw", "CF", "CL", "CM", "CN", "CR"]
         assert 0 < len(calls) <= audit._MAX_WITNESSES
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_top_order_keys_only_where_they_could_enter(self, monkeypatch, threads):
+        # a claim that fails everywhere: the keys of orders 2 and 3 fill the
+        # list before the top order's parts merge, so no class of the top
+        # order is left for the report to canonicalize
+        offered, left = [], []
+        merge, key_grown = audit._Acc.merge, audit._Acc.key_grown
+
+        def recording_merge(acc, other):
+            offered.append(len(other.grown))
+            merge(acc, other)
+
+        def recording_key_grown(acc):
+            left.append(len(acc.grown))
+            key_grown(acc)
+
+        monkeypatch.setattr(audit._Acc, "merge", recording_merge)
+        monkeypatch.setattr(audit._Acc, "key_grown", recording_key_grown)
+        _patch_check(monkeypatch, "HASSE-4", _always)
+        (result,) = audit.run_claims([audit._CLAIMS["HASSE-4"]],
+                                     audit.Budget(max_n=7, trials=0, threads=threads))
+        assert result.witnesses[-1]["graph6"] == "CR"
+        # most of the 853 classes of order 7 reach the merge without a key
+        assert sum(offered) > 400 and left == [0]
+
     def test_corpus6_matches_labeled_sweep(self):
         checks = _suite_checks("corpus6")
         results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],

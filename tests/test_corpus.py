@@ -274,8 +274,8 @@ class TestIsomorphismReduction:
 
     def test_parents_split_the_classes(self):
         level = corpus.class_levels()
-        children = [mask for parent, _, _ in level(5)
-                    for mask, _, _ in corpus.iter_connected_profiles(6, [parent])]
+        children = [corpus.class_mask(6, mask, rows) for parent, _, _ in level(5)
+                    for mask, _, _, rows in corpus.iter_connected_profiles(6, [parent])]
         assert children == [mask for mask, _, _ in level(6)]
 
     def test_class_levels_are_the_levels(self, profile_calls):
@@ -288,7 +288,9 @@ class TestIsomorphismReduction:
         assert profile_calls == [2, 3, 4, 5, 6]
         for n in range(2, 7):
             parents = [mask for mask, _, _ in level(n - 1)]
-            assert level(n) == list(corpus.iter_connected_profiles(n, parents))
+            grown = corpus.iter_connected_profiles(n, parents)
+            assert level(n) == [(corpus.class_mask(n, mask, rows), weight, p)
+                                for mask, weight, p, rows in grown]
         assert level(6) is six
         other = corpus.class_levels()(6)
         assert other == six and other is not six
@@ -341,10 +343,34 @@ class TestIsomorphismReduction:
                     first = min(orders)
                     pos = max(first.index(v) for v in tied)
                     if n - 1 in {order[pos] for order in orders}:
-                        want.append(key)
-                got = [mask for mask, _, _ in corpus.iter_connected_profiles(n, [parent])]
+                        want.append((key, factorial(n) // len(orders)))
+                got = [(corpus.class_mask(n, mask, rows), weight)
+                       for mask, weight, _, rows in corpus.iter_connected_profiles(n, [parent])]
                 assert got == want
                 assert len(set(got)) == len(got)
+
+    def test_orbit_weights_are_automorphism_counts(self):
+        # a child kept with no tie has no canonical form: its weight comes
+        # from the orbit of its neighbour set under Aut(parent), and must be
+        # n!/|Aut(G)| all the same; a tie's mask is its canonical one
+        level = corpus.class_levels()
+        grown_without_mask = 0
+        for n in range(2, 8):
+            parents = [mask for mask, _, _ in level(n - 1)]
+            for mask, weight, _, rows in corpus.iter_connected_profiles(n, parents):
+                key, orders = corpus.canonical_form(n, rows)
+                assert weight == factorial(n) // len(orders)
+                assert mask in (None, key)
+                grown_without_mask += mask is None
+        assert grown_without_mask > sum(ISO_CONNECTED.values()) // 2
+
+    def test_independence_number_matches_brute_force(self, rng):
+        for _ in range(300):
+            n = rng.randrange(1, 9)
+            adj = corpus.mask_adjacency(n, rng.randrange(1 << (n * (n - 1) // 2)))
+            want = max(k for k in range(n + 1) for sub in itertools.combinations(range(n), k)
+                       if all(not adj[u] >> v & 1 for u, v in itertools.combinations(sub, 2)))
+            assert corpus.independence_number(adj) == want
 
     def test_parent_must_be_canonical(self):
         # the path 0-1-2 is P_3 in a labeling that is not its canonical one
@@ -488,6 +514,35 @@ class TestScanValues:
         monkeypatch.setattr(corpus, "get_context", no_job)
         with pytest.raises(InvalidParameterError, match=f"got {max_n}"):
             corpus.scan_values("pww", max_n)
+
+    @pytest.mark.parametrize("index", ["w", "ww", "pw", "pww", "tw", "tww"])
+    def test_largest_alpha_holds_the_smallest_mask(self, index):
+        # per value, the classes of the largest independence number hold
+        # the smallest canonical mask of all the classes of that value
+        level = corpus.class_levels()
+        field = corpus.Profile._fields.index(index)
+        for n in range(3, 8):
+            parts = [corpus._scan_chunk(index, n, parent) for parent, _, _ in level(n - 1)]
+            top = corpus._largest_alpha((val, a, rows) for part in parts
+                                        for val, (a, rows) in part.items())
+            got = {val: min(corpus.canonical_form(n, r)[0] for r in rows)
+                   for val, (_, rows) in top.items()}
+            assert got == corpus._smallest_masks((p[field], mask) for mask, _, p in level(n))
+
+    def test_canonical_forms_pinned(self, monkeypatch):
+        # one search per parent, per tie, per other class of a walked
+        # level, and per largest-α class of a value first attained at
+        # max_n (1,189 when every kept class was searched)
+        calls = []
+        real = corpus.canonical_form
+
+        def counting(n, adj):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(corpus, "canonical_form", counting)
+        corpus.scan_values("pww", 7, threads=1)
+        assert len(calls) == 773
 
     def test_each_lower_order_grown_once(self, profile_calls):
         # orders 2..5 come from one walk of the class levels, order 6 from

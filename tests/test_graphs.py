@@ -10,11 +10,23 @@ from periwiener.generators import complete, cycle, path
 from periwiener.graphs import (
     Graph,
     _connected_on,
+    _edge_list,
     build_graph,
     cartesian_product,
     distance_matrix,
     is_connected,
 )
+
+
+def test_edge_list_matches_pair_loop(rng):
+    # the inline low-bit loop against the definition: every pair u < v
+    # with bit v of masks[u], u ascending, then v
+    for _ in range(300):
+        n, density = rng.randrange(1, 70), rng.random()
+        pairs = [(u, v) for v in range(n) for u in range(v) if rng.random() < density]
+        masks = build_graph(n, pairs).masks
+        want = [(u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1]
+        assert _edge_list(masks) == want
 
 
 class TestBuildGraph:
