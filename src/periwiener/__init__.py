@@ -15,6 +15,7 @@ from .errors import (
     TooLargeError,
     TrivialGraphError,
     VertexRangeError,
+    WorkerDiedError,
 )
 from .graphs import (
     DistanceMatrix,
@@ -62,6 +63,7 @@ __all__ = [
     "TooLargeError",
     "TrivialGraphError",
     "VertexRangeError",
+    "WorkerDiedError",
     "build_graph",
     "cartesian_product",
     "distance_matrix",

@@ -293,9 +293,8 @@ def _grown_instances(n: int, parent: int):
 def _corpus_chunk(ids: list[str], n: int, parent: int) -> dict[str, _Acc]:
     """Pool worker: the corpus checks `ids` over the n-vertex classes grown
     from one (n-1)-vertex parent class.  The classes carry their adjacency
-    rows, and most come without a canonical mask; the report searches for
-    one only where the class's witness key could still be kept
-    (`_Acc.key_grown`)."""
+    rows, and most come without a canonical mask; a violating one is keyed
+    here, by one search of its rows (`_add_witnesses`)."""
     return _stream_chunk(ids, _grown_instances, (n, parent))
 
 
@@ -767,13 +766,12 @@ def register_shadow_claims() -> list[Claim]:
 class _Acc:
     """Per-claim accumulator with a capped, sorted witness list."""
 
-    __slots__ = ("tested", "violations", "witnesses", "grown", "error")
+    __slots__ = ("tested", "violations", "witnesses", "error")
 
     def __init__(self):
         self.tested = 0
         self.violations = 0
         self.witnesses: list[tuple] = []  # a job's keys, or `_finalize`'s witnesses
-        self.grown: list[tuple] = []  # classes offered without a key, see `_add_witnesses`
         self.error: str | None = None
 
     def add_witness(self, entry: tuple) -> None:
@@ -789,26 +787,10 @@ class _Acc:
         kept = self.witnesses
         return len(kept) < _MAX_WITNESSES or (n, mask) < kept[-1][:2]
 
-    def could_enter(self, n: int, alpha: int) -> bool:
-        """Whether the key of an n-vertex class of independence number
-        `alpha` could enter the list, decided without its canonical mask:
-        the list holds fewer than _MAX_WITNESSES keys, or its last key has
-        more vertices, or as many and a mask no smaller than the least one
-        such a class can have, 2^(C(n,2) - C(alpha+1,2))
-        (`corpus.independence_number`)."""
-        kept = self.witnesses
-        if len(kept) < _MAX_WITNESSES:
-            return True
-        last_n, last_mask = kept[-1][:2]
-        if last_n != n:
-            return last_n > n
-        return last_mask >> (comb(n, 2) - comb(alpha + 1, 2)) != 0
-
     def merge(self, other: _Acc) -> None:
         """Fold in the next part of the same claim's stream.  Once a part
         carries an error, the later parts are ignored, as a single pass
-        stops at the first exception.  The part's grown classes are kept
-        only while their keys could still enter."""
+        stops at the first exception."""
         if self.error is not None:
             return
         self.tested += other.tested
@@ -816,35 +798,20 @@ class _Acc:
         self.error = other.error
         for entry in other.witnesses:
             self.add_witness(entry)
-        self.grown += [entry for entry in other.grown if self.could_enter(*entry[:2])]
-
-    def key_grown(self) -> None:
-        """Key the grown classes, one canonical form each, in order and the
-        largest independence number first, skipping every class whose key
-        can no longer enter; then no class is left unkeyed."""
-        for n, alpha, rows, obs, exp in sorted(self.grown, key=lambda e: (e[0], -e[1])):
-            if self.could_enter(n, alpha):
-                self.add_witness((n, corpus.canonical_form(n, rows)[0], obs, exp, True))
-        self.grown = []
 
 
 def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
     """Offer the key of one violation, (n, edge mask, observed, expected,
     whole class): a Graph's own mask, or the canonical mask of an
-    isomorphism class (n, mask, rows), the smallest among its labeled
-    graphs.  Keys sort as their smallest labeled witnesses do in graph6
-    order.  A class grown without a mask is kept instead as (n, its
-    independence number, rows, observed, expected), and keyed by the
-    report (`_Acc.key_grown`) only if the keys of the whole stream leave
-    it room."""
+    isomorphism class (n, mask or None, rows), the smallest among its
+    labeled graphs, searched for here when the class came without one
+    (`corpus.class_mask`).  Keys sort as their smallest labeled witnesses
+    do in graph6 order."""
     if isinstance(subject, Graph):
         acc.add_witness((subject.n, corpus.g6_order_key(subject)) + r + (False,))
     else:
         n, mask, rows = subject
-        if mask is None:
-            acc.grown.append((n, corpus.independence_number(rows), rows) + r)
-        else:
-            acc.add_witness((n, mask) + r + (True,))
+        acc.add_witness((n, corpus.class_mask(n, mask, rows)) + r + (True,))
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
@@ -880,7 +847,6 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
 
 
 def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
-    acc.key_grown()
     if acc.error is not None or acc.tested == 0:
         status, note = STATUS_SKIPPED, acc.error or "no instances in suite"
     else:
@@ -954,11 +920,7 @@ def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
     claims = list(claims)
     accs = {c.id: _Acc() for c in claims}
     jobs = _jobs([_CLAIMS[cid] for cid in accs], budget)
-    # the pool takes the jobs last first: the many small corpus jobs, near
-    # the front of the list, then come last and even out the workers'
-    # loads; the largest jobs, blocks of random trees or products, take
-    # about 0.1 s each
-    for part in corpus.run_jobs(jobs[::-1], budget.threads)[::-1]:
+    for part in corpus.run_jobs(jobs, budget.threads):
         for cid, acc in part.items():
             accs[cid].merge(acc)
     return [_finalize(c, accs[c.id]) for c in claims]

@@ -31,11 +31,13 @@ from the order below, when first asked for, and canonicalized, as the
 parents of the next order.  The largest order of a sweep, which holds most
 of the work, is grown instead as one job per class of the order below, and
 its classes are canonicalized only as candidates for an output: by
-independence number for a value's witness (`scan_values`), or as audit
-witness keys that could still be kept.  `run_jobs` runs such jobs, (fn,
-args) pairs fixed in advance, in one fork pool and returns their results
-in job order; the value scan of `enumerate-values` and every audit suite
-use it.
+independence number for a value's witness (`scan_values`), or, for an
+audit witness key, only where a class violates a claim, in the job that
+grows it.
+`run_jobs` runs such jobs, (fn, args) pairs fixed in advance, in one fork
+pool and returns their results in job order, or raises WorkerDiedError
+once a worker process dies; the value scan of `enumerate-values`, every
+audit suite and `compute` on a graph6 stream use it.
 
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
@@ -46,10 +48,10 @@ from __future__ import annotations
 import itertools
 import os
 from math import factorial
-from multiprocessing import get_context
+from multiprocessing import active_children, get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, WorkerDiedError
 from .graphio import edge_mask, mask_rows, write_graph6
 from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import Profile
@@ -536,12 +538,25 @@ def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
     """[fn(*args) for fn, args in jobs], in job order: in a fork pool of
     `worker_count(threads, len(jobs))` processes, or in this process, in
     order and with no pool, when that count is 1.  Jobs are fixed before
-    any runs, so the result does not depend on the worker count."""
+    any runs, so the result does not depend on the worker count.  Raises
+    WorkerDiedError, within about 0.1 s, once a worker process ends before
+    the last result is in."""
     workers = worker_count(threads, len(jobs))
     if workers == 1:
         return [fn(*args) for fn, args in jobs]
+    others = set(active_children())
     with get_context("fork").Pool(workers) as pool:
-        return pool.starmap(_call, jobs, chunksize=1)
+        started = [p for p in active_children() if p not in others]
+        result = pool.starmap_async(_call, jobs, chunksize=1)
+        # a pool replaces a dead worker but not its job, whose result would
+        # never come: watch the workers it started with instead
+        while not result.ready():
+            result.wait(0.1)
+            for p in started:
+                if p.exitcode is not None:
+                    raise WorkerDiedError(f"a worker process died (exit code {p.exitcode})"
+                                          " while running jobs")
+        return result.get()
 
 
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:

@@ -2,8 +2,8 @@
 
 Every error the package raises on purpose is a GraphError, and each class
 carries the exit code the command line reports it with: 2 (bad usage or
-input) unless it overrides it, 3 for a precondition on an input graph, 4
-for a failed internal cross-check."""
+input, or a pool worker process that died) unless it overrides it, 3 for a
+precondition on an input graph, 4 for a failed internal cross-check."""
 
 
 class GraphError(Exception):
@@ -60,6 +60,10 @@ class MalformedGraph6Error(GraphError):
 
 class TooLargeError(GraphError):
     """The requested object exceeds a documented size ceiling."""
+
+
+class WorkerDiedError(GraphError):
+    """A pool worker process ended while its jobs were still running."""
 
 
 class InvariantError(GraphError):

@@ -525,7 +525,7 @@ class _FullStdout:
 class TestFailurePath:
     def test_exit_code_per_class(self):
         classes = list(_error_classes())
-        assert len(classes) == 12
+        assert len(classes) == 13
         precondition = {errors.NotConnectedError, errors.TrivialGraphError, errors.NotATreeError}
         for cls in classes:
             want = 4 if cls is errors.InvariantError else 3 if cls in precondition else 2
@@ -581,6 +581,66 @@ class TestFailurePath:
                                   stdout=full, stderr=subprocess.PIPE, text=True,
                                   env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (2, "error: No space left on device\n")
+
+
+# Runs one command in a fresh interpreter whose pool workers end at their
+# first job with os._exit(1): `jobs` calls corpus.run_jobs alone, `audit`
+# and `compute` run the command line with a patched check or graph6 parser.
+_EXIT_IN_WORKER = """
+import os, sys
+from dataclasses import replace
+from periwiener import audit, cli, corpus
+from periwiener.errors import GraphError
+
+parent = os.getpid()
+
+
+def job():
+    if os.getpid() != parent:
+        os._exit(1)
+
+
+def exit_in_worker(fn):
+    def wrapped(*args):
+        job()
+        return fn(*args)
+    return wrapped
+
+
+if sys.argv[1] == "jobs":
+    try:
+        corpus.run_jobs([(job, ())] * 4, 2)
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+    sys.exit(0)
+row = audit._CLAIMS["HASSE-1"]
+audit._CLAIMS["HASSE-1"] = replace(row, check=exit_in_worker(row.check))
+cli.parse_graph6 = exit_in_worker(cli.parse_graph6)
+cli.entry()
+"""
+
+
+class TestWorkerDeath:
+    """A pool worker that dies ends the run with exit 2 and one error line;
+    the runner never waits for the job it lost."""
+
+    @pytest.mark.parametrize("argv", [
+        ("jobs",),
+        ("audit", "--claims", "HASSE-1", "--max-n", "5", "--trials", "0", "--threads", "2"),
+        ("compute", "--format", "graph6", "--threads", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_dead_worker_exits_2(self, tmp_path, argv):
+        if argv[0] == "compute":
+            argv += ("--input", _stream(tmp_path, ["Bw", "Bg", "C~", "Bw"]))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _EXIT_IN_WORKER, *argv],
+                              capture_output=True, text=True, env=env, timeout=5)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: a worker process died")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestEntryPoint:
