@@ -15,15 +15,18 @@ stream is swept once for all the claims that read it.  One loop,
 `_evaluate`, does the counting, witness selection and error handling for
 every pass.  The exhaustive corpus checks one graph per isomorphism class,
 weighted by its n!/|Aut(G)| labelings, and keeps a violating class as one
-witness key; the report expands the kept classes into their labeled
-graphs, so the counts and witnesses are those of every labeled graph.
+witness key, its canonical mask, searched for where the class is checked
+when it came without one; the report expands the kept classes into their
+labeled graphs, so the counts and witnesses are those of every labeled
+graph.
 
 `run_claims` cuts every requested stream into a fixed list of jobs and
 runs them all in one process pool: the corpus classes of the largest order
-(one job per parent class, the smaller orders from one walk of the class
-levels in the parent); the random graphs, trees and factor pairs, the
-family parameters and the fixed cases in blocks whose items the parent
-makes in stream order; the free trees and the corpus6 orders one job each.
+(one job per parent class, the smaller orders one job each, from one walk
+of the class levels in the parent); the random graphs, trees and factor
+pairs, the family parameters and the fixed cases in blocks whose items the
+parent makes in stream order; the free trees and the corpus6 orders one job
+each.
 Each claim's parts merge in its stream's order, and a part after one whose
 check raised counts nothing, so the report is that of one serial pass
 whatever the worker count.
@@ -279,23 +282,17 @@ def _chk_obs_no_2_5(n, masks, p):
     return None
 
 
-def _class_instances(n: int, classes: Iterable[tuple[int, int, Profile]]):
-    for mask, weight, p in classes:
-        rows = corpus.mask_adjacency(n, mask)
+def _class_instances(n: int, classes: Iterable[corpus.ClassEntry]):
+    for mask, weight, p, rows, _ in classes:
         yield (n, mask, rows), weight, (n, rows, p)
 
 
-def _grown_instances(n: int, parent: int):
-    for mask, weight, p, rows in corpus.iter_connected_profiles(n, (parent,)):
-        yield (n, mask, rows), weight, (n, rows, p)
-
-
-def _corpus_chunk(ids: list[str], n: int, parent: int) -> dict[str, _Acc]:
+def _corpus_chunk(ids: list[str], n: int, parent: corpus.ClassEntry) -> dict[str, _Acc]:
     """Pool worker: the corpus checks `ids` over the n-vertex classes grown
     from one (n-1)-vertex parent class.  The classes carry their adjacency
     rows, and most come without a canonical mask; a violating one is keyed
     here, by one search of its rows (`_add_witnesses`)."""
-    return _stream_chunk(ids, _grown_instances, (n, parent))
+    return _stream_chunk(ids, _class_instances, (n, corpus.iter_connected_profiles(n, (parent,))))
 
 
 def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, float, int]:
@@ -323,7 +320,7 @@ def _corpus_jobs(budget: Budget, level: Callable) -> list[tuple]:
     largest in one job per parent class."""
     n = budget.max_n
     jobs = [(_stream_chunk, (_class_instances, (k, level(k)))) for k in range(2, n)]
-    jobs += [(_corpus_chunk, (n, parent)) for parent, _, _ in level(n - 1)]
+    jobs += [(_corpus_chunk, (n, parent)) for parent in level(n - 1)]
     return jobs + _blocks(_random_graphs, _graph_draws(budget))
 
 
@@ -342,9 +339,8 @@ def _chk_def_pww_alt(p, balls):
     return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
 
 
-def _corpus6_instances(n: int, classes: list[tuple[int, int, Profile]]):
-    for mask, weight, p in classes:
-        rows = corpus.mask_adjacency(n, mask)
+def _corpus6_instances(n: int, classes: list[corpus.ClassEntry]):
+    for mask, weight, p, rows, _ in classes:
         yield (n, mask, rows), weight, (p, corpus.reach_layers(n, rows)[0])
 
 
@@ -511,7 +507,7 @@ def _product_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
     vertices, then `trials` random pairs; the witness is their product."""
     factors = [Graph(n, corpus.mask_adjacency(n, mask)) for n in range(2, FACTOR_MAX_N + 1)
-               for mask in sorted(m for m, _, _ in level(n))]
+               for mask in sorted(corpus.class_mask(n, m, rows) for m, _, _, rows, _ in level(n))]
     rng = random.Random(budget.seed * 104729 + 11)
     draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
               _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials)]

@@ -6,34 +6,34 @@ per-pair distances.  `profile_from_masks` and `profile_of` read the
 `indices.Profile` of a graph off those layers, and `layered_profile` hands
 the layers on as well, for checks that need the periphery or distances
 (`periphery_mask`, `distance_sums`).  `compute` and every audit suite use
-them.  Beside the engine: one canonical graph per isomorphism class of
-connected graphs, with its number of labelings n!/|Aut(G)|, by canonical
-augmentation; all free trees up to a ceiling, each order grown once; and
-the attained-value scan.
+them.  Beside the engine: one graph per isomorphism class of connected
+graphs, with its automorphisms and its number of labelings n!/|Aut(G)|, by
+canonical augmentation; all free trees up to a ceiling, each order grown
+once; and the attained-value scan.
 
 The canonical labeling of a graph is the one that comes first in graph6
 string order, the one with the smallest edge mask.  Classes grow one vertex
 at a time (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-1998): a child of an (n-1)-vertex class, in its canonical labeling, joins
-vertex n-1 to a non-empty neighbour set taken once per orbit of
-Aut(parent), and is kept only when vertex n-1 lies in the orbit of the
-deletion vertex m(G), so each class has exactly one parent class.  m(G) is
-the non-cut vertex with the largest (degree, sorted neighbour degrees); on
-a tie, the tied vertex that sits last in the canonical order.  So the
-invariant settles most children.  A canonical form is computed only where
-something reads one: for a parent (its automorphisms), for a tie, and for
-a class whose mask an output reads.  A child kept with no tie takes its
-|Aut(G)| from the orbit of its neighbour set under Aut(parent), and comes
-with its adjacency rows but no mask.
+1998): a child of an (n-1)-vertex class, in the labeling the parent was
+grown in, joins vertex n-1 to a non-empty neighbour set taken once per
+orbit of Aut(parent), and is kept only when vertex n-1 lies in the orbit of
+the deletion vertex m(G), so each class has exactly one parent class.  m(G)
+is the non-cut vertex with the largest (degree, sorted neighbour degrees);
+on a tie, the tied vertex that sits last in the canonical order.  So the
+invariant settles most children.  Every class comes with its adjacency
+rows and Aut(G), as permutations of those rows, and hands Aut(G) on to its
+children.  A child kept with no tie takes Aut(G) from the stabiliser of its
+neighbour set in Aut(parent), and comes without a mask.  A canonical form
+is computed only for a tie, which yields its mask and its automorphisms,
+and for a class whose mask an output reads (`class_mask`).
 
 `class_levels` is the one walk of the levels: each order is grown once,
-from the order below, when first asked for, and canonicalized, as the
-parents of the next order.  The largest order of a sweep, which holds most
-of the work, is grown instead as one job per class of the order below, and
-its classes are canonicalized only as candidates for an output: by
-independence number for a value's witness (`scan_values`), or, for an
-audit witness key, only where a class violates a claim, in the job that
-grows it.
+from the entries of the order below, when first asked for.  The largest
+order of a sweep, which holds most of the work, is grown instead as one job
+per class of the order below.  At every order, a class is searched only as
+a candidate for an output: by independence number for a value's witness
+(`scan_values`), for an audit witness key only where a class violates a
+claim, and for a product factor's labeling.
 `run_jobs` runs such jobs, (fn, args) pairs fixed in advance, in one fork
 pool and returns their results in job order, or raises WorkerDiedError
 once a worker process dies; the value scan of `enumerate-values`, every
@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import os
 from math import factorial
+from operator import itemgetter
 from multiprocessing import active_children, get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -57,12 +58,15 @@ from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import Profile
 
 # The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
-# every class up to n = 8 takes about 3.6 s in one process, and
-# `enumerate-values --max-n 8` about 2.1 s wall and 3.6 s CPU with 2
-# workers, with 6,655 canonical forms (4.0 s, 7.2 s and 14,029 when every
-# kept class was canonicalized, by a search over lists of columns); the
-# n = 9 classes alone take about 60 s more, at 157 MiB peak RSS.
+# every class up to n = 8 takes about 2.2 s in one process, with 4,972
+# canonical forms, one per tie, and `enumerate-values --max-n 8` about 2.0 s
+# wall and 3.4 s CPU with 2 workers, with 5,108 canonical forms; the n = 9
+# classes alone take about 60 s more, at 157 MiB peak RSS.
 MAX_N = 8
+
+# A class as `iter_connected_profiles` yields it and `class_levels` keeps it:
+# (canonical mask or None, n!/|Aut(G)|, profile, adjacency rows, Aut(G)).
+ClassEntry = tuple[int | None, int, Profile, tuple[int, ...], list[tuple[int, ...]]]
 
 
 def mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
@@ -271,25 +275,26 @@ def canonical_mask(n: int, mask: int) -> int:
     return canonical_form(n, mask_adjacency(n, mask))[0]
 
 
-def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """(set, orbit size) for the non-empty subsets of range(k), as bitmasks
+def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[tuple[int, list]]:
+    """(set, stabiliser) for the non-empty subsets of range(k), as bitmasks
     in ascending order, that are the smallest of their orbit under the
-    permutation group `autos`."""
+    permutation group `autos`; the stabiliser lists the members of `autos`
+    that map the set onto itself."""
     seen = bytearray(1 << k)
     images = [[1 << u for u in sigma] for sigma in autos]
     reps = []
     for s in range(1, 1 << k):
         if not seen[s]:
             members = list(_bits(s))
-            size = 0
-            for bit in images:
+            stab = []
+            for sigma, bit in zip(autos, images):
                 img = 0
                 for u in members:
                     img |= bit[u]
-                if not seen[img]:
-                    seen[img] = 1
-                    size += 1
-            reps.append((s, size))
+                seen[img] = 1
+                if img == s:
+                    stab.append(sigma)
+            reps.append((s, stab))
     return reps
 
 
@@ -316,36 +321,34 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     return ties
 
 
-def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[
-        tuple[int | None, int, Profile, tuple[int, ...]]]:
-    """(canonical mask or None, n!/|Aut(G)|, profile, adjacency rows) for
-    one graph per isomorphism class of connected n-vertex graphs grown from
-    `parents`, the canonical masks of some (n-1)-vertex classes; the weight
-    is the number of labeled graphs in the class, and the rows are the
-    class in the labeling it was grown in.  Each class has one parent, so
-    disjoint parent sets give disjoint classes, and all the (n-1)-vertex
-    classes give every n-vertex class (`class_levels`).
+def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[ClassEntry]:
+    """(canonical mask or None, n!/|Aut(G)|, profile, adjacency rows,
+    Aut(G)) for one graph per isomorphism class of connected n-vertex graphs
+    grown from `parents`, entries of some (n-1)-vertex classes as this
+    yields them.  The weight is the number of labeled graphs in the class,
+    the rows are the class in the labeling it was grown in, and Aut(G) lists
+    its automorphisms as permutations of that labeling (sigma[v] is the
+    image of v).  Each class has one parent, so disjoint parent sets give
+    disjoint classes, and all the (n-1)-vertex classes give every n-vertex
+    class (`class_levels`).
 
-    A child joins vertex n-1 of the parent, in its canonical labeling, to a
+    A child joins vertex n-1 of the parent, in its rows' labeling, to a
     neighbour set S that is the smallest of its orbit under Aut(parent).  It
     is kept when vertex n-1 is in the orbit of the deletion vertex m(G):
     among the non-cut vertices of largest (degree, sorted neighbour
     degrees), the one that sits last in the canonical order.  The invariant
     alone decides most children.  When it leaves no tie, vertex n-1 alone
     has the top invariant, so every automorphism fixes it: Aut(G) is the
-    stabiliser of S in Aut(parent), the weight is n!|orbit(S)|/|Aut(parent)|,
-    and no canonical form is computed, so the mask is None (`class_mask`
-    finds it).  A canonical form is computed once per parent (its
-    automorphisms) and once per tie, which yields its mask.
+    stabiliser of S in Aut(parent), each member extended to fix n-1, and no
+    canonical form is computed, so the mask is None (`class_mask` finds
+    it).  A tie is searched once, which yields its mask and the coset of
+    its minimizing orders: each order, taking the vertex at every position
+    of the first order to its own vertex there, is an automorphism.
     """
     new = n - 1
     n_labelings = factorial(n)
-    for parent in parents:
-        parent_adj = mask_adjacency(new, parent)
-        parent_mask, autos = canonical_form(new, parent_adj)
-        if parent_mask != parent:
-            raise InvalidParameterError(f"parent {parent} is not a canonical mask")
-        for nbrs, orbit in _orbit_minimal_sets(new, autos):
+    for _, _, _, parent_adj, parent_autos in parents:
+        for nbrs, stab in _orbit_minimal_sets(new, parent_autos):
             adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
@@ -358,10 +361,11 @@ def iter_connected_profiles(n: int, parents: Iterable[int]) -> Iterator[
                 pos = max(orders[0].index(v) for v in ties + [new])
                 if all(order[pos] != new for order in orders):
                     continue
-                weight = n_labelings // len(orders)
+                image = itemgetter(*sorted(range(n), key=orders[0].__getitem__))
+                autos = [image(order) for order in orders]
             else:
-                mask, weight = None, n_labelings * orbit // len(autos)
-            yield mask, weight, profile_from_masks(n, adj), tuple(adj)
+                mask, autos = None, [sigma + (new,) for sigma in stab]
+            yield mask, n_labelings // len(autos), profile_from_masks(n, adj), tuple(adj), autos
 
 
 def class_mask(n: int, mask: int | None, rows: Sequence[int]) -> int:
@@ -403,25 +407,22 @@ def labelings(n: int, mask: int) -> set[int]:
             for perm in itertools.permutations(range(n))}
 
 
-def class_levels() -> Callable[[int], list[tuple[int, int, Profile]]]:
+def class_levels() -> Callable[[int], list[ClassEntry]]:
     """The one walk of the class levels: level(n), for 1 <= n <= MAX_N, is
-    the list of (canonical mask, n!/|Aut(G)|, profile) of every connected
-    n-vertex class, in the order `iter_connected_profiles` yields them.
-    Each order is grown once, from the order below, the first time it is
-    asked for, and every class of it is canonicalized, since the classes
-    are the parents of the next order.  The levels are kept by this walk
-    only, so a new walk starts from scratch.  level(n) raises
-    InvalidParameterError, before any generation, for n outside 1..MAX_N."""
-    levels = [[(0, 1, profile_from_masks(1, (0,)))]]
+    the list of the entries of every connected n-vertex class, as
+    `iter_connected_profiles` yields them, in that order.  Each order is
+    grown once, from the entries of the order below, the first time it is
+    asked for; as everywhere in growth, only a tie is searched.  The levels
+    are kept by this walk only, so a new walk starts from scratch.  level(n)
+    raises InvalidParameterError, before any generation, for n outside
+    1..MAX_N."""
+    levels = [[(0, 1, profile_from_masks(1, (0,)), (0,), [(0,)])]]
 
-    def level(n: int) -> list[tuple[int, int, Profile]]:
+    def level(n: int) -> list[ClassEntry]:
         if not 1 <= n <= MAX_N:
             raise InvalidParameterError(f"n must be in 1..{MAX_N}, got {n}")
         while len(levels) < n:
-            k = len(levels) + 1
-            parents = [mask for mask, _, _ in levels[-1]]
-            levels.append([(class_mask(k, mask, rows), weight, p)
-                           for mask, weight, p, rows in iter_connected_profiles(k, parents)])
+            levels.append(list(iter_connected_profiles(len(levels) + 1, levels[-1])))
         return levels[n - 1]
 
     return level
@@ -487,36 +488,33 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 # --- value enumeration (inverse-problem tooling) ----------------------------
 
 
-def _smallest_masks(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Value -> the smallest mask over the (value, mask) pairs."""
-    best: dict[int, int] = {}
-    for val, mask in pairs:
-        if mask < best.get(val, mask + 1):
-            best[val] = mask
-    return best
-
-
 def _largest_alpha(items: Iterable[tuple[int, int, list]]) -> dict[int, tuple[int, list]]:
-    """Value -> (α, rows) over (value, α, rows) items: the rows of every
-    item with the largest α of its value, the only classes that can hold
-    the value's smallest canonical mask (`independence_number`)."""
+    """Value -> (α, candidates) over (value, α, candidates) items: the
+    candidates of every item with the largest α of its value."""
     best: dict[int, tuple[int, list]] = {}
-    for val, a, rows in items:
+    for val, a, cands in items:
         top = best.get(val)
         if top is None or a > top[0]:
-            best[val] = (a, list(rows))
+            best[val] = (a, list(cands))
         elif a == top[0]:
-            top[1].extend(rows)
+            top[1].extend(cands)
     return best
 
 
-def _scan_chunk(index_name: str, n: int, parent: int) -> dict[int, tuple[int, list]]:
-    """Worker: attained index value -> (α, rows) over the n-vertex classes
-    grown from one parent class, as `_largest_alpha` keeps them; no class
-    is canonicalized here."""
-    field = Profile._fields.index(index_name)
-    return _largest_alpha((p[field], independence_number(rows), [rows])
-                          for _, _, p, rows in iter_connected_profiles(n, (parent,)))
+def _value_candidates(field: int, classes: Iterable[ClassEntry]) -> dict[int, tuple[int, list]]:
+    """Attained value of Profile field `field` -> (α, [(mask or None,
+    rows)]) over `classes`: the classes of the largest independence number
+    α of each value, the only ones that can hold its smallest canonical
+    mask (`independence_number`).  No class is searched here."""
+    return _largest_alpha((p[field], independence_number(rows), [(mask, rows)])
+                          for mask, _, p, rows, _ in classes)
+
+
+def _scan_chunk(index_name: str, n: int, parent: ClassEntry) -> dict[int, tuple[int, list]]:
+    """Worker: `_value_candidates` over the n-vertex classes grown from one
+    parent class entry."""
+    return _value_candidates(Profile._fields.index(index_name),
+                             iter_connected_profiles(n, (parent,)))
 
 
 def worker_count(threads: int, jobs: int) -> int:
@@ -566,31 +564,28 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     holds most of the work, runs as one job per (max_n-1)-vertex class on
     `threads` workers (0 = one per CPU).  Each class is scanned once: its
     canonical labeling is the first of its labeled graphs in graph6 order.
-    The jobs canonicalize nothing: they keep, per value, the classes of the
-    largest independence number, and this process canonicalizes those
-    alone, for the values no smaller order attains.  Raises
-    InvalidParameterError, before any work, on an unknown index or unless
-    2 <= max_n <= MAX_N."""
+    Every order keeps, per value, the classes of the largest independence
+    number, and this process searches those alone, for the values no
+    smaller order attains.  Raises InvalidParameterError, before any work,
+    on an unknown index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
     if index_name not in Profile._fields:
         raise InvalidParameterError(f"unknown index {index_name!r}")
     if not 2 <= max_n <= MAX_N:
         raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
+    if threads < 0:
+        raise InvalidParameterError(f"threads must be >= 0, got {threads}")
     field = Profile._fields.index(index_name)
     level = class_levels()
-    per_order = [_smallest_masks((p[field], mask) for mask, _, p in level(n))
-                 for n in range(2, max_n)]
-    jobs = [(_scan_chunk, (index_name, max_n, parent)) for parent, _, _ in level(max_n - 1)]
-    parts = run_jobs(jobs, threads)
-    seen = {val for best in per_order for val in best}
-    top = _largest_alpha((val, a, rows) for part in parts
-                         for val, (a, rows) in part.items() if val not in seen)
-    per_order.append({val: min(canonical_form(max_n, r)[0] for r in rows)
-                      for val, (_, rows) in top.items()})
+    per_order = [[_value_candidates(field, level(n))] for n in range(2, max_n)]
+    jobs = [(_scan_chunk, (index_name, max_n, parent)) for parent in level(max_n - 1)]
+    per_order.append(run_jobs(jobs, threads))
     out: dict[int, tuple[int, str]] = {}
-    for n, best in enumerate(per_order, 2):
-        for val, mask in best.items():
-            if val not in out:
-                out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
+    for n, parts in enumerate(per_order, 2):
+        top = _largest_alpha((val, a, cands) for part in parts
+                             for val, (a, cands) in part.items() if val not in out)
+        for val, (_, cands) in top.items():
+            mask = min(class_mask(n, m, rows) for m, rows in cands)
+            out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
     return out
 
 

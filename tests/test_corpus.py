@@ -217,6 +217,14 @@ def _brute_orders(n, adj):
     return best, orders
 
 
+def _brute_automorphisms(n, adj):
+    """Oracle: every permutation sigma of range(n) (sigma[v] is the image
+    of v) that maps the graph with adjacency bitmasks `adj` onto itself."""
+    edges = {(i, j) for j in range(n) for i in range(n) if adj[i] >> j & 1}
+    return {sigma for sigma in itertools.permutations(range(n))
+            if all((sigma[i], sigma[j]) in edges for i, j in edges)}
+
+
 def _connected_without(n, adj, v):
     seen, stack = set(), [next(u for u in range(n) if u != v)]
     while stack:
@@ -248,25 +256,28 @@ class TestIsomorphismReduction:
     def test_orbit_sums_are_labeled_counts(self):
         level = corpus.class_levels()
         for n, expect in LABELED_CONNECTED.items():
-            assert sum(w for _, w, _ in level(n)) == expect
+            assert sum(w for _, w, *_ in level(n)) == expect
 
     def test_classes_are_distinct(self):
-        masks = [mask for mask, _, _ in corpus.class_levels()(6)]
-        assert len({corpus.canonical_mask(6, mask) for mask in masks}) == len(masks)
+        six = corpus.class_levels()(6)
+        assert len({corpus.canonical_form(6, rows)[0] for _, _, _, rows, _ in six}) == len(six)
 
     def test_classes_are_canonical_with_profiles(self):
         level = corpus.class_levels()
         for n in range(2, 7):
-            for mask, weight, prof in level(n):
-                assert corpus.canonical_mask(n, mask) == mask
-                assert prof == corpus.profile_of(Graph(n, corpus.mask_adjacency(n, mask)))
-                assert weight == len(corpus.labelings(n, mask))
+            for mask, weight, prof, rows, _ in level(n):
+                key = corpus.class_mask(n, mask, rows)
+                assert corpus.canonical_mask(n, key) == key == corpus.canonical_form(n, rows)[0]
+                assert prof == corpus.profile_of(Graph(n, corpus.mask_adjacency(n, key)))
+                assert prof == corpus.profile_of(Graph(n, rows))
+                assert weight == len(corpus.labelings(n, key))
 
     def test_labelings_are_the_relabeled_masks(self):
         # the canonical mask is the smallest of its class's labeled masks
         level = corpus.class_levels()
         for n in range(2, 6):
-            for mask, _, _ in level(n):
+            for mask, _, _, rows, _ in level(n):
+                mask = corpus.class_mask(n, mask, rows)
                 g = Graph(n, corpus.mask_adjacency(n, mask))
                 want = {nx_mask(_relabel(g, perm)) for perm in itertools.permutations(range(n))}
                 assert corpus.labelings(n, mask) == want
@@ -274,23 +285,20 @@ class TestIsomorphismReduction:
 
     def test_parents_split_the_classes(self):
         level = corpus.class_levels()
-        children = [corpus.class_mask(6, mask, rows) for parent, _, _ in level(5)
-                    for mask, _, _, rows in corpus.iter_connected_profiles(6, [parent])]
-        assert children == [mask for mask, _, _ in level(6)]
+        children = [corpus.class_mask(6, mask, rows) for parent in level(5)
+                    for mask, _, _, rows, _ in corpus.iter_connected_profiles(6, [parent])]
+        assert children == [corpus.class_mask(6, mask, rows) for mask, _, _, rows, _ in level(6)]
 
     def test_class_levels_are_the_levels(self, profile_calls):
         # each order is grown once, from the order below, when first asked
         # for; a second walk grows its own levels
         level = corpus.class_levels()
-        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]))]
+        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]), (0,), [(0,)])]
         assert profile_calls == []
         six = level(6)
         assert profile_calls == [2, 3, 4, 5, 6]
         for n in range(2, 7):
-            parents = [mask for mask, _, _ in level(n - 1)]
-            grown = corpus.iter_connected_profiles(n, parents)
-            assert level(n) == [(corpus.class_mask(n, mask, rows), weight, p)
-                                for mask, weight, p, rows in grown]
+            assert level(n) == list(corpus.iter_connected_profiles(n, level(n - 1)))
         assert level(6) is six
         other = corpus.class_levels()(6)
         assert other == six and other is not six
@@ -321,10 +329,10 @@ class TestIsomorphismReduction:
         # in the canonical order
         level = corpus.class_levels()
         for n in range(3, 7):
-            for parent, _, _ in level(n - 1):
-                parent_adj = corpus.mask_adjacency(n - 1, parent)
-                key, autos = _brute_orders(n - 1, parent_adj)
-                assert key == parent  # so the minimizing orders are Aut(parent)
+            for parent in level(n - 1):
+                parent_adj = parent[3]
+                autos = _brute_automorphisms(n - 1, parent_adj)
+                assert set(parent[4]) == autos
                 want = []
                 for nbrs in range(1, 1 << (n - 1)):
                     image = {sum(1 << sigma[u] for u in range(n - 1) if nbrs >> u & 1)
@@ -345,7 +353,7 @@ class TestIsomorphismReduction:
                     if n - 1 in {order[pos] for order in orders}:
                         want.append((key, factorial(n) // len(orders)))
                 got = [(corpus.class_mask(n, mask, rows), weight)
-                       for mask, weight, _, rows in corpus.iter_connected_profiles(n, [parent])]
+                       for mask, weight, _, rows, _ in corpus.iter_connected_profiles(n, [parent])]
                 assert got == want
                 assert len(set(got)) == len(got)
 
@@ -356,8 +364,7 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         grown_without_mask = 0
         for n in range(2, 8):
-            parents = [mask for mask, _, _ in level(n - 1)]
-            for mask, weight, _, rows in corpus.iter_connected_profiles(n, parents):
+            for mask, weight, _, rows, _ in corpus.iter_connected_profiles(n, level(n - 1)):
                 key, orders = corpus.canonical_form(n, rows)
                 assert weight == factorial(n) // len(orders)
                 assert mask in (None, key)
@@ -372,11 +379,45 @@ class TestIsomorphismReduction:
                        if all(not adj[u] >> v & 1 for u, v in itertools.combinations(sub, 2)))
             assert corpus.independence_number(adj) == want
 
-    def test_parent_must_be_canonical(self):
-        # the path 0-1-2 is P_3 in a labeling that is not its canonical one
-        # (0-2-1), so its automorphisms are not the minimizing orders
-        with pytest.raises(InvalidParameterError, match="not a canonical mask"):
-            next(corpus.iter_connected_profiles(4, [corpus.g6_order_key(path(3))]))
+    def test_growth_ignores_the_parents_labeling(self, rng):
+        # a parent entry in any labeling, its automorphisms relabeled with
+        # it, grows the same classes with the same weights
+        level = corpus.class_levels()
+        relabeled = []
+        for mask, weight, p, rows, autos in level(5):
+            perm = list(range(5))
+            rng.shuffle(perm)
+            new_rows = [0] * 5
+            for v in range(5):
+                new_rows[perm[v]] = sum(1 << perm[u] for u in range(5) if rows[v] >> u & 1)
+            new_autos = []
+            for sigma in autos:
+                tau = [0] * 5
+                for v in range(5):
+                    tau[perm[v]] = perm[sigma[v]]
+                new_autos.append(tuple(tau))
+            relabeled.append((None, weight, p, tuple(new_rows), new_autos))
+        assert relabeled != level(5)
+
+        def keys(parents):
+            grown = corpus.iter_connected_profiles(6, parents)
+            return sorted((corpus.class_mask(6, mask, rows), weight)
+                          for mask, weight, _, rows, _ in grown)
+
+        assert keys(relabeled) == keys(level(5))
+
+    def test_level_automorphisms_are_the_automorphism_groups(self):
+        # every entry's automorphisms, handed on from level to level, map
+        # its rows onto themselves, and there are |Aut(G)| of them
+        level = corpus.class_levels()
+        for n in range(1, 8):
+            for _, weight, _, rows, autos in level(n):
+                assert len(set(autos)) == len(autos) == len(corpus.canonical_form(n, rows)[1])
+                assert weight == factorial(n) // len(autos)
+                for sigma in autos:
+                    assert sorted(sigma) == list(range(n))
+                    assert all(rows[sigma[v]] == sum(1 << sigma[u] for u in range(n)
+                                                     if rows[v] >> u & 1) for v in range(n))
 
     def test_matches_networkx_atlas(self):
         # independent oracle: every connected graph of networkx's atlas (one
@@ -387,8 +428,8 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(2, 8):
             buckets = {}
-            for mask, weight, prof in level(n):
-                g = to_nx(Graph(n, corpus.mask_adjacency(n, mask)))
+            for _, weight, prof, rows, _ in level(n):
+                g = to_nx(Graph(n, rows))
                 buckets.setdefault(_invariant(g), []).append([g, weight, prof, 0])
             for h in (h for h in atlas if h.number_of_nodes() == n):
                 hits = [c for c in buckets.get(_invariant(h), []) if nx.is_isomorphic(c[0], h)]
@@ -515,6 +556,16 @@ class TestScanValues:
         with pytest.raises(InvalidParameterError, match=f"got {max_n}"):
             corpus.scan_values("pww", max_n)
 
+    def test_negative_threads_refused_before_any_job(self, monkeypatch):
+        def no_job(*args):
+            raise AssertionError("a job or pool was started")
+
+        monkeypatch.setattr(corpus, "_scan_chunk", no_job)
+        monkeypatch.setattr(corpus, "iter_connected_profiles", no_job)
+        monkeypatch.setattr(corpus, "get_context", no_job)
+        with pytest.raises(InvalidParameterError, match="threads must be >= 0, got -1"):
+            corpus.scan_values("pww", 5, threads=-1)
+
     @pytest.mark.parametrize("index", ["w", "ww", "pw", "pww", "tw", "tww"])
     def test_largest_alpha_holds_the_smallest_mask(self, index):
         # per value, the classes of the largest independence number hold
@@ -522,17 +573,20 @@ class TestScanValues:
         level = corpus.class_levels()
         field = corpus.Profile._fields.index(index)
         for n in range(3, 8):
-            parts = [corpus._scan_chunk(index, n, parent) for parent, _, _ in level(n - 1)]
-            top = corpus._largest_alpha((val, a, rows) for part in parts
-                                        for val, (a, rows) in part.items())
-            got = {val: min(corpus.canonical_form(n, r)[0] for r in rows)
-                   for val, (_, rows) in top.items()}
-            assert got == corpus._smallest_masks((p[field], mask) for mask, _, p in level(n))
+            parts = [corpus._scan_chunk(index, n, parent) for parent in level(n - 1)]
+            top = corpus._largest_alpha((val, a, cands) for part in parts
+                                        for val, (a, cands) in part.items())
+            got = {val: min(corpus.canonical_form(n, rows)[0] for _, rows in cands)
+                   for val, (_, cands) in top.items()}
+            smallest = {}
+            for _, _, p, rows, _ in level(n):
+                key = corpus.canonical_form(n, rows)[0]
+                smallest[p[field]] = min(key, smallest.get(p[field], key))
+            assert got == smallest
 
     def test_canonical_forms_pinned(self, monkeypatch):
-        # one search per parent, per tie, per other class of a walked
-        # level, and per largest-α class of a value first attained at
-        # max_n (1,189 when every kept class was searched)
+        # one search per tie, and per largest-α class without a mask of a
+        # value first attained at its order
         calls = []
         real = corpus.canonical_form
 
@@ -542,7 +596,7 @@ class TestScanValues:
 
         monkeypatch.setattr(corpus, "canonical_form", counting)
         corpus.scan_values("pww", 7, threads=1)
-        assert len(calls) == 773
+        assert len(calls) == 577
 
     def test_each_lower_order_grown_once(self, profile_calls):
         # orders 2..5 come from one walk of the class levels, order 6 from

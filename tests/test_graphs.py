@@ -193,10 +193,10 @@ class TestCartesianProduct:
                             )
 
     def test_periphery_multiplies(self):
-        from periwiener.corpus import class_levels, mask_adjacency
+        from periwiener.corpus import class_levels
 
         level = class_levels()
-        factors = [Graph(n, mask_adjacency(n, mask)) for n in (2, 3, 4) for mask, _, _ in level(n)]
+        factors = [Graph(n, rows) for n in (2, 3, 4) for _, _, _, rows, _ in level(n)]
         for g in factors:
             for h in factors:
                 dg, dh = distance_matrix(g), distance_matrix(h)
