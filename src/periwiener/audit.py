@@ -13,12 +13,12 @@ it reads.  `_STREAMS` is the one table of streams (corpus, corpus6, trees,
 products, each family's instance set, the fixed cases), and each requested
 stream is swept once for all the claims that read it.  One loop,
 `_evaluate`, does the counting, witness selection and error handling for
-every pass.  The exhaustive corpus checks one graph per isomorphism class,
-weighted by its n!/|Aut(G)| labelings, and keeps a violating class as one
-witness key, its canonical mask, searched for where the class is checked
-when it came without one; the report expands the kept classes into their
-labeled graphs, so the counts and witnesses are those of every labeled
-graph.
+every pass.  The corpus and corpus6 streams read the class walk through
+one reader, `_class_instances`: one graph per isomorphism class, weighted
+by its n!/|Aut(G)| labelings.  A violating class is kept as one witness
+key, its canonical mask, searched for where it is checked when it came
+without one, and the report expands the kept classes into their labeled
+graphs.  The product factors keep the labeling they were grown in.
 
 `run_claims` cuts every requested stream into a fixed list of jobs and
 runs them all in one process pool: the corpus classes of the largest order
@@ -324,10 +324,11 @@ def _corpus_jobs(budget: Budget, level: Callable) -> list[tuple]:
     return jobs + _blocks(_random_graphs, _graph_draws(budget))
 
 
-# corpus6 suite: args (profile, reach layers) -----------------------------
+# corpus6 suite: args (n, adjacency masks, profile) ------------------------
 
 
-def _chk_def_pww_alt(p, balls):
+def _chk_def_pww_alt(n, masks, p):
+    balls = corpus.reach_layers(n, masks)[0]
     peri = corpus.periphery_mask(balls)
     vertex_sum = 0
     for v, dp in enumerate(corpus.distance_sums(balls, peri)):
@@ -339,15 +340,10 @@ def _chk_def_pww_alt(p, balls):
     return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
 
 
-def _corpus6_instances(n: int, classes: list[corpus.ClassEntry]):
-    for mask, weight, p, rows, _ in classes:
-        yield (n, mask, rows), weight, (p, corpus.reach_layers(n, rows)[0])
-
-
 def _corpus6_jobs(budget: Budget, level: Callable) -> list[tuple]:
     """Every connected graph up to min(6, max_n) vertices, by class, one job
     per order."""
-    return [(_stream_chunk, (_corpus6_instances, (n, level(n))))
+    return [(_stream_chunk, (_class_instances, (n, level(n))))
             for n in range(2, min(6, budget.max_n) + 1)]
 
 
@@ -504,10 +500,11 @@ def _random_products(draws: list[tuple[tuple, tuple]]):
 
 
 def _product_jobs(budget: Budget, level: Callable) -> list[tuple]:
-    """Every pair of non-isomorphic connected factors up to FACTOR_MAX_N
-    vertices, then `trials` random pairs; the witness is their product."""
-    factors = [Graph(n, corpus.mask_adjacency(n, mask)) for n in range(2, FACTOR_MAX_N + 1)
-               for mask in sorted(corpus.class_mask(n, m, rows) for m, _, _, rows, _ in level(n))]
+    """Every unordered pair, with repetition, of the connected classes up to
+    FACTOR_MAX_N vertices as grown, then `trials` random pairs; the witness
+    is their labeled product."""
+    factors = [Graph(n, rows) for n in range(2, FACTOR_MAX_N + 1)
+               for _, _, _, rows, _ in level(n)]
     rng = random.Random(budget.seed * 104729 + 11)
     draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
               _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials)]

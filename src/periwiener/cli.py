@@ -192,7 +192,9 @@ def _cmd_compute(args) -> int:
     for kind in ("input", "graph"):
         for idx, r in enumerate(results):
             if not isinstance(r, Profile) and r[0] == kind:
-                where = args.input if kind == "input" else f"graph {idx}"
+                where = f"graph {idx}" if kind == "graph" else args.input
+                if kind == "input" and args.format == "graph6":
+                    where += f": record {idx}"
                 print(f"error: {where}: {r[1]}", file=sys.stderr)
                 return r[2]
 

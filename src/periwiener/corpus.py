@@ -32,8 +32,8 @@ from the entries of the order below, when first asked for.  The largest
 order of a sweep, which holds most of the work, is grown instead as one job
 per class of the order below.  At every order, a class is searched only as
 a candidate for an output: by independence number for a value's witness
-(`scan_values`), for an audit witness key only where a class violates a
-claim, and for a product factor's labeling.
+(`scan_values`), and for an audit witness key only where a class violates
+a claim.
 `run_jobs` runs such jobs, (fn, args) pairs fixed in advance, in one fork
 pool and returns their results in job order, or raises WorkerDiedError
 once a worker process dies; the value scan of `enumerate-values`, every

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import InvalidCodeError, InvalidParameterError, TooLargeError
 from .graphio import MAX_EDGE_LIST_ORDER
-from .graphs import Graph, build_graph, cartesian_product, is_connected
+from .graphs import Graph, build_graph, is_connected
 
 _SAMPLER_ATTEMPTS = 1000
 # the pair draws that the rejection sampler may spend in all: all 1,000
@@ -92,17 +92,15 @@ def double_star(m: int, n: int) -> Graph:
 
 
 def hypercube(n: int) -> Graph:
-    """Q_n as the n-fold cartesian product of K_2."""
+    """Q_n, labeled as the n-fold cartesian product of K_2: v ~ v ^ (1 << i), i < n."""
     if n < 1:
         raise InvalidParameterError(f"hypercube needs n >= 1, got {n}")
     # Q_n has 2^n vertices: compare the dimension before forming 2^n
     if n >= MAX_EDGE_LIST_ORDER.bit_length():
         raise TooLargeError(f"hypercube Q_{n} exceeds the supported maximum order "
                             f"{MAX_EDGE_LIST_ORDER}")
-    g = complete(2)
-    for _ in range(n - 1):
-        g = cartesian_product(g, complete(2))
-    return g
+    bits = [1 << i for i in range(n)]
+    return Graph(1 << n, tuple(sum(1 << (v ^ b) for b in bits) for v in range(1 << n)))
 
 
 def _caterpillar_code(code: Sequence[int]) -> tuple[int, ...]:

@@ -572,16 +572,29 @@ class TestClassSweep:
         assert result.status == audit.STATUS_HOLDS
         assert len(calls) == 548
 
+    def test_product_factors_search_no_class(self, monkeypatch):
+        # the factors keep the labeling they were grown in: once the levels
+        # are walked, listing every factor pair searches nothing
+        level = corpus.class_levels()
+        level(audit.FACTOR_MAX_N)
+        calls = []
+        real = corpus.canonical_form
+
+        def counting(n, adj):
+            calls.append(n)
+            return real(n, adj)
+
+        monkeypatch.setattr(corpus, "canonical_form", counting)
+        jobs = audit._product_jobs(audit.Budget(trials=0), level)
+        # 1 + 2 + 6 + 21 = 30 factors of 2..5 vertices, 30 * 31 / 2 pairs
+        assert sum(len(block) for _, (_, (block,)) in jobs) == 465
+        assert calls == []
+
     def test_corpus6_matches_labeled_sweep(self):
         checks = _suite_checks("corpus6")
         results = audit.run_claims([audit._CLAIMS[cid] for cid, _ in checks],
                                    audit.Budget(**self.BUDGET))
-        labeled = []
-        for n in range(2, 6):
-            for mask, _ in labeled_connected(n):
-                g = Graph(n, corpus.mask_adjacency(n, mask))
-                labeled.append((g, corpus.layered_profile(g)))
-        want = _labeled_reference(labeled, checks)
+        want = _labeled_reference(_labeled_corpus(self.BUDGET["max_n"]), checks)
         assert _result_fields(results) == _reference_fields(want)
         assert want["DEF-PWW-ALT"][1] > audit._MAX_WITNESSES
 

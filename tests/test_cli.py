@@ -199,7 +199,7 @@ class TestComputeStream:
     @pytest.mark.parametrize("records, method, code, line", [
         # a record that does not parse is reported before any graph error
         (["Bw", _DISCONNECTED, "Bw", "Bw", "Bw", _MALFORMED, "Bw"], "definition", 2,
-         "error: {f}: expected 1 data bytes for n=3, got 0"),
+         "error: {f}: record 5: expected 1 data bytes for n=3, got 0"),
         (["Bw", "Bw", _DISCONNECTED, "Bw", _DISCONNECTED, "Bw"], "definition", 3,
          "error: graph 2: graph is not connected"),
         (["Bw", "Bw", "Bw", "@", "Bw"], "definition", 3,
@@ -208,6 +208,9 @@ class TestComputeStream:
          "error: graph 2: m = 3 but a tree on 3 vertices has 2 edges"),
         (["Bg", "Bg", _DISCONNECTED, "Bw"], "cuts", 3,
          "error: graph 2: graph is not connected"),
+        # a blank line is not a record
+        (["Bw", "", "Bw", _MALFORMED, "Bw"], "definition", 2,
+         "error: {f}: record 2: expected 1 data bytes for n=3, got 0"),
     ])
     def test_first_failure_in_input_order(self, tmp_path, capsys, threads, records, method,
                                           code, line):
