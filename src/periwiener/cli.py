@@ -40,9 +40,8 @@ from .graphio import (
     write_edge_list,
     write_graph6,
 )
-from .indices import Profile
+from .indices import INDEX_NAMES, Profile
 
-_INDEX_NAMES = ("w", "ww", "pw", "pww", "tw", "tww")
 _STRUCT_COLUMNS = ("graph", "n", "m", "diameter", "radius", "k", "pendants")
 # Under `compute --threads 0` a graph6 stream runs on the pool only from this
 # many record bytes on.  Starting and ending the pool costs about 40 ms of
@@ -70,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--input", default="-", help="input path or - for stdin")
     p_compute.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
     p_compute.add_argument("--emit", choices=("table", "json", "csv"), default="table")
-    p_compute.add_argument("--indices", default=",".join(_INDEX_NAMES),
-                           help="comma-separated subset of w,ww,pw,pww,tw,tww")
+    p_compute.add_argument("--indices", default=",".join(INDEX_NAMES),
+                           help="comma-separated subset of " + ",".join(INDEX_NAMES))
     p_compute.add_argument("--method", choices=("definition", "cuts"), default="definition",
                            help="definition: the bitmask profile engine; cuts: trees only, "
                                 "the same values cross-checked by the tree cut formulas")
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="attained index values over all connected graphs")
     p_enum.add_argument("--max-n", type=int, default=7, dest="max_n",
                         help=f"2..{corpus.MAX_N}")
-    p_enum.add_argument("--indices", default="pww", help="one of w,ww,pw,pww,tw,tww")
+    p_enum.add_argument("--indices", default="pww", help="one of " + ",".join(INDEX_NAMES))
     p_enum.add_argument("--threads", type=int, default=0)
     p_enum.add_argument("--output", default="-")
     return parser
@@ -121,6 +120,8 @@ def main(argv: list[str] | None = None) -> int:
         "enumerate-values": _cmd_enumerate,
     }[args.command]
     try:
+        if getattr(args, "threads", 0) < 0:  # compute, audit and enumerate-values
+            raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
         code = handler(args)
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
@@ -131,6 +132,10 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback has let go of the run's frames
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:
@@ -158,17 +163,12 @@ def _write_output(path: str, write: Callable[[TextIO], object]) -> None:
         write(out)
 
 
-def _check_index(name: str) -> None:
-    if name not in _INDEX_NAMES:
-        raise InvalidParameterError(f"unknown index {name!r}")
-
-
 def _cmd_compute(args) -> int:
-    names = [s.strip() for s in args.indices.split(",") if s.strip()]
+    # a repeated name keeps its first place
+    names = tuple(dict.fromkeys(s.strip() for s in args.indices.split(",") if s.strip()))
     for name in names:
-        _check_index(name)
-    if args.threads < 0:
-        raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
+        if name not in INDEX_NAMES:
+            raise InvalidParameterError(f"unknown index {name!r}")
     data = _read_input(args.input)
     try:
         records = [data] if args.format == "edgelist" else graph6_records(data)
@@ -198,16 +198,7 @@ def _cmd_compute(args) -> int:
                 print(f"error: {where}: {r[1]}", file=sys.stderr)
                 return r[2]
 
-    rows = []
-    for idx, p in enumerate(results):
-        # the first six Profile fields are the structure columns after "graph"
-        row = dict(zip(_STRUCT_COLUMNS, (idx, *p[:6])))
-        for name in names:
-            row[name] = getattr(p, name)
-        rows.append(row)
-
-    columns = list(_STRUCT_COLUMNS) + names
-    _write_output(args.output, lambda out: _emit_rows(out, rows, columns, args.emit))
+    _write_output(args.output, lambda out: _emit_rows(out, results, names, args.emit))
     return 0
 
 
@@ -255,21 +246,29 @@ def _check_cuts(tv: trees.TreeView) -> None:
         raise InvariantError(f"cut formulas disagree with the profile: {cuts} vs {defs}")
 
 
-def _emit_rows(out, rows, columns, emit) -> None:
-    if emit == "json":
-        json.dump(rows, out, indent=2, sort_keys=True)
+def _emit_rows(out, profiles: list[Profile], names: tuple[str, ...], emit: str) -> None:
+    """Write one row per profile, each read off its profile as it is written."""
+    columns = _STRUCT_COLUMNS + names
+
+    def rows():
+        # the first six Profile fields are the structure columns after "graph"
+        return ((idx, *p[:6], *[getattr(p, name) for name in names])
+                for idx, p in enumerate(profiles))
+
+    if emit == "json":  # json.dump needs the whole list
+        json.dump([dict(zip(columns, row)) for row in rows()], out, indent=2, sort_keys=True)
         out.write("\n")
     elif emit == "csv":
         writer = csv.writer(out)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows(rows())
     else:
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
-                  for c in columns}
-        out.write("  ".join(c.rjust(widths[c]) for c in columns) + "\n")
-        for row in rows:
-            out.write("  ".join(str(row[c]).rjust(widths[c]) for c in columns) + "\n")
+        widths = [len(c) for c in columns]
+        for row in rows():
+            widths = [max(w, len(str(v))) for w, v in zip(widths, row)]
+        out.write("  ".join(c.rjust(w) for c, w in zip(columns, widths)) + "\n")
+        for row in rows():
+            out.write("  ".join(str(v).rjust(w) for v, w in zip(row, widths)) + "\n")
 
 
 def _parse_code(text: str) -> tuple[int, ...]:
@@ -347,11 +346,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    name = args.indices.strip()
-    _check_index(name)
-    if args.threads < 0:
-        raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
-    text = enumerate_values_csv(name, args.max_n, args.threads)
+    text = enumerate_values_csv(args.indices.strip(), args.max_n, args.threads)
     _write_output(args.output, lambda out: out.write(text))
     return 0
 

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import InvalidParameterError, WorkerDiedError
 from .graphio import edge_mask, mask_rows, write_graph6
 from .graphs import Graph, _bits, _connected_on, _edge_list
-from .indices import Profile
+from .indices import INDEX_NAMES, Profile
 
 # The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
 # every class up to n = 8 takes about 2.2 s in one process, with 4,972
@@ -568,7 +568,7 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     number, and this process searches those alone, for the values no
     smaller order attains.  Raises InvalidParameterError, before any work,
     on an unknown index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
-    if index_name not in Profile._fields:
+    if index_name not in INDEX_NAMES:
         raise InvalidParameterError(f"unknown index {index_name!r}")
     if not 2 <= max_n <= MAX_N:
         raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")

@@ -36,6 +36,10 @@ class Profile(NamedTuple):
     tww: int
 
 
+# the six indices: the Profile fields after its six structure fields
+INDEX_NAMES = Profile._fields[6:]
+
+
 def _half_even(total: int, what: str) -> int:
     """total // 2 for a sum of d + d^2 terms, which is always even."""
     if total % 2:

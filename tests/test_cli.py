@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from periwiener import audit, cli, corpus, errors, graphio, trees
@@ -155,6 +156,37 @@ class TestCompute:
         rc, _, err = run_cli(capsys, "compute", "--indices", "bogus", "--input", "x")
         assert rc == 2
 
+    def test_repeated_index_keeps_its_first_place(self, tmp_path, capsys):
+        f = tmp_path / "p3.el"
+        f.write_text("3\n0 1\n1 2\n")
+        want = ["graph", "n", "m", "diameter", "radius", "k", "pendants", "pww", "w"]
+        outs = {emit: run_cli(capsys, "compute", "--input", str(f), "--indices", "pww,w,pww",
+                              "--emit", emit)[1]
+                for emit in ("csv", "table", "json")}
+        assert outs["csv"].splitlines()[0].split(",") == want
+        assert outs["table"].splitlines()[0].split() == want
+        (row,) = json.loads(outs["json"])
+        assert sorted(row) == sorted(want) and (row["pww"], row["w"]) == (3, 4)
+
+    @pytest.mark.parametrize("emit", ["csv", "table"])
+    def test_rows_are_read_off_the_profiles(self, tmp_path, emit):
+        # each result is held once, as its profile: a row held as well, say
+        # a dict per row, costs about 500 more bytes per record
+        records = 20_000
+        f = tmp_path / "k2.g6"
+        f.write_text("A_\n" * records)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rc = main(["compute", "--format", "graph6", "--input", str(f), "--threads", "1",
+                       "--emit", emit, "--output", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert (tmp_path / "out").read_text().count("\n") == records + 1
+        assert (peak - base) / records < 400
+
 
 # short-form and long-form records (70 and 64 vertices), trees and non-trees
 _MIXED = [path(5), random_tree(70, seed=1), cycle(6), random_connected_graph(64, 0.08, seed=2),
@@ -268,10 +300,12 @@ class TestComputeAutoThreads:
                               "--emit", "csv", "--threads", "1")[1]
 
 
-def test_compute_negative_threads_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["compute", "audit", "enumerate-values"])
+def test_compute_negative_threads_exits_2(tmp_path, capsys, command):
     f = tmp_path / "p3.el"
     f.write_text("3\n0 1\n1 2\n")
-    rc, out, err = run_cli(capsys, "compute", "--input", str(f), "--threads", "-1")
+    argv = ("--input", str(f)) if command == "compute" else ("--max-n", "3")
+    rc, out, err = run_cli(capsys, command, *argv, "--threads", "-1")
     assert (rc, out, err) == (2, "", "error: --threads must be >= 0, got -1\n")
 
 
@@ -551,6 +585,18 @@ class TestFailurePath:
         monkeypatch.setattr(cli, "_cmd_gen", _raise(exc))
         rc, out, err = run_cli(capsys, "gen", "path", "3")
         assert (rc, out, err) == (2, "", line + "\n")
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # exit 1 means "audit mismatch": a MemoryError is exit 2 with one
+        # error line, not a traceback
+        def no_memory(g):
+            raise MemoryError
+
+        monkeypatch.setattr(corpus, "profile_of", no_memory)
+        f = tmp_path / "p3.el"
+        f.write_text("3\n0 1\n1 2\n")
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f), "--threads", "1")
+        assert (rc, out, err) == (2, "", "error: out of memory\n")
 
     def test_missing_input_names_the_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.el"

@@ -566,6 +566,18 @@ class TestScanValues:
         with pytest.raises(InvalidParameterError, match="threads must be >= 0, got -1"):
             corpus.scan_values("pww", 5, threads=-1)
 
+    @pytest.mark.parametrize("field", ["diameter", "n", "pendant_count", "bogus"])
+    def test_non_index_refused_before_any_job(self, monkeypatch, field):
+        # a Profile field that is not one of the six indices is no index
+        def no_job(*args):
+            raise AssertionError("a job or pool was started")
+
+        monkeypatch.setattr(corpus, "_scan_chunk", no_job)
+        monkeypatch.setattr(corpus, "class_levels", no_job)
+        monkeypatch.setattr(corpus, "get_context", no_job)
+        with pytest.raises(InvalidParameterError, match=f"unknown index '{field}'"):
+            corpus.scan_values(field, 4)
+
     @pytest.mark.parametrize("index", ["w", "ww", "pw", "pww", "tw", "tww"])
     def test_largest_alpha_holds_the_smallest_mask(self, index):
         # per value, the classes of the largest independence number hold
