@@ -547,13 +547,29 @@ def _diam4_jobs(budget: Budget, level: Callable) -> list[tuple]:
                     if sum(1 for x in counts if x >= 1) >= 2])
 
 
+def _caterpillars(codes: list[tuple[int, ...]]):
+    """The caterpillars of `codes`, as `_members` yields them.  A code right
+    after its spine reversal is the same graph, so it takes that member's
+    profile; it is still built and checked as its own labeled graph."""
+    prev = p = None
+    for code in codes:
+        g = generators.caterpillar(code)
+        if code[::-1] != prev:
+            p = corpus.profile_of(g)
+        prev = code
+        yield g, 1, (g, p, (code,))
+
+
 def _caterpillar_jobs(budget: Budget, level: Callable) -> list[tuple]:
-    """Every caterpillar code up to the spine and leaf ceilings."""
+    """Every caterpillar code up to the spine and leaf ceilings: each code
+    right after its spine reversal, then the palindromes.  _BLOCK is even,
+    so no block splits a pair."""
     leaves = range(CATERPILLAR_LEAF_MAX + 1)
-    return _family(generators.caterpillar,
-                   [((c1, *mids, cs),) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
-                    for c1 in leaves[1:] for cs in leaves[1:]
-                    for mids in product(leaves, repeat=s - 2)])
+    codes = [(c1, *mids, cs) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
+             for c1 in leaves[1:] for cs in leaves[1:]
+             for mids in product(leaves, repeat=s - 2)]
+    pairs = [c for code in codes if code < code[::-1] for c in (code, code[::-1])]
+    return _blocks(_caterpillars, pairs + [code for code in codes if code == code[::-1]])
 
 
 def _lobster_jobs(budget: Budget, level: Callable) -> list[tuple]:
@@ -872,7 +888,7 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
     )
 
 
-_BLOCK = 250  # items per job of a blocked stream
+_BLOCK = 250  # items per job of a blocked stream; even, for the caterpillar pairs
 
 
 def _blocks(source: Callable, items: list) -> list[tuple]:

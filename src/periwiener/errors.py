@@ -2,8 +2,9 @@
 
 Every error the package raises on purpose is a GraphError, and each class
 carries the exit code the command line reports it with: 2 (bad usage or
-input, or a pool worker process that died) unless it overrides it, 3 for a
-precondition on an input graph, 4 for a failed internal cross-check."""
+input, or a pool worker process or result thread that died) unless it
+overrides it, 3 for a precondition on an input graph, 4 for a failed
+internal cross-check."""
 
 
 class GraphError(Exception):
@@ -63,7 +64,8 @@ class TooLargeError(GraphError):
 
 
 class WorkerDiedError(GraphError):
-    """A pool worker process ended while its jobs were still running."""
+    """A pool worker process, or the pool's thread that reads their
+    results, ended while jobs were still running."""
 
 
 class InvariantError(GraphError):

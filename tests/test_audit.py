@@ -686,6 +686,33 @@ class TestOnePool:
         assert pools == []
 
 
+class TestCaterpillarPairs:
+    """A caterpillar code and its spine reversal are one graph: the stream
+    lists each code right after its reversal and profiles each pair once."""
+
+    def test_one_profile_per_pair(self, monkeypatch):
+        jobs = audit._caterpillar_jobs(audit.Budget(), corpus.class_levels())
+        blocks = [block for _, (_source, (block,)) in jobs]
+        codes = [code for block in blocks for code in block]
+        assert len(blocks) == 50 and max(map(len, blocks)) <= audit._BLOCK
+        assert len(codes) == len(set(codes)) == 12_496
+        profiled = []
+        real = corpus.profile_of
+        monkeypatch.setattr(corpus, "profile_of", lambda g: profiled.append(g) or real(g))
+        shared = 0
+        for _, (source, args) in jobs:
+            prev = None
+            for g, weight, (h, p, (code,)) in source(*args):
+                assert h is g and weight == 1
+                assert g.masks == generators.caterpillar(code).masks
+                if prev is not None and prev[0] == code[::-1]:
+                    assert p is prev[1] and p == real(generators.caterpillar(code))
+                    shared += 1
+                prev = code, p
+        assert shared == 6_126
+        assert len(profiled) == 12_496 - shared == 6_370
+
+
 class TestBudget:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

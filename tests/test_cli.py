@@ -692,6 +692,58 @@ class TestWorkerDeath:
         assert proc.stdout == ""
 
 
+# Runs corpus.run_jobs in a fresh interpreter on jobs whose first result
+# raises MemoryError as this process unpickles it, which ends the pool's
+# result thread; the other results are argv[2] bytes long.  Prints how long
+# run_jobs took to fail.
+_UNLOADABLE_RESULT = """
+import sys, time
+from periwiener import corpus
+from periwiener.errors import GraphError
+
+
+def boom():
+    raise MemoryError
+
+
+class Unloadable:
+    def __reduce__(self):
+        return boom, ()
+
+
+def job(i):
+    return Unloadable() if i == 0 else bytes(int(sys.argv[2]))
+
+
+start = time.perf_counter()
+try:
+    corpus.run_jobs([(job, (i,)) for i in range(int(sys.argv[1]))], 2)
+except GraphError as exc:
+    print(f"{time.perf_counter() - start:.3f}")
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(exc.exit_code)
+"""
+
+
+class TestResultThreadDeath:
+    """A result that cannot be unpickled in this process ends the pool's
+    result thread: the run ends with exit 2 and one error line, also while
+    other workers are blocked writing large results to the full pipe."""
+
+    @pytest.mark.parametrize("jobs, size", [(2, 0), (8, 10 << 20)], ids=["small", "large"])
+    def test_dead_result_thread_exits_2(self, jobs, size):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _UNLOADABLE_RESULT, str(jobs), str(size)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: the pool's result thread died while reading job results"]
+        # the thread's own MemoryError traceback may come before it
+        assert proc.stderr.endswith(errors[0] + "\n")
+        assert float(proc.stdout) < 2
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

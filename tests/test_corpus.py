@@ -20,8 +20,8 @@ from conftest import (
     to_nx,
 )
 from periwiener import corpus
-from periwiener.errors import InvalidParameterError
-from periwiener.generators import path, random_tree, star
+from periwiener.errors import InvalidParameterError, NotConnectedError
+from periwiener.generators import complete, cycle, path, random_tree, star
 from periwiener.graphs import Graph, build_graph, cartesian_product, distance_matrix
 from periwiener.indices import index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
@@ -148,6 +148,79 @@ class TestReachLayers:
             g = random_connected(rng, rng.randrange(2, 11), extra=0.1)
             h = random_connected(rng, rng.randrange(2, 100 // g.n + 1), extra=0.1)
             _check_layers(cartesian_product(g, h))
+
+
+def _gnp(rng, n, p):
+    """G(n, p), connected or not."""
+    return build_graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
+def _complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~m & ~(1 << v) for v, m in enumerate(g.masks)))
+
+
+def _disjoint(*parts):
+    edges, base = [], 0
+    for g in parts:
+        edges += [(base + i, base + j) for i, j in g.edges()]
+        base += g.n
+    return build_graph(base, edges)
+
+
+class TestDenseLayers:
+    """reach_layers on both sides of its density rule, average degree at
+    least 2*sqrt(n), against the BFS matrix: every ball, the radius, and
+    None exactly when the graph is disconnected."""
+
+    @staticmethod
+    def _dense(g):
+        return sum(m.bit_count() for m in g.masks) ** 2 >= 4 * g.n ** 3
+
+    def _inputs(self, rng):
+        for _ in range(40):
+            yield _gnp(rng, rng.randrange(2, 70), rng.uniform(0.5, 1.0))
+        for _ in range(20):
+            yield _complement(random_tree(rng.randrange(4, 70), seed=rng.randrange(1 << 30)))
+        for n in (4, 8, 10, 16, 36, 66):  # K_n minus a perfect matching
+            yield _complement(build_graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+        yield _disjoint(complete(5), complete(5))
+        yield _disjoint(complete(12), complete(12))
+        for n in (5, 8, 20, 40):  # K_n and an isolated vertex
+            yield _disjoint(complete(n), complete(1))
+        # sparse controls
+        for _ in range(20):
+            yield random_tree(rng.randrange(2, 70), seed=rng.randrange(1 << 30))
+            yield _gnp(rng, rng.randrange(2, 70), rng.uniform(0.02, 0.2))
+        yield path(70)
+        yield cycle(69)
+
+    def test_both_sides_match_the_oracle(self, rng, monkeypatch):
+        edge_passes = []
+        real = corpus._edge_list
+        monkeypatch.setattr(corpus, "_edge_list",
+                            lambda masks: edge_passes.append(1) or real(masks))
+        sides = Counter()
+        for g in self._inputs(rng):
+            dense = self._dense(g)
+            edge_passes.clear()
+            reach = corpus.reach_layers(g.n, g.masks)
+            try:
+                dm = distance_matrix(g)
+            except NotConnectedError:
+                assert reach is None
+                sides[dense, "disconnected"] += 1
+                continue
+            balls, radius = reach
+            assert radius == dm.radius
+            assert balls == [[sum(1 << u for u, d in enumerate(row) if d <= t) for row in dm.dist]
+                             for t in range(dm.diameter + 1)]
+            if dm.diameter >= 2:  # a layer past the closed neighbourhoods
+                assert bool(edge_passes) != dense
+                sides[dense, "layered"] += 1
+        # both sides build later layers, and both meet disconnected graphs
+        assert min(sides[dense, kind] for dense in (True, False)
+                   for kind in ("layered", "disconnected")) >= 3, sides
 
 
 class TestEnumeration:
