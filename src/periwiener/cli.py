@@ -43,10 +43,9 @@ from .graphio import (
 from .indices import INDEX_NAMES, Profile
 
 _STRUCT_COLUMNS = ("graph", "n", "m", "diameter", "radius", "k", "pendants")
-# Under `compute --threads 0` a graph6 stream runs on the pool only from this
-# many record bytes on.  Starting and ending the pool costs about 40 ms of
-# wall and CPU time; on a 2-vCPU Xeon guest a 115 KB stream ran no faster on
-# it than in one process, and a 157 KB one 10% faster.
+# Under `compute --threads 0` a graph6 stream runs on worker processes only
+# from this many record bytes on.  Starting and ending two workers costs about
+# 6 ms of wall and 8 ms of CPU time on a 2-vCPU Xeon guest.
 _POOL_MIN_BYTES = 1 << 17
 
 
@@ -178,7 +177,7 @@ def _cmd_compute(args) -> int:
 
     threads = args.threads
     if threads == 0 and sum(map(len, records)) < _POOL_MIN_BYTES:
-        threads = 1  # too little work to pay for the pool
+        threads = 1  # too little work to pay for the workers
     # one interleaved share of the records per worker: sorted streams
     # spread evenly, and each worker decodes its own records
     w = corpus.worker_count(threads, len(records))

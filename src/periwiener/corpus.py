@@ -36,11 +36,9 @@ per class of the order below.  At every order, a class is searched only as
 a candidate for an output: by independence number for a value's witness
 (`scan_values`), and for an audit witness key only where a class violates
 a claim.
-`run_jobs` runs such jobs, (fn, args) pairs fixed in advance, in one fork
-pool and returns their results in job order, or raises WorkerDiedError
-once a worker process or the pool's result thread dies; the value scan of
-`enumerate-values`, every audit suite and `compute` on a graph6 stream use
-it.
+`run_jobs` runs such jobs, (fn, args) pairs fixed in advance, on forked
+workers and returns their results in job order; the value scan of
+`enumerate-values`, every audit suite and `compute` on a graph6 stream use it.
 
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
@@ -50,10 +48,10 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
+from contextlib import suppress
 from math import factorial
 from operator import itemgetter
-from multiprocessing import active_children, get_context
+from multiprocessing import connection, get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError, WorkerDiedError
@@ -541,65 +539,70 @@ def worker_count(threads: int, jobs: int) -> int:
     """Pool size for `jobs` independent jobs: `threads` workers (0 means one
     per CPU this process may run on), never more than those CPUs or the
     jobs, and at least 1."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(threads or cpus, cpus, jobs))
 
 
-def _call(fn: Callable, args: tuple):
-    return fn(*args)
+def _serve(conn, parent_end) -> None:
+    """Worker: answer each job on `conn` with (True, result) or (False, exc) until EOF."""
+    parent_end.close()  # so that EOF comes once the parent has ended
+    while True:
+        try:
+            try:
+                fn, args = conn.recv()
+            except (EOFError, ConnectionResetError):
+                return
+            conn.send((True, fn(*args)))
+        except BaseException as exc:
+            with suppress(OSError):  # the parent has ended: the next read meets it
+                conn.send((False, exc))
 
 
 def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
-    """[fn(*args) for fn, args in jobs], in job order: in a fork pool of
-    `worker_count(threads, len(jobs))` processes, or in this process, in
-    order and with no pool, when that count is 1.  Jobs are fixed before
-    any runs, so the result does not depend on the worker count.  Raises
-    WorkerDiedError, within about 0.1 s, once a worker process or the
-    pool's result thread ends before the last result is in."""
+    """[fn(*args) for fn, args in jobs], in job order: in this process if
+    `worker_count(threads, len(jobs))` is 1, else on that many forked workers,
+    job k first on worker k and then one job at a time on the first one done.
+    A job's exception, or a worker's death as WorkerDiedError, is raised here."""
     workers = worker_count(threads, len(jobs))
     if workers == 1:
         return [fn(*args) for fn, args in jobs]
-    others = set(active_children())
-    with get_context("fork").Pool(workers) as pool:
-        started = [p for p in active_children() if p not in others]
-        result = pool.starmap_async(_call, jobs, chunksize=1)
-        # a pool replaces a dead worker but not its job, whose result would
-        # never come: watch the workers it started with instead
-        while not result.ready():
-            result.wait(0.1)
-            for p in started:
-                if p.exitcode is not None:
-                    raise WorkerDiedError(f"a worker process died (exit code {p.exitcode})"
-                                          " while running jobs")
-            # the thread that unpickles results in this process can die too,
-            # say of a MemoryError, and then no result comes.  Pool keeps it,
-            # its pending results and its result pipe in private attributes
-            # of CPython 3.11 (_result_handler, _cache, _outqueue).
-            if not pool._result_handler.is_alive():
-                _close_orphaned(pool)
-                raise WorkerDiedError("the pool's result thread died while reading job results")
-        return result.get()
-
-
-def _close_orphaned(pool) -> None:
-    """Shut down a pool whose result thread died.  Its pending results are
-    dropped, for `terminate` refuses them without that thread, and a thread
-    reads the result pipe to its end in the thread's place: a worker blocked
-    writing a large result to the full pipe holds the lock that the closing
-    sentinel waits for."""
-    pool._cache.clear()
-    pipe = pool._outqueue
-    threading.Thread(target=_read_to_end, args=(pipe._reader,), daemon=True).start()
-    pool.terminate()
-    pipe._writer.close()  # the last writer: the reading thread now meets the end
-
-
-def _read_to_end(conn) -> None:
-    while os.read(conn.fileno(), 1 << 16):
-        pass
+    context = get_context("fork")
+    results: list = [None] * len(jobs)
+    pending = iter(enumerate(jobs))
+    started = {}  # this process's end of each worker's pipe -> the worker
+    running = {}  # such an end -> the index of the job its worker holds
+    try:
+        for _ in range(workers):
+            conn, theirs = context.Pipe()
+            worker = context.Process(target=_serve, args=(theirs, conn))
+            worker.start()
+            theirs.close()  # so that EOF comes once the worker has ended
+            started[conn] = worker
+        idle = list(started)
+        while True:
+            for conn, (i, job) in zip(idle, pending):
+                with suppress(BrokenPipeError, ConnectionResetError):
+                    conn.send(job)  # to a worker that has ended: its EOF is read below
+                running[conn] = i
+            if not running:
+                return results
+            idle = connection.wait(list(running))
+            for conn in idle:
+                try:
+                    ok, out = conn.recv()
+                except (EOFError, ConnectionResetError):
+                    started[conn].join()
+                    raise WorkerDiedError("a worker process died (exit code"
+                                          f" {started[conn].exitcode}) while running jobs")
+                if not ok:
+                    raise out
+                results[running.pop(conn)] = out
+    finally:  # every worker ends here, also one blocked sending a large result
+        for conn, worker in started.items():
+            worker.kill()
+            worker.join()
+            conn.close()
 
 
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:

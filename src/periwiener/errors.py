@@ -2,9 +2,8 @@
 
 Every error the package raises on purpose is a GraphError, and each class
 carries the exit code the command line reports it with: 2 (bad usage or
-input, or a pool worker process or result thread that died) unless it
-overrides it, 3 for a precondition on an input graph, 4 for a failed
-internal cross-check."""
+input, or a worker process that died) unless it overrides it, 3 for a
+precondition on an input graph, 4 for a failed internal cross-check."""
 
 
 class GraphError(Exception):
@@ -64,8 +63,7 @@ class TooLargeError(GraphError):
 
 
 class WorkerDiedError(GraphError):
-    """A pool worker process, or the pool's thread that reads their
-    results, ended while jobs were still running."""
+    """A worker process of `corpus.run_jobs` ended while it held a job."""
 
 
 class InvariantError(GraphError):

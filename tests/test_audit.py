@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import inspect
+import multiprocessing
 import os
 import random
 import re
@@ -676,6 +677,7 @@ class TestOnePool:
             outs.append(audit.run_all(audit.Budget(threads=threads, **self.BUDGET)).to_json())
             started = len(pools) - before
             assert started == (corpus.worker_count(threads, 100) > 1), threads
+            assert multiprocessing.active_children() == []  # every worker is reaped
         assert outs[0] == outs[1] == outs[2]
 
     def test_single_fixed_claim_starts_no_pool(self, monkeypatch):
@@ -718,7 +720,7 @@ class TestBudget:
         with pytest.raises(InvalidParameterError):
             audit.Budget(max_n=1)
         with pytest.raises(InvalidParameterError):
-            audit.Budget(max_n=9)
+            audit.Budget(max_n=corpus.MAX_N + 1)
         with pytest.raises(InvalidParameterError):
             audit.Budget(trials=-1)
         with pytest.raises(InvalidParameterError, match="trials must be in 0..100000"):

@@ -586,16 +586,18 @@ class TestFailurePath:
         rc, out, err = run_cli(capsys, "gen", "path", "3")
         assert (rc, out, err) == (2, "", line + "\n")
 
-    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, threads):
         # exit 1 means "audit mismatch": a MemoryError is exit 2 with one
-        # error line, not a traceback
+        # error line, not a traceback, also where a forked worker raises it
         def no_memory(g):
             raise MemoryError
 
         monkeypatch.setattr(corpus, "profile_of", no_memory)
-        f = tmp_path / "p3.el"
-        f.write_text("3\n0 1\n1 2\n")
-        rc, out, err = run_cli(capsys, "compute", "--input", str(f), "--threads", "1")
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        f = _stream(tmp_path, ["Bg", "Bw"])
+        rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                               "--threads", threads)
         assert (rc, out, err) == (2, "", "error: out of memory\n")
 
     def test_missing_input_names_the_file(self, tmp_path, capsys):
@@ -636,7 +638,7 @@ class TestFailurePath:
 # first job with os._exit(1): `jobs` calls corpus.run_jobs alone, `audit`
 # and `compute` run the command line with a patched check or graph6 parser.
 _EXIT_IN_WORKER = """
-import os, sys
+import multiprocessing, os, sys
 from dataclasses import replace
 from periwiener import audit, cli, corpus
 from periwiener.errors import GraphError
@@ -661,6 +663,8 @@ if sys.argv[1] == "jobs":
         corpus.run_jobs([(job, ())] * 4, 2)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if multiprocessing.active_children():  # every worker is reaped, the live one too
+            print("a worker is left running")
         sys.exit(exc.exit_code)
     sys.exit(0)
 row = audit._CLAIMS["HASSE-1"]
@@ -692,14 +696,14 @@ class TestWorkerDeath:
         assert proc.stdout == ""
 
 
-# Runs corpus.run_jobs in a fresh interpreter on jobs whose first result
-# raises MemoryError as this process unpickles it, which ends the pool's
-# result thread; the other results are argv[2] bytes long.  Prints how long
-# run_jobs took to fail.
-_UNLOADABLE_RESULT = """
+# Runs cli.main in a fresh interpreter on a command whose handler runs jobs
+# on 2 workers, the first of which cannot be unpickled: argv[1] "result" is
+# its result, unpickled in this process, and "args" its args, unpickled in a
+# worker.  There are argv[2] jobs; the other results are argv[3] bytes long.
+# Prints how long main took.
+_UNLOADABLE = """
 import sys, time
-from periwiener import corpus
-from periwiener.errors import GraphError
+from periwiener import cli, corpus
 
 
 def boom():
@@ -711,37 +715,41 @@ class Unloadable:
         return boom, ()
 
 
-def job(i):
-    return Unloadable() if i == 0 else bytes(int(sys.argv[2]))
+def job(i, _):
+    return Unloadable() if i == 0 and sys.argv[1] == "result" else bytes(int(sys.argv[3]))
 
 
+jobs = [(job, (i, Unloadable() if i == 0 and sys.argv[1] == "args" else None))
+        for i in range(int(sys.argv[2]))]
+cli._cmd_gen = lambda args: corpus.run_jobs(jobs, 2)
 start = time.perf_counter()
-try:
-    corpus.run_jobs([(job, (i,)) for i in range(int(sys.argv[1]))], 2)
-except GraphError as exc:
-    print(f"{time.perf_counter() - start:.3f}")
-    print(f"error: {exc}", file=sys.stderr)
-    sys.exit(exc.exit_code)
+code = cli.main(["gen", "path", "3"])
+print(f"{time.perf_counter() - start:.3f}")
+sys.exit(code)
 """
 
 
-class TestResultThreadDeath:
-    """A result that cannot be unpickled in this process ends the pool's
-    result thread: the run ends with exit 2 and one error line, also while
-    other workers are blocked writing large results to the full pipe."""
+class TestOutOfMemoryInJobs:
+    """A MemoryError as a job's args or result is unpickled, in a worker or
+    in this process, reaches cli.main: the run ends with exit 2 and one
+    error line, also while other workers are blocked writing large results
+    to their pipes."""
 
-    @pytest.mark.parametrize("jobs, size", [(2, 0), (8, 10 << 20)], ids=["small", "large"])
-    def test_dead_result_thread_exits_2(self, jobs, size):
+    @staticmethod
+    def _run(*argv):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", _UNLOADABLE_RESULT, str(jobs), str(size)],
+        proc = subprocess.run([sys.executable, "-c", _UNLOADABLE, *argv],
                               capture_output=True, text=True, env=env, timeout=10)
-        assert proc.returncode == 2, proc.stderr
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-        assert errors == ["error: the pool's result thread died while reading job results"]
-        # the thread's own MemoryError traceback may come before it
-        assert proc.stderr.endswith(errors[0] + "\n")
+        assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
         assert float(proc.stdout) < 2
+
+    @pytest.mark.parametrize("jobs, size", [(2, 0), (8, 10 << 20)], ids=["small", "large"])
+    def test_unloadable_result_exits_2(self, jobs, size):
+        self._run("result", str(jobs), str(size))
+
+    def test_unloadable_args_exits_2(self):
+        self._run("args", "2", "0")
 
 
 class TestEntryPoint:
