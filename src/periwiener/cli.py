@@ -5,11 +5,13 @@ audit (claim registry run), enumerate-values (attained index values by
 exhaustive enumeration).
 
 Exit codes: 0 success / expectations matched; 1 audit mismatch; otherwise
-the `exit_code` of the error (see errors.py), reported by `main` as one
-`error:` line on stderr: 2 usage or parse error, or an input or output that
-cannot be read or written; 3 precondition failure on an input graph; 4
-failed internal cross-check (InvariantError, e.g. `compute --method cuts`
-disagreeing with the profile).  Every subcommand is deterministic given its
+the `exit_code` of the error (see errors.py): 2 usage or parse error, or an
+input or output that cannot be read or written; 3 precondition failure on
+an input graph; 4 failed internal cross-check (InvariantError, e.g.
+`compute --method cuts` disagreeing with the profile).  Every failure,
+argparse's usage errors and a record's error from a worker included,
+reaches `main` as an exception, and `main` alone reports it, as one
+`error:` line on stderr.  Every subcommand is deterministic given its
 arguments and seed.
 """
 
@@ -57,8 +59,15 @@ class _WholeWordsFormatter(argparse.HelpFormatter):
         return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that `main` reports it as every other failure."""
+
+    def error(self, message: str):
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="periwiener",
         description="Distance-based topological indices with a claim-audit harness.",
     )
@@ -107,34 +116,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    handler = {
-        "compute": _cmd_compute,
-        "gen": _cmd_gen,
-        "audit": _cmd_audit,
-        "enumerate-values": _cmd_enumerate,
-    }[args.command]
-    try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "threads", 0) < 0:  # compute, audit and enumerate-values
             raise InvalidParameterError(f"--threads must be >= 0, got {args.threads}")
+        handler = {"compute": _cmd_compute, "gen": _cmd_gen, "audit": _cmd_audit,
+                   "enumerate-values": _cmd_enumerate}[args.command]
         code = handler(args)
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
+    except SystemExit:  # --help alone: _Parser raises a usage error
+        return 0
     except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        message, code = str(exc), exc.exit_code
     except OSError as exc:  # open and read errors name the file, write errors do not
         where = f"{exc.filename}: " if exc.filename is not None else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        pass  # reported below, once the traceback has let go of the run's frames
-    print("error: out of memory", file=sys.stderr)
-    return 2
+        message, code = f"{where}{exc.strerror or exc}", 2
+    except MemoryError:  # reported below, once the traceback has let go of the run's frames
+        message, code = "out of memory", 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:
@@ -172,8 +173,7 @@ def _cmd_compute(args) -> int:
     try:
         records = [data] if args.format == "edgelist" else graph6_records(data)
     except GraphError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        raise type(exc)(f"{args.input}: {exc}") from None
 
     threads = args.threads
     if threads == 0 and sum(map(len, records)) < _POOL_MIN_BYTES:
@@ -194,25 +194,25 @@ def _cmd_compute(args) -> int:
                 where = f"graph {idx}" if kind == "graph" else args.input
                 if kind == "input" and args.format == "graph6":
                     where += f": record {idx}"
-                print(f"error: {where}: {r[1]}", file=sys.stderr)
-                return r[2]
+                raise type(r[1])(f"{where}: {r[1]}")
 
     _write_output(args.output, lambda out: _emit_rows(out, results, names, args.emit))
     return 0
 
 
 def _compute_share(fmt: str, method: str, records: list) -> list:
-    """The profile of each record, or for a failed one the tuple (kind,
-    message, exit code), kind "input" if it does not parse and "graph" if
-    the graph is rejected.  Plain tuples, not exceptions, come back from a
-    worker, so the parent can report the first failure in input order."""
+    """The profile of each record, or for a failed one the pair (kind, error),
+    kind "input" if it does not parse and "graph" if the graph is rejected.
+    The errors come back from a worker as values, not raised, so the parent
+    can raise the first failure in input order, with its location; they are
+    kept without their tracebacks, which would hold each one's frames."""
     parse = parse_edge_list if fmt == "edgelist" else parse_graph6
     out: list = []
     for record in records:
         try:
             g = parse(record)
         except GraphError as exc:
-            out.append(("input", str(exc), exc.exit_code))
+            out.append(("input", exc.with_traceback(None)))
             continue
         try:
             if g.n < 2:
@@ -227,7 +227,7 @@ def _compute_share(fmt: str, method: str, records: list) -> list:
                     raise NotConnectedError("graph is not connected")
             out.append(p)
         except GraphError as exc:
-            out.append(("graph", str(exc), exc.exit_code))
+            out.append(("graph", exc.with_traceback(None)))
     return out
 
 

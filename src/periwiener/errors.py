@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Every error the package raises on purpose is a GraphError, and each class
-carries the exit code the command line reports it with: 2 (bad usage or
-input, or a worker process that died) unless it overrides it, 3 for a
-precondition on an input graph, 4 for a failed internal cross-check."""
+Every error the package raises on purpose is a GraphError built from its
+message alone, so that it pickles, comes back whole from a worker process,
+and can be raised again with its location prefixed.  Each class carries the
+exit code the command line reports it with: 2 (bad usage or input, or a
+worker process that died) unless it overrides it, 3 for a precondition on an
+input graph, 4 for a failed internal cross-check."""
 
 
 class GraphError(Exception):
@@ -47,11 +49,7 @@ class InvalidCodeError(GraphError):
 
 
 class EdgeListSyntaxError(GraphError):
-    """Bad edge-list text; carries the 1-based offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """Bad edge-list text; the message names the 1-based offending line."""
 
 
 class MalformedGraph6Error(GraphError):

@@ -51,7 +51,7 @@ def _as_text(data: str | bytes) -> str:
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise EdgeListSyntaxError(0, f"input is not UTF-8 ({exc.reason})") from None
+            raise EdgeListSyntaxError(f"line 0: input is not UTF-8 ({exc.reason})") from None
     return data
 
 
@@ -67,7 +67,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
         fields = line.split()
         if n is None:
             if len(fields) != 1 or not _INT.fullmatch(fields[0]):
-                raise EdgeListSyntaxError(lineno, "expected the vertex count")
+                raise EdgeListSyntaxError(f"line {lineno}: expected the vertex count")
             n = int(fields[0])
             if n < 1:
                 raise VertexRangeError(f"line {lineno}: vertex count must be >= 1, got {n}")
@@ -76,7 +76,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
                                     f"maximum {MAX_EDGE_LIST_ORDER}")
             continue
         if len(fields) != 2 or not all(_INT.fullmatch(f) for f in fields):
-            raise EdgeListSyntaxError(lineno, f"expected 'u v', got {line!r}")
+            raise EdgeListSyntaxError(f"line {lineno}: expected 'u v', got {line!r}")
         u, v = int(fields[0]), int(fields[1])
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {u}")
@@ -84,7 +84,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
             raise VertexRangeError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
         edges.append((u, v))
     if n is None:
-        raise EdgeListSyntaxError(0, "no vertex count found")
+        raise EdgeListSyntaxError("line 0: no vertex count found")
     return build_graph(n, edges)
 
 
@@ -149,7 +149,7 @@ def _decode_order(payload: bytes) -> tuple[int, int]:
     if len(payload) < 4:
         raise MalformedGraph6Error("truncated long-form order field")
     if payload[1] == 126:
-        raise MalformedGraph6Error("order exceeds supported maximum 258")
+        raise MalformedGraph6Error(f"order exceeds supported maximum {MAX_GRAPH6_ORDER}")
     n = 0
     for b in payload[1:4]:
         if not 63 <= b <= 126:

@@ -26,7 +26,7 @@ def _bits(mask: int) -> Iterator[int]:
 def _edge_list(masks: Iterable[int]) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of adjacency bitmasks: u ascending, then v.
     The low-bit loop is inlined: `reach_layers` builds this list for every
-    graph of diameter 2 or more."""
+    sparse graph of diameter 2 or more."""
     edges = []
     for u, a in enumerate(masks):
         a = a >> (u + 1) << (u + 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import graph6_pairs, labeled_connected, nx_graph6, nx_mask
-from periwiener import audit, corpus, generators, indices
+from periwiener import audit, corpus, generators, indices, trees
 from periwiener.errors import InvalidParameterError
 from periwiener.generators import cycle, hypercube, path
 from periwiener.graphio import write_graph6
@@ -211,6 +211,78 @@ class TestProductChecks:
         check = audit._CLAIMS["L-PROD-DIST"].check
         got = check(corpus.layered_profile(g), corpus.layered_profile(h), (p, balls))
         assert got == ("d((0,0),(2,0)) = 3", "2 + 0")
+
+
+def _corpus_args(g, **fields):
+    return g.n, g.masks, corpus.profile_of(g)._replace(**fields)
+
+
+def _tree_args(g, **fields):
+    tv = trees.as_tree(g)
+    return g, tv.profile._replace(**fields), tv
+
+
+def _product_args(**fields):
+    # P_2 x P_2 = C_4
+    lg = corpus.layered_profile(path(2))
+    p, balls = corpus.layered_profile(cycle(4))
+    return lg, lg, (p._replace(**fields), balls)
+
+
+# test id -> (its claim's check args, the (observed, expected) pair the
+# report prints).  The claim id is the test id's first word.  The args are
+# real graphs, with one profile field replaced where the claim holds on them:
+# P_3 has W=4 WW=5 PW=2 PWW=3, and P_4 PW=3 PWW=6 at diameter 3.
+_VIOLATIONS = {
+    "HASSE-1": (lambda: _corpus_args(path(3), pw=5), ("PW=5", "PW <= W=4")),
+    "HASSE-2": (lambda: _corpus_args(path(3), pw=5), ("PW=5", "PW <= PWW=3")),
+    "HASSE-3": (lambda: _corpus_args(path(3), pww=6), ("PWW=6", "PWW <= WW=5")),
+    "HASSE-4": (lambda: _corpus_args(path(3), w=6), ("W=6", "W <= WW=5")),
+    "P1-4 bound": (lambda: _corpus_args(path(3), pww=0), ("PWW=0", "PWW >= C(k,2) = 1")),
+    "P1-4 equality": (lambda: _corpus_args(path(3), pww=1),
+                      ("PWW=1, C(k,2)=1, complete=False", "equality exactly on complete graphs")),
+    "EQ-COMPLETE": (lambda: _corpus_args(path(3), w=3, pw=3, ww=3),
+                    ("W=3 PW=3 WW=3 PWW=3, complete=False", "four-way equality iff complete")),
+    "EQ-P2": (lambda: _corpus_args(path(3), pw=4, tw=4),
+              ("PWW=WW=TWW is False, PW=W=TW is True, n=3",
+               "both equality chains iff the graph is P_2")),
+    "T-BOUNDS": (lambda: _corpus_args(path(3), pww=4), ("PWW=4", "3 <= PWW <= 3")),
+    "C-DIAM2": (lambda: _corpus_args(path(3), pww=4), ("PWW=4", "WW - C(n,2) + C(k,2) = 3")),
+    "T-DIAM2": (lambda: _corpus_args(path(3), pww=4), ("PWW=4", "2*C(n,2) + C(k,2) - 2m = 3")),
+    "T-PW-D3": (lambda: _corpus_args(path(4), pw=12), ("PW=12", "0 <= PW <= 11")),
+    "T-PWW-D3": (lambda: _corpus_args(path(4), pww=23), ("PWW=23", "0 <= PWW <= 22")),
+    "L-DIAM-COMP disconnected": (lambda: _corpus_args(generators.star(4), diameter=4),
+                                 ("complement disconnected",
+                                  "connected complement with diam <= 2")),
+    # P_4 is self-complementary
+    "L-DIAM-COMP diameter": (lambda: _corpus_args(path(4), diameter=4),
+                             ("diam(complement)=3", "diam(complement) <= 2")),
+    "OBS-NO-2-5": (lambda: _corpus_args(path(3), pww=5), ("PWW=5", "PWW never 2 or 5")),
+    "T-PW-TREE": (lambda: _tree_args(path(3), pw=3), ("edge-cut sum = 2", "PW = 3")),
+    "T-PWW-TREE": (lambda: _tree_args(path(3), pww=4), ("path-cut sum = 3", "PWW = 4")),
+    "T-TREE-BOUNDS-HI": (lambda: _tree_args(path(3), pww=13),
+                         ("PWW=13", "PWW <= 4*C(d+1,2)*C(k,2) = 12")),
+    "S-TREE-UB-TIGHT": (lambda: _tree_args(path(3), pww=4),
+                        ("PWW=4", "PWW <= C(d+1,2)*C(k,2) = 3")),
+    "T-COMP-TREE": (lambda: _tree_args(path(4), diameter=4),
+                    ("PWW(complement)=6, diam(T)=4", "6 iff diam=3, (n^2+3n-4)/2=12 iff diam>3")),
+    "T-PW-PROD": (lambda: _product_args(pw=9), ("PW(product)=9", "k2^2*PW1 + k1^2*PW2 = 8")),
+    "T-PWW-PROD": (lambda: _product_args(pww=11),
+                   ("PWW(product)=11", "k2^2*PWW1 + k1^2*PWW2 + 2*PW1*PW2 = 10")),
+    "INCOMP-W-PWW": (lambda: (path(3), corpus.profile_of(path(3)), -1, "W(P_3) < PWW(P_3)"),
+                     ("W=4, PWW=3", "W(P_3) < PWW(P_3)")),
+    "FIG2-NONCONVERSE": (lambda: (path(3), corpus.profile_of(path(3))),
+                         ("PWW=3, diam=2, formula value=3",
+                          "PWW = 15 = formula value while diam = 3")),
+}
+
+
+@pytest.mark.parametrize("case", list(_VIOLATIONS))
+def test_violation_pair(case):
+    # every instance the suites build holds these claims, so the strings a
+    # flipped claim reports are checked on crafted arguments
+    args, pair = _VIOLATIONS[case]
+    assert audit._CLAIMS[case.split()[0]].check(*args()) == pair
 
 
 def _identifiers(path_):

@@ -549,6 +549,12 @@ def _raise(exc):
     return handler
 
 
+def _raise_in_worker(parent, cls):
+    if os.getpid() == parent:
+        raise AssertionError("the job ran in the parent process")
+    raise cls("bad")
+
+
 class _FullStdout:
     """A stdout whose every write fails as on a full disk."""
 
@@ -570,10 +576,19 @@ class TestFailurePath:
 
     @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
     def test_graph_error_reported_once(self, capsys, monkeypatch, cls):
-        exc = cls(7, "bad") if cls is errors.EdgeListSyntaxError else cls("bad")
+        exc = cls("bad")
         monkeypatch.setattr(cli, "_cmd_gen", _raise(exc))
         rc, out, err = run_cli(capsys, "gen", "path", "3")
         assert (rc, out, err) == (cls.exit_code, "", f"error: {exc}\n")
+
+    @pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+    def test_graph_error_from_worker_reported_once(self, capsys, monkeypatch, cls):
+        # a job's error comes back through its worker's pipe as itself
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        jobs = [(_raise_in_worker, (os.getpid(), cls))] * 2
+        monkeypatch.setattr(cli, "_cmd_gen", lambda args: corpus.run_jobs(jobs, 2))
+        rc, out, err = run_cli(capsys, "gen", "path", "3")
+        assert (rc, out, err) == (cls.exit_code, "", "error: bad\n")
 
     @pytest.mark.parametrize("exc, line", [
         (FileNotFoundError(errno.ENOENT, "No such file or directory", "/x"),
@@ -764,3 +779,26 @@ class TestEntryPoint:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestUsageErrors:
+    """argparse's usage errors are reported by main as one error: line, like
+    every other failure; help still goes to stdout with exit 0."""
+
+    @pytest.mark.parametrize("argv, start", [
+        (("compute", "--threads", "x"), "error: argument --threads: invalid int value: 'x'\n"),
+        (("audit", "--max-n"), "error: argument --max-n: expected one argument\n"),
+        (("compute", "--emit", "xml"), "error: argument --emit: invalid choice: 'xml'"),
+        (("gen",), "error: the following arguments are required: family"),
+        (("frobnicate",), "error: argument command: invalid choice: 'frobnicate'"),
+    ], ids=["threads-x", "max-n-no-value", "emit-xml", "gen-no-family", "unknown-command"])
+    def test_one_error_line(self, capsys, argv, start):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith(start) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("gen", "--help")], ids=" ".join)
+    def test_help_on_stdout(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: periwiener")

@@ -175,6 +175,15 @@ class TestGraph6:
         with pytest.raises(MalformedGraph6Error):
             parse_graph6(bad)
 
+    @pytest.mark.parametrize("record, message", [
+        ("~?CB", "order 259 exceeds supported maximum 258"),  # 4-byte long form
+        ("~~??????", "order exceeds supported maximum 258"),  # 8-byte long form
+    ])
+    def test_order_ceiling(self, record, message):
+        with pytest.raises(MalformedGraph6Error) as info:
+            parse_graph6(record)
+        assert str(info.value) == message
+
     @given(st.sampled_from([1, 2, 3, 7, 62, 63, 64, 128, 258]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_decode_matches_bit_oracle(self, n, data):
