@@ -184,35 +184,46 @@ def _cmd_compute(args) -> int:
     parts = corpus.run_jobs(
         [(_compute_share, (args.format, args.method, records[k::w])) for k in range(w)],
         threads)
-    results: list = [None] * len(records)
-    for k, part in enumerate(parts):
-        results[k::w] = part
-    # a record that does not parse is reported before any graph error
+    # a record that does not parse is reported before any graph error; the
+    # first of each kind in the stream is the first of some share
     for kind in ("input", "graph"):
-        for idx, r in enumerate(results):
-            if not isinstance(r, Profile) and r[0] == kind:
-                where = f"graph {idx}" if kind == "graph" else args.input
-                if kind == "input" and args.format == "graph6":
-                    where += f": record {idx}"
-                raise type(r[1])(f"{where}: {r[1]}")
+        failed = [(k + i * w, exc) for k, (_, failures) in enumerate(parts)
+                  for i, fkind, exc in failures if fkind == kind]
+        if failed:
+            idx, exc = min(failed)  # the indices differ
+            where = f"graph {idx}" if kind == "graph" else args.input
+            if kind == "input" and args.format == "graph6":
+                where += f": record {idx}"
+            raise type(exc)(f"{where}: {exc}")
+    results: list = [None] * len(records)
+    for k, (profiles, _) in enumerate(parts):
+        results[k::w] = profiles
 
     _write_output(args.output, lambda out: _emit_rows(out, results, names, args.emit))
     return 0
 
 
-def _compute_share(fmt: str, method: str, records: list) -> list:
-    """The profile of each record, or for a failed one the pair (kind, error),
-    kind "input" if it does not parse and "graph" if the graph is rejected.
-    The errors come back from a worker as values, not raised, so the parent
-    can raise the first failure in input order, with its location; they are
-    kept without their tracebacks, which would hold each one's frames."""
+def _compute_share(fmt: str, method: str, records: list) -> tuple[list, list]:
+    """(profiles, failures) of a share of the records.  A failure is (i,
+    kind, error) for the share's record i, kind "input" if it does not parse
+    and "graph" if the graph is rejected.  Only the first failure of each
+    kind can be reported, and a record that does not parse before any graph
+    error: so the share stops at the first record that does not parse, and
+    after the first rejected graph only parses the rest.  The profiles are
+    whole only when no record failed.  The errors come back from a worker as
+    values, not raised, so the parent can raise the first failure in input
+    order, with its location; they are kept without their tracebacks, which
+    would hold each one's frames."""
     parse = parse_edge_list if fmt == "edgelist" else parse_graph6
-    out: list = []
-    for record in records:
+    profiles: list = []
+    failures: list = []
+    for i, record in enumerate(records):
         try:
             g = parse(record)
         except GraphError as exc:
-            out.append(("input", exc.with_traceback(None)))
+            failures.append((i, "input", exc.with_traceback(None)))
+            break
+        if failures:
             continue
         try:
             if g.n < 2:
@@ -225,10 +236,10 @@ def _compute_share(fmt: str, method: str, records: list) -> list:
                 p = corpus.profile_of(g)
                 if p is None:
                     raise NotConnectedError("graph is not connected")
-            out.append(p)
+            profiles.append(p)
         except GraphError as exc:
-            out.append(("graph", exc.with_traceback(None)))
-    return out
+            failures.append((i, "graph", exc.with_traceback(None)))
+    return profiles, failures
 
 
 def _check_cuts(tv: trees.TreeView) -> None:

@@ -23,11 +23,16 @@ the deletion vertex m(G), so each class has exactly one parent class.  m(G)
 is the non-cut vertex with the largest (degree, sorted neighbour degrees);
 on a tie, the tied vertex that sits last in the canonical order.  So the
 invariant settles most children.  Every class comes with its adjacency
-rows and Aut(G), as permutations of those rows, and hands Aut(G) on to its
-children.  A child kept with no tie takes Aut(G) from the stabiliser of its
-neighbour set in Aut(parent), and comes without a mask.  A canonical form
-is computed only for a tie, which yields its mask and its automorphisms,
-and for a class whose mask an output reads (`class_mask`).
+rows and Aut(G) in compact form, and hands Aut(G) on to its children.  A
+tie's search branches on one vertex per twin class (vertices with equal
+open or closed neighbourhoods), so it yields its mask and one minimizing
+order per permutation of the twins: those orders and the twin classes are
+Aut(G).  A child kept with no tie takes the stabiliser of its neighbour set
+in Aut(parent), which fixes the new vertex, and comes without a mask.  A
+group is listed as permutations only for a class that grows children
+(`_orbit_minimal_sets`), so the largest order of a sweep lists none.  A
+canonical form is computed only for a tie and for a class whose mask an
+output reads (`class_mask`).
 
 `class_levels` is the one walk of the levels: each order is grown once,
 from the entries of the order below, when first asked for.  The largest
@@ -49,8 +54,7 @@ from __future__ import annotations
 import itertools
 import os
 from contextlib import suppress
-from math import factorial
-from operator import itemgetter
+from math import factorial, prod
 from multiprocessing import connection, get_context
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -60,16 +64,25 @@ from .graphs import Graph, _bits, _connected_on, _edge_list
 from .indices import INDEX_NAMES, Profile
 
 # The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
-# every class up to n = 8 takes about 2.2 s in one process, with 4,972
-# canonical forms, one per tie, and `enumerate-values --max-n 8` about 2.0 s
-# wall and 3.4 s CPU with 2 workers, with 5,108 canonical forms.  With this
-# ceiling patched to 9, `--max-n 9` took 41.7 s wall, 75.3 s CPU and 172 MiB
-# peak RSS with 2 workers.
+# every class up to n = 8 takes 1.4-2.0 s in one process, with 4,972
+# canonical forms, one per tie, and `enumerate-values --max-n 8` 1.5-1.7 s
+# wall, 2.5-2.9 s CPU and 23 MiB peak RSS with 2 workers, with 5,108
+# canonical forms.  With this ceiling patched to 9, `--max-n 9` took 19-26 s
+# wall, 36-48 s CPU and 127 MiB peak RSS with 2 workers; the peak is this
+# process holding every order-9 job's value candidates until the last ends.
 MAX_N = 8
 
+# Aut(G) in compact form, (orders, twins): for each order, the permutation
+# that takes the first order onto it, composed with every permutation of the
+# twin classes.  A tie holds its canonical form's orders and twin classes; a
+# child kept with no tie holds the stabiliser of its neighbour set in
+# Aut(parent), whose members, as orders of n - 1 entries, also fix n - 1.
+# Only `_orbit_minimal_sets` lists the members (`_automorphisms`).
+Group = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 # A class as `iter_connected_profiles` yields it and `class_levels` keeps it:
-# (canonical mask or None, n!/|Aut(G)|, profile, adjacency rows, Aut(G)).
-ClassEntry = tuple[int | None, int, Profile, tuple[int, ...], list[tuple[int, ...]]]
+# (canonical mask or None, n!/|Aut(G)|, profile, adjacency rows, Aut(G) as a
+# Group).
+ClassEntry = tuple[int | None, int, Profile, tuple[int, ...], Group]
 
 
 def mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
@@ -243,20 +256,36 @@ def complement_profile(n: int, masks: Sequence[int]) -> Profile | None:
 # --- isomorphism classes ---------------------------------------------------
 
 
-def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """(mask, orders): the smallest edge mask over all labelings of the
-    graph with adjacency bitmasks `adj`, and every vertex order that attains
-    it (order[p] is the vertex labeled p).
+def canonical_form(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]],
+                                                        list[tuple[int, ...]]]:
+    """(mask, orders, twins): the smallest edge mask over all labelings of
+    the graph with adjacency bitmasks `adj`, the twin classes of the graph,
+    and one vertex order (order[p] is the vertex labeled p) that attains the
+    mask per permutation of the twins.
 
     The mask is the concatenation of the columns of the labeled adjacency
     matrix; column j holds the adjacency of the j-th vertex to the earlier
     ones, the earliest as the most significant bit.  The orders are built
     column by column, keeping at depth j only those whose column j is
     minimal; a partial order is kept with the bitmask of its unplaced
-    vertices.  The surviving orders form one coset of Aut(G), so there are
-    |Aut(G)| of them, and the entries at position p across them are the
-    orbit of the vertex at p.
+    vertices.  A twin class is a set of two or more vertices with equal
+    open, or equal closed, neighbourhoods; swapping two twins is an
+    automorphism, and two unplaced twins give equal columns, so only the
+    lowest of them is placed next.  The orders kept are those of the coset
+    of minimizing orders that place each twin class in ascending order:
+    |Aut(G)| / prod(|class|!) of them, the first being the smallest of the
+    whole coset.  The entries at position p across them, and their twins,
+    are the orbit of the vertex at p.
     """
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):  # an open and a closed neighbourhood never coincide
+        classes.setdefault(row, []).append(v)
+        classes.setdefault(row | 1 << v, []).append(v)
+    twins = [tuple(members) for members in classes.values() if len(members) > 1]
+    later = [0] * n  # the twins above each vertex
+    for members in twins:
+        for i, v in enumerate(members):
+            later[v] = sum(1 << u for u in members[i + 1:])
     non = [~row for row in adj]
     states = [((), (1 << n) - 1)]  # (order, unplaced vertices)
     mask = 0
@@ -283,9 +312,10 @@ def canonical_form(n: int, adj: list[int]) -> tuple[int, list[tuple[int, ...]]]:
         for order, left, cand in found:
             while cand:
                 low = cand & -cand
-                states.append((order + (low.bit_length() - 1,), left ^ low))
-                cand ^= low
-    return mask, [order for order, _ in states]
+                v = low.bit_length() - 1
+                states.append((order + (v,), left ^ low))
+                cand &= ~(low | later[v])
+    return mask, [order for order, _ in states], twins
 
 
 def canonical_mask(n: int, mask: int) -> int:
@@ -294,11 +324,32 @@ def canonical_mask(n: int, mask: int) -> int:
     return canonical_form(n, mask_adjacency(n, mask))[0]
 
 
-def _orbit_minimal_sets(k: int, autos: list[tuple[int, ...]]) -> list[tuple[int, list]]:
+def _automorphisms(n: int, group: Group) -> list[tuple[int, ...]]:
+    """Every member of `group`, a `Group`, as a permutation of range(n)
+    (sigma[v] is the image of v): the first order taken onto each order,
+    extended to fix vertex n - 1 when the orders have n - 1 entries, and
+    composed with every permutation of the twin classes."""
+    orders, twins = group
+    inverse = sorted(range(len(orders[0])), key=orders[0].__getitem__)
+    extra = tuple(range(len(inverse), n))
+    members = [tuple(order[p] for p in inverse) + extra for order in orders]
+    for cls in twins:
+        swaps = []
+        for perm in itertools.permutations(cls):
+            tau = list(range(n))
+            for u, v in zip(cls, perm):
+                tau[u] = v
+            swaps.append(tau)
+        members = [tuple(tau[u] for u in sigma) for tau in swaps for sigma in members]
+    return members
+
+
+def _orbit_minimal_sets(k: int, group: Group) -> list[tuple[int, list]]:
     """(set, stabiliser) for the non-empty subsets of range(k), as bitmasks
-    in ascending order, that are the smallest of their orbit under the
-    permutation group `autos`; the stabiliser lists the members of `autos`
-    that map the set onto itself."""
+    in ascending order, that are the smallest of their orbit under `group`,
+    a `Group` on range(k); the stabiliser lists the members of the group
+    that map the set onto itself.  This is the one place a group is listed."""
+    autos = _automorphisms(k, group)
     seen = bytearray(1 << k)
     images = [[1 << u for u in sigma] for sigma in autos]
     reps = []
@@ -323,18 +374,37 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     removal leaves the parent, is never a cut vertex.  None when another
     non-cut vertex has a larger invariant, so that n-1 is not in the orbit
     of m(G); otherwise the other non-cut vertices whose invariant ties with
-    that of n-1 (none when n-1 is m(G))."""
+    that of n-1 (none when n-1 is m(G)).  Neighbour degrees are sorted only
+    on a degree tie, and the cut-vertex test runs only where the invariant
+    ties or wins."""
     deg = [a.bit_count() for a in adj]
     full = (1 << n) - 1
     new = n - 1
-    top = (deg[new], sorted([deg[u] for u in _bits(adj[new])]))
+
+    def nbr_degrees(v: int) -> list[int]:
+        out = []
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            out.append(deg[low.bit_length() - 1])
+            rest ^= low
+        out.sort()
+        return out
+
+    top, top_nbrs = deg[new], None
     ties = []
     for v in range(new):
-        if deg[v] < top[0]:
+        if deg[v] < top:
             continue
-        inv = (deg[v], sorted([deg[u] for u in _bits(adj[v])]))
-        if inv >= top and _connected_on(adj, full & ~(1 << v)):
-            if inv > top:
+        wins = deg[v] > top
+        if not wins:
+            top_nbrs = top_nbrs or nbr_degrees(new)  # n-1 has a neighbour
+            nbrs = nbr_degrees(v)
+            if nbrs < top_nbrs:
+                continue
+            wins = nbrs > top_nbrs
+        if _connected_on(adj, full ^ (1 << v)):
+            if wins:
                 return None
             ties.append(v)
     return ties
@@ -345,11 +415,11 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     Aut(G)) for one graph per isomorphism class of connected n-vertex graphs
     grown from `parents`, entries of some (n-1)-vertex classes as this
     yields them.  The weight is the number of labeled graphs in the class,
-    the rows are the class in the labeling it was grown in, and Aut(G) lists
-    its automorphisms as permutations of that labeling (sigma[v] is the
-    image of v).  Each class has one parent, so disjoint parent sets give
-    disjoint classes, and all the (n-1)-vertex classes give every n-vertex
-    class (`class_levels`).
+    the rows are the class in the labeling it was grown in, and Aut(G) acts
+    on that labeling, in the compact form of `Group`: no member is listed
+    here, only each parent's group is (`_orbit_minimal_sets`).  Each class
+    has one parent, so disjoint parent sets give disjoint classes, and all
+    the (n-1)-vertex classes give every n-vertex class (`class_levels`).
 
     A child joins vertex n-1 of the parent, in its rows' labeling, to a
     neighbour set S that is the smallest of its orbit under Aut(parent).  It
@@ -358,16 +428,18 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     degrees), the one that sits last in the canonical order.  The invariant
     alone decides most children.  When it leaves no tie, vertex n-1 alone
     has the top invariant, so every automorphism fixes it: Aut(G) is the
-    stabiliser of S in Aut(parent), each member extended to fix n-1, and no
-    canonical form is computed, so the mask is None (`class_mask` finds
-    it).  A tie is searched once, which yields its mask and the coset of
-    its minimizing orders: each order, taking the vertex at every position
-    of the first order to its own vertex there, is an automorphism.
+    stabiliser of S in Aut(parent), extended to fix n-1 only when it is
+    listed, and no canonical form is computed, so the mask is None
+    (`class_mask` finds it).  A tie is searched once, which yields its mask,
+    its twin classes and one minimizing order per twin permutation: each
+    order, taken onto the first, and composed with any permutation of the
+    twins, is an automorphism, so |Aut(G)| is the number of orders times
+    the product of |class|!.
     """
     new = n - 1
     n_labelings = factorial(n)
-    for _, _, _, parent_adj, parent_autos in parents:
-        for nbrs, stab in _orbit_minimal_sets(new, parent_autos):
+    for _, _, _, parent_adj, parent_group in parents:
+        for nbrs, stab in _orbit_minimal_sets(new, parent_group):
             adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
@@ -375,16 +447,19 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
             if ties is None:
                 continue
             if ties:
-                mask, orders = canonical_form(n, adj)
-                # m(G) is the tied vertex that sits last in the canonical order
+                mask, orders, twins = canonical_form(n, adj)
+                # m(G) is the tied vertex that sits last in the canonical
+                # order.  The twins of n-1 tie with it and every order puts
+                # them before it, so n-1 is in the orbit of m(G) exactly
+                # when it sits there in some order.
                 pos = max(orders[0].index(v) for v in ties + [new])
                 if all(order[pos] != new for order in orders):
                     continue
-                image = itemgetter(*sorted(range(n), key=orders[0].__getitem__))
-                autos = [image(order) for order in orders]
+                group = orders, twins
+                size = len(orders) * prod(factorial(len(cls)) for cls in twins)
             else:
-                mask, autos = None, [sigma + (new,) for sigma in stab]
-            yield mask, n_labelings // len(autos), profile_from_masks(n, adj), tuple(adj), autos
+                mask, group, size = None, (stab, []), len(stab)
+            yield mask, n_labelings // size, profile_from_masks(n, adj), tuple(adj), group
 
 
 def class_mask(n: int, mask: int | None, rows: Sequence[int]) -> int:
@@ -435,7 +510,7 @@ def class_levels() -> Callable[[int], list[ClassEntry]]:
     are kept by this walk only, so a new walk starts from scratch.  level(n)
     raises InvalidParameterError, before any generation, for n outside
     1..MAX_N."""
-    levels = [[(0, 1, profile_from_masks(1, (0,)), (0,), [(0,)])]]
+    levels = [[(0, 1, profile_from_masks(1, (0,)), (0,), ([(0,)], []))]]
 
     def level(n: int) -> list[ClassEntry]:
         if not 1 <= n <= MAX_N:

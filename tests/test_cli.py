@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from periwiener import audit, cli, corpus, errors, graphio, trees
@@ -280,6 +281,25 @@ class TestComputeStream:
                            "--threads", threads)
         assert rc == 0
         assert len(pools) == (threads == "2")
+
+
+@pytest.mark.parametrize("first, code, parsed, profiled",
+                         [(_MALFORMED, 2, 1, 0), (_DISCONNECTED, 3, 2001, 1)])
+def test_compute_stops_after_the_reported_failure(tmp_path, capsys, monkeypatch, first, code,
+                                                  parsed, profiled):
+    # only the first failure is reported: a record that does not parse ends
+    # the share, and after a rejected graph the rest is only parsed, for a
+    # later record that does not parse
+    calls = Counter()
+    for module, name in ((cli, "parse_graph6"), (corpus, "profile_of")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda g, real=real, name=name: calls.update([name]) or real(g))
+    f = _stream(tmp_path, [first] + ["Bw"] * 2000)
+    rc, out, err = run_cli(capsys, "compute", "--format", "graph6", "--input", f,
+                           "--threads", "1")
+    assert (rc, out, err.count("\n")) == (code, "", 1)
+    assert calls == Counter(parse_graph6=parsed, profile_of=profiled)
 
 
 class TestComputeAutoThreads:

@@ -298,6 +298,13 @@ def _brute_automorphisms(n, adj):
             if all((sigma[i], sigma[j]) in edges for i, j in edges)}
 
 
+def _coset(n, orders, twins):
+    """The whole coset of minimizing orders that `canonical_form` gives in
+    compact form: its automorphism group, expanded, applied to its first order."""
+    return {tuple(sigma[v] for v in orders[0])
+            for sigma in corpus._automorphisms(n, (orders, twins))}
+
+
 def _connected_without(n, adj, v):
     seen, stack = set(), [next(u for u in range(n) if u != v)]
     while stack:
@@ -366,7 +373,7 @@ class TestIsomorphismReduction:
         # each order is grown once, from the order below, when first asked
         # for; a second walk grows its own levels
         level = corpus.class_levels()
-        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]), (0,), [(0,)])]
+        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]), (0,), ([(0,)], []))]
         assert profile_calls == []
         six = level(6)
         assert profile_calls == [2, 3, 4, 5, 6]
@@ -385,12 +392,13 @@ class TestIsomorphismReduction:
 
     def test_canonical_form_matches_brute_force(self):
         # every labeled connected graph on up to 5 vertices: the key, and the
-        # minimizing orders, whose number is |Aut(G)|
+        # minimizing orders, whose number is |Aut(G)|, once the twin classes
+        # expand them
         for n in range(2, 6):
             for mask, _ in labeled_connected(n):
                 adj = corpus.mask_adjacency(n, mask)
-                key, orders = corpus.canonical_form(n, adj)
-                assert (key, set(orders)) == _brute_orders(n, adj)
+                key, orders, twins = corpus.canonical_form(n, adj)
+                assert (key, _coset(n, orders, twins)) == _brute_orders(n, adj)
                 assert len(orders) == len(set(orders))
                 assert corpus.canonical_mask(n, mask) == key
 
@@ -405,7 +413,7 @@ class TestIsomorphismReduction:
             for parent in level(n - 1):
                 parent_adj = parent[3]
                 autos = _brute_automorphisms(n - 1, parent_adj)
-                assert set(parent[4]) == autos
+                assert set(corpus._automorphisms(n - 1, parent[4])) == autos
                 want = []
                 for nbrs in range(1, 1 << (n - 1)):
                     image = {sum(1 << sigma[u] for u in range(n - 1) if nbrs >> u & 1)
@@ -438,8 +446,8 @@ class TestIsomorphismReduction:
         grown_without_mask = 0
         for n in range(2, 8):
             for mask, weight, _, rows, _ in corpus.iter_connected_profiles(n, level(n - 1)):
-                key, orders = corpus.canonical_form(n, rows)
-                assert weight == factorial(n) // len(orders)
+                key, orders, twins = corpus.canonical_form(n, rows)
+                assert weight == factorial(n) // len(_coset(n, orders, twins))
                 assert mask in (None, key)
                 grown_without_mask += mask is None
         assert grown_without_mask > sum(ISO_CONNECTED.values()) // 2
@@ -457,19 +465,19 @@ class TestIsomorphismReduction:
         # it, grows the same classes with the same weights
         level = corpus.class_levels()
         relabeled = []
-        for mask, weight, p, rows, autos in level(5):
+        for mask, weight, p, rows, group in level(5):
             perm = list(range(5))
             rng.shuffle(perm)
             new_rows = [0] * 5
             for v in range(5):
                 new_rows[perm[v]] = sum(1 << perm[u] for u in range(5) if rows[v] >> u & 1)
             new_autos = []
-            for sigma in autos:
+            for sigma in corpus._automorphisms(5, group):
                 tau = [0] * 5
                 for v in range(5):
                     tau[perm[v]] = perm[sigma[v]]
                 new_autos.append(tuple(tau))
-            relabeled.append((None, weight, p, tuple(new_rows), new_autos))
+            relabeled.append((None, weight, p, tuple(new_rows), (new_autos, [])))
         assert relabeled != level(5)
 
         def keys(parents):
@@ -484,8 +492,10 @@ class TestIsomorphismReduction:
         # its rows onto themselves, and there are |Aut(G)| of them
         level = corpus.class_levels()
         for n in range(1, 8):
-            for _, weight, _, rows, autos in level(n):
-                assert len(set(autos)) == len(autos) == len(corpus.canonical_form(n, rows)[1])
+            for _, weight, _, rows, group in level(n):
+                autos = corpus._automorphisms(n, group)
+                _, orders, twins = corpus.canonical_form(n, rows)
+                assert len(set(autos)) == len(autos) == len(_coset(n, orders, twins))
                 assert weight == factorial(n) // len(autos)
                 for sigma in autos:
                     assert sorted(sigma) == list(range(n))
@@ -529,6 +539,172 @@ class TestIsomorphismReduction:
         h = _relabel(g, perm)
         assert (corpus.canonical_mask(g.n, corpus.g6_order_key(h))
                 == corpus.canonical_mask(g.n, corpus.g6_order_key(g)))
+
+
+def _unpruned_canonical_form(n, adj):
+    """Oracle: the column search with no twin pruning, which keeps every
+    minimizing order, the whole coset of Aut(G): (mask, orders)."""
+    non = [~row for row in adj]
+    states = [((), (1 << n) - 1)]
+    mask = 0
+    for j in range(n):
+        best = 1 << j
+        found = []
+        for order, left in states:
+            cand, col = left, 0
+            for v in order:
+                rest = cand & non[v]
+                if rest:
+                    cand = rest
+                    col <<= 1
+                else:
+                    col = col << 1 | 1
+            if col < best:
+                best, found = col, [(order, left, cand)]
+            elif col == best:
+                found.append((order, left, cand))
+        mask = (mask << j) | best
+        states = []
+        for order, left, cand in found:
+            while cand:
+                low = cand & -cand
+                states.append((order + (low.bit_length() - 1,), left ^ low))
+                cand ^= low
+    return mask, [order for order, _ in states]
+
+
+def _deletion_rivals(n, adj):
+    """Oracle: the cheap half of the deletion rule as
+    test_children_are_the_canonical_augmentations spells it out.  None when
+    a non-cut vertex other than n-1 has a larger (degree, sorted neighbour
+    degrees) than n-1, else those whose invariant ties with it."""
+    deg = [bin(a).count("1") for a in adj]
+    inv = {v: (deg[v], sorted(deg[u] for u in range(n) if adj[v] >> u & 1))
+           for v in range(n - 1) if _connected_without(n, adj, v)}
+    top = (deg[n - 1], sorted(deg[u] for u in range(n) if adj[n - 1] >> u & 1))
+    if any(rival > top for rival in inv.values()):
+        return None
+    return [v for v in inv if inv[v] == top]
+
+
+@pytest.fixture(scope="module")
+def searched_classes():
+    """(n, rows) of every class up to n = 7 and of 2,000 classes of n = 8
+    drawn with a fixed seed."""
+    level = corpus.class_levels()
+    small = [(n, rows) for n in range(1, 8) for _, _, _, rows, _ in level(n)]
+    return small + [(8, entry[3]) for entry in random.Random(8).sample(level(8), 2000)]
+
+
+class TestTwinPrunedSearch:
+    """`canonical_form` branches on one vertex per twin class: against the
+    unpruned search it gives the same mask, and its compact coset expands
+    to the same orders, orbits and |Aut(G)|."""
+
+    def test_matches_the_unpruned_search(self, searched_classes):
+        for n, rows in searched_classes:
+            key, orders, twins = corpus.canonical_form(n, rows)
+            want_key, want_orders = _unpruned_canonical_form(n, rows)
+            assert key == want_key
+            assert orders[0] == want_orders[0]  # the canonical order
+            assert _coset(n, orders, twins) == set(want_orders)
+            assert len(set(orders)) == len(orders)
+            size = len(orders)
+            for cls in twins:
+                size *= factorial(len(cls))
+            assert size == len(want_orders)  # |Aut(G)|
+            for p in range(n):
+                found = {order[p] for order in orders}
+                orbit = found.union(*(cls for cls in twins if found.intersection(cls)))
+                assert orbit == {order[p] for order in want_orders}
+
+    def test_twin_classes(self, searched_classes):
+        # the classes are exactly the vertices with equal open or closed
+        # neighbourhoods, and swapping two of them is an automorphism
+        for n, rows in searched_classes:
+            twins = corpus.canonical_form(n, rows)[2]
+            class_of = {v: cls for cls in twins for v in cls}
+            assert sum(map(len, twins)) == len(class_of)
+            for u, v in itertools.combinations(range(n), 2):
+                same = rows[u] == rows[v] or rows[u] | 1 << u == rows[v] | 1 << v
+                assert same == (v in class_of.get(u, ()))
+                if same:
+                    tau = list(range(n))
+                    tau[u], tau[v] = v, u
+                    assert all(rows[tau[x]] == sum(1 << tau[y] for y in range(n)
+                                                   if rows[x] >> y & 1) for x in range(n))
+
+    def test_relabelings_give_one_mask(self, searched_classes):
+        rng = random.Random(11)
+        for n, rows in searched_classes:
+            key = corpus.canonical_form(n, rows)[0]
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                new = [0] * n
+                for v in range(n):
+                    new[perm[v]] = sum(1 << perm[u] for u in range(n) if rows[v] >> u & 1)
+                assert corpus.canonical_form(n, new)[0] == key
+
+
+class TestDeletionRule:
+    def test_every_grown_child(self):
+        level = corpus.class_levels()
+        children = Counter()
+        for n in range(2, 8):
+            for parent in level(n - 1):
+                for nbrs, _ in corpus._orbit_minimal_sets(n - 1, parent[4]):
+                    adj = [*parent[3], nbrs]
+                    for u in range(n - 1):
+                        if nbrs >> u & 1:
+                            adj[u] |= 1 << (n - 1)
+                    assert corpus._rival_deletion_vertices(n, adj) == _deletion_rivals(n, adj)
+                    children[n] += 1
+        # every call that growth up to n = 7 makes
+        assert children == {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(9)
+        outcomes = Counter()
+        for _ in range(2000):
+            g = random_connected(rng, rng.randrange(2, 10), extra=rng.random())
+            adj = list(g.masks)
+            want = _deletion_rivals(g.n, adj)
+            assert corpus._rival_deletion_vertices(g.n, adj) == want
+            outcomes["none" if want is None else "ties" if want else "alone"] += 1
+        # None 951 times, ties 994, n-1 alone 55
+        assert len(outcomes) == 3 and min(outcomes.values()) >= 50
+
+
+class TestNoGroupAtTheTopOrder:
+    """Only a class that grows children has its group expanded."""
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        calls = []
+        real = corpus._automorphisms
+
+        def spy(n, group):
+            calls.append((n, group))
+            return real(n, group)
+
+        monkeypatch.setattr(corpus, "_automorphisms", spy)
+        return calls
+
+    def test_value_scan(self, expanded):
+        corpus.scan_values("pww", 7, threads=1)
+        assert Counter(n for n, _ in expanded) == {1: 1, **{n: ISO_CONNECTED[n]
+                                                            for n in range(2, 7)}}
+
+    def test_audit_job(self, expanded):
+        from periwiener import audit
+
+        parents = corpus.class_levels()(6)
+        ids = [cid for cid, row in audit._CLAIMS.items() if row.stream == "corpus"]
+        del expanded[:]
+        for parent in parents[::7]:
+            audit._corpus_chunk(ids, 7, parent)
+            assert len(expanded) == 1 and expanded.pop() == (6, parent[4])
 
 
 class TestFreeTrees:
