@@ -20,16 +20,18 @@ key, its canonical mask, searched for where it is checked when it came
 without one, and the report expands the kept classes into their labeled
 graphs.  The product factors keep the labeling they were grown in.
 
-`run_claims` cuts every requested stream into a fixed list of jobs and
-runs them all in one process pool: the corpus classes of the largest order
-(one job per parent class, the smaller orders one job each, from one walk
-of the class levels in the parent); the random graphs, trees and factor
-pairs, the family parameters and the fixed cases in blocks whose items the
-parent makes in stream order; the free trees and the corpus6 orders one job
-each.
-Each claim's parts merge in its stream's order, and a part after one whose
-check raised counts nothing, so the report is that of one serial pass
-whatever the worker count.
+`run_claims` cuts every requested stream into jobs and runs them all in one
+process pool: the corpus classes of the largest order (one job per parent
+class, the smaller orders one job each, from one walk of the class levels
+in the parent); the random graphs, trees and factor pairs, the family
+parameters and the fixed cases in blocks whose items the parent makes in
+stream order; the free trees and the corpus6 orders one job each.  A job is
+made, its block drawn from its stream's own rng, only when the pool has a
+worker free for it, so the parent never holds the jobs of a whole stream.
+Each claim's parts merge in its stream's order as they come, and a part
+after one whose check raised counts nothing, so the report is that of one
+serial pass whatever the worker count; a job made after that leaves the
+claim out.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ from __future__ import annotations
 import json
 import random
 from bisect import insort
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable, Iterator
 
 from . import corpus, generators, trees
 from .errors import InvalidParameterError
@@ -51,10 +54,12 @@ from .indices import Profile
 
 DEFAULT_SEED = 1729
 
-# The largest `trials`.  `run_claims` draws every random graph, tree and
-# factor pair in the parent before any job runs: at 100,000 trials the jobs
-# hold about 157 MiB (tracemalloc), and the process peaks at about 190 MiB
-# RSS against 18 MiB before them, with max_n = 2 on CPython 3.11.
+# The largest `trials`, a bound on the run time.  `run_claims` draws each
+# block of random graphs, trees and factor pairs only when its job is
+# dispatched, so the parent's memory does not grow with it: at 100,000
+# trials and the defaults otherwise, on 2 workers of a 2-vCPU guest, the
+# audit takes about 96 s under `ulimit -v 100000`, and the parent's peak RSS
+# before its first result is 18 MiB.
 MAX_TRIALS = 100_000
 
 EXPECT_HOLDS = "holds"
@@ -301,27 +306,30 @@ def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, floa
     return rng.randrange(n_lo, n_hi + 1), rng.uniform(0.3, 0.85), rng.randrange(1 << 30)
 
 
-def _graph_draws(budget: Budget) -> list[tuple[int, float, int]]:
-    """The draws of the 10 x trials random connected graphs."""
+def _graph_draws(budget: Budget) -> Iterator[tuple[int, float, int]]:
+    """The draws of the 10 x trials random connected graphs, each made when
+    it is asked for."""
     rng = random.Random(budget.seed * 1_000_003 + 101)
-    return [_connected_draw(rng, 8, 24) for _ in range(budget.trials * 10)]
+    return (_connected_draw(rng, 8, 24) for _ in range(budget.trials * 10))
 
 
-def _random_graphs(draws: list[tuple[int, float, int]]):
+def _random_graphs(draws: Iterable[tuple[int, float, int]]):
     for draw in draws:
         g = generators.random_connected_graph(*draw)
         yield g, 1, (g.n, g.masks, corpus.profile_from_masks(g.n, g.masks))
 
 
-def _corpus_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _corpus_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every connected graph up to max_n vertices, one check per isomorphism
     class counted for each of its labelings, then 10 x trials random
     connected graphs.  The smaller orders come from the walked levels, the
     largest in one job per parent class."""
     n = budget.max_n
-    jobs = [(_stream_chunk, (_class_instances, (k, level(k)))) for k in range(2, n)]
-    jobs += [(_corpus_chunk, (n, parent)) for parent in level(n - 1)]
-    return jobs + _blocks(_random_graphs, _graph_draws(budget))
+    for k in range(2, n):
+        yield _stream_chunk, (_class_instances, (k, level(k)))
+    for parent in level(n - 1):
+        yield _corpus_chunk, (n, parent)
+    yield from _blocks(_random_graphs, _graph_draws(budget))
 
 
 # corpus6 suite: args (n, adjacency masks, profile) ------------------------
@@ -340,11 +348,11 @@ def _chk_def_pww_alt(n, masks, p):
     return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
 
 
-def _corpus6_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _corpus6_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every connected graph up to min(6, max_n) vertices, by class, one job
     per order."""
-    return [(_stream_chunk, (_class_instances, (n, level(n))))
-            for n in range(2, min(6, budget.max_n) + 1)]
+    return ((_stream_chunk, (_class_instances, (n, level(n))))
+            for n in range(2, min(6, budget.max_n) + 1))
 
 
 # tree suite: args (tree, profile, tree view) ------------------------------
@@ -410,21 +418,22 @@ def _free_trees():
     return _tree_instances(corpus.all_free_trees(2, TREE_SUITE_MAX_N))
 
 
-def _random_trees(draws: list[tuple[int, int]]):
+def _random_trees(draws: Iterable[tuple[int, int]]):
     return _tree_instances(generators.random_tree(n, seed) for n, seed in draws)
 
 
-def _tree_draws(budget: Budget) -> list[tuple[int, int]]:
-    """The (order, seed) of each random tree."""
+def _tree_draws(budget: Budget) -> Iterator[tuple[int, int]]:
+    """The (order, seed) of each random tree, each made when it is asked for."""
     rng = random.Random(budget.seed * 7919 + 5)
-    return [(rng.randrange(2, RANDOM_TREE_MAX_N + 1), rng.randrange(1 << 30))
-            for _ in range(budget.trials)]
+    return ((rng.randrange(2, RANDOM_TREE_MAX_N + 1), rng.randrange(1 << 30))
+            for _ in range(budget.trials))
 
 
-def _tree_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _tree_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every free tree up to TREE_SUITE_MAX_N vertices, then `trials` random
     trees."""
-    return [(_stream_chunk, (_free_trees, ()))] + _blocks(_random_trees, _tree_draws(budget))
+    yield _stream_chunk, (_free_trees, ())
+    yield from _blocks(_random_trees, _tree_draws(budget))
 
 
 # product suite: args ((profile, reach layers) of G, of H and of G x H) -----
@@ -494,22 +503,22 @@ def _product_instances(pairs: Iterable[tuple[Graph, Graph]]):
         yield prod, 1, tuple(map(corpus.layered_profile, (g, h, prod)))
 
 
-def _random_products(draws: list[tuple[tuple, tuple]]):
+def _random_products(draws: Iterable[tuple[tuple, tuple]]):
     return _product_instances((generators.random_connected_graph(*a),
                                generators.random_connected_graph(*b)) for a, b in draws)
 
 
-def _product_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _product_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every unordered pair, with repetition, of the connected classes up to
     FACTOR_MAX_N vertices as grown, then `trials` random pairs; the witness
     is their labeled product."""
     factors = [Graph(n, rows) for n in range(2, FACTOR_MAX_N + 1)
                for _, _, _, rows, _ in level(n)]
+    yield from _blocks(_product_instances, combinations_with_replacement(factors, 2))
     rng = random.Random(budget.seed * 104729 + 11)
-    draws = [(_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
-              _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N)) for _ in range(budget.trials)]
-    return (_blocks(_product_instances, list(combinations_with_replacement(factors, 2)))
-            + _blocks(_random_products, draws))
+    yield from _blocks(_random_products, ((_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
+                                           _connected_draw(rng, 2, RANDOM_FACTOR_MAX_N))
+                                          for _ in range(budget.trials)))
 
 
 # family and fixed streams: args (graph, profile, parameters) -------------
@@ -533,13 +542,13 @@ def _members(make: Callable, params: list[tuple]):
         yield g, 1, (g, corpus.profile_of(g), q)
 
 
-def _family(make: Callable, params: list[tuple]) -> list[tuple]:
+def _family(make: Callable, params: list[tuple]) -> Iterator[tuple]:
     """A family's stream: the parent lists the parameters, the workers build
     the members, in blocks."""
     return _blocks(partial(_members, make), params)
 
 
-def _diam4_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _diam4_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Depth-2 trees, two or more of whose root children have leaves."""
     return _family(generators.rooted_depth2_tree,
                    [(counts,) for size in range(2, DIAM4_TUPLE_MAX + 1)
@@ -547,7 +556,7 @@ def _diam4_jobs(budget: Budget, level: Callable) -> list[tuple]:
                     if sum(1 for x in counts if x >= 1) >= 2])
 
 
-def _caterpillars(codes: list[tuple[int, ...]]):
+def _caterpillars(codes: Iterable[tuple[int, ...]]):
     """The caterpillars of `codes`, as `_members` yields them.  A code right
     after its spine reversal is the same graph, so it takes that member's
     profile; it is still built and checked as its own labeled graph."""
@@ -560,19 +569,23 @@ def _caterpillars(codes: list[tuple[int, ...]]):
         yield g, 1, (g, p, (code,))
 
 
-def _caterpillar_jobs(budget: Budget, level: Callable) -> list[tuple]:
-    """Every caterpillar code up to the spine and leaf ceilings: each code
-    right after its spine reversal, then the palindromes.  _BLOCK is even,
-    so no block splits a pair."""
+def _caterpillar_codes() -> Iterator[tuple[int, ...]]:
+    """Every caterpillar code up to the spine and leaf ceilings."""
     leaves = range(CATERPILLAR_LEAF_MAX + 1)
-    codes = [(c1, *mids, cs) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
-             for c1 in leaves[1:] for cs in leaves[1:]
-             for mids in product(leaves, repeat=s - 2)]
-    pairs = [c for code in codes if code < code[::-1] for c in (code, code[::-1])]
-    return _blocks(_caterpillars, pairs + [code for code in codes if code == code[::-1]])
+    return ((c1, *mids, cs) for s in range(2, CATERPILLAR_SPINE_MAX + 1)
+            for c1 in leaves[1:] for cs in leaves[1:]
+            for mids in product(leaves, repeat=s - 2))
 
 
-def _lobster_jobs(budget: Budget, level: Callable) -> list[tuple]:
+def _caterpillar_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
+    """Every caterpillar code: each code right after its spine reversal,
+    then the palindromes.  _BLOCK is even, so no block splits a pair."""
+    pairs = (c for code in _caterpillar_codes() if code < code[::-1] for c in (code, code[::-1]))
+    palindromes = (code for code in _caterpillar_codes() if code == code[::-1])
+    return _blocks(_caterpillars, chain(pairs, palindromes))
+
+
+def _lobster_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Lobsters of spine length 3 to 5, every count at most 3."""
     return _family(generators.lobster,
                    [((c1, 0, *mids, cs), cc) for s in range(3, 6)
@@ -600,11 +613,12 @@ def _cases(cases: list[tuple]):
         yield g, 1, (g, corpus.profile_of(g), *rest)
 
 
-# every stream, as its fixed list of jobs in stream order: stream(budget,
-# level) -> [(fn, args)], where level(n) is the list of n-vertex classes of
-# the one walk of corpus.class_levels; a job runs fn(ids, *args) for the
-# checks `ids` of the claims that read the stream
-_STREAMS: dict[str, Callable[[Budget, Callable], list[tuple]]] = {
+# every stream, as an iterator of its jobs in stream order, each made when
+# it is asked for: stream(budget, level) -> (fn, args), ..., where level(n)
+# is the list of n-vertex classes of the one walk of corpus.class_levels; a
+# job runs fn(ids, *args) for the checks `ids` of the claims that read the
+# stream
+_STREAMS: dict[str, Callable[[Budget, Callable], Iterator[tuple]]] = {
     "corpus": _corpus_jobs,
     "corpus6": _corpus6_jobs,
     "trees": _tree_jobs,
@@ -891,11 +905,13 @@ def _finalize(claim: Claim, acc: _Acc) -> ClaimResult:
 _BLOCK = 250  # items per job of a blocked stream; even, for the caterpillar pairs
 
 
-def _blocks(source: Callable, items: list) -> list[tuple]:
-    """Jobs over `items` in consecutive blocks: source(block) yields a
-    block's instances."""
-    return [(_stream_chunk, (source, (items[i:i + _BLOCK],)))
-            for i in range(0, len(items), _BLOCK)]
+def _blocks(source: Callable, items: Iterable) -> Iterator[tuple]:
+    """Jobs over `items` in consecutive blocks, each block taken from
+    `items` when its job is asked for: source(block) yields a block's
+    instances."""
+    items = iter(items)
+    while block := list(islice(items, _BLOCK)):
+        yield _stream_chunk, (source, (block,))
 
 
 def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _Acc]:
@@ -907,31 +923,42 @@ def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _A
     return accs
 
 
-def _jobs(rows: list[Claim], budget: Budget) -> list[tuple]:
-    """The jobs of the given claims: each stream that some row reads, once
-    for all its readers, in the order of its first reader and each in its
-    own order.  The corpus, corpus6 and product streams read the class
-    levels of one walk, taken only as far as they ask."""
+def _jobs(rows: list[Claim], budget: Budget, erred: Container[str] = ()) -> Iterator[tuple]:
+    """The jobs of the given claims, each made when it is asked for: each
+    stream that some row reads, once for all its readers, in the order of
+    its first reader and each in its own order.  A job checks the readers
+    not in `erred` when it is made; a stream that has none left is not drawn
+    further.  The corpus, corpus6 and product streams read the class levels
+    of one walk, taken only as far as they ask."""
     readers: dict[str, list[str]] = {}
     for row in rows:
         readers.setdefault(row.stream, []).append(row.id)
     level = corpus.class_levels()
-    return [(fn, (ids, *args)) for stream, ids in readers.items()
-            for fn, args in _STREAMS[stream](budget, level)]
+    for stream, ids in readers.items():
+        jobs = _STREAMS[stream](budget, level)
+        while (live := [cid for cid in ids if cid not in erred]) and (job := next(jobs, None)):
+            fn, args = job
+            yield fn, (live, *args)
 
 
 def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
-    """Evaluate the given claims: every requested stream as a fixed list of
-    jobs, all run in one pool (`corpus.run_jobs`), and each claim's parts
-    merged in its stream's order, so the report does not depend on the
-    worker count.  Rows are read from the registry by id, as the pool
-    workers read them."""
+    """Evaluate the given claims: every requested stream as jobs made as
+    they are dispatched, all run in one pool (`corpus.run_jobs`), and each
+    claim's parts merged in its stream's order as they come, so the report
+    does not depend on the worker count.  A claim whose check has raised is
+    left out of the jobs made after that, as its later parts would count
+    nothing.  Rows are read from the registry by id, as the pool workers
+    read them."""
     claims = list(claims)
     accs = {c.id: _Acc() for c in claims}
-    jobs = _jobs([_CLAIMS[cid] for cid in accs], budget)
-    for part in corpus.run_jobs(jobs, budget.threads):
-        for cid, acc in part.items():
-            accs[cid].merge(acc)
+    erred: set[str] = set()
+    jobs = _jobs([_CLAIMS[cid] for cid in accs], budget, erred)
+    with closing(corpus.run_jobs(jobs, budget.threads)) as parts:
+        for part in parts:
+            for cid, acc in part.items():
+                accs[cid].merge(acc)
+                if accs[cid].error is not None:
+                    erred.add(cid)
     return [_finalize(c, accs[c.id]) for c in claims]
 
 

@@ -181,9 +181,9 @@ def _cmd_compute(args) -> int:
     # one interleaved share of the records per worker: sorted streams
     # spread evenly, and each worker decodes its own records
     w = corpus.worker_count(threads, len(records))
-    parts = corpus.run_jobs(
+    parts = list(corpus.run_jobs(
         [(_compute_share, (args.format, args.method, records[k::w])) for k in range(w)],
-        threads)
+        threads))
     # a record that does not parse is reported before any graph error; the
     # first of each kind in the stream is the first of some share
     for kind in ("input", "graph"):

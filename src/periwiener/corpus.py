@@ -41,9 +41,11 @@ per class of the order below.  At every order, a class is searched only as
 a candidate for an output: by independence number for a value's witness
 (`scan_values`), and for an audit witness key only where a class violates
 a claim.
-`run_jobs` runs such jobs, (fn, args) pairs fixed in advance, on forked
-workers and returns their results in job order; the value scan of
-`enumerate-values`, every audit suite and `compute` on a graph6 stream use it.
+`run_jobs` runs such jobs, (fn, args) pairs taken from an iterable only as
+workers come free for them, on forked workers, and yields their results in
+job order as they come; the value scan of `enumerate-values`, every audit
+suite and `compute` on a graph6 stream use it.  The value scan folds each
+job's result into one running table as it comes.
 
 Edge sets are `graphio` edge masks: the graph6 data bits of the graph read
 as one integer, so integer order is graph6 string order for a fixed n.
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import suppress
+from contextlib import closing, suppress
 from math import factorial, prod
 from multiprocessing import connection, get_context
 from typing import Callable, Iterable, Iterator, Sequence
@@ -65,11 +67,12 @@ from .indices import INDEX_NAMES, Profile
 
 # The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
 # every class up to n = 8 takes 1.4-2.0 s in one process, with 4,972
-# canonical forms, one per tie, and `enumerate-values --max-n 8` 1.5-1.7 s
-# wall, 2.5-2.9 s CPU and 23 MiB peak RSS with 2 workers, with 5,108
-# canonical forms.  With this ceiling patched to 9, `--max-n 9` took 19-26 s
-# wall, 36-48 s CPU and 127 MiB peak RSS with 2 workers; the peak is this
-# process holding every order-9 job's value candidates until the last ends.
+# canonical forms, one per tie, and `enumerate-values --max-n 8` 1.3-1.7 s
+# wall, 2.4-2.9 s CPU and 20 MiB peak RSS with 2 workers, with 5,108
+# canonical forms.  With this ceiling patched to 9, `--max-n 9` took 29-30 s
+# wall and 54-57 s CPU with 2 workers, and peaked at 33 MiB RSS in this
+# process and 36 MiB in a worker, since each order-9 job's value candidates
+# are folded into one running table as they come.
 MAX_N = 8
 
 # Aut(G) in compact form, (orders, twins): for each order, the permutation
@@ -611,13 +614,13 @@ def _scan_chunk(index_name: str, n: int, parent: ClassEntry) -> dict[int, tuple[
                              iter_connected_profiles(n, (parent,)))
 
 
-def worker_count(threads: int, jobs: int) -> int:
+def worker_count(threads: int, jobs: int | None = None) -> int:
     """Pool size for `jobs` independent jobs: `threads` workers (0 means one
     per CPU this process may run on), never more than those CPUs or the
-    jobs, and at least 1."""
+    jobs, when their count is given, and at least 1."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(threads or cpus, cpus, jobs))
+    return max(1, min(threads or cpus, cpus, cpus if jobs is None else jobs))
 
 
 def _serve(conn, parent_end) -> None:
@@ -635,17 +638,28 @@ def _serve(conn, parent_end) -> None:
                 conn.send((False, exc))
 
 
-def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
-    """[fn(*args) for fn, args in jobs], in job order: in this process if
-    `worker_count(threads, len(jobs))` is 1, else on that many forked workers,
-    job k first on worker k and then one job at a time on the first one done.
-    A job's exception, or a worker's death as WorkerDiedError, is raised here."""
-    workers = worker_count(threads, len(jobs))
+def run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
+    """fn(*args) for each (fn, args) of `jobs`, yielded in job order.  A job
+    is taken from `jobs` only when a worker is free for it, so the caller
+    may make each one as it is asked for.  The first `worker_count(threads)`
+    jobs, or fewer if `jobs` ends, set the worker count.  With one worker
+    the jobs run here; else on that many forked workers, job k first on
+    worker k and then one job at a time on the first one done, and a result
+    that comes before an earlier job's waits in a reorder buffer.  A job's
+    exception, or a worker's death as WorkerDiedError, is raised here.
+    Every worker ends before this generator does, also when it is closed
+    early: run it out, or close it (`contextlib.closing`)."""
+    jobs = iter(jobs)
+    ahead = list(itertools.islice(jobs, worker_count(threads)))
+    workers = worker_count(threads, len(ahead))
+    jobs = itertools.chain(ahead, jobs)
     if workers == 1:
-        return [fn(*args) for fn, args in jobs]
+        for fn, args in jobs:
+            yield fn(*args)
+        return
     context = get_context("fork")
-    results: list = [None] * len(jobs)
-    pending = iter(enumerate(jobs))
+    done = {}  # job index -> result, until the jobs before it are yielded
+    first = 0  # the index of the next result to yield
     started = {}  # this process's end of each worker's pipe -> the worker
     running = {}  # such an end -> the index of the job its worker holds
     try:
@@ -656,13 +670,17 @@ def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
             theirs.close()  # so that EOF comes once the worker has ended
             started[conn] = worker
         idle = list(started)
+        pending = enumerate(jobs)
         while True:
             for conn, (i, job) in zip(idle, pending):
                 with suppress(BrokenPipeError, ConnectionResetError):
                     conn.send(job)  # to a worker that has ended: its EOF is read below
                 running[conn] = i
+            while first in done:
+                yield done.pop(first)
+                first += 1
             if not running:
-                return results
+                return
             idle = connection.wait(list(running))
             for conn in idle:
                 try:
@@ -673,7 +691,7 @@ def run_jobs(jobs: list[tuple[Callable, tuple]], threads: int) -> list:
                                           f" {started[conn].exitcode}) while running jobs")
                 if not ok:
                     raise out
-                results[running.pop(conn)] = out
+                done[running.pop(conn)] = out
     finally:  # every worker ends here, also one blocked sending a large result
         for conn, worker in started.items():
             worker.kill()
@@ -689,7 +707,8 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     `threads` workers (0 = one per CPU).  Each class is scanned once: its
     canonical labeling is the first of its labeled graphs in graph6 order.
     Every order keeps, per value, the classes of the largest independence
-    number, and this process searches those alone, for the values no
+    number, in one table into which each job's result is folded as it
+    comes, and this process searches those alone, for the values no
     smaller order attains.  Raises InvalidParameterError, before any work,
     on an unknown index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
     if index_name not in INDEX_NAMES:
@@ -701,15 +720,15 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     field = Profile._fields.index(index_name)
     level = class_levels()
     per_order = [[_value_candidates(field, level(n))] for n in range(2, max_n)]
-    jobs = [(_scan_chunk, (index_name, max_n, parent)) for parent in level(max_n - 1)]
-    per_order.append(run_jobs(jobs, threads))
+    jobs = ((_scan_chunk, (index_name, max_n, parent)) for parent in level(max_n - 1))
     out: dict[int, tuple[int, str]] = {}
-    for n, parts in enumerate(per_order, 2):
-        top = _largest_alpha((val, a, cands) for part in parts
-                             for val, (a, cands) in part.items() if val not in out)
-        for val, (_, cands) in top.items():
-            mask = min(class_mask(n, m, rows) for m, rows in cands)
-            out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
+    with closing(run_jobs(jobs, threads)) as top_order:
+        for n, parts in enumerate(per_order + [top_order], 2):
+            top = _largest_alpha((val, a, cands) for part in parts
+                                 for val, (a, cands) in part.items() if val not in out)
+            for val, (_, cands) in top.items():
+                mask = min(class_mask(n, m, rows) for m, rows in cands)
+                out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
     return out
 
 

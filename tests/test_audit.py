@@ -418,6 +418,42 @@ class TestCheckErrors:
         assert accs["FIG2-NONCONVERSE"].error.startswith("ZeroDivisionError")
         assert len(drawn) == 1
 
+    def test_erred_claim_drops_its_later_jobs(self, monkeypatch):
+        # HASSE-1 raises at the first instance of its stream's first job:
+        # no later job of the stream is made, so no random graph is drawn
+        _patch_check(monkeypatch, "HASSE-1", _divide_by_zero)
+        chunks, draws = [], []
+        real_chunk, real_draw = audit._stream_chunk, audit._connected_draw
+        monkeypatch.setattr(audit, "_stream_chunk",
+                            lambda *args: chunks.append(args[0]) or real_chunk(*args))
+        monkeypatch.setattr(audit, "_connected_draw",
+                            lambda *args: draws.append(args) or real_draw(*args))
+        (r,) = audit.run_claims([audit._CLAIMS["HASSE-1"]],
+                                audit.Budget(trials=1000, threads=1))
+        assert (r.status, r.instances_tested, r.note) == (
+            audit.STATUS_SKIPPED, 0, "ZeroDivisionError: integer division or modulo by zero")
+        assert chunks == [["HASSE-1"]] and draws == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_erred_claim_leaves_its_stream_to_the_others(self, monkeypatch, threads):
+        # the jobs made after HASSE-1's error check HASSE-2 alone, which
+        # counts as it does on its own
+        budget = audit.Budget(max_n=5, trials=30, threads=threads)
+        alone = _run_one("HASSE-2", budget)
+        _patch_check(monkeypatch, "HASSE-1", _divide_by_zero)
+        ids = []
+        if threads == 1:  # a spy in this process sees every job
+            real = audit._stream_chunk
+            monkeypatch.setattr(audit, "_stream_chunk",
+                                lambda *args: ids.append(args[0]) or real(*args))
+        broken, together = audit.run_claims([audit._CLAIMS["HASSE-1"], audit._CLAIMS["HASSE-2"]],
+                                            budget)
+        assert broken.status == audit.STATUS_SKIPPED and broken.instances_tested == 0
+        assert together == alone
+        if threads == 1:
+            # orders 2..4, the 6 parents of order 5 and the 300 random graphs
+            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (3 + 6 + 2 - 1)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):
         # a corpus check that raises from the first diameter-4 class (n = 5,
@@ -471,8 +507,8 @@ class TestRandomDraws:
             assert rng.getstate() == ref.getstate()
         budget = audit.Budget(trials=7, seed=11)
         rng = random.Random(11 * 1_000_003 + 101)
-        assert audit._graph_draws(budget) == [audit._connected_draw(rng, 8, 24)
-                                              for _ in range(70)]
+        assert list(audit._graph_draws(budget)) == [audit._connected_draw(rng, 8, 24)
+                                                    for _ in range(70)]
 
 
 class TestFilteredRun:
@@ -738,7 +774,7 @@ class TestOnePool:
     def test_each_order_grown_once(self, profile_calls):
         # the corpus, corpus6 and product streams share one walk of the
         # class levels; the corpus jobs at max_n are built, not run
-        audit._jobs(list(audit._CLAIMS.values()), audit.Budget(max_n=6, trials=0))
+        list(audit._jobs(list(audit._CLAIMS.values()), audit.Budget(max_n=6, trials=0)))
         assert sorted(profile_calls) == [2, 3, 4, 5, 6]
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
@@ -751,6 +787,18 @@ class TestOnePool:
             assert started == (corpus.worker_count(threads, 100) > 1), threads
             assert multiprocessing.active_children() == []  # every worker is reaped
         assert outs[0] == outs[1] == outs[2]
+
+    def test_merge_that_raises_leaves_no_worker(self, monkeypatch):
+        # run_claims closes the runner when its own merge raises, also while
+        # the exception, and so run_claims's frame, is still held
+        def no_memory(self, other):
+            raise MemoryError
+
+        monkeypatch.setattr(audit._Acc, "merge", no_memory)
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(MemoryError) as caught:
+            audit.run_claims([audit._CLAIMS["HASSE-1"]], audit.Budget(max_n=6, threads=2))
+        assert multiprocessing.active_children() == [], caught
 
     def test_single_fixed_claim_starts_no_pool(self, monkeypatch):
         pools = _count_pools(monkeypatch)
@@ -765,7 +813,7 @@ class TestCaterpillarPairs:
     lists each code right after its reversal and profiles each pair once."""
 
     def test_one_profile_per_pair(self, monkeypatch):
-        jobs = audit._caterpillar_jobs(audit.Budget(), corpus.class_levels())
+        jobs = list(audit._caterpillar_jobs(audit.Budget(), corpus.class_levels()))
         blocks = [block for _, (_source, (block,)) in jobs]
         codes = [code for block in blocks for code in block]
         assert len(blocks) == 50 and max(map(len, blocks)) <= audit._BLOCK

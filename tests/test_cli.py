@@ -606,7 +606,7 @@ class TestFailurePath:
         # a job's error comes back through its worker's pipe as itself
         monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         jobs = [(_raise_in_worker, (os.getpid(), cls))] * 2
-        monkeypatch.setattr(cli, "_cmd_gen", lambda args: corpus.run_jobs(jobs, 2))
+        monkeypatch.setattr(cli, "_cmd_gen", lambda args: list(corpus.run_jobs(jobs, 2)))
         rc, out, err = run_cli(capsys, "gen", "path", "3")
         assert (rc, out, err) == (cls.exit_code, "", "error: bad\n")
 
@@ -695,7 +695,7 @@ def exit_in_worker(fn):
 
 if sys.argv[1] == "jobs":
     try:
-        corpus.run_jobs([(job, ())] * 4, 2)
+        list(corpus.run_jobs([(job, ())] * 4, 2))
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if multiprocessing.active_children():  # every worker is reaped, the live one too
@@ -756,7 +756,7 @@ def job(i, _):
 
 jobs = [(job, (i, Unloadable() if i == 0 and sys.argv[1] == "args" else None))
         for i in range(int(sys.argv[2]))]
-cli._cmd_gen = lambda args: corpus.run_jobs(jobs, 2)
+cli._cmd_gen = lambda args: list(corpus.run_jobs(jobs, 2))
 start = time.perf_counter()
 code = cli.main(["gen", "path", "3"])
 print(f"{time.perf_counter() - start:.3f}")

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
+import multiprocessing
 import random
+import time
 from collections import Counter
+from contextlib import closing
 from math import factorial
 
 import networkx as nx
@@ -865,3 +868,57 @@ class TestScanValues:
         corpus.scan_values("pww", 6)
         assert [n for n in profile_calls if n < 6] == [2, 3, 4, 5]
         assert profile_calls.count(6) == 21
+
+
+def _finish_after(i, delay):
+    """A runner job: (i, the time it ends) after `delay` seconds."""
+    time.sleep(delay)
+    return i, time.monotonic()
+
+
+class TestRunJobs:
+    """The runner takes its jobs as workers come free and yields results in
+    job order; every worker ends when its consumer stops."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("threads, most", [(1, 1), (2, 4)])
+    def test_jobs_taken_as_workers_come_free(self, threads, most):
+        # before the first result: the look-ahead that sizes the pool, and
+        # then one more job for each worker that has finished one
+        taken = []
+
+        def jobs():
+            for i in range(50):
+                taken.append(i)
+                yield _finish_after, (i, 0)
+
+        with closing(corpus.run_jobs(jobs(), threads)) as results:
+            assert next(results)[0] == 0
+            assert len(taken) <= most
+            assert [i for i, _ in results] == list(range(1, 50))
+        assert len(taken) == 50
+
+    def test_results_in_job_order_when_jobs_end_out_of_order(self):
+        jobs = [(_finish_after, (0, 0.3))] + [(_finish_after, (i, 0)) for i in range(1, 6)]
+        results = list(corpus.run_jobs(iter(jobs), 2))
+        assert [i for i, _ in results] == list(range(6))
+        assert max(end for _, end in results[1:]) < results[0][1]  # all ended before job 0
+
+    def test_consumer_that_stops_leaves_no_worker(self):
+        jobs = ((_finish_after, (i, 0)) for i in range(1000))
+        with closing(corpus.run_jobs(jobs, 2)) as results:
+            for i, _ in results:
+                if i == 3:
+                    break
+        assert multiprocessing.active_children() == []
+
+    def test_consumer_that_raises_leaves_no_worker(self):
+        jobs = ((_finish_after, (i, 0)) for i in range(1000))
+        with pytest.raises(ValueError) as caught, closing(corpus.run_jobs(jobs, 2)) as results:
+            for i, _ in results:
+                if i == 3:
+                    raise ValueError(i)
+        assert multiprocessing.active_children() == [], caught  # the frame is still held
