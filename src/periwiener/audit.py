@@ -21,13 +21,15 @@ without one, and the report expands the kept classes into their labeled
 graphs.  The product factors keep the labeling they were grown in.
 
 `run_claims` cuts every requested stream into jobs and runs them all in one
-process pool: the corpus classes of the largest order (one job per parent
-class, the smaller orders one job each, from one walk of the class levels
-in the parent); the random graphs, trees and factor pairs, the family
-parameters and the fixed cases in blocks whose items the parent makes in
-stream order; the free trees and the corpus6 orders one job each.  A job is
-made, its block drawn from its stream's own rng, only when the pool has a
-worker free for it, so the parent never holds the jobs of a whole stream.
+process pool: the corpus classes up to order max_n - 2 one job per order,
+from one walk of the class levels in the parent, and the two largest orders
+one job per class of order max_n - 2, each grown in its worker (the walk
+goes further only for the orders the corpus6 and product streams read); the
+random graphs, trees and factor pairs, the family parameters and the fixed
+cases in blocks whose items the parent makes in stream order; the free
+trees and the corpus6 orders one job each.  A job is made, its block drawn
+from its stream's own rng, only when the pool has a worker free for it, so
+the parent never holds the jobs of a whole stream.
 Each claim's parts merge in its stream's order as they come, and a part
 after one whose check raised counts nothing, so the report is that of one
 serial pass whatever the worker count; a job made after that leaves the
@@ -292,12 +294,18 @@ def _class_instances(n: int, classes: Iterable[corpus.ClassEntry]):
         yield (n, mask, rows), weight, (n, rows, p)
 
 
-def _corpus_chunk(ids: list[str], n: int, parent: corpus.ClassEntry) -> dict[str, _Acc]:
-    """Pool worker: the corpus checks `ids` over the n-vertex classes grown
-    from one (n-1)-vertex parent class.  The classes carry their adjacency
-    rows, and most come without a canonical mask; a violating one is keyed
-    here, by one search of its rows (`_add_witnesses`)."""
-    return _stream_chunk(ids, _class_instances, (n, corpus.iter_connected_profiles(n, (parent,))))
+def _grown_instances(max_n: int, parent: corpus.ClassEntry):
+    for n, classes in corpus._grown_levels(max_n, parent):
+        yield from _class_instances(n, classes)
+
+
+def _corpus_chunk(ids: list[str], max_n: int, parent: corpus.ClassEntry) -> dict[str, _Acc]:
+    """Pool worker: the corpus checks `ids` over the classes of the orders
+    above one parent class's, up to max_n, grown from it, order by order
+    (`corpus._grown_levels`).  The classes carry their adjacency rows, and
+    most come without a canonical mask; a violating one is keyed here, by
+    one search of its rows (`_add_witnesses`)."""
+    return _stream_chunk(ids, _grown_instances, (max_n, parent))
 
 
 def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, float, int]:
@@ -322,13 +330,14 @@ def _random_graphs(draws: Iterable[tuple[int, float, int]]):
 def _corpus_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every connected graph up to max_n vertices, one check per isomorphism
     class counted for each of its labelings, then 10 x trials random
-    connected graphs.  The smaller orders come from the walked levels, the
-    largest in one job per parent class."""
-    n = budget.max_n
-    for k in range(2, n):
+    connected graphs.  The orders up to max_n - 2 come from the walked
+    levels, one job each; the two largest in one job per class of order
+    max_n - 2 (of order 1 when max_n <= 3)."""
+    low = max(1, budget.max_n - 2)
+    for k in range(2, low + 1):
         yield _stream_chunk, (_class_instances, (k, level(k)))
-    for parent in level(n - 1):
-        yield _corpus_chunk, (n, parent)
+    for parent in level(low):
+        yield _corpus_chunk, (budget.max_n, parent)
     yield from _blocks(_random_graphs, _graph_draws(budget))
 
 

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-n", type=int, default=7, dest="max_n",
                         help=f"2..{corpus.MAX_N}")
     p_enum.add_argument("--indices", default="pww", help="one of " + ",".join(INDEX_NAMES))
-    p_enum.add_argument("--threads", type=int, default=0)
+    p_enum.add_argument("--threads", type=int, default=0, help="0 = one per CPU")
     p_enum.add_argument("--output", default="-")
     return parser
 
@@ -364,8 +364,8 @@ def _cmd_enumerate(args) -> int:
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:
     """CSV of (value, smallest n attaining it, witness graph6), ascending,
     with a trailing comment listing non-attained values below the maximum.
-    `threads` workers (0 = one per CPU) scan the classes of the largest n,
-    at most one per CPU and per parent class."""
+    `threads` workers (0 = one per CPU) scan the classes of the two largest
+    orders, at most one per CPU and per class of order max_n - 2."""
     attained = corpus.scan_values(index_name, max_n, threads)
     gaps = corpus.value_gaps(attained)
     buf = io.StringIO()

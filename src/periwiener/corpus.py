@@ -35,12 +35,12 @@ canonical form is computed only for a tie and for a class whose mask an
 output reads (`class_mask`).
 
 `class_levels` is the one walk of the levels: each order is grown once,
-from the entries of the order below, when first asked for.  The largest
-order of a sweep, which holds most of the work, is grown instead as one job
-per class of the order below.  At every order, a class is searched only as
-a candidate for an output: by independence number for a value's witness
-(`scan_values`), and for an audit witness key only where a class violates
-a claim.
+from the entries of the order below, when first asked for.  The two largest
+orders of a sweep, which hold most of the work, are grown instead as one
+job per class of the order below them (`_grown_levels`).  At every order, a
+class is searched only as a candidate for an output: by independence number
+for a value's witness (`scan_values`), and for an audit witness key only
+where a class violates a claim.
 `run_jobs` runs such jobs, (fn, args) pairs taken from an iterable only as
 workers come free for them, on forked workers, and yields their results in
 job order as they come; the value scan of `enumerate-values`, every audit
@@ -67,12 +67,13 @@ from .indices import INDEX_NAMES, Profile
 
 # The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
 # every class up to n = 8 takes 1.4-2.0 s in one process, with 4,972
-# canonical forms, one per tie, and `enumerate-values --max-n 8` 1.3-1.7 s
-# wall, 2.4-2.9 s CPU and 20 MiB peak RSS with 2 workers, with 5,108
-# canonical forms.  With this ceiling patched to 9, `--max-n 9` took 29-30 s
-# wall and 54-57 s CPU with 2 workers, and peaked at 33 MiB RSS in this
-# process and 36 MiB in a worker, since each order-9 job's value candidates
-# are folded into one running table as they come.
+# canonical forms, one per tie, and `enumerate-values --max-n 8`, whose
+# orders 7 and 8 grow in one job per class of order 6, 0.9-1.25 s wall,
+# 1.9-2.7 s CPU and 19.5 MiB peak RSS in this process with 2 workers, with
+# 5,108 canonical forms.  With this ceiling patched to 9, `--max-n 9` took
+# 26-28 s wall and 50-54 s CPU with 2 workers, and peaked at 22 MiB RSS in
+# this process and 27 MiB in a worker, since each job's value candidates
+# are folded into one running table per order as they come.
 MAX_N = 8
 
 # Aut(G) in compact form, (orders, twins): for each order, the permutation
@@ -504,6 +505,21 @@ def labelings(n: int, mask: int) -> set[int]:
             for perm in itertools.permutations(range(n))}
 
 
+def _grown_levels(max_n: int, entry: ClassEntry) -> Iterator[tuple[int, Iterable[ClassEntry]]]:
+    """(n, classes) for each order n above that of the class `entry`, up to
+    max_n, in order: every n-vertex class grown from it, through the
+    classes of the orders between.  Disjoint sets of classes of one order
+    grow disjoint classes, so the classes of one order grow every larger
+    class once, as `class_levels` does.  Each order but max_n is listed, to
+    grow the next from; max_n comes as an iterator, so its classes are not
+    held at once, and lists no group (`_orbit_minimal_sets`)."""
+    classes: Iterable[ClassEntry] = [entry]
+    for n in range(len(entry[3]) + 1, max_n):
+        classes = list(iter_connected_profiles(n, classes))
+        yield n, classes
+    yield max_n, iter_connected_profiles(max_n, classes)
+
+
 def class_levels() -> Callable[[int], list[ClassEntry]]:
     """The one walk of the class levels: level(n), for 1 <= n <= MAX_N, is
     the list of the entries of every connected n-vertex class, as
@@ -585,10 +601,12 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 # --- value enumeration (inverse-problem tooling) ----------------------------
 
 
-def _largest_alpha(items: Iterable[tuple[int, int, list]]) -> dict[int, tuple[int, list]]:
-    """Value -> (α, candidates) over (value, α, candidates) items: the
-    candidates of every item with the largest α of its value."""
-    best: dict[int, tuple[int, list]] = {}
+def _largest_alpha(items: Iterable[tuple[int, int, list]],
+                   best: dict[int, tuple[int, list]] | None = None) -> dict[int, tuple[int, list]]:
+    """Value -> (α, candidates) over (value, α, candidates) items, folded
+    into `best` when it is given: the candidates of every item with the
+    largest α of its value."""
+    best = {} if best is None else best
     for val, a, cands in items:
         top = best.get(val)
         if top is None or a > top[0]:
@@ -607,11 +625,12 @@ def _value_candidates(field: int, classes: Iterable[ClassEntry]) -> dict[int, tu
                           for mask, _, p, rows, _ in classes)
 
 
-def _scan_chunk(index_name: str, n: int, parent: ClassEntry) -> dict[int, tuple[int, list]]:
-    """Worker: `_value_candidates` over the n-vertex classes grown from one
-    parent class entry."""
-    return _value_candidates(Profile._fields.index(index_name),
-                             iter_connected_profiles(n, (parent,)))
+def _scan_chunk(index_name: str, max_n: int, parent: ClassEntry) -> list[dict[int, tuple[int, list]]]:
+    """Worker: `_value_candidates` of each order above the parent class's,
+    up to max_n, in order, over the classes grown from that one class
+    (`_grown_levels`)."""
+    field = Profile._fields.index(index_name)
+    return [_value_candidates(field, classes) for _, classes in _grown_levels(max_n, parent)]
 
 
 def worker_count(threads: int, jobs: int | None = None) -> int:
@@ -693,24 +712,26 @@ def run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
                     raise out
                 done[running.pop(conn)] = out
     finally:  # every worker ends here, also one blocked sending a large result
-        for conn, worker in started.items():
+        for worker in started.values():
             worker.kill()
+        for conn, worker in started.items():
             worker.join()
             conn.close()
 
 
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:
     """Attained value -> (smallest n, graph6 of the first witness in graph6
-    order) over all connected graphs with 2 <= n <= max_n.  The orders below
-    max_n are read from one walk of the class levels; order max_n, which
-    holds most of the work, runs as one job per (max_n-1)-vertex class on
-    `threads` workers (0 = one per CPU).  Each class is scanned once: its
-    canonical labeling is the first of its labeled graphs in graph6 order.
-    Every order keeps, per value, the classes of the largest independence
-    number, in one table into which each job's result is folded as it
-    comes, and this process searches those alone, for the values no
-    smaller order attains.  Raises InvalidParameterError, before any work,
-    on an unknown index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
+    order) over all connected graphs with 2 <= n <= max_n.  The orders up to
+    max_n-2 are read from one walk of the class levels; orders max_n-1 and
+    max_n, which hold most of the work, run as one job per class of order
+    max_n-2 (of order 1 when max_n <= 3) on `threads` workers (0 = one per
+    CPU).  Each class is scanned once: its canonical labeling is the first
+    of its labeled graphs in graph6 order.  Every order keeps, per value,
+    the classes of the largest independence number, in one table per order
+    into which each job's result is folded as it comes, and this process
+    searches those alone, order by order, for the values no smaller order
+    attains.  Raises InvalidParameterError, before any work, on an unknown
+    index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
     if index_name not in INDEX_NAMES:
         raise InvalidParameterError(f"unknown index {index_name!r}")
     if not 2 <= max_n <= MAX_N:
@@ -719,16 +740,26 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
         raise InvalidParameterError(f"threads must be >= 0, got {threads}")
     field = Profile._fields.index(index_name)
     level = class_levels()
-    per_order = [[_value_candidates(field, level(n))] for n in range(2, max_n)]
-    jobs = ((_scan_chunk, (index_name, max_n, parent)) for parent in level(max_n - 1))
+    low = max(1, max_n - 2)  # the order of the jobs' classes
     out: dict[int, tuple[int, str]] = {}
-    with closing(run_jobs(jobs, threads)) as top_order:
-        for n, parts in enumerate(per_order + [top_order], 2):
-            top = _largest_alpha((val, a, cands) for part in parts
-                                 for val, (a, cands) in part.items() if val not in out)
-            for val, (_, cands) in top.items():
+
+    def resolve(n: int, top: dict[int, tuple[int, list]]) -> None:
+        for val, (_, cands) in top.items():
+            if val not in out:
                 mask = min(class_mask(n, m, rows) for m, rows in cands)
                 out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
+
+    for n in range(2, low + 1):
+        resolve(n, _value_candidates(field, level(n)))
+    tops: list[dict[int, tuple[int, list]]] = [{} for _ in range(low, max_n)]
+    jobs = ((_scan_chunk, (index_name, max_n, parent)) for parent in level(low))
+    with closing(run_jobs(jobs, threads)) as parts:
+        for part in parts:
+            for top, table in zip(tops, part):
+                _largest_alpha(((val, a, cands) for val, (a, cands) in table.items()
+                                if val not in out), top)
+    for n, top in enumerate(tops, low + 1):
+        resolve(n, top)
     return out
 
 

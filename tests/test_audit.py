@@ -451,16 +451,17 @@ class TestCheckErrors:
         assert broken.status == audit.STATUS_SKIPPED and broken.instances_tested == 0
         assert together == alone
         if threads == 1:
-            # orders 2..4, the 6 parents of order 5 and the 300 random graphs
-            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (3 + 6 + 2 - 1)
+            # orders 2..3, the 2 classes of order 3 that orders 4 and 5 are
+            # grown from, and the 300 random graphs
+            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (2 + 2 + 2 - 1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):
         # a corpus check that raises from the first diameter-4 class (n = 5,
-        # a walked level; the n = 6 parent jobs hold more) and a tree check
-        # that raises from the first random tree of diameter 12 (several
-        # random blocks hold one): the split run counts as one serial pass,
-        # which stops at the first exception
+        # grown in the job of an order-4 class; later jobs hold more) and a
+        # tree check that raises from the first random tree of diameter 12
+        # (several random blocks hold one): the split run counts as one
+        # serial pass, which stops at the first exception
         def raise_at_diameter_4(n, masks, p):
             if p.diameter == 4:
                 raise ValueError(f"diameter 4 at n = {n}")
@@ -474,7 +475,8 @@ class TestCheckErrors:
         corpus_budget = audit.Budget(max_n=6, trials=30, threads=threads)
         level = corpus.class_levels()
         corpus_stream = chain(
-            chain.from_iterable(audit._class_instances(n, level(n)) for n in range(2, 7)),
+            chain.from_iterable(audit._class_instances(n, level(n)) for n in range(2, 5)),
+            chain.from_iterable(audit._grown_instances(6, parent) for parent in level(4)),
             audit._random_graphs(audit._graph_draws(corpus_budget)))
         tree_budget = audit.Budget(max_n=6, trials=600, threads=threads)  # 3 random blocks
         tree_stream = chain(audit._free_trees(),
@@ -492,7 +494,7 @@ class TestCheckErrors:
                 audit.STATUS_SKIPPED, serial.tested, serial.error)
             got.append(r.instances_tested)
         # each raising part after the first counts nothing
-        assert got == [278, 200]
+        assert got == [2804, 200]
 
 
 class TestRandomDraws:
@@ -776,6 +778,25 @@ class TestOnePool:
         # class levels; the corpus jobs at max_n are built, not run
         list(audit._jobs(list(audit._CLAIMS.values()), audit.Budget(max_n=6, trials=0)))
         assert sorted(profile_calls) == [2, 3, 4, 5, 6]
+
+    def test_corpus_parent_walk_stops_at_order_6(self, monkeypatch, profile_calls):
+        # at max_n = 8 the calling process walks the levels to order 6 and
+        # the workers, which hold their own copy of the spy, grow orders 7
+        # and 8 from its 112 classes
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rows = [row for row in audit._CLAIMS.values() if row.stream == "corpus"]
+        results = audit.run_claims(rows, audit.Budget(max_n=8, trials=0, threads=2))
+        assert all(r.status == audit.STATUS_HOLDS for r in results)
+        assert profile_calls == [2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("max_n", [2, 3, 4])
+    def test_worker_count_does_not_change_bytes_at_small_orders(self, monkeypatch, max_n):
+        # below max_n = 5 the corpus jobs grow from the one class of order
+        # 1 or 2, with every other stream on two workers
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        a, b = (audit.run_all(audit.Budget(max_n=max_n, trials=20, threads=threads)).to_json()
+                for threads in (1, 2))
+        assert a == b
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         pools = _count_pools(monkeypatch)

@@ -21,7 +21,7 @@ from periwiener.generators import (
     star,
 )
 from periwiener.graphio import parse_graph6, write_graph6
-from periwiener.indices import index_vector
+from periwiener.indices import INDEX_NAMES, index_vector
 from test_audit import _count_pools
 
 
@@ -512,6 +512,15 @@ class TestEnumerateValues:
         b = enumerate_values_csv("pww", 5, threads=2)
         assert a == b
         assert "# non_attained: " in a
+
+    @pytest.mark.parametrize("index", INDEX_NAMES)
+    def test_worker_count_does_not_change_bytes_at_small_orders(self, monkeypatch, index):
+        # n = 2 and 3 grow every order above 1 from the one class of order 1,
+        # n = 4 from the one class of order 2, in this process; from n = 5
+        # on, the two largest orders are jobs on two workers
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for n in range(2, 8):
+            assert enumerate_values_csv(index, n, 1) == enumerate_values_csv(index, n, 2), n
 
     def test_tw_includes_zero(self):
         csv_text = enumerate_values_csv("tw", 4, threads=1)

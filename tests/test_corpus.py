@@ -702,12 +702,14 @@ class TestNoGroupAtTheTopOrder:
     def test_audit_job(self, expanded):
         from periwiener import audit
 
-        parents = corpus.class_levels()(6)
+        level = corpus.class_levels()
         ids = [cid for cid, row in audit._CLAIMS.items() if row.stream == "corpus"]
-        del expanded[:]
-        for parent in parents[::7]:
+        for parent in level(5)[::4]:
+            children = list(corpus.iter_connected_profiles(6, (parent,)))
+            del expanded[:]
             audit._corpus_chunk(ids, 7, parent)
-            assert len(expanded) == 1 and expanded.pop() == (6, parent[4])
+            # its own group, then each order-6 child's, none of order 7
+            assert expanded == [(5, parent[4])] + [(6, child[4]) for child in children]
 
 
 class TestFreeTrees:
@@ -837,7 +839,7 @@ class TestScanValues:
         level = corpus.class_levels()
         field = corpus.Profile._fields.index(index)
         for n in range(3, 8):
-            parts = [corpus._scan_chunk(index, n, parent) for parent in level(n - 1)]
+            parts = [corpus._scan_chunk(index, n, parent)[-1] for parent in level(max(1, n - 2))]
             top = corpus._largest_alpha((val, a, cands) for part in parts
                                         for val, (a, cands) in part.items())
             got = {val: min(corpus.canonical_form(n, rows)[0] for _, rows in cands)
@@ -863,11 +865,33 @@ class TestScanValues:
         assert len(calls) == 577
 
     def test_each_lower_order_grown_once(self, profile_calls):
-        # orders 2..5 come from one walk of the class levels, order 6 from
-        # one job per class of order 5
+        # orders 2..4 come from one walk of the class levels, orders 5 and 6
+        # from one job per class of order 4
         corpus.scan_values("pww", 6)
-        assert [n for n in profile_calls if n < 6] == [2, 3, 4, 5]
-        assert profile_calls.count(6) == 21
+        assert profile_calls == [2, 3, 4] + [5, 6] * 6
+
+    @pytest.mark.parametrize("max_n", range(3, 9))
+    def test_parent_walk_stops_two_below_max_n(self, monkeypatch, profile_calls, max_n):
+        # the calling process walks the levels to max_n - 2 and makes one
+        # job per class of that order; with two or more jobs the workers,
+        # which hold their own copy of the spy, grow every larger class
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        walked, taken = [], []
+        real = corpus.run_jobs
+
+        def spy(jobs):
+            for fn, args in jobs:
+                if not taken:
+                    walked.extend(profile_calls)
+                taken.append(fn)
+                yield fn, args
+
+        monkeypatch.setattr(corpus, "run_jobs", lambda jobs, threads: real(spy(jobs), threads))
+        corpus.scan_values("pww", max_n, threads=2)
+        assert walked == list(range(2, max_n - 1))
+        assert taken == [corpus._scan_chunk] * {1: 1, **ISO_CONNECTED}[max_n - 2]
+        if len(taken) > 1:
+            assert profile_calls == walked
 
 
 def _finish_after(i, delay):
