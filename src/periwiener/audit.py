@@ -9,31 +9,31 @@ any flip is the failure signal.  Desk-corrected variants of the discrepancy
 formulas ride along as shadow claims, outside the registry proper.
 
 Each claim's registry row names its report suite, its check and the stream
-it reads.  `_STREAMS` is the one table of streams (corpus, corpus6, trees,
-products, each family's instance set, the fixed cases), and each requested
-stream is swept once for all the claims that read it.  One loop,
-`_evaluate`, does the counting, witness selection and error handling for
-every pass.  The corpus and corpus6 streams read the class walk through
-one reader, `_class_instances`: one graph per isomorphism class, weighted
-by its n!/|Aut(G)| labelings.  A violating class is kept as one witness
-key, its canonical mask, searched for where it is checked when it came
-without one, and the report expands the kept classes into their labeled
-graphs.  The product factors keep the labeling they were grown in.
+it reads.  `_STREAMS` is the one table of streams (corpus, trees, products,
+each family's instance set, the fixed cases), and each requested stream is
+swept once for all the claims that read it; a corpus reader may cap the
+orders it reads, as DEF-PWW-ALT (the corpus6 suite) reads the classes up to
+order 6.  One loop, `_evaluate`, does the counting, witness selection and
+error handling for every pass.  The corpus stream reads the class walk
+(`_class_instances`): one graph per isomorphism class, weighted by its
+n!/|Aut(G)| labelings.  A violating class is kept as one witness key, its
+canonical mask, searched for where it is checked when it came without one,
+and the report expands the kept classes into their labeled graphs.  The
+product factors keep the labeling they were grown in.
 
 `run_claims` cuts every requested stream into jobs and runs them all in one
 process pool: the corpus classes up to order max_n - 2 one job per order,
 from one walk of the class levels in the parent, and the two largest orders
 one job per class of order max_n - 2, each grown in its worker (the walk
-goes further only for the orders the corpus6 and product streams read); the
-random graphs, trees and factor pairs, the family parameters and the fixed
-cases in blocks whose items the parent makes in stream order; the free
-trees and the corpus6 orders one job each.  A job is made, its block drawn
-from its stream's own rng, only when the pool has a worker free for it, so
-the parent never holds the jobs of a whole stream.
-Each claim's parts merge in its stream's order as they come, and a part
-after one whose check raised counts nothing, so the report is that of one
-serial pass whatever the worker count; a job made after that leaves the
-claim out.
+goes to the larger of max_n - 2 and FACTOR_MAX_N, the largest product
+factor); the random graphs, trees and factor pairs, the family parameters
+and the fixed cases in blocks whose items the parent makes in stream order;
+the free trees in one job.  A job is made, its block drawn from its
+stream's own rng, only when the pool has a worker free for it, so the parent
+never holds the jobs of a whole stream.  Each claim's parts merge in its
+stream's order as they come, and a part after one whose check raised counts
+nothing, so the report is that of one serial pass whatever the worker
+count; a job made after that leaves the claim out.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import json
 import random
 from bisect import insort
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
@@ -109,11 +109,11 @@ class Budget:
 
 @dataclass(frozen=True, slots=True)
 class Claim:
-    """One registered statement: stable id, readable statement text, the
-    suite it is reported under, the pre-registered expected status, its
-    check, and the stream it reads: a key of `_STREAMS`, by default the
-    suite's name.  The check takes the args of each of the stream's
-    instances."""
+    """One registered statement: stable id, statement text, report suite,
+    pre-registered expected status, its check, which takes the args of each
+    instance of the stream it reads (a key of `_STREAMS`, by default the
+    suite's name), and a corpus reader's cap on the orders it reads, if
+    any, `max_n`: above it, the check gives _NA."""
 
     id: str
     description: str
@@ -123,10 +123,14 @@ class Claim:
     check: Callable
     stream: str = ""
     shadow: bool = False
+    max_n: int | None = None
 
     def __post_init__(self):
         if not self.stream:
             object.__setattr__(self, "stream", self.suite)
+        if self.max_n is not None:
+            check, cap = self.check, self.max_n
+            object.__setattr__(self, "check", lambda n, *args: _NA if n > cap else check(n, *args))
 
 
 @dataclass(slots=True)
@@ -341,9 +345,6 @@ def _corpus_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     yield from _blocks(_random_graphs, _graph_draws(budget))
 
 
-# corpus6 suite: args (n, adjacency masks, profile) ------------------------
-
-
 def _chk_def_pww_alt(n, masks, p):
     balls = corpus.reach_layers(n, masks)[0]
     peri = corpus.periphery_mask(balls)
@@ -355,13 +356,6 @@ def _chk_def_pww_alt(n, masks, p):
     if 4 * p.pww == vertex_sum:
         return None
     return (f"pair form = {p.pww}", f"vertex form = {vertex_sum}/4")
-
-
-def _corpus6_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
-    """Every connected graph up to min(6, max_n) vertices, by class, one job
-    per order."""
-    return ((_stream_chunk, (_class_instances, (n, level(n))))
-            for n in range(2, min(6, budget.max_n) + 1))
 
 
 # tree suite: args (tree, profile, tree view) ------------------------------
@@ -629,7 +623,6 @@ def _cases(cases: list[tuple]):
 # stream
 _STREAMS: dict[str, Callable[[Budget, Callable], Iterator[tuple]]] = {
     "corpus": _corpus_jobs,
-    "corpus6": _corpus6_jobs,
     "trees": _tree_jobs,
     "products": _product_jobs,
     "complete": lambda budget, level: _family(
@@ -755,7 +748,7 @@ def _registry() -> dict[str, Claim]:
           _pww_equals(trees.closed_form_lobster, "registered form"), "lobster"),
         c("DEF-PWW-ALT", "Vertex-sum rewriting of PWW (squares a sum; wrong in general).",
           "(1/2) sum_{pairs in Peri} (d + d^2) = (1/4) sum_{v in Peri} (d_P(v) + d_P(v)^2)",
-          "corpus6", EXPECT_DISCREPANCY, _chk_def_pww_alt),
+          "corpus6", EXPECT_DISCREPANCY, _chk_def_pww_alt, "corpus", max_n=6),
         c("OBS-NO-2-5", "Observed value gaps: PWW never hits 2 or 5.",
           "no connected graph attains PWW = 2 or PWW = 5", "corpus", EXPECT_HOLDS,
           _chk_obs_no_2_5),
@@ -937,15 +930,20 @@ def _jobs(rows: list[Claim], budget: Budget, erred: Container[str] = ()) -> Iter
     stream that some row reads, once for all its readers, in the order of
     its first reader and each in its own order.  A job checks the readers
     not in `erred` when it is made; a stream that has none left is not drawn
-    further.  The corpus, corpus6 and product streams read the class levels
-    of one walk, taken only as far as they ask."""
-    readers: dict[str, list[str]] = {}
+    further, and one that only capped readers read, no further than their
+    largest cap.  The corpus and product streams read the class levels of
+    one walk, taken only as far as they ask."""
+    readers: dict[str, dict[str, int | None]] = {}
     for row in rows:
-        readers.setdefault(row.stream, []).append(row.id)
+        readers.setdefault(row.stream, {})[row.id] = row.max_n
     level = corpus.class_levels()
-    for stream, ids in readers.items():
-        jobs = _STREAMS[stream](budget, level)
-        while (live := [cid for cid in ids if cid not in erred]) and (job := next(jobs, None)):
+    for stream, cap_of in readers.items():
+        # only capped readers: their checks give _NA above the largest cap, as
+        # on every random graph (orders 8 to 24, `_graph_draws`)
+        drawn = budget if None in cap_of.values() else replace(
+            budget, max_n=min(budget.max_n, max(cap_of.values())), trials=0)
+        jobs = _STREAMS[stream](drawn, level)
+        while (live := [cid for cid in cap_of if cid not in erred]) and (job := next(jobs, None)):
             fn, args = job
             yield fn, (live, *args)
 

@@ -76,14 +76,18 @@ class TestRegistry:
 
     def test_each_claim_checked_by_its_suite(self):
         # every row holds a callable check and reads a stream of the one
-        # table, a shared suite's row by default its suite's; every stream
-        # has a reader, and the report suites are unchanged
+        # table, a shared suite's row by default its suite's, and the one
+        # corpus6 row the corpus stream with an order cap; every stream has
+        # a reader, and the report suites are unchanged
         claims = audit.register_claims() + audit.register_shadow_claims()
         assert len(claims) == 39
         for c in claims:
             assert callable(c.check), c.id
             assert c.stream in audit._STREAMS, c.id
-            assert c.stream == c.suite or c.suite in ("family", "fixed"), c.id
+            capped = c.max_n is not None
+            assert capped == (c.suite == "corpus6"), c.id
+            assert (c.stream == c.suite or c.suite in ("family", "fixed")
+                    or capped and c.stream == "corpus"), c.id
         assert {c.stream for c in claims} == set(audit._STREAMS)
         assert {c.suite for c in claims} == {"corpus", "corpus6", "trees", "products",
                                               "family", "fixed"}
@@ -774,17 +778,18 @@ class TestOnePool:
         assert all(r.matched and not r.note for r in results)
 
     def test_each_order_grown_once(self, profile_calls):
-        # the corpus, corpus6 and product streams share one walk of the
-        # class levels; the corpus jobs at max_n are built, not run
+        # the corpus and product streams share one walk of the class levels,
+        # to max_n - 2 and to FACTOR_MAX_N; the corpus jobs of orders 5 and
+        # 6 are built, not run
         list(audit._jobs(list(audit._CLAIMS.values()), audit.Budget(max_n=6, trials=0)))
-        assert sorted(profile_calls) == [2, 3, 4, 5, 6]
+        assert sorted(profile_calls) == [2, 3, 4, 5]
 
     def test_corpus_parent_walk_stops_at_order_6(self, monkeypatch, profile_calls):
         # at max_n = 8 the calling process walks the levels to order 6 and
         # the workers, which hold their own copy of the spy, grow orders 7
         # and 8 from its 112 classes
         monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        rows = [row for row in audit._CLAIMS.values() if row.stream == "corpus"]
+        rows = [row for row in audit._CLAIMS.values() if row.suite == "corpus"]
         results = audit.run_claims(rows, audit.Budget(max_n=8, trials=0, threads=2))
         assert all(r.status == audit.STATUS_HOLDS for r in results)
         assert profile_calls == [2, 3, 4, 5, 6]
@@ -820,6 +825,20 @@ class TestOnePool:
         with pytest.raises(MemoryError) as caught:
             audit.run_claims([audit._CLAIMS["HASSE-1"]], audit.Budget(max_n=6, threads=2))
         assert multiprocessing.active_children() == [], caught
+
+    def test_capped_claim_reads_no_order_above_its_cap(self, monkeypatch, profile_calls):
+        # DEF-PWW-ALT alone, in this process: the corpus stream is drawn to
+        # order 6 only, with no random graph, and gives what the claim
+        # reads of the whole stream beside an uncapped reader
+        drawn = []
+        row = audit._CLAIMS["DEF-PWW-ALT"]
+        with monkeypatch.context() as m:
+            m.setattr(generators, "random_connected_graph", lambda *args: drawn.append(args))
+            (capped,) = audit.run_claims([row], audit.Budget(threads=1))
+        assert max(profile_calls) == row.max_n == 6 and drawn == []
+        _, full = audit.run_claims([audit._CLAIMS["HASSE-1"], row], audit.Budget(max_n=7))
+        assert (capped.instances_tested, capped.violations) == (27_475, 19_208)
+        assert _result_fields([capped]) == _result_fields([full])
 
     def test_single_fixed_claim_starts_no_pool(self, monkeypatch):
         pools = _count_pools(monkeypatch)

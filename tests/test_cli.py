@@ -495,7 +495,7 @@ class TestEnumerateValues:
             assert g.n == n and index_vector(g).pw == val
 
     def test_range_violation(self, capsys):
-        rc, _, _ = run_cli(capsys, "enumerate-values", "--max-n", "9")
+        rc, _, _ = run_cli(capsys, "enumerate-values", "--max-n", str(corpus.MAX_N + 1))
         assert rc == 2
         rc, _, _ = run_cli(capsys, "enumerate-values", "--max-n", "1")
         assert rc == 2

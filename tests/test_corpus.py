@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from contextlib import closing
-from math import factorial
+from math import comb, factorial
 
 import networkx as nx
 import pytest
@@ -340,6 +340,24 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n, expect in LABELED_CONNECTED.items():
             assert sum(w for _, w, *_ in level(n)) == expect
+
+    def test_weights_by_size_are_labeled_counts(self):
+        # an independent count: c(n, m) labeled connected graphs of n
+        # vertices and m edges are all C(C(n,2), m) edge sets less those
+        # whose vertex 1 lies in a component of k < n vertices
+        c = {1: {0: 1}}
+        for n in range(2, 8):
+            pairs = comb(n, 2)
+            c[n] = {m: comb(pairs, m) - sum(
+                comb(n - 1, k - 1) * ckj * comb(comb(n - k, 2), m - j)
+                for k in range(1, n) for j, ckj in c[k].items() if j <= m)
+                for m in range(pairs + 1)}
+        level = corpus.class_levels()
+        for n in range(2, 8):
+            by_size = Counter()
+            for _, weight, prof, _, _ in level(n):
+                by_size[prof.m] += weight
+            assert by_size == {m: count for m, count in c[n].items() if count}, n
 
     def test_classes_are_distinct(self):
         six = corpus.class_levels()(6)
