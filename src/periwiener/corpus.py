@@ -22,17 +22,25 @@ orbit of Aut(parent), and is kept only when vertex n-1 lies in the orbit of
 the deletion vertex m(G), so each class has exactly one parent class.  m(G)
 is the non-cut vertex with the largest (degree, sorted neighbour degrees);
 on a tie, the tied vertex that sits last in the canonical order.  So the
-invariant settles most children.  Every class comes with its adjacency
-rows and Aut(G) in compact form, and hands Aut(G) on to its children.  A
-tie's search branches on one vertex per twin class (vertices with equal
-open or closed neighbourhoods), so it yields its mask and one minimizing
-order per permutation of the twins: those orders and the twin classes are
-Aut(G).  A child kept with no tie takes the stabiliser of its neighbour set
-in Aut(parent), which fixes the new vertex, and comes without a mask.  A
-group is listed as permutations only for a class that grows children
+invariant settles most children, and part of it is read once per parent.
+A neighbour set S with 2 <= |S| < D, D the largest degree of a
+non-cut vertex of the parent, is skipped before its child is built: that
+vertex stays non-cut in the child, with a larger degree than the new one.
+And the cut-vertex test reads the components of the parent less each
+vertex (`_cut_table`), not a search of the child.  Every class comes with
+its adjacency rows and Aut(G) in compact form, and hands Aut(G) on to its
+children.  A tie's search branches on one vertex per twin class (vertices
+with equal open or closed neighbourhoods), so it yields its mask and one
+minimizing order per permutation of the twins: those orders and the twin
+classes are Aut(G).  A child kept with no tie takes the stabiliser of its
+neighbour set in Aut(parent), which fixes the new vertex, and comes without
+a mask.  So does a child whose tied vertices are all twins of the new one:
+with it they are its orbit and one twin class, and Aut(G) is every
+permutation of that class times the members of the stabiliser that fix it.
+A group is listed as permutations only for a class that grows children
 (`_orbit_minimal_sets`), so the largest order of a sweep lists none.  A
-canonical form is computed only for a tie and for a class whose mask an
-output reads (`class_mask`).
+canonical form is computed only for any other tie and for a class whose
+mask an output reads (`class_mask`).
 
 `class_levels` is the one walk of the levels: each order is grown once,
 from the entries of the order below, when first asked for.  The two largest
@@ -62,25 +70,29 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError, WorkerDiedError
 from .graphio import edge_mask, mask_rows, write_graph6
-from .graphs import Graph, _bits, _connected_on, _edge_list
+from .graphs import Graph, _bits, _component, _edge_list
 from .indices import INDEX_NAMES, Profile
 
-# The largest order of an exhaustive sweep.  On a 2-vCPU guest, generating
-# every class up to n = 8 takes 1.4-2.0 s in one process, with 4,972
-# canonical forms, one per tie, and `enumerate-values --max-n 8`, whose
-# orders 7 and 8 grow in one job per class of order 6, 0.9-1.25 s wall,
-# 1.9-2.7 s CPU and 19.5 MiB peak RSS in this process with 2 workers, with
-# 5,108 canonical forms.  With this ceiling patched to 9, `--max-n 9` took
-# 26-28 s wall and 50-54 s CPU with 2 workers, and peaked at 22 MiB RSS in
-# this process and 27 MiB in a worker, since each job's value candidates
-# are folded into one running table per order as they come.
+# The largest order of an exhaustive sweep.  On a 2-vCPU guest (one run
+# each; the guest's speed varies by about 1.5x), generating every class up
+# to n = 8 took 1.14 s in one process, with 2,932 canonical forms, one per
+# tie whose tied vertices are not all twins of the new one, and
+# `enumerate-values --max-n 8`, whose orders 7 and 8 grow in one job per
+# class of order 6, 0.86 s wall, 1.55 s CPU and 19.1 MiB peak RSS with 2
+# workers, with 3,137 canonical forms.  With this ceiling patched to 9,
+# `--max-n 9` took 16.7 s wall and 32.6 s CPU with 2 workers, and peaked
+# at 21.6 MiB RSS in this process and 27.5 MiB in a worker, since each
+# job's value candidates are folded into one running table per order as
+# they come.
 MAX_N = 8
 
 # Aut(G) in compact form, (orders, twins): for each order, the permutation
 # that takes the first order onto it, composed with every permutation of the
 # twin classes.  A tie holds its canonical form's orders and twin classes; a
 # child kept with no tie holds the stabiliser of its neighbour set in
-# Aut(parent), whose members, as orders of n - 1 entries, also fix n - 1.
+# Aut(parent), whose members, as orders of n - 1 entries, also fix n - 1;
+# a child whose ties are all twins of n - 1 holds the members of that
+# stabiliser that fix them, and their twin class with n - 1.
 # Only `_orbit_minimal_sets` lists the members (`_automorphisms`).
 Group = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 # A class as `iter_connected_profiles` yields it and `class_levels` keeps it:
@@ -348,17 +360,19 @@ def _automorphisms(n: int, group: Group) -> list[tuple[int, ...]]:
     return members
 
 
-def _orbit_minimal_sets(k: int, group: Group) -> list[tuple[int, list]]:
+def _orbit_minimal_sets(k: int, group: Group, bound: int = 0) -> list[tuple[int, list]]:
     """(set, stabiliser) for the non-empty subsets of range(k), as bitmasks
     in ascending order, that are the smallest of their orbit under `group`,
     a `Group` on range(k); the stabiliser lists the members of the group
-    that map the set onto itself.  This is the one place a group is listed."""
+    that map the set onto itself.  A set S with 2 <= |S| < `bound` is
+    skipped before any image is taken: an orbit has sets of one size only.
+    This is the one place a group is listed."""
     autos = _automorphisms(k, group)
     seen = bytearray(1 << k)
     images = [[1 << u for u in sigma] for sigma in autos]
     reps = []
     for s in range(1, 1 << k):
-        if not seen[s]:
+        if not seen[s] and not 1 < s.bit_count() < bound:
             members = list(_bits(s))
             stab = []
             for sigma, bit in zip(autos, images):
@@ -372,7 +386,25 @@ def _orbit_minimal_sets(k: int, group: Group) -> list[tuple[int, list]]:
     return reps
 
 
-def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
+def _cut_table(k: int, adj: Sequence[int]) -> list[list[int]]:
+    """For each vertex v of the graph on range(k) with adjacency bitmasks
+    `adj` (bits k and above ignored), the components of the graph less v,
+    as bitmasks: v is a cut vertex when there are two or more."""
+    full = (1 << k) - 1
+    table = []
+    for v in range(k):
+        left = full ^ (1 << v)
+        parts = []
+        while left:
+            part = _component(adj, left)
+            parts.append(part)
+            left ^= part
+        table.append(parts)
+    return table
+
+
+def _rival_deletion_vertices(n: int, adj: list[int],
+                             cuts: list[list[int]] | None = None) -> list[int] | None:
     """The cheap half of the deletion rule.  m(G) is a non-cut vertex of
     largest (degree, sorted neighbour degrees), and vertex n-1, whose
     removal leaves the parent, is never a cut vertex.  None when another
@@ -380,10 +412,15 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
     of m(G); otherwise the other non-cut vertices whose invariant ties with
     that of n-1 (none when n-1 is m(G)).  Neighbour degrees are sorted only
     on a degree tie, and the cut-vertex test runs only where the invariant
-    ties or wins."""
+    ties or wins.  `cuts` is the parent's `_cut_table`, built here from rows
+    0..n-2 when not given: a parent vertex v is a non-cut vertex of the
+    child exactly when the neighbours of n-1 meet every component of the
+    parent less v, so the test is a few bit tests."""
     deg = [a.bit_count() for a in adj]
-    full = (1 << n) - 1
     new = n - 1
+    if cuts is None:
+        cuts = _cut_table(new, adj)
+    reach = adj[new]
 
     def nbr_degrees(v: int) -> list[int]:
         out = []
@@ -407,7 +444,7 @@ def _rival_deletion_vertices(n: int, adj: list[int]) -> list[int] | None:
             if nbrs < top_nbrs:
                 continue
             wins = nbrs > top_nbrs
-        if _connected_on(adj, full ^ (1 << v)):
+        if all(part & reach for part in cuts[v]):
             if wins:
                 return None
             ties.append(v)
@@ -430,27 +467,47 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     is kept when vertex n-1 is in the orbit of the deletion vertex m(G):
     among the non-cut vertices of largest (degree, sorted neighbour
     degrees), the one that sits last in the canonical order.  The invariant
-    alone decides most children.  When it leaves no tie, vertex n-1 alone
-    has the top invariant, so every automorphism fixes it: Aut(G) is the
+    alone decides most children, with two tables made once per parent: the
+    components of the parent less each vertex (`_cut_table`), and from them
+    D, the largest degree of a non-cut vertex.  A set S with 2 <= |S| < D
+    is not even listed: that vertex stays non-cut in the child and beats
+    n-1 on degree.  When the invariant leaves no tie, vertex n-1 alone has
+    the top invariant, so every automorphism fixes it: Aut(G) is the
     stabiliser of S in Aut(parent), extended to fix n-1 only when it is
     listed, and no canonical form is computed, so the mask is None
-    (`class_mask` finds it).  A tie is searched once, which yields its mask,
-    its twin classes and one minimizing order per twin permutation: each
-    order, taken onto the first, and composed with any permutation of the
-    twins, is an automorphism, so |Aut(G)| is the number of orders times
-    the product of |class|!.
+    (`class_mask` finds it).  When every tied vertex is an open or closed
+    twin of n-1, those twins and n-1 are its orbit T, so the child is kept,
+    again with no search and no mask: |Aut(G)| is |T| times the size of
+    the stabiliser, and Aut(G) is every permutation of T, a twin class,
+    times the stabiliser's members that fix T pointwise.  Any other tie is
+    searched once, which yields its mask, its twin classes and one
+    minimizing order per twin permutation: each order, taken onto the
+    first, and composed with any permutation of the twins, is an
+    automorphism, so |Aut(G)| is the number of orders times the product of
+    |class|!.
     """
     new = n - 1
     n_labelings = factorial(n)
     for _, _, _, parent_adj, parent_group in parents:
-        for nbrs, stab in _orbit_minimal_sets(new, parent_group):
+        cuts = _cut_table(new, parent_adj)
+        bound = max(parent_adj[v].bit_count() for v in range(new) if len(cuts[v]) < 2)
+        for nbrs, stab in _orbit_minimal_sets(new, parent_group, bound):
             adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new
-            ties = _rival_deletion_vertices(n, adj)
+            ties = _rival_deletion_vertices(n, adj, cuts)
             if ties is None:
                 continue
-            if ties:
+            if not ties:
+                mask, group, size = None, (stab, []), len(stab)
+            elif all(adj[v] == nbrs or adj[v] | 1 << v == nbrs | 1 << new for v in ties):
+                # the ties are all twins of n-1, so with it they are its
+                # orbit, and one twin class: Aut(G) is every permutation of
+                # them times the members of the stabiliser that fix them
+                twins = (*ties, new)
+                mask, size = None, len(twins) * len(stab)
+                group = [sigma for sigma in stab if all(sigma[v] == v for v in ties)], [twins]
+            else:
                 mask, orders, twins = canonical_form(n, adj)
                 # m(G) is the tied vertex that sits last in the canonical
                 # order.  The twins of n-1 tie with it and every order puts
@@ -461,8 +518,6 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
                     continue
                 group = orders, twins
                 size = len(orders) * prod(factorial(len(cls)) for cls in twins)
-            else:
-                mask, group, size = None, (stab, []), len(stab)
             yield mask, n_labelings // size, profile_from_masks(n, adj), tuple(adj), group
 
 
@@ -525,10 +580,10 @@ def class_levels() -> Callable[[int], list[ClassEntry]]:
     the list of the entries of every connected n-vertex class, as
     `iter_connected_profiles` yields them, in that order.  Each order is
     grown once, from the entries of the order below, the first time it is
-    asked for; as everywhere in growth, only a tie is searched.  The levels
-    are kept by this walk only, so a new walk starts from scratch.  level(n)
-    raises InvalidParameterError, before any generation, for n outside
-    1..MAX_N."""
+    asked for; as everywhere in growth, only a tie that is not all twins of
+    the new vertex is searched.  The levels are kept by this walk only, so a
+    new walk starts from scratch.  level(n) raises InvalidParameterError,
+    before any generation, for n outside 1..MAX_N."""
     levels = [[(0, 1, profile_from_masks(1, (0,)), (0,), ([(0,)], []))]]
 
     def level(n: int) -> list[ClassEntry]:

@@ -37,10 +37,10 @@ def _edge_list(masks: Iterable[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _connected_on(masks: Sequence[int], vertices: int) -> bool:
-    """Whether the subgraph induced on the vertex bitmask `vertices` is
-    connected (true when it is empty), by one frontier search from its
-    lowest vertex."""
+def _component(masks: Sequence[int], vertices: int) -> int:
+    """The bitmask of the component of the lowest vertex of the vertex
+    bitmask `vertices` in the subgraph induced on them (0 when it is empty),
+    by one frontier search."""
     seen = frontier = vertices & -vertices
     while frontier:
         low = frontier & -frontier
@@ -48,7 +48,13 @@ def _connected_on(masks: Sequence[int], vertices: int) -> bool:
         new = masks[low.bit_length() - 1] & vertices & ~seen
         seen |= new
         frontier |= new
-    return seen == vertices
+    return seen
+
+
+def _connected_on(masks: Sequence[int], vertices: int) -> bool:
+    """Whether the subgraph induced on the vertex bitmask `vertices` is
+    connected (true when it is empty)."""
+    return _component(masks, vertices) == vertices
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,14 @@ from conftest import (
 from periwiener import corpus
 from periwiener.errors import InvalidParameterError, NotConnectedError
 from periwiener.generators import complete, cycle, path, random_tree, star
-from periwiener.graphs import Graph, build_graph, cartesian_product, distance_matrix
+from periwiener.graphs import (
+    Graph,
+    _bits,
+    _connected_on,
+    build_graph,
+    cartesian_product,
+    distance_matrix,
+)
 from periwiener.indices import index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
 
@@ -318,6 +325,12 @@ def _connected_without(n, adj, v):
     return len(seen) == n - 1
 
 
+def _child(parent_rows, nbrs):
+    """The rows of a parent with a new last vertex joined to `nbrs`."""
+    new = len(parent_rows)
+    return [row | (nbrs >> u & 1) << new for u, row in enumerate(parent_rows)] + [nbrs]
+
+
 def _invariant(g):
     """Each vertex's degree, sorted neighbour degrees and triangle count,
     as a multiset: equal on isomorphic graphs."""
@@ -472,6 +485,26 @@ class TestIsomorphismReduction:
                 assert mask in (None, key)
                 grown_without_mask += mask is None
         assert grown_without_mask > sum(ISO_CONNECTED.values()) // 2
+
+    def test_twin_tie_children_match_the_search(self):
+        # a child whose ties are all twins of n-1 is kept with no search,
+        # its group the twin class times the stabiliser members that fix
+        # it: the same automorphisms and weight as the search gives
+        level = corpus.class_levels()
+        settled = Counter()
+        for n in range(3, 9):
+            for mask, weight, _, rows, group in level(n):
+                if mask is None and group[1]:
+                    assert group[1] == [tuple(v for v in range(n) if rows[v] == rows[n - 1]
+                                              or rows[v] | 1 << v == rows[n - 1] | 1 << n - 1)]
+                    _, orders, twins = corpus.canonical_form(n, rows)
+                    want = set(corpus._automorphisms(n, (orders, twins)))
+                    autos = corpus._automorphisms(n, group)
+                    assert len(autos) == len(want) and set(autos) == want
+                    assert weight == factorial(n) // len(want)
+                    settled[n] += 1
+        # two in five of the ties at order 8 (1,738 of 4,424)
+        assert settled == {3: 2, 4: 4, 5: 13, 6: 46, 7: 236, 8: 1738}
 
     def test_independence_number_matches_brute_force(self, rng):
         for _ in range(300):
@@ -697,6 +730,48 @@ class TestDeletionRule:
         assert len(outcomes) == 3 and min(outcomes.values()) >= 50
 
 
+    def test_degree_bound_skips_only_rejected_sets(self):
+        # with D the largest degree of a non-cut vertex of the parent, a
+        # set S with 2 <= |S| < D is rejected: that vertex stays non-cut in
+        # the child, with a larger degree than n-1.  The bounded listing is
+        # the full one less exactly those sets
+        level = corpus.class_levels()
+        skipped = Counter()
+        for n in range(3, 8):
+            for _, _, _, rows, group in level(n - 1):
+                bound = max(rows[v].bit_count() for v in range(n - 1)
+                            if _connected_without(n - 1, rows, v))
+                every = corpus._orbit_minimal_sets(n - 1, group)
+                below = [item for item in every if 1 < item[0].bit_count() < bound]
+                assert corpus._orbit_minimal_sets(n - 1, group, bound) == [
+                    item for item in every if item not in below]
+                for nbrs, _ in below:
+                    assert _deletion_rivals(n, _child(rows, nbrs)) is None
+                skipped[n] += len(below)
+        # of the 3,771 sets listed for order 7, 1,364
+        assert skipped == Counter({5: 4, 6: 74, 7: 1364})
+
+    def test_cut_table_matches_connected_on(self):
+        # the components of a parent less v are a partition of the rest
+        # into connected, closed parts; v is a cut vertex of the parent when
+        # there are two or more, and of a child when n-1 misses one
+        rng = random.Random(12)
+        for _ in range(500):
+            g = random_connected(rng, rng.randrange(1, 10), extra=rng.random() * 0.5)
+            k, rows = g.n, g.masks
+            for v, parts in enumerate(corpus._cut_table(k, rows)):
+                left = ((1 << k) - 1) ^ 1 << v
+                assert sum(parts) == left
+                assert sum(part.bit_count() for part in parts) == left.bit_count()
+                for part in parts:
+                    assert _connected_on(rows, part)
+                    assert all(rows[u] & left & ~part == 0 for u in _bits(part))
+                assert (len(parts) < 2) == _connected_on(rows, left)
+                for nbrs in rng.sample(range(1, 1 << k), min(6, (1 << k) - 1)):
+                    assert (all(part & nbrs for part in parts)
+                            == _connected_on(_child(rows, nbrs), ((1 << k + 1) - 1) ^ 1 << v))
+
+
 class TestNoGroupAtTheTopOrder:
     """Only a class that grows children has its group expanded."""
 
@@ -869,8 +944,8 @@ class TestScanValues:
             assert got == smallest
 
     def test_canonical_forms_pinned(self, monkeypatch):
-        # one search per tie, and per largest-α class without a mask of a
-        # value first attained at its order
+        # one search per tie not settled as twins of the new vertex, and per
+        # largest-α class without a mask of a value first attained at its order
         calls = []
         real = corpus.canonical_form
 
@@ -880,7 +955,7 @@ class TestScanValues:
 
         monkeypatch.setattr(corpus, "canonical_form", counting)
         corpus.scan_values("pww", 7, threads=1)
-        assert len(calls) == 577
+        assert len(calls) == 305
 
     def test_each_lower_order_grown_once(self, profile_calls):
         # orders 2..4 come from one walk of the class levels, orders 5 and 6
