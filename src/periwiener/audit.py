@@ -16,10 +16,11 @@ orders it reads, as DEF-PWW-ALT (the corpus6 suite) reads the classes up to
 order 6.  One loop, `_evaluate`, does the counting, witness selection and
 error handling for every pass.  The corpus stream reads the class walk
 (`_class_instances`): one graph per isomorphism class, weighted by its
-n!/|Aut(G)| labelings.  A violating class is kept as one witness key, its
-canonical mask, searched for where it is checked when it came without one,
-and the report expands the kept classes into their labeled graphs.  The
-product factors keep the labeling they were grown in.
+n!/|Aut(G)| labelings, in the labeling it was grown in.  A violating
+class is kept as one witness key, its canonical mask, found by one search
+of its rows where it is checked, and the report expands the kept classes
+into their labeled graphs.  The product factors keep the labeling they
+were grown in too.
 
 `run_claims` cuts every requested stream into jobs and runs them all in one
 process pool: the corpus classes up to order max_n - 2 one job per order,
@@ -294,8 +295,8 @@ def _chk_obs_no_2_5(n, masks, p):
 
 
 def _class_instances(n: int, classes: Iterable[corpus.ClassEntry]):
-    for mask, weight, p, rows, _ in classes:
-        yield (n, mask, rows), weight, (n, rows, p)
+    for weight, p, rows, _ in classes:
+        yield (n, rows), weight, (n, rows, p)
 
 
 def _grown_instances(max_n: int, parent: corpus.ClassEntry):
@@ -306,9 +307,9 @@ def _grown_instances(max_n: int, parent: corpus.ClassEntry):
 def _corpus_chunk(ids: list[str], max_n: int, parent: corpus.ClassEntry) -> dict[str, _Acc]:
     """Pool worker: the corpus checks `ids` over the classes of the orders
     above one parent class's, up to max_n, grown from it, order by order
-    (`corpus._grown_levels`).  The classes carry their adjacency rows, and
-    most come without a canonical mask; a violating one is keyed here, by
-    one search of its rows (`_add_witnesses`)."""
+    (`corpus._grown_levels`).  The classes carry their adjacency rows but
+    no canonical mask; a violating one is keyed here, by one search of its
+    rows (`_add_witnesses`)."""
     return _stream_chunk(ids, _grown_instances, (max_n, parent))
 
 
@@ -516,7 +517,7 @@ def _product_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     FACTOR_MAX_N vertices as grown, then `trials` random pairs; the witness
     is their labeled product."""
     factors = [Graph(n, rows) for n in range(2, FACTOR_MAX_N + 1)
-               for _, _, _, rows, _ in level(n)]
+               for _, _, rows, _ in level(n)]
     yield from _blocks(_product_instances, combinations_with_replacement(factors, 2))
     rng = random.Random(budget.seed * 104729 + 11)
     yield from _blocks(_random_products, ((_connected_draw(rng, 2, RANDOM_FACTOR_MAX_N),
@@ -828,15 +829,14 @@ class _Acc:
 def _add_witnesses(acc: _Acc, subject, r: tuple[str, str]) -> None:
     """Offer the key of one violation, (n, edge mask, observed, expected,
     whole class): a Graph's own mask, or the canonical mask of an
-    isomorphism class (n, mask or None, rows), the smallest among its
-    labeled graphs, searched for here when the class came without one
-    (`corpus.class_mask`).  Keys sort as their smallest labeled witnesses
-    do in graph6 order."""
+    isomorphism class (n, adjacency rows), the smallest among its labeled
+    graphs, found here by one search of its rows (`corpus.canonical_form`).
+    Keys sort as their smallest labeled witnesses do in graph6 order."""
     if isinstance(subject, Graph):
         acc.add_witness((subject.n, corpus.g6_order_key(subject)) + r + (False,))
     else:
-        n, mask, rows = subject
-        acc.add_witness((n, corpus.class_mask(n, mask, rows)) + r + (True,))
+        n, rows = subject
+        acc.add_witness((n, corpus.canonical_form(n, rows)[0]) + r + (True,))
 
 
 def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
@@ -844,13 +844,13 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
     """Apply every (claim id, check) to every instance of a stream.
 
     A stream yields (subject, weight, args): the subject is the graph a
-    witness shows (a Graph, or an isomorphism class as (n, canonical mask
-    or None, adjacency rows)), the weight is the number of labeled graphs
-    it stands for (n!/|Aut(G)| for a class, else 1), and check(*args)
-    returns None (holds), _NA (does not apply) or an (observed, expected)
-    pair.  The first exception a check raises marks only its claim
-    skipped, with the exception as the note; once no check is live, no
-    further instance is drawn.
+    witness shows (a Graph, or an isomorphism class as (n, adjacency
+    rows)), the weight is the number of labeled graphs it stands for
+    (n!/|Aut(G)| for a class, else 1), and check(*args) returns None
+    (holds), _NA (does not apply) or an (observed, expected) pair.  The
+    first exception a check raises marks only its claim skipped, with the
+    exception as the note; once no check is live, no further instance is
+    drawn.
     """
     live = [(accs[cid], fn) for cid, fn in checks if accs[cid].error is None]
     for subject, weight, args in instances:

@@ -343,7 +343,8 @@ def _cmd_audit(args) -> int:
     def run(out: TextIO | None) -> None:
         nonlocal report
         report = audit.run_all(budget, claim_ids=claim_ids)
-        print(report.table())
+        # with the report on stdout (--output -), stdout holds the JSON alone
+        print(report.table(), file=sys.stderr if out is sys.stdout else sys.stdout)
         if out is not None:
             out.write(report.to_json())
 

@@ -29,18 +29,18 @@ vertex stays non-cut in the child, with a larger degree than the new one.
 And the cut-vertex test reads the components of the parent less each
 vertex (`_cut_table`), not a search of the child.  Every class comes with
 its adjacency rows and Aut(G) in compact form, and hands Aut(G) on to its
-children.  A tie's search branches on one vertex per twin class (vertices
-with equal open or closed neighbourhoods), so it yields its mask and one
-minimizing order per permutation of the twins: those orders and the twin
-classes are Aut(G).  A child kept with no tie takes the stabiliser of its
-neighbour set in Aut(parent), which fixes the new vertex, and comes without
-a mask.  So does a child whose tied vertices are all twins of the new one:
-with it they are its orbit and one twin class, and Aut(G) is every
-permutation of that class times the members of the stabiliser that fix it.
-A group is listed as permutations only for a class that grows children
-(`_orbit_minimal_sets`), so the largest order of a sweep lists none.  A
-canonical form is computed only for any other tie and for a class whose
-mask an output reads (`class_mask`).
+children; it is keyed by its canonical mask, which only an output that
+shows the class reads, by one search of its rows.  A tie's search branches
+on one vertex per twin class (vertices with equal open or closed
+neighbourhoods), so it yields one minimizing order per permutation of the
+twins: those orders and the twin classes are Aut(G).  A child kept with no
+tie takes the stabiliser of its neighbour set in Aut(parent), which fixes
+the new vertex, with no search.  So does a child whose tied vertices are
+all twins of the new one: with it they are its orbit and one twin class,
+and Aut(G) is every permutation of that class times the members of the
+stabiliser that fix it.  A group is listed as permutations only for a
+class that grows children (`_orbit_minimal_sets`), so the largest order of
+a sweep lists none.  Growth searches any other tie, and nothing else.
 
 `class_levels` is the one walk of the levels: each order is grown once,
 from the entries of the order below, when first asked for.  The two largest
@@ -79,7 +79,7 @@ from .indices import INDEX_NAMES, Profile
 # tie whose tied vertices are not all twins of the new one, and
 # `enumerate-values --max-n 8`, whose orders 7 and 8 grow in one job per
 # class of order 6, 0.86 s wall, 1.55 s CPU and 19.1 MiB peak RSS with 2
-# workers, with 3,137 canonical forms.  With this ceiling patched to 9,
+# workers, with 3,194 canonical forms.  With this ceiling patched to 9,
 # `--max-n 9` took 16.7 s wall and 32.6 s CPU with 2 workers, and peaked
 # at 21.6 MiB RSS in this process and 27.5 MiB in a worker, since each
 # job's value candidates are folded into one running table per order as
@@ -96,9 +96,9 @@ MAX_N = 8
 # Only `_orbit_minimal_sets` lists the members (`_automorphisms`).
 Group = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]
 # A class as `iter_connected_profiles` yields it and `class_levels` keeps it:
-# (canonical mask or None, n!/|Aut(G)|, profile, adjacency rows, Aut(G) as a
-# Group).
-ClassEntry = tuple[int | None, int, Profile, tuple[int, ...], Group]
+# (n!/|Aut(G)|, profile, adjacency rows, Aut(G) as a Group).  Its canonical
+# mask is `canonical_form(n, rows)[0]`, searched only where an output reads it.
+ClassEntry = tuple[int, Profile, tuple[int, ...], Group]
 
 
 def mask_adjacency(n: int, mask: int) -> tuple[int, ...]:
@@ -452,11 +452,11 @@ def _rival_deletion_vertices(n: int, adj: list[int],
 
 
 def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[ClassEntry]:
-    """(canonical mask or None, n!/|Aut(G)|, profile, adjacency rows,
-    Aut(G)) for one graph per isomorphism class of connected n-vertex graphs
-    grown from `parents`, entries of some (n-1)-vertex classes as this
-    yields them.  The weight is the number of labeled graphs in the class,
-    the rows are the class in the labeling it was grown in, and Aut(G) acts
+    """(n!/|Aut(G)|, profile, adjacency rows, Aut(G)) for one graph per
+    isomorphism class of connected n-vertex graphs grown from `parents`,
+    entries of some (n-1)-vertex classes as this yields them.  The weight
+    is the number of labeled graphs in the class, the rows are the class in
+    the labeling it was grown in, and Aut(G) acts
     on that labeling, in the compact form of `Group`: no member is listed
     here, only each parent's group is (`_orbit_minimal_sets`).  Each class
     has one parent, so disjoint parent sets give disjoint classes, and all
@@ -474,21 +474,19 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     n-1 on degree.  When the invariant leaves no tie, vertex n-1 alone has
     the top invariant, so every automorphism fixes it: Aut(G) is the
     stabiliser of S in Aut(parent), extended to fix n-1 only when it is
-    listed, and no canonical form is computed, so the mask is None
-    (`class_mask` finds it).  When every tied vertex is an open or closed
-    twin of n-1, those twins and n-1 are its orbit T, so the child is kept,
-    again with no search and no mask: |Aut(G)| is |T| times the size of
-    the stabiliser, and Aut(G) is every permutation of T, a twin class,
+    listed, and no canonical form is computed.  When every tied vertex is
+    an open or closed twin of n-1, those twins and n-1 are its orbit T, so
+    the child is kept, again with no search: |Aut(G)| is |T| times the size
+    of the stabiliser, and Aut(G) is every permutation of T, a twin class,
     times the stabiliser's members that fix T pointwise.  Any other tie is
-    searched once, which yields its mask, its twin classes and one
-    minimizing order per twin permutation: each order, taken onto the
-    first, and composed with any permutation of the twins, is an
-    automorphism, so |Aut(G)| is the number of orders times the product of
-    |class|!.
+    searched once, which yields its twin classes and one minimizing order
+    per twin permutation: each order, taken onto the first, and composed
+    with any permutation of the twins, is an automorphism, so |Aut(G)| is
+    the number of orders times the product of |class|!.
     """
     new = n - 1
     n_labelings = factorial(n)
-    for _, _, _, parent_adj, parent_group in parents:
+    for _, _, parent_adj, parent_group in parents:
         cuts = _cut_table(new, parent_adj)
         bound = max(parent_adj[v].bit_count() for v in range(new) if len(cuts[v]) < 2)
         for nbrs, stab in _orbit_minimal_sets(new, parent_group, bound):
@@ -499,16 +497,16 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
             if ties is None:
                 continue
             if not ties:
-                mask, group, size = None, (stab, []), len(stab)
+                group, size = (stab, []), len(stab)
             elif all(adj[v] == nbrs or adj[v] | 1 << v == nbrs | 1 << new for v in ties):
                 # the ties are all twins of n-1, so with it they are its
                 # orbit, and one twin class: Aut(G) is every permutation of
                 # them times the members of the stabiliser that fix them
                 twins = (*ties, new)
-                mask, size = None, len(twins) * len(stab)
+                size = len(twins) * len(stab)
                 group = [sigma for sigma in stab if all(sigma[v] == v for v in ties)], [twins]
             else:
-                mask, orders, twins = canonical_form(n, adj)
+                _, orders, twins = canonical_form(n, adj)
                 # m(G) is the tied vertex that sits last in the canonical
                 # order.  The twins of n-1 tie with it and every order puts
                 # them before it, so n-1 is in the orbit of m(G) exactly
@@ -518,13 +516,7 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
                     continue
                 group = orders, twins
                 size = len(orders) * prod(factorial(len(cls)) for cls in twins)
-            yield mask, n_labelings // size, profile_from_masks(n, adj), tuple(adj), group
-
-
-def class_mask(n: int, mask: int | None, rows: Sequence[int]) -> int:
-    """The canonical mask of a class as `iter_connected_profiles` yields it:
-    its mask, or, when that is None, one search of its rows."""
-    return canonical_form(n, rows)[0] if mask is None else mask
+            yield n_labelings // size, profile_from_masks(n, adj), tuple(adj), group
 
 
 def independence_number(adj: Sequence[int]) -> int:
@@ -569,7 +561,7 @@ def _grown_levels(max_n: int, entry: ClassEntry) -> Iterator[tuple[int, Iterable
     grow the next from; max_n comes as an iterator, so its classes are not
     held at once, and lists no group (`_orbit_minimal_sets`)."""
     classes: Iterable[ClassEntry] = [entry]
-    for n in range(len(entry[3]) + 1, max_n):
+    for n in range(len(entry[2]) + 1, max_n):
         classes = list(iter_connected_profiles(n, classes))
         yield n, classes
     yield max_n, iter_connected_profiles(max_n, classes)
@@ -584,7 +576,7 @@ def class_levels() -> Callable[[int], list[ClassEntry]]:
     the new vertex is searched.  The levels are kept by this walk only, so a
     new walk starts from scratch.  level(n) raises InvalidParameterError,
     before any generation, for n outside 1..MAX_N."""
-    levels = [[(0, 1, profile_from_masks(1, (0,)), (0,), ([(0,)], []))]]
+    levels = [[(1, profile_from_masks(1, (0,)), (0,), ([(0,)], []))]]
 
     def level(n: int) -> list[ClassEntry]:
         if not 1 <= n <= MAX_N:
@@ -672,12 +664,12 @@ def _largest_alpha(items: Iterable[tuple[int, int, list]],
 
 
 def _value_candidates(field: int, classes: Iterable[ClassEntry]) -> dict[int, tuple[int, list]]:
-    """Attained value of Profile field `field` -> (α, [(mask or None,
-    rows)]) over `classes`: the classes of the largest independence number
-    α of each value, the only ones that can hold its smallest canonical
-    mask (`independence_number`).  No class is searched here."""
-    return _largest_alpha((p[field], independence_number(rows), [(mask, rows)])
-                          for mask, _, p, rows, _ in classes)
+    """Attained value of Profile field `field` -> (α, [adjacency rows]) over
+    `classes`: the classes of the largest independence number α of each
+    value, the only ones that can hold its smallest canonical mask
+    (`independence_number`).  No class is searched here."""
+    return _largest_alpha((p[field], independence_number(rows), [rows])
+                          for _, p, rows, _ in classes)
 
 
 def _scan_chunk(index_name: str, max_n: int, parent: ClassEntry) -> list[dict[int, tuple[int, list]]]:
@@ -801,7 +793,7 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     def resolve(n: int, top: dict[int, tuple[int, list]]) -> None:
         for val, (_, cands) in top.items():
             if val not in out:
-                mask = min(class_mask(n, m, rows) for m, rows in cands)
+                mask = min(canonical_form(n, rows)[0] for rows in cands)
                 out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
 
     for n in range(2, low + 1):

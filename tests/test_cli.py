@@ -432,6 +432,18 @@ class TestAudit:
         doc = json.loads(out_path.read_text())
         assert doc["claims"][0]["status"] == "holds"
 
+    def test_report_on_stdout_is_the_json_alone(self, capsys, tmp_path):
+        # with --output -, the summary table goes to stderr, and stdout is
+        # the bytes that --output <file> writes
+        argv = ("audit", "--max-n", "3", "--trials", "0", "--claims", "P1-1", "--threads", "1")
+        out_path = tmp_path / "report.json"
+        rc, table, _ = run_cli(capsys, *argv, "--output", str(out_path))
+        assert rc == 0
+        rc, out, err = run_cli(capsys, *argv, "--output", "-")
+        assert rc == 0 and err == table
+        assert out.encode() == out_path.read_bytes()
+        assert json.loads(out)["claims"][0]["id"] == "P1-1"
+
     def test_hypercube_discrepancy_exits_0(self, capsys):
         rc, out, _ = run_cli(capsys, "audit", "--claims", "C-HYPERCUBE",
                              "--trials", "0", "--threads", "1")

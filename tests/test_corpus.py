@@ -352,7 +352,7 @@ class TestIsomorphismReduction:
     def test_orbit_sums_are_labeled_counts(self):
         level = corpus.class_levels()
         for n, expect in LABELED_CONNECTED.items():
-            assert sum(w for _, w, *_ in level(n)) == expect
+            assert sum(w for w, *_ in level(n)) == expect
 
     def test_weights_by_size_are_labeled_counts(self):
         # an independent count: c(n, m) labeled connected graphs of n
@@ -368,19 +368,19 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(2, 8):
             by_size = Counter()
-            for _, weight, prof, _, _ in level(n):
+            for weight, prof, _, _ in level(n):
                 by_size[prof.m] += weight
             assert by_size == {m: count for m, count in c[n].items() if count}, n
 
     def test_classes_are_distinct(self):
         six = corpus.class_levels()(6)
-        assert len({corpus.canonical_form(6, rows)[0] for _, _, _, rows, _ in six}) == len(six)
+        assert len({corpus.canonical_form(6, rows)[0] for _, _, rows, _ in six}) == len(six)
 
     def test_classes_are_canonical_with_profiles(self):
         level = corpus.class_levels()
         for n in range(2, 7):
-            for mask, weight, prof, rows, _ in level(n):
-                key = corpus.class_mask(n, mask, rows)
+            for weight, prof, rows, _ in level(n):
+                key = corpus.canonical_form(n, rows)[0]
                 assert corpus.canonical_mask(n, key) == key == corpus.canonical_form(n, rows)[0]
                 assert prof == corpus.profile_of(Graph(n, corpus.mask_adjacency(n, key)))
                 assert prof == corpus.profile_of(Graph(n, rows))
@@ -390,8 +390,8 @@ class TestIsomorphismReduction:
         # the canonical mask is the smallest of its class's labeled masks
         level = corpus.class_levels()
         for n in range(2, 6):
-            for mask, _, _, rows, _ in level(n):
-                mask = corpus.class_mask(n, mask, rows)
+            for _, _, rows, _ in level(n):
+                mask = corpus.canonical_form(n, rows)[0]
                 g = Graph(n, corpus.mask_adjacency(n, mask))
                 want = {nx_mask(_relabel(g, perm)) for perm in itertools.permutations(range(n))}
                 assert corpus.labelings(n, mask) == want
@@ -399,15 +399,15 @@ class TestIsomorphismReduction:
 
     def test_parents_split_the_classes(self):
         level = corpus.class_levels()
-        children = [corpus.class_mask(6, mask, rows) for parent in level(5)
-                    for mask, _, _, rows, _ in corpus.iter_connected_profiles(6, [parent])]
-        assert children == [corpus.class_mask(6, mask, rows) for mask, _, _, rows, _ in level(6)]
+        children = [corpus.canonical_form(6, rows)[0] for parent in level(5)
+                    for _, _, rows, _ in corpus.iter_connected_profiles(6, [parent])]
+        assert children == [corpus.canonical_form(6, rows)[0] for _, _, rows, _ in level(6)]
 
     def test_class_levels_are_the_levels(self, profile_calls):
         # each order is grown once, from the order below, when first asked
         # for; a second walk grows its own levels
         level = corpus.class_levels()
-        assert level(1) == [(0, 1, corpus.profile_from_masks(1, [0]), (0,), ([(0,)], []))]
+        assert level(1) == [(1, corpus.profile_from_masks(1, [0]), (0,), ([(0,)], []))]
         assert profile_calls == []
         six = level(6)
         assert profile_calls == [2, 3, 4, 5, 6]
@@ -445,9 +445,9 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(3, 7):
             for parent in level(n - 1):
-                parent_adj = parent[3]
+                parent_adj = parent[2]
                 autos = _brute_automorphisms(n - 1, parent_adj)
-                assert set(corpus._automorphisms(n - 1, parent[4])) == autos
+                assert set(corpus._automorphisms(n - 1, parent[3])) == autos
                 want = []
                 for nbrs in range(1, 1 << (n - 1)):
                     image = {sum(1 << sigma[u] for u in range(n - 1) if nbrs >> u & 1)
@@ -467,34 +467,38 @@ class TestIsomorphismReduction:
                     pos = max(first.index(v) for v in tied)
                     if n - 1 in {order[pos] for order in orders}:
                         want.append((key, factorial(n) // len(orders)))
-                got = [(corpus.class_mask(n, mask, rows), weight)
-                       for mask, weight, _, rows, _ in corpus.iter_connected_profiles(n, [parent])]
+                got = [(corpus.canonical_form(n, rows)[0], weight)
+                       for weight, _, rows, _ in corpus.iter_connected_profiles(n, [parent])]
                 assert got == want
                 assert len(set(got)) == len(got)
 
     def test_orbit_weights_are_automorphism_counts(self):
-        # a child kept with no tie has no canonical form: its weight comes
-        # from the orbit of its neighbour set under Aut(parent), and must be
-        # n!/|Aut(G)| all the same; a tie's mask is its canonical one
+        # a child kept without a search holds members of the stabiliser of
+        # its neighbour set, orders of n - 1 entries handed down from the
+        # parent: its weight comes from their count, and must be n!/|Aut(G)|
+        # all the same; a searched tie holds its search's orders and twins
         level = corpus.class_levels()
-        grown_without_mask = 0
+        settled = 0
         for n in range(2, 8):
-            for mask, weight, _, rows, _ in corpus.iter_connected_profiles(n, level(n - 1)):
-                key, orders, twins = corpus.canonical_form(n, rows)
+            for weight, _, rows, group in corpus.iter_connected_profiles(n, level(n - 1)):
+                _, orders, twins = corpus.canonical_form(n, rows)
                 assert weight == factorial(n) // len(_coset(n, orders, twins))
-                assert mask in (None, key)
-                grown_without_mask += mask is None
-        assert grown_without_mask > sum(ISO_CONNECTED.values()) // 2
+                if len(group[0][0]) == n - 1:
+                    settled += 1
+                else:
+                    assert group == (orders, twins)
+        assert settled > sum(ISO_CONNECTED.values()) // 2
 
     def test_twin_tie_children_match_the_search(self):
         # a child whose ties are all twins of n-1 is kept with no search,
         # its group the twin class times the stabiliser members that fix
-        # it: the same automorphisms and weight as the search gives
+        # it, orders of n - 1 entries handed down from the parent: the same
+        # automorphisms and weight as the search gives
         level = corpus.class_levels()
         settled = Counter()
         for n in range(3, 9):
-            for mask, weight, _, rows, group in level(n):
-                if mask is None and group[1]:
+            for weight, _, rows, group in level(n):
+                if len(group[0][0]) == n - 1 and group[1]:
                     assert group[1] == [tuple(v for v in range(n) if rows[v] == rows[n - 1]
                                               or rows[v] | 1 << v == rows[n - 1] | 1 << n - 1)]
                     _, orders, twins = corpus.canonical_form(n, rows)
@@ -519,7 +523,7 @@ class TestIsomorphismReduction:
         # it, grows the same classes with the same weights
         level = corpus.class_levels()
         relabeled = []
-        for mask, weight, p, rows, group in level(5):
+        for weight, p, rows, group in level(5):
             perm = list(range(5))
             rng.shuffle(perm)
             new_rows = [0] * 5
@@ -531,13 +535,13 @@ class TestIsomorphismReduction:
                 for v in range(5):
                     tau[perm[v]] = perm[sigma[v]]
                 new_autos.append(tuple(tau))
-            relabeled.append((None, weight, p, tuple(new_rows), (new_autos, [])))
+            relabeled.append((weight, p, tuple(new_rows), (new_autos, [])))
         assert relabeled != level(5)
 
         def keys(parents):
             grown = corpus.iter_connected_profiles(6, parents)
-            return sorted((corpus.class_mask(6, mask, rows), weight)
-                          for mask, weight, _, rows, _ in grown)
+            return sorted((corpus.canonical_form(6, rows)[0], weight)
+                          for weight, _, rows, _ in grown)
 
         assert keys(relabeled) == keys(level(5))
 
@@ -546,7 +550,7 @@ class TestIsomorphismReduction:
         # its rows onto themselves, and there are |Aut(G)| of them
         level = corpus.class_levels()
         for n in range(1, 8):
-            for _, weight, _, rows, group in level(n):
+            for weight, _, rows, group in level(n):
                 autos = corpus._automorphisms(n, group)
                 _, orders, twins = corpus.canonical_form(n, rows)
                 assert len(set(autos)) == len(autos) == len(_coset(n, orders, twins))
@@ -565,7 +569,7 @@ class TestIsomorphismReduction:
         level = corpus.class_levels()
         for n in range(2, 8):
             buckets = {}
-            for _, weight, prof, rows, _ in level(n):
+            for weight, prof, rows, _ in level(n):
                 g = to_nx(Graph(n, rows))
                 buckets.setdefault(_invariant(g), []).append([g, weight, prof, 0])
             for h in (h for h in atlas if h.number_of_nodes() == n):
@@ -646,8 +650,8 @@ def searched_classes():
     """(n, rows) of every class up to n = 7 and of 2,000 classes of n = 8
     drawn with a fixed seed."""
     level = corpus.class_levels()
-    small = [(n, rows) for n in range(1, 8) for _, _, _, rows, _ in level(n)]
-    return small + [(8, entry[3]) for entry in random.Random(8).sample(level(8), 2000)]
+    small = [(n, rows) for n in range(1, 8) for _, _, rows, _ in level(n)]
+    return small + [(8, entry[2]) for entry in random.Random(8).sample(level(8), 2000)]
 
 
 class TestTwinPrunedSearch:
@@ -707,8 +711,8 @@ class TestDeletionRule:
         children = Counter()
         for n in range(2, 8):
             for parent in level(n - 1):
-                for nbrs, _ in corpus._orbit_minimal_sets(n - 1, parent[4]):
-                    adj = [*parent[3], nbrs]
+                for nbrs, _ in corpus._orbit_minimal_sets(n - 1, parent[3]):
+                    adj = [*parent[2], nbrs]
                     for u in range(n - 1):
                         if nbrs >> u & 1:
                             adj[u] |= 1 << (n - 1)
@@ -738,7 +742,7 @@ class TestDeletionRule:
         level = corpus.class_levels()
         skipped = Counter()
         for n in range(3, 8):
-            for _, _, _, rows, group in level(n - 1):
+            for _, _, rows, group in level(n - 1):
                 bound = max(rows[v].bit_count() for v in range(n - 1)
                             if _connected_without(n - 1, rows, v))
                 every = corpus._orbit_minimal_sets(n - 1, group)
@@ -802,7 +806,7 @@ class TestNoGroupAtTheTopOrder:
             del expanded[:]
             audit._corpus_chunk(ids, 7, parent)
             # its own group, then each order-6 child's, none of order 7
-            assert expanded == [(5, parent[4])] + [(6, child[4]) for child in children]
+            assert expanded == [(5, parent[3])] + [(6, child[3]) for child in children]
 
 
 class TestFreeTrees:
@@ -935,17 +939,17 @@ class TestScanValues:
             parts = [corpus._scan_chunk(index, n, parent)[-1] for parent in level(max(1, n - 2))]
             top = corpus._largest_alpha((val, a, cands) for part in parts
                                         for val, (a, cands) in part.items())
-            got = {val: min(corpus.canonical_form(n, rows)[0] for _, rows in cands)
+            got = {val: min(corpus.canonical_form(n, rows)[0] for rows in cands)
                    for val, (_, cands) in top.items()}
             smallest = {}
-            for _, _, p, rows, _ in level(n):
+            for _, p, rows, _ in level(n):
                 key = corpus.canonical_form(n, rows)[0]
                 smallest[p[field]] = min(key, smallest.get(p[field], key))
             assert got == smallest
 
     def test_canonical_forms_pinned(self, monkeypatch):
         # one search per tie not settled as twins of the new vertex, and per
-        # largest-α class without a mask of a value first attained at its order
+        # largest-α class of a value first attained at its order
         calls = []
         real = corpus.canonical_form
 
@@ -955,7 +959,7 @@ class TestScanValues:
 
         monkeypatch.setattr(corpus, "canonical_form", counting)
         corpus.scan_values("pww", 7, threads=1)
-        assert len(calls) == 305
+        assert len(calls) == 319
 
     def test_each_lower_order_grown_once(self, profile_calls):
         # orders 2..4 come from one walk of the class levels, orders 5 and 6

@@ -196,7 +196,7 @@ class TestCartesianProduct:
         from periwiener.corpus import class_levels
 
         level = class_levels()
-        factors = [Graph(n, rows) for n in (2, 3, 4) for _, _, _, rows, _ in level(n)]
+        factors = [Graph(n, rows) for n in (2, 3, 4) for _, _, rows, _ in level(n)]
         for g in factors:
             for h in factors:
                 dg, dh = distance_matrix(g), distance_matrix(h)
