@@ -347,7 +347,7 @@ def _corpus_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
 
 
 def _chk_def_pww_alt(n, masks, p):
-    balls = corpus.reach_layers(n, masks)[0]
+    balls = corpus.layered_profile(Graph(n, tuple(masks)))[1]
     peri = corpus.periphery_mask(balls)
     vertex_sum = 0
     for v, dp in enumerate(corpus.distance_sums(balls, peri)):

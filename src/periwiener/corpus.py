@@ -1,12 +1,14 @@
 """The metric engine and the instance corpora for sweeps.
 
-`reach_layers` is the one metric engine: from adjacency bitmasks it builds,
-layer by layer, the ball of every radius around every vertex, without
-per-pair distances.  Past the closed neighbourhoods, a layer is one pass
-over the edges on a sparse graph; on a dense one each ball ORs in its
-neighbours' balls until it is full.  `profile_from_masks` and `profile_of`
-read the `indices.Profile` of a graph off those layers, and
-`layered_profile` hands the layers on as well, for checks that need the
+`_reach_profile` is the one metric engine: from adjacency bitmasks it
+builds, layer by layer, the ball of every radius around every vertex,
+without per-pair distances, and counts each layer's ordered pairs as it
+builds it.  Past the closed neighbourhoods, a layer is one pass over the
+edges on a sparse graph; on a dense one, whose closed neighbourhoods hold
+at least a quarter of the ordered pairs (4(n + 2m) >= n^2), each ball ORs
+in its neighbours' balls until it is full.  `profile_from_masks` and
+`profile_of` return the `indices.Profile` it reads off the counts, and
+`layered_profile` hands the balls on as well, for checks that need the
 periphery or distances (`periphery_mask`, `distance_sums`).  `compute` and
 every audit suite use them.  Beside the engine: one graph per isomorphism
 class of connected graphs, with its automorphisms and its number of
@@ -26,6 +28,8 @@ invariant settles most children, and part of it is read once per parent.
 A neighbour set S with 2 <= |S| < D, D the largest degree of a
 non-cut vertex of the parent, is skipped before its child is built: that
 vertex stays non-cut in the child, with a larger degree than the new one.
+So is a set with 2 <= |S| = D that holds such a vertex, whose degree grows
+to D + 1.
 And the cut-vertex test reads the components of the parent less each
 vertex (`_cut_table`), not a search of the child.  Every class comes with
 its adjacency rows and Aut(G) in compact form, and hands Aut(G) on to its
@@ -116,47 +120,102 @@ def g6_order_key(g: Graph) -> int:
     return edge_mask(g.n, g.edges())
 
 
-def reach_layers(n: int, masks: Sequence[int]) -> tuple[list[list[int]], int] | None:
-    """(balls, radius) of a graph given by adjacency bitmasks, or None when
-    it is disconnected.  balls[t][v] is the bitmask of the vertices within
-    distance t of v, for t = 0..diameter, so the diameter is len(balls) - 1,
-    and the radius is the first t at which some ball is full.  Layer 1 is
-    the closed neighbourhoods.  On a sparse graph each later layer grows
-    every ball at once by one pass over the edges; on a dense one each ball
-    that is not yet full gathers its neighbours' balls, lowest neighbour
-    first, and stops as soon as it is full.  No per-pair distances are
-    formed."""
+def _reach_profile(n: int, masks: Sequence[int]) -> tuple[Profile, list[list[int]]] | None:
+    """The one metric engine: (profile, layers) of a graph given by
+    adjacency bitmasks, or None when it is disconnected.  layers[t - 1][v]
+    is the bitmask of the vertices within distance t of v, for t =
+    1..diameter; layer 1 is the closed neighbourhoods, read in the one
+    degree pass with m and the pendants.  Each later layer is counted, in
+    ordered pairs, as it is built, and the layers stop once they hold all
+    n^2 pairs; a layer that adds none means the graph is disconnected.  A
+    pair (u, v) beyond distance t adds 1 to d(u, v) and 2t + 2 to d + d^2,
+    so the six indices come from those counts and, for the peripheral and
+    pendant vertices, from the layers masked to them.  No per-pair distances
+    are formed."""
     full = (1 << n) - 1
-    cur = [1 << v for v in range(n)]
-    balls = [cur]
+    pairs = n * n
+    cur = []
+    degrees = pends = 0
+    for v, row in enumerate(masks):
+        d = row.bit_count()
+        degrees += d
+        if d == 1:
+            pends |= 1 << v
+        cur.append(row | 1 << v)
+    count = n + degrees  # the ordered pairs within distance 1
+    # dense: the closed neighbourhoods already hold a quarter of the pairs.
+    # Then each ball that is not yet full gathers its neighbours' balls,
+    # lowest neighbour first, and stops as soon as it is full; else each
+    # layer grows every ball at once by one pass over the edges.  On a
+    # 2-vCPU guest the gather took 0.59x the edge pass's time on the
+    # audit's random graphs (8-24 vertices), 0.83x on their complements and
+    # 0.07x on tree complements; taken for every graph, it took 2.3x on
+    # random trees and 2.0x on compute-large's inputs.
+    dense = 4 * count >= pairs
     edges = None
-    # dense: average degree at least 2*sqrt(n).  On a 2-vCPU guest the
-    # gather took 0.72x the edge pass's time on the audit's random graphs
-    # and 0.25x on tree complements; taken for every graph, it took 1.96x
-    # on random trees and 1.75x on compute-large's inputs.
-    dense = sum(m.bit_count() for m in masks) ** 2 >= 4 * n ** 3
-    while min(cur) != full:
-        if len(balls) == 1:  # the closed neighbourhoods
-            new = [m | ball for m, ball in zip(masks, cur)]
-        elif dense:
-            new = []
-            for ball, rest in zip(cur, masks):
-                while ball != full and rest:
-                    low = rest & -rest
-                    ball |= cur[low.bit_length() - 1]
-                    rest ^= low
-                new.append(ball)
-        else:
-            edges = edges or _edge_list(masks)
-            new = cur[:]
-            for i, j in edges:
-                new[i] |= cur[j]
-                new[j] |= cur[i]
-        if new == cur:
+    layers: list[list[int]] = []
+    within = n  # the ordered pairs within distance t = len(layers)
+    sum_d = half_dd = radius = 0
+    while within != pairs:
+        miss = pairs - within
+        sum_d += miss
+        half_dd += (len(layers) + 1) * miss
+        if layers:
+            last = cur
+            count = 0
+            if dense:
+                cur = []
+                for ball, rest in zip(last, masks):
+                    while ball != full and rest:
+                        low = rest & -rest
+                        ball |= last[low.bit_length() - 1]
+                        rest ^= low
+                    count += ball.bit_count()
+                    cur.append(ball)
+            else:
+                edges = edges or _edge_list(masks)
+                cur = last[:]
+                for i, j in edges:
+                    cur[i] |= last[j]
+                    cur[j] |= last[i]
+                for ball in cur:
+                    count += ball.bit_count()
+        if count == within:
             return None
-        cur = new
-        balls.append(cur)
-    return balls, next(t for t, layer in enumerate(balls) if full in layer)
+        layers.append(cur)
+        if not radius and full in cur:
+            radius = len(layers)
+        within = count
+    w, ww = sum_d // 2, half_dd // 2
+    # periphery_mask reads only the count and the last two layers, so it
+    # takes the layers without balls[0]; K_1 has no layer and is all periphery
+    peri = periphery_mask(layers) if layers else full
+    pw, pww = (w, ww) if peri == full else _pair_sums(layers, peri)
+    n_pend = pends.bit_count()
+    if n_pend < 2:
+        tw = tww = 0
+    elif pends == peri:
+        tw, tww = pw, pww
+    else:
+        tw, tww = _pair_sums(layers, pends)
+    return (Profile(n, degrees // 2, len(layers), radius, peri.bit_count(), n_pend,
+                    w, ww, pw, pww, tw, tww), layers)
+
+
+def _pair_sums(layers: list[list[int]], sel: int) -> tuple[int, int]:
+    """(sum of d, sum of (d + d^2) / 2) over the unordered pairs within the
+    vertex bitmask `sel`, from the layers masked to it; the last layer,
+    full, adds nothing."""
+    members = list(_bits(sel))
+    pairs = len(members) ** 2
+    sum_d = half_dd = pairs - len(members)
+    for t, layer in enumerate(layers[:-1], 2):
+        within = 0
+        for v in members:
+            within += (layer[v] & sel).bit_count()
+        sum_d += pairs - within
+        half_dd += t * (pairs - within)
+    return sum_d // 2, half_dd // 2
 
 
 def periphery_mask(balls: list[list[int]]) -> int:
@@ -184,71 +243,9 @@ def distance_sums(balls: list[list[int]], mask: int) -> list[int]:
 
 
 def profile_from_masks(n: int, masks: Sequence[int]) -> Profile | None:
-    """Profile via the reach layers; None when disconnected."""
-    reach = reach_layers(n, masks)
-    return None if reach is None else _layer_profile(n, masks, *reach)
-
-
-def _layer_profile(n: int, masks: Sequence[int], balls: list[list[int]], radius: int) -> Profile:
-    """The six indices from the reach layers: popcount differences between
-    consecutive layers count the ordered pairs at each exact distance."""
-    sum_d = 0
-    sum_dd = 0
-    prev = n
-    for tt in range(1, len(balls)):
-        s = 0
-        for r in balls[tt]:
-            s += r.bit_count()
-        c = s - prev
-        if c:
-            sum_d += tt * c
-            sum_dd += (tt + tt * tt) * c
-        prev = s
-    w = sum_d // 2
-    ww = sum_dd // 4
-    peri_mask = periphery_mask(balls)
-    k = peri_mask.bit_count()
-    if k == n:
-        pw, pww = w, ww
-    else:
-        peri = [v for v in range(n) if (peri_mask >> v) & 1]
-        pw, pww = _masked_pair_sums(balls, peri, peri_mask)
-
-    pend_mask = 0
-    pend = []
-    degrees = 0
-    for v in range(n):
-        d = masks[v].bit_count()
-        degrees += d
-        if d == 1:
-            pend_mask |= 1 << v
-            pend.append(v)
-    if len(pend) < 2:
-        tw = tww = 0
-    elif pend_mask == peri_mask:
-        tw, tww = pw, pww
-    else:
-        tw, tww = _masked_pair_sums(balls, pend, pend_mask)
-
-    return Profile(n, degrees // 2, len(balls) - 1, radius, k, len(pend), w, ww, pw, pww, tw, tww)
-
-
-def _masked_pair_sums(balls, sel, sel_mask) -> tuple[int, int]:
-    """(sum of d, sum of (d + d^2) / 2) over the unordered pairs within `sel`."""
-    sum_d = 0
-    sum_dd = 0
-    prev = len(sel)
-    for tt in range(1, len(balls)):
-        row = balls[tt]
-        s = 0
-        for v in sel:
-            s += (row[v] & sel_mask).bit_count()
-        c = s - prev
-        if c:
-            sum_d += tt * c
-            sum_dd += (tt + tt * tt) * c
-        prev = s
-    return sum_d // 2, sum_dd // 4
+    """Profile of a graph given by adjacency bitmasks; None when disconnected."""
+    reach = _reach_profile(n, masks)
+    return None if reach is None else reach[0]
 
 
 def profile_of(g: Graph) -> Profile | None:
@@ -257,10 +254,14 @@ def profile_of(g: Graph) -> Profile | None:
 
 
 def layered_profile(g: Graph) -> tuple[Profile, list[list[int]]] | None:
-    """(profile, balls) of an in-memory graph, the balls as in
-    `reach_layers`; None when disconnected."""
-    reach = reach_layers(g.n, g.masks)
-    return None if reach is None else (_layer_profile(g.n, g.masks, *reach), reach[0])
+    """(profile, balls) of an in-memory graph, or None when it is
+    disconnected: balls[t][v] is the bitmask of the vertices within distance
+    t of v, for t = 0..diameter, so the diameter is len(balls) - 1."""
+    reach = _reach_profile(g.n, g.masks)
+    if reach is None:
+        return None
+    profile, layers = reach
+    return profile, [[1 << v for v in range(g.n)], *layers]
 
 
 def complement_profile(n: int, masks: Sequence[int]) -> Profile | None:
@@ -360,19 +361,23 @@ def _automorphisms(n: int, group: Group) -> list[tuple[int, ...]]:
     return members
 
 
-def _orbit_minimal_sets(k: int, group: Group, bound: int = 0) -> list[tuple[int, list]]:
+def _orbit_minimal_sets(k: int, group: Group, bound: int = 0,
+                        top: int = 0) -> list[tuple[int, list]]:
     """(set, stabiliser) for the non-empty subsets of range(k), as bitmasks
     in ascending order, that are the smallest of their orbit under `group`,
     a `Group` on range(k); the stabiliser lists the members of the group
-    that map the set onto itself.  A set S with 2 <= |S| < `bound` is
-    skipped before any image is taken: an orbit has sets of one size only.
-    This is the one place a group is listed."""
+    that map the set onto itself.  A set S with 2 <= |S| < `bound`, or with
+    2 <= |S| = `bound` that meets the vertex bitmask `top`, is skipped
+    before any image is taken: an orbit has sets of one size only, and
+    meets `top`, a union of orbits, in all its sets or in none.  This is the
+    one place a group is listed."""
     autos = _automorphisms(k, group)
     seen = bytearray(1 << k)
     images = [[1 << u for u in sigma] for sigma in autos]
     reps = []
     for s in range(1, 1 << k):
-        if not seen[s] and not 1 < s.bit_count() < bound:
+        size = s.bit_count()
+        if not seen[s] and not (1 < size < bound or 1 < size == bound and s & top):
             members = list(_bits(s))
             stab = []
             for sigma, bit in zip(autos, images):
@@ -471,7 +476,8 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     components of the parent less each vertex (`_cut_table`), and from them
     D, the largest degree of a non-cut vertex.  A set S with 2 <= |S| < D
     is not even listed: that vertex stays non-cut in the child and beats
-    n-1 on degree.  When the invariant leaves no tie, vertex n-1 alone has
+    n-1 on degree.  Nor is a set with 2 <= |S| = D that holds a non-cut
+    vertex of degree D, which has degree D + 1 in the child.  When the invariant leaves no tie, vertex n-1 alone has
     the top invariant, so every automorphism fixes it: Aut(G) is the
     stabiliser of S in Aut(parent), extended to fix n-1 only when it is
     listed, and no canonical form is computed.  When every tied vertex is
@@ -488,8 +494,10 @@ def iter_connected_profiles(n: int, parents: Iterable[ClassEntry]) -> Iterator[C
     n_labelings = factorial(n)
     for _, _, parent_adj, parent_group in parents:
         cuts = _cut_table(new, parent_adj)
-        bound = max(parent_adj[v].bit_count() for v in range(new) if len(cuts[v]) < 2)
-        for nbrs, stab in _orbit_minimal_sets(new, parent_group, bound):
+        degree = {v: parent_adj[v].bit_count() for v in range(new) if len(cuts[v]) < 2}
+        bound = max(degree.values())
+        top = sum(1 << v for v, d in degree.items() if d == bound)
+        for nbrs, stab in _orbit_minimal_sets(new, parent_group, bound, top):
             adj = [*parent_adj, nbrs]
             for u in _bits(nbrs):
                 adj[u] |= 1 << new

@@ -25,8 +25,9 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _edge_list(masks: Iterable[int]) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of adjacency bitmasks: u ascending, then v.
-    The low-bit loop is inlined: `reach_layers` builds this list for every
-    sparse graph of diameter 2 or more."""
+    The low-bit loop is inlined: the metric engine (`corpus._reach_profile`)
+    builds this list for every graph of diameter 2 or more whose closed
+    neighbourhoods hold less than a quarter of the ordered pairs."""
     edges = []
     for u, a in enumerate(masks):
         a = a >> (u + 1) << (u + 1)

@@ -33,7 +33,7 @@ from periwiener.graphs import (
     cartesian_product,
     distance_matrix,
 )
-from periwiener.indices import index_vector, peripheral_distance_number
+from periwiener.indices import Profile, index_vector, peripheral_distance_number
 from periwiener.trees import as_tree, complement_tree_pww
 
 # labeled connected graph counts, OEIS A001187 (recounted independently in
@@ -179,15 +179,38 @@ def _disjoint(*parts):
 
 
 class TestDenseLayers:
-    """reach_layers on both sides of its density rule, average degree at
-    least 2*sqrt(n), against the BFS matrix: every ball, the radius, and
+    """The engine on both sides of its density rule, closed neighbourhoods
+    holding at least a quarter of the ordered pairs (4(n + 2m) >= n^2),
+    against the BFS matrix: every ball, the radius, the whole profile, and
     None exactly when the graph is disconnected."""
 
     @staticmethod
     def _dense(g):
-        return sum(m.bit_count() for m in g.masks) ** 2 >= 4 * g.n ** 3
+        return 4 * (g.n + 2 * g.m) >= g.n ** 2
+
+    @staticmethod
+    def _at_threshold(rng, n):
+        """A connected n-vertex graph with 4(n + 2m) = n^2, n a multiple of
+        4 from 12, and the same graph less one edge that is not a bridge."""
+        edges = list(random_tree(n, seed=rng.randrange(1 << 30)).edges())
+        extra = sorted(set(itertools.combinations(range(n), 2)) - set(edges))
+        rng.shuffle(extra)
+        edges += extra[:n * n // 8 - n // 2 - (n - 1)]
+        at, below = build_graph(n, edges), build_graph(n, edges[:-1])
+        assert 4 * (n + 2 * at.m) == n * n and below.m == at.m - 1
+        return at, below
 
     def _inputs(self, rng):
+        yield build_graph(1, [])
+        yield build_graph(2, [(0, 1)])
+        yield build_graph(2, [])
+        # at the threshold and one edge below it: C_12 and P_12, then
+        # random graphs with a spanning tree
+        assert self._dense(cycle(12)) and not self._dense(path(12))
+        yield cycle(12)
+        yield path(12)
+        for n in (12, 16, 20, 24, 40):
+            yield from self._at_threshold(rng, n)
         for _ in range(40):
             yield _gnp(rng, rng.randrange(2, 70), rng.uniform(0.5, 1.0))
         for _ in range(20):
@@ -214,15 +237,18 @@ class TestDenseLayers:
         for g in self._inputs(rng):
             dense = self._dense(g)
             edge_passes.clear()
-            reach = corpus.reach_layers(g.n, g.masks)
+            reach = corpus.layered_profile(g)
             try:
                 dm = distance_matrix(g)
             except NotConnectedError:
                 assert reach is None
                 sides[dense, "disconnected"] += 1
                 continue
-            balls, radius = reach
-            assert radius == dm.radius
+            p, balls = reach
+            # index_vector needs two vertices: K_1's profile is spelled out
+            assert p == (index_vector(g, dm) if g.n > 1 else
+                         Profile(1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0))
+            assert p.radius == dm.radius
             assert balls == [[sum(1 << u for u, d in enumerate(row) if d <= t) for row in dm.dist]
                              for t in range(dm.diameter + 1)]
             if dm.diameter >= 2:  # a layer past the closed neighbourhoods
@@ -231,7 +257,6 @@ class TestDenseLayers:
         # both sides build later layers, and both meet disconnected graphs
         assert min(sides[dense, kind] for dense in (True, False)
                    for kind in ("layered", "disconnected")) >= 3, sides
-
 
 class TestEnumeration:
     def test_labeled_connected_counts(self):
@@ -381,7 +406,8 @@ class TestIsomorphismReduction:
         for n in range(2, 7):
             for weight, prof, rows, _ in level(n):
                 key = corpus.canonical_form(n, rows)[0]
-                assert corpus.canonical_mask(n, key) == key == corpus.canonical_form(n, rows)[0]
+                assert key == _brute_orders(n, rows)[0]
+                assert corpus.canonical_mask(n, key) == key
                 assert prof == corpus.profile_of(Graph(n, corpus.mask_adjacency(n, key)))
                 assert prof == corpus.profile_of(Graph(n, rows))
                 assert weight == len(corpus.labelings(n, key))
@@ -737,23 +763,32 @@ class TestDeletionRule:
     def test_degree_bound_skips_only_rejected_sets(self):
         # with D the largest degree of a non-cut vertex of the parent, a
         # set S with 2 <= |S| < D is rejected: that vertex stays non-cut in
-        # the child, with a larger degree than n-1.  The bounded listing is
-        # the full one less exactly those sets
+        # the child, with a larger degree than n-1.  So is a set with
+        # 2 <= |S| = D that holds a non-cut vertex of degree D, which gets
+        # degree D + 1.  The bounded listing is the full one less exactly
+        # those sets
         level = corpus.class_levels()
-        skipped = Counter()
+        skipped = {n: Counter() for n in range(3, 8)}
         for n in range(3, 8):
             for _, _, rows, group in level(n - 1):
-                bound = max(rows[v].bit_count() for v in range(n - 1)
-                            if _connected_without(n - 1, rows, v))
+                degree = {v: rows[v].bit_count() for v in range(n - 1)
+                          if _connected_without(n - 1, rows, v)}
+                bound = max(degree.values())
+                top = sum(1 << v for v, d in degree.items() if d == bound)
                 every = corpus._orbit_minimal_sets(n - 1, group)
                 below = [item for item in every if 1 < item[0].bit_count() < bound]
+                at = [item for item in every
+                      if 1 < item[0].bit_count() == bound and item[0] & top]
                 assert corpus._orbit_minimal_sets(n - 1, group, bound) == [
                     item for item in every if item not in below]
-                for nbrs, _ in below:
+                assert corpus._orbit_minimal_sets(n - 1, group, bound, top) == [
+                    item for item in every if item not in below + at]
+                for nbrs, _ in below + at:
                     assert _deletion_rivals(n, _child(rows, nbrs)) is None
-                skipped[n] += len(below)
-        # of the 3,771 sets listed for order 7, 1,364
-        assert skipped == Counter({5: 4, 6: 74, 7: 1364})
+                skipped[n] += Counter(below=len(below), at=len(at))
+        # of the 3,771 sets listed for order 7, 1,364 below D and 619 at it
+        assert skipped == {3: Counter(), 4: Counter(at=1), 5: Counter(below=4, at=8),
+                           6: Counter(below=74, at=57), 7: Counter(below=1364, at=619)}
 
     def test_cut_table_matches_connected_on(self):
         # the components of a parent less v are a partition of the rest
