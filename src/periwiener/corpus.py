@@ -77,17 +77,9 @@ from .graphio import edge_mask, mask_rows, write_graph6
 from .graphs import Graph, _bits, _component, _edge_list
 from .indices import INDEX_NAMES, Profile
 
-# The largest order of an exhaustive sweep.  On a 2-vCPU guest (one run
-# each; the guest's speed varies by about 1.5x), generating every class up
-# to n = 8 took 1.14 s in one process, with 2,932 canonical forms, one per
-# tie whose tied vertices are not all twins of the new one, and
-# `enumerate-values --max-n 8`, whose orders 7 and 8 grow in one job per
-# class of order 6, 0.86 s wall, 1.55 s CPU and 19.1 MiB peak RSS with 2
-# workers, with 3,194 canonical forms.  With this ceiling patched to 9,
-# `--max-n 9` took 16.7 s wall and 32.6 s CPU with 2 workers, and peaked
-# at 21.6 MiB RSS in this process and 27.5 MiB in a worker, since each
-# job's value candidates are folded into one running table per order as
-# they come.
+# The largest order of an exhaustive sweep: order 9 has 261,080 classes,
+# about 23 times as many as order 8, and a sweep to it takes about 16 times
+# as long (the README's enumerate-values section gives the measured runs).
 MAX_N = 8
 
 # Aut(G) in compact form, (orders, twins): for each order, the permutation
@@ -409,7 +401,7 @@ def _cut_table(k: int, adj: Sequence[int]) -> list[list[int]]:
 
 
 def _rival_deletion_vertices(n: int, adj: list[int],
-                             cuts: list[list[int]] | None = None) -> list[int] | None:
+                             cuts: list[list[int]]) -> list[int] | None:
     """The cheap half of the deletion rule.  m(G) is a non-cut vertex of
     largest (degree, sorted neighbour degrees), and vertex n-1, whose
     removal leaves the parent, is never a cut vertex.  None when another
@@ -417,14 +409,12 @@ def _rival_deletion_vertices(n: int, adj: list[int],
     of m(G); otherwise the other non-cut vertices whose invariant ties with
     that of n-1 (none when n-1 is m(G)).  Neighbour degrees are sorted only
     on a degree tie, and the cut-vertex test runs only where the invariant
-    ties or wins.  `cuts` is the parent's `_cut_table`, built here from rows
-    0..n-2 when not given: a parent vertex v is a non-cut vertex of the
-    child exactly when the neighbours of n-1 meet every component of the
-    parent less v, so the test is a few bit tests."""
+    ties or wins.  `cuts` is the parent's `_cut_table`: a parent vertex v
+    is a non-cut vertex of the child exactly when the neighbours of n-1
+    meet every component of the parent less v, so the test is a few bit
+    tests."""
     deg = [a.bit_count() for a in adj]
     new = n - 1
-    if cuts is None:
-        cuts = _cut_table(new, adj)
     reach = adj[new]
 
     def nbr_degrees(v: int) -> list[int]:

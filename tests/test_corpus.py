@@ -742,7 +742,9 @@ class TestDeletionRule:
                     for u in range(n - 1):
                         if nbrs >> u & 1:
                             adj[u] |= 1 << (n - 1)
-                    assert corpus._rival_deletion_vertices(n, adj) == _deletion_rivals(n, adj)
+                    cuts = corpus._cut_table(n - 1, adj)
+                    got = corpus._rival_deletion_vertices(n, adj, cuts)
+                    assert got == _deletion_rivals(n, adj)
                     children[n] += 1
         # every call that growth up to n = 7 makes
         assert children == {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
@@ -754,7 +756,8 @@ class TestDeletionRule:
             g = random_connected(rng, rng.randrange(2, 10), extra=rng.random())
             adj = list(g.masks)
             want = _deletion_rivals(g.n, adj)
-            assert corpus._rival_deletion_vertices(g.n, adj) == want
+            cuts = corpus._cut_table(g.n - 1, adj)
+            assert corpus._rival_deletion_vertices(g.n, adj, cuts) == want
             outcomes["none" if want is None else "ties" if want else "alone"] += 1
         # None 951 times, ties 994, n-1 alone 55
         assert len(outcomes) == 3 and min(outcomes.values()) >= 50
