@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import InvalidCodeError, InvalidParameterError, TooLargeError
 from .graphio import MAX_EDGE_LIST_ORDER
-from .graphs import Graph, build_graph, is_connected
+from .graphs import Graph, _connected_on, build_graph
 
 _SAMPLER_ATTEMPTS = 1000
 # the pair draws that the rejection sampler may spend in all: all 1,000
@@ -226,17 +226,20 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         raise InvalidParameterError(f"edge probability must be in (0, 1], got {p}")
     attempts = min(_SAMPLER_ATTEMPTS, _SAMPLER_DRAWS // (n * (n - 1) // 2))
     draw = random.Random(seed).random
+    bits = [1 << i for i in range(n)]
     for _ in range(attempts):
-        # one draw per pair, in graph6 column order (0,1),(0,2),(1,2),...
-        masks = [0] * n
-        for j in range(1, n):
+        # one draw per pair, in graph6 column order (0,1),(0,2),(1,2),...;
+        # row j is complete up to column j when column j is drawn
+        masks = []
+        for j, bit in enumerate(bits):
+            col = 0
             for i in range(j):
                 if draw() < p:
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        g = Graph(n, tuple(masks))
-        if is_connected(g):
-            return g
+                    col |= bits[i]
+                    masks[i] |= bit
+            masks.append(col)
+        if _connected_on(masks, (1 << n) - 1):
+            return Graph(n, tuple(masks))
     raise InvalidParameterError(
         f"no connected sample in {attempts} attempts (at most {_SAMPLER_ATTEMPTS} "
         f"attempts and {_SAMPLER_DRAWS:,} pair draws; n={n}, p={p})"

@@ -29,7 +29,7 @@ from .errors import (
     TooLargeError,
     VertexRangeError,
 )
-from .graphs import Graph, build_graph
+from .graphs import Graph
 
 MAX_GRAPH6_ORDER = 258
 
@@ -41,9 +41,10 @@ MAX_GRAPH6_ORDER = 258
 # O(n^2) memory can raise this ceiling.
 MAX_EDGE_LIST_ORDER = 1024
 
-# An edge-list integer: ASCII digits only, since str.isdigit() also accepts
-# digits such as "²" that int() rejects.
+# An edge-list integer, and an edge line: ASCII digits only, since
+# str.isdigit() also accepts digits such as "²" that int() rejects.
 _INT = re.compile(r"-?[0-9]+")
+_EDGE = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
 def _as_text(data: str | bytes) -> str:
@@ -59,33 +60,35 @@ def parse_edge_list(data: str | bytes) -> Graph:
     """Parse edge-list text, naming the line of the first bad record."""
     text = _as_text(data)
     n: int | None = None
-    edges: list[tuple[int, int]] = []
+    masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
         if n is None:
-            if len(fields) != 1 or not _INT.fullmatch(fields[0]):
+            if not _INT.fullmatch(line):
                 raise EdgeListSyntaxError(f"line {lineno}: expected the vertex count")
-            n = int(fields[0])
+            n = int(line)
             if n < 1:
                 raise VertexRangeError(f"line {lineno}: vertex count must be >= 1, got {n}")
             if n > MAX_EDGE_LIST_ORDER:
                 raise TooLargeError(f"line {lineno}: vertex count {n} exceeds the supported "
                                     f"maximum {MAX_EDGE_LIST_ORDER}")
+            masks = [0] * n
             continue
-        if len(fields) != 2 or not all(_INT.fullmatch(f) for f in fields):
+        edge = _EDGE.fullmatch(line)
+        if edge is None:
             raise EdgeListSyntaxError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(fields[0]), int(fields[1])
+        u, v = int(edge[1]), int(edge[2])
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
-        edges.append((u, v))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     if n is None:
         raise EdgeListSyntaxError("line 0: no vertex count found")
-    return build_graph(n, edges)
+    return Graph(n, tuple(masks))
 
 
 def write_edge_list(g: Graph) -> str:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -11,6 +13,17 @@ from hypothesis import strategies as st
 
 from periwiener import corpus
 from periwiener.graphs import Graph, build_graph
+
+
+def python_env(drop: tuple[str, ...] = ()) -> dict[str, str]:
+    """The environment for a test's `python` subprocess: this one without
+    the variables `drop`, and with this checkout's `src` first on
+    PYTHONPATH, so the child imports the package whether or not it is
+    installed."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:

@@ -749,14 +749,16 @@ class TestOnePool:
         for stream, jobs in per_stream.items():
             per_suite[audit._CLAIMS[readers[stream][0]].suite] += jobs
         assert min(per_suite.values()) >= 2, per_suite
-        assert per_stream["caterpillar"] == 50 and per_stream["lobster"] == 2
+        assert per_stream["caterpillar"] == 26 and per_stream["lobster"] == 2
 
     def test_no_job_holds_more_than_a_block_of_family_members(self):
         family = [args for _, args in audit._jobs(list(audit._CLAIMS.values()), audit.Budget())
                   if audit._CLAIMS[args[0][0]].suite == "family"]
         sizes = [len(items) for _ids, _source, (items,) in family]
         assert max(sizes) <= audit._BLOCK
-        assert sum(sizes) == 7 + 7 + 15 + 21 + 5 + 105 + 12_496 + 351, sizes
+        # a caterpillar block lists codes up to their spine reversals: 6,370
+        # codes for the 12,496 members
+        assert sum(sizes) == 7 + 7 + 15 + 21 + 5 + 105 + 6_370 + 351, sizes
 
     @pytest.mark.parametrize("ids, name, calls", [
         (["P1-2", "T-STAR"], "star", 7),
@@ -850,29 +852,38 @@ class TestOnePool:
 
 class TestCaterpillarPairs:
     """A caterpillar code and its spine reversal are one graph: the stream
-    lists each code right after its reversal and profiles each pair once."""
+    lists each code up to its reversal, and the worker yields the reversal
+    right after it, with the same profile."""
 
     def test_one_profile_per_pair(self, monkeypatch):
         jobs = list(audit._caterpillar_jobs(audit.Budget(), corpus.class_levels()))
         blocks = [block for _, (_source, (block,)) in jobs]
         codes = [code for block in blocks for code in block]
-        assert len(blocks) == 50 and max(map(len, blocks)) <= audit._BLOCK
-        assert len(codes) == len(set(codes)) == 12_496
+        assert len(blocks) == 26 and max(map(len, blocks)) <= audit._BLOCK
+        assert len(codes) == len(set(codes)) == 6_370
+        assert all(code <= code[::-1] for code in codes)
         profiled = []
         real = corpus.profile_of
         monkeypatch.setattr(corpus, "profile_of", lambda g: profiled.append(g) or real(g))
-        shared = 0
+        members = []
         for _, (source, args) in jobs:
-            prev = None
             for g, weight, (h, p, (code,)) in source(*args):
                 assert h is g and weight == 1
                 assert g.masks == generators.caterpillar(code).masks
-                if prev is not None and prev[0] == code[::-1]:
-                    assert p is prev[1] and p == real(generators.caterpillar(code))
-                    shared += 1
-                prev = code, p
-        assert shared == 6_126
-        assert len(profiled) == 12_496 - shared == 6_370
+                members.append((code, p))
+        assert len(members) == len(set(code for code, _ in members)) == 12_496
+        assert len(profiled) == 6_370
+        reversals = 0
+        for (code, p), (nxt, q) in zip(members, members[1:]):
+            if nxt == code[::-1] != code:
+                assert q is p and p == real(generators.caterpillar(nxt))
+                reversals += 1
+        assert reversals == 6_126
+        # so a pair never straddles a block boundary: a block of one
+        # non-palindromic code yields both its members
+        code = (1, 0, 2)
+        pair = [(c, g.masks) for g, _, (_, _, (c,)) in audit._caterpillars([code])]
+        assert pair == [(c, generators.caterpillar(c).masks) for c in (code, code[::-1])]
 
 
 class TestBudget:

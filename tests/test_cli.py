@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from conftest import python_env
 from periwiener import audit, cli, corpus, errors, graphio, trees
 from periwiener.cli import _FAMILIES, enumerate_values_csv, main
 from periwiener.generators import (
@@ -65,11 +66,11 @@ class TestCompute:
         assert "line 2" in err
 
     def test_oversized_edge_list_exits_2_before_building(self, tmp_path, capsys, monkeypatch):
-        # the header alone is rejected: no vertex list is allocated for it
+        # the header alone is rejected: no graph is built for it
         def not_built(*args):
-            raise AssertionError("build_graph called")
+            raise AssertionError("Graph built")
 
-        monkeypatch.setattr(graphio, "build_graph", not_built)
+        monkeypatch.setattr(graphio, "Graph", not_built)
         f = tmp_path / "huge.el"
         f.write_text("200000000\n0 1\n")
         rc, out, err = run_cli(capsys, "compute", "--input", str(f))
@@ -682,11 +683,10 @@ class TestFailurePath:
     def test_buffered_stdout_to_full_device_exits_2(self):
         # with a buffered stdout the write fails at the flush: it is reported
         # once, and the interpreter's own flush at exit does not fail again
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "periwiener.cli", "gen", "path", "3"],
                                   stdout=full, stderr=subprocess.PIPE, text=True,
-                                  env=env, timeout=60)
+                                  env=python_env(drop=("PYTHONUNBUFFERED",)), timeout=60)
         assert (proc.returncode, proc.stderr) == (2, "error: No space left on device\n")
 
 
@@ -742,10 +742,8 @@ class TestWorkerDeath:
     def test_dead_worker_exits_2(self, tmp_path, argv):
         if argv[0] == "compute":
             argv += ("--input", _stream(tmp_path, ["Bw", "Bg", "C~", "Bw"]))
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", _EXIT_IN_WORKER, *argv],
-                              capture_output=True, text=True, env=env, timeout=5)
+                              capture_output=True, text=True, env=python_env(), timeout=5)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: a worker process died")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -793,10 +791,8 @@ class TestOutOfMemoryInJobs:
 
     @staticmethod
     def _run(*argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", _UNLOADABLE, *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+                              capture_output=True, text=True, env=python_env(), timeout=10)
         assert (proc.returncode, proc.stderr) == (2, "error: out of memory\n")
         assert float(proc.stdout) < 2
 
@@ -813,7 +809,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "periwiener.cli", "gen", "path", "3",
              "--emit", "graph6"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=python_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "Bg"

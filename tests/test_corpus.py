@@ -934,7 +934,7 @@ class TestScanValues:
 
     @pytest.mark.parametrize("max_n", [1, corpus.MAX_N + 1])
     def test_ceiling_checked_before_any_job(self, monkeypatch, max_n):
-        # n = 9 is past the ceiling: the sweep refuses it before any job
+        # MAX_N + 1 is past the ceiling: the sweep refuses it before any job
         # runs or any pool forks
         def no_job(*args):
             raise AssertionError("a job or pool was started")

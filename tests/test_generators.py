@@ -324,11 +324,11 @@ class TestSamplerBudget:
     def _attempts(monkeypatch, n):
         calls = []
 
-        def never_connected(g):
-            calls.append(g.n)
+        def never_connected(rows, vertices):
+            calls.append(len(rows))
             return False
 
-        monkeypatch.setattr(generators, "is_connected", never_connected)
+        monkeypatch.setattr(generators, "_connected_on", never_connected)
         with pytest.raises(InvalidParameterError) as info:
             random_connected_graph(n, 0.5, seed=1)
         assert str(info.value) == (

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import connected_graphs, fig2_tree, random_connected
+from conftest import connected_graphs, fig2_tree, python_env, random_connected
 from periwiener.errors import InvariantError, NotConnectedError, TrivialGraphError
 from periwiener.generators import (
     complete,
@@ -210,7 +210,7 @@ class TestInvariants:
                 "try:\n    peripheral_wiener(dm)\n"
                 "except InvariantError:\n    print('raised')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                              text=True, timeout=60)
+                              text=True, env=python_env(), timeout=60)
         assert proc.stdout.strip() == "raised", proc.stderr
 
     def test_no_assert_in_the_package(self):
