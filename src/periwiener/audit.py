@@ -14,27 +14,27 @@ each family's instance set, the fixed cases), and each requested stream is
 swept once for all the claims that read it; a corpus reader may cap the
 orders it reads, as DEF-PWW-ALT (the corpus6 suite) reads the classes up to
 order 6.  One loop, `_evaluate`, does the counting, witness selection and
-error handling for every pass.  The corpus stream reads the class walk
-(`_class_instances`): one graph per isomorphism class, weighted by its
-n!/|Aut(G)| labelings, in the labeling it was grown in.  A violating
-class is kept as one witness key, its canonical mask, found by one search
-of its rows where it is checked, and the report expands the kept classes
-into their labeled graphs.  The product factors keep the labeling they
-were grown in too.
+error handling for every pass.  The corpus stream reads the classes: one
+graph per isomorphism class, weighted by its n!/|Aut(G)| labelings, in the
+labeling it was grown in.  A violating class is kept as one witness key,
+its canonical mask, found by one search of its rows where it is checked,
+and the report expands the kept classes into their labeled graphs.  The
+product factors keep the labeling they were grown in too.
 
 `run_claims` cuts every requested stream into jobs and runs them all in one
-process pool: the corpus classes up to order max_n - 2 one job per order,
-from one walk of the class levels in the parent, and the two largest orders
-one job per class of order max_n - 2, each grown in its worker (the walk
-goes to the larger of max_n - 2 and FACTOR_MAX_N, the largest product
-factor); the random graphs, trees and factor pairs, the family parameters
-and the fixed cases in blocks whose items the parent makes in stream order;
-the free trees in one job.  A job is made, its block drawn from its
-stream's own rng, only when the pool has a worker free for it, so the parent
-never holds the jobs of a whole stream.  Each claim's parts merge in its
-stream's order as they come, and a part after one whose check raised counts
-nothing, so the report is that of one serial pass whatever the worker
-count; a job made after that leaves the claim out.
+process pool: the corpus classes one job per part of `corpus._class_parts`,
+each order below max_n - 2 whole, from one walk of the class levels in the
+parent, then each class of order max_n - 2, from which its worker grows the
+two largest orders (the walk goes to the larger of max_n - 2 and
+FACTOR_MAX_N, the largest product factor); the random graphs, trees and
+factor pairs, the family parameters and the fixed cases in blocks whose
+items the parent makes in stream order; the free trees in one job.  A job
+is made, its block drawn from its stream's own rng, only when the pool has
+a worker free for it, so the parent never holds the jobs of a whole stream.
+Each claim's parts merge in its stream's order as they come, and a part
+after one whose check raised counts nothing, so the report is that of one
+serial pass whatever the worker count; a job made after that leaves the
+claim out.
 """
 
 from __future__ import annotations
@@ -294,23 +294,18 @@ def _chk_obs_no_2_5(n, masks, p):
     return None
 
 
-def _class_instances(n: int, classes: Iterable[corpus.ClassEntry]):
-    for weight, p, rows, _ in classes:
-        yield (n, rows), weight, (n, rows, p)
+def _grown_instances(classes: list[corpus.ClassEntry], depth: int):
+    for n, grown in corpus._grown_levels(classes, depth):
+        for weight, p, rows, _ in grown:
+            yield (n, rows), weight, (n, rows, p)
 
 
-def _grown_instances(max_n: int, parent: corpus.ClassEntry):
-    for n, classes in corpus._grown_levels(max_n, parent):
-        yield from _class_instances(n, classes)
-
-
-def _corpus_chunk(ids: list[str], max_n: int, parent: corpus.ClassEntry) -> dict[str, _Acc]:
-    """Pool worker: the corpus checks `ids` over the classes of the orders
-    above one parent class's, up to max_n, grown from it, order by order
-    (`corpus._grown_levels`).  The classes carry their adjacency rows but
-    no canonical mask; a violating one is keyed here, by one search of its
-    rows (`_add_witnesses`)."""
-    return _stream_chunk(ids, _grown_instances, (max_n, parent))
+def _corpus_chunk(ids: list[str], classes: list[corpus.ClassEntry], depth: int) -> dict[str, _Acc]:
+    """Pool worker: the corpus checks `ids` over one part of the sweep
+    (`corpus._class_parts`), order by order (`corpus._grown_levels`).  The
+    classes carry their adjacency rows but no canonical mask; a violating
+    one is keyed here, by one search of its rows (`_add_witnesses`)."""
+    return _stream_chunk(ids, _grown_instances, (classes, depth))
 
 
 def _connected_draw(rng: random.Random, n_lo: int, n_hi: int) -> tuple[int, float, int]:
@@ -334,15 +329,11 @@ def _random_graphs(draws: Iterable[tuple[int, float, int]]):
 
 def _corpus_jobs(budget: Budget, level: Callable) -> Iterator[tuple]:
     """Every connected graph up to max_n vertices, one check per isomorphism
-    class counted for each of its labelings, then 10 x trials random
-    connected graphs.  The orders up to max_n - 2 come from the walked
-    levels, one job each; the two largest in one job per class of order
-    max_n - 2 (of order 1 when max_n <= 3)."""
-    low = max(1, budget.max_n - 2)
-    for k in range(2, low + 1):
-        yield _stream_chunk, (_class_instances, (k, level(k)))
-    for parent in level(low):
-        yield _corpus_chunk, (budget.max_n, parent)
+    class counted for each of its labelings, one job per part of the class
+    sweep (`corpus._class_parts`); then 10 x trials random connected graphs
+    in blocks."""
+    for part in corpus._class_parts(budget.max_n, level):
+        yield _corpus_chunk, part
     yield from _blocks(_random_graphs, _graph_draws(budget))
 
 

@@ -365,8 +365,10 @@ def _cmd_enumerate(args) -> int:
 def enumerate_values_csv(index_name: str, max_n: int, threads: int = 1) -> str:
     """CSV of (value, smallest n attaining it, witness graph6), ascending,
     with a trailing comment listing non-attained values below the maximum.
-    `threads` workers (0 = one per CPU) scan the classes of the two largest
-    orders, at most one per CPU and per class of order max_n - 2."""
+    `threads` workers (0 = one per CPU), at most one per CPU and per job,
+    run the jobs of the class sweep: each order below max_n - 2 whole, then
+    each class of order max_n - 2 with the two largest orders grown from it
+    (`corpus._class_parts`)."""
     attained = corpus.scan_values(index_name, max_n, threads)
     gaps = corpus.value_gaps(attained)
     buf = io.StringIO()

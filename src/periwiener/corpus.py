@@ -47,12 +47,16 @@ class that grows children (`_orbit_minimal_sets`), so the largest order of
 a sweep lists none.  Growth searches any other tie, and nothing else.
 
 `class_levels` is the one walk of the levels: each order is grown once,
-from the entries of the order below, when first asked for.  The two largest
-orders of a sweep, which hold most of the work, are grown instead as one
-job per class of the order below them (`_grown_levels`).  At every order, a
-class is searched only as a candidate for an output: by independence number
-for a value's witness (`scan_values`), and for an audit witness key only
-where a class violates a claim.
+from the entries of the order below, when first asked for.  `_class_parts`
+is the one split of a sweep into jobs, for the value scan, the audit's
+corpus stream and CI's class-count check alike: each order below max_n - 2
+whole, then each class of order max_n - 2 (at least 2) alone, from which
+its job grows the two largest orders, which hold most of the work
+(`_grown_levels`).  Each class has one parent class, so the parts cover
+every class once.  At every order, a class is searched only as a candidate
+for an output: by independence number for a value's witness
+(`scan_values`), and for an audit witness key only where a class violates
+a claim.
 `run_jobs` runs such jobs, (fn, args) pairs taken from an iterable only as
 workers come free for them, on forked workers, and yields their results in
 job order as they come; the value scan of `enumerate-values`, every audit
@@ -551,19 +555,37 @@ def labelings(n: int, mask: int) -> set[int]:
             for perm in itertools.permutations(range(n))}
 
 
-def _grown_levels(max_n: int, entry: ClassEntry) -> Iterator[tuple[int, Iterable[ClassEntry]]]:
-    """(n, classes) for each order n above that of the class `entry`, up to
-    max_n, in order: every n-vertex class grown from it, through the
-    classes of the orders between.  Disjoint sets of classes of one order
-    grow disjoint classes, so the classes of one order grow every larger
-    class once, as `class_levels` does.  Each order but max_n is listed, to
-    grow the next from; max_n comes as an iterator, so its classes are not
-    held at once, and lists no group (`_orbit_minimal_sets`)."""
-    classes: Iterable[ClassEntry] = [entry]
-    for n in range(len(entry[2]) + 1, max_n):
+def _class_parts(max_n: int, level: Callable[[int], list[ClassEntry]]
+                 ) -> Iterator[tuple[list[ClassEntry], int]]:
+    """The one split of a sweep of the classes of orders 2..max_n into
+    parts (classes, depth), in sweep order: each order below low = max(2,
+    max_n - 2) whole, with depth 0, then each class of order low alone,
+    with depth max_n - low.  A part stands for its classes and those grown
+    from them through `depth` more orders (`_grown_levels`), so the parts
+    cover every class once.  `level` is a walk of the class levels
+    (`class_levels`), read up to order low as the parts are made."""
+    low = max(2, max_n - 2)
+    for n in range(2, low):
+        yield level(n), 0
+    for entry in level(low):
+        yield [entry], max_n - low
+
+
+def _grown_levels(classes: list[ClassEntry], depth: int
+                  ) -> Iterator[tuple[int, Iterable[ClassEntry]]]:
+    """(n, classes) for the order of `classes`, a part of `_class_parts`,
+    and for each of the `depth` orders above it, in order: the part's own
+    classes first, then every class grown from them through the orders
+    between.  Each grown order but the last is listed, to grow the next
+    from; the last comes as an iterator, so its classes are not held at
+    once, and lists no group (`_orbit_minimal_sets`)."""
+    low = len(classes[0][2])
+    yield low, classes
+    for n in range(low + 1, low + depth):
         classes = list(iter_connected_profiles(n, classes))
         yield n, classes
-    yield max_n, iter_connected_profiles(max_n, classes)
+    if depth:
+        yield low + depth, iter_connected_profiles(low + depth, classes)
 
 
 def class_levels() -> Callable[[int], list[ClassEntry]]:
@@ -573,8 +595,11 @@ def class_levels() -> Callable[[int], list[ClassEntry]]:
     grown once, from the entries of the order below, the first time it is
     asked for; as everywhere in growth, only a tie that is not all twins of
     the new vertex is searched.  The levels are kept by this walk only, so a
-    new walk starts from scratch.  level(n) raises InvalidParameterError,
-    before any generation, for n outside 1..MAX_N."""
+    new walk starts from scratch.  A sweep asks it only up to order
+    max(2, max_n - 2), and the audit's product factors up to FACTOR_MAX_N:
+    the larger orders are grown in the sweep's jobs (`_class_parts`).
+    level(n) raises InvalidParameterError, before any generation, for n
+    outside 1..MAX_N."""
     levels = [[(1, profile_from_masks(1, (0,)), (0,), ([(0,)], []))]]
 
     def level(n: int) -> list[ClassEntry]:
@@ -647,36 +672,28 @@ def all_free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
 # --- value enumeration (inverse-problem tooling) ----------------------------
 
 
-def _largest_alpha(items: Iterable[tuple[int, int, list]],
-                   best: dict[int, tuple[int, list]] | None = None) -> dict[int, tuple[int, list]]:
-    """Value -> (α, candidates) over (value, α, candidates) items, folded
-    into `best` when it is given: the candidates of every item with the
-    largest α of its value."""
-    best = {} if best is None else best
-    for val, a, cands in items:
+def _best_candidates(items: Iterable[tuple[int, tuple]], best: dict[int, tuple]) -> dict[int, tuple]:
+    """`best`, value -> (rank, [adjacency rows]), with such items folded in:
+    the rows of every item of the value's smallest rank (n, -α), the classes
+    of the largest independence number α at the smallest order n that
+    attains it, the only ones that can hold its first witness in graph6
+    order (`independence_number`)."""
+    for val, (rank, cands) in items:
         top = best.get(val)
-        if top is None or a > top[0]:
-            best[val] = (a, list(cands))
-        elif a == top[0]:
+        if top is None or rank < top[0]:
+            best[val] = (rank, list(cands))
+        elif rank == top[0]:
             top[1].extend(cands)
     return best
 
 
-def _value_candidates(field: int, classes: Iterable[ClassEntry]) -> dict[int, tuple[int, list]]:
-    """Attained value of Profile field `field` -> (α, [adjacency rows]) over
-    `classes`: the classes of the largest independence number α of each
-    value, the only ones that can hold its smallest canonical mask
-    (`independence_number`).  No class is searched here."""
-    return _largest_alpha((p[field], independence_number(rows), [rows])
-                          for _, p, rows, _ in classes)
-
-
-def _scan_chunk(index_name: str, max_n: int, parent: ClassEntry) -> list[dict[int, tuple[int, list]]]:
-    """Worker: `_value_candidates` of each order above the parent class's,
-    up to max_n, in order, over the classes grown from that one class
-    (`_grown_levels`)."""
+def _scan_chunk(index_name: str, classes: list[ClassEntry], depth: int) -> dict[int, tuple]:
+    """Worker: `_best_candidates` of the index over every order of one part
+    of the sweep (`_grown_levels`).  No class is searched here."""
     field = Profile._fields.index(index_name)
-    return [_value_candidates(field, classes) for _, classes in _grown_levels(max_n, parent)]
+    return _best_candidates(((p[field], ((n, -independence_number(rows)), [rows]))
+                             for n, grown in _grown_levels(classes, depth)
+                             for _, p, rows, _ in grown), {})
 
 
 def worker_count(threads: int, jobs: int | None = None) -> int:
@@ -767,16 +784,12 @@ def run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
 
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:
     """Attained value -> (smallest n, graph6 of the first witness in graph6
-    order) over all connected graphs with 2 <= n <= max_n.  The orders up to
-    max_n-2 are read from one walk of the class levels; orders max_n-1 and
-    max_n, which hold most of the work, run as one job per class of order
-    max_n-2 (of order 1 when max_n <= 3) on `threads` workers (0 = one per
+    order) over all connected graphs with 2 <= n <= max_n, by one job per
+    part of the sweep (`_class_parts`) on `threads` workers (0 = one per
     CPU).  Each class is scanned once: its canonical labeling is the first
-    of its labeled graphs in graph6 order.  Every order keeps, per value,
-    the classes of the largest independence number, in one table per order
-    into which each job's result is folded as it comes, and this process
-    searches those alone, order by order, for the values no smaller order
-    attains.  Raises InvalidParameterError, before any work, on an unknown
+    of its labeled graphs in graph6 order.  Each job's candidates are folded
+    into one table as its result comes, and this process searches those
+    alone.  Raises InvalidParameterError, before any work, on an unknown
     index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
     if index_name not in INDEX_NAMES:
         raise InvalidParameterError(f"unknown index {index_name!r}")
@@ -784,28 +797,15 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
         raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
     if threads < 0:
         raise InvalidParameterError(f"threads must be >= 0, got {threads}")
-    field = Profile._fields.index(index_name)
-    level = class_levels()
-    low = max(1, max_n - 2)  # the order of the jobs' classes
-    out: dict[int, tuple[int, str]] = {}
-
-    def resolve(n: int, top: dict[int, tuple[int, list]]) -> None:
-        for val, (_, cands) in top.items():
-            if val not in out:
-                mask = min(canonical_form(n, rows)[0] for rows in cands)
-                out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
-
-    for n in range(2, low + 1):
-        resolve(n, _value_candidates(field, level(n)))
-    tops: list[dict[int, tuple[int, list]]] = [{} for _ in range(low, max_n)]
-    jobs = ((_scan_chunk, (index_name, max_n, parent)) for parent in level(low))
+    best: dict[int, tuple] = {}
+    jobs = ((_scan_chunk, (index_name, *part)) for part in _class_parts(max_n, class_levels()))
     with closing(run_jobs(jobs, threads)) as parts:
-        for part in parts:
-            for top, table in zip(tops, part):
-                _largest_alpha(((val, a, cands) for val, (a, cands) in table.items()
-                                if val not in out), top)
-    for n, top in enumerate(tops, low + 1):
-        resolve(n, top)
+        for table in parts:
+            _best_candidates(table.items(), best)
+    out = {}
+    for val, ((n, _), cands) in best.items():
+        mask = min(canonical_form(n, rows)[0] for rows in cands)
+        out[val] = (n, write_graph6(Graph(n, mask_adjacency(n, mask))))
     return out
 
 

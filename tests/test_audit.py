@@ -455,9 +455,9 @@ class TestCheckErrors:
         assert broken.status == audit.STATUS_SKIPPED and broken.instances_tested == 0
         assert together == alone
         if threads == 1:
-            # orders 2..3, the 2 classes of order 3 that orders 4 and 5 are
+            # order 2, the 2 classes of order 3 that orders 4 and 5 are
             # grown from, and the 300 random graphs
-            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (2 + 2 + 2 - 1)
+            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (1 + 2 + 2 - 1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):
@@ -479,8 +479,8 @@ class TestCheckErrors:
         corpus_budget = audit.Budget(max_n=6, trials=30, threads=threads)
         level = corpus.class_levels()
         corpus_stream = chain(
-            chain.from_iterable(audit._class_instances(n, level(n)) for n in range(2, 5)),
-            chain.from_iterable(audit._grown_instances(6, parent) for parent in level(4)),
+            chain.from_iterable(audit._grown_instances(*part)
+                                for part in corpus._class_parts(6, level)),
             audit._random_graphs(audit._graph_draws(corpus_budget)))
         tree_budget = audit.Budget(max_n=6, trials=600, threads=threads)  # 3 random blocks
         tree_stream = chain(audit._free_trees(),
@@ -497,8 +497,9 @@ class TestCheckErrors:
             assert (r.status, r.instances_tested, r.note) == (
                 audit.STATUS_SKIPPED, serial.tested, serial.error)
             got.append(r.instances_tested)
-        # each raising part after the first counts nothing
-        assert got == [2804, 200]
+        # each raising part after the first counts nothing; each class of
+        # order 4 heads its own part, before the classes grown from it
+        assert got == [2782, 200]
 
 
 class TestRandomDraws:

@@ -814,6 +814,46 @@ class TestDeletionRule:
                             == _connected_on(_child(rows, nbrs), ((1 << k + 1) - 1) ^ 1 << v))
 
 
+def _part_counts(classes, depth):
+    """A job of the class-count check: per order of one part of the sweep,
+    (order, class count, labeled graphs per edge count)."""
+    out = []
+    for n, grown in corpus._grown_levels(classes, depth):
+        count, by_size = 0, Counter()
+        for weight, prof, _, _ in grown:
+            count += 1
+            by_size[prof.m] += weight
+        out.append((n, count, by_size))
+    return out
+
+
+class TestClassParts:
+    """The one split of a sweep into jobs covers every class once."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_parts_partition_the_walk(self, monkeypatch, threads):
+        # summed over the parts, at one worker and on the pool, each order's
+        # class count and weights per edge count are those of the walk
+        monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        level = corpus.class_levels()
+        want = {}
+        for n in range(2, 8):
+            by_size = Counter()
+            for weight, prof, _, _ in level(n):
+                by_size[prof.m] += weight
+            want[n] = (len(level(n)), by_size)
+            assert want[n][0] == ISO_CONNECTED[n]
+            assert sum(by_size.values()) == LABELED_CONNECTED[n]
+        for max_n in range(2, 8):
+            got = {n: (0, Counter()) for n in range(2, max_n + 1)}
+            jobs = ((_part_counts, part) for part in corpus._class_parts(max_n, level))
+            with closing(corpus.run_jobs(jobs, threads)) as parts:
+                for part in parts:
+                    for n, count, by_size in part:
+                        got[n] = (got[n][0] + count, got[n][1] + by_size)
+            assert got == {n: want[n] for n in range(2, max_n + 1)}, max_n
+
+
 class TestNoGroupAtTheTopOrder:
     """Only a class that grows children has its group expanded."""
 
@@ -842,7 +882,7 @@ class TestNoGroupAtTheTopOrder:
         for parent in level(5)[::4]:
             children = list(corpus.iter_connected_profiles(6, (parent,)))
             del expanded[:]
-            audit._corpus_chunk(ids, 7, parent)
+            audit._corpus_chunk(ids, [parent], 2)
             # its own group, then each order-6 child's, none of order 7
             assert expanded == [(5, parent[3])] + [(6, child[3]) for child in children]
 
@@ -969,20 +1009,22 @@ class TestScanValues:
 
     @pytest.mark.parametrize("index", ["w", "ww", "pw", "pww", "tw", "tww"])
     def test_largest_alpha_holds_the_smallest_mask(self, index):
-        # per value, the classes of the largest independence number hold
-        # the smallest canonical mask of all the classes of that value
+        # per value, the classes of the largest independence number at the
+        # smallest order that attains it, folded over every part of the
+        # sweep, hold the smallest canonical mask of that order's classes
+        # of the value
         level = corpus.class_levels()
         field = corpus.Profile._fields.index(index)
-        for n in range(3, 8):
-            parts = [corpus._scan_chunk(index, n, parent)[-1] for parent in level(max(1, n - 2))]
-            top = corpus._largest_alpha((val, a, cands) for part in parts
-                                        for val, (a, cands) in part.items())
-            got = {val: min(corpus.canonical_form(n, rows)[0] for rows in cands)
-                   for val, (_, cands) in top.items()}
-            smallest = {}
-            for _, p, rows, _ in level(n):
-                key = corpus.canonical_form(n, rows)[0]
+        smallest = {}
+        for max_n in range(2, 8):
+            for _, p, rows, _ in level(max_n):
+                key = (max_n, corpus.canonical_form(max_n, rows)[0])
                 smallest[p[field]] = min(key, smallest.get(p[field], key))
+            best = {}
+            for part in corpus._class_parts(max_n, level):
+                corpus._best_candidates(corpus._scan_chunk(index, *part).items(), best)
+            got = {val: (n, min(corpus.canonical_form(n, rows)[0] for rows in cands))
+                   for val, ((n, _), cands) in best.items()}
             assert got == smallest
 
     def test_canonical_forms_pinned(self, monkeypatch):
@@ -1007,24 +1049,25 @@ class TestScanValues:
 
     @pytest.mark.parametrize("max_n", range(3, 9))
     def test_parent_walk_stops_two_below_max_n(self, monkeypatch, profile_calls, max_n):
-        # the calling process walks the levels to max_n - 2 and makes one
-        # job per class of that order; with two or more jobs the workers,
-        # which hold their own copy of the spy, grow every larger class
+        # the calling process walks the levels to low = max(2, max_n - 2)
+        # and makes one job per order below low and one per class of order
+        # low; with two or more jobs the workers, which hold their own copy
+        # of the spy, grow every larger class
         monkeypatch.setattr(corpus.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         walked, taken = [], []
         real = corpus.run_jobs
 
         def spy(jobs):
             for fn, args in jobs:
-                if not taken:
-                    walked.extend(profile_calls)
                 taken.append(fn)
                 yield fn, args
+            walked.extend(profile_calls)
 
         monkeypatch.setattr(corpus, "run_jobs", lambda jobs, threads: real(spy(jobs), threads))
         corpus.scan_values("pww", max_n, threads=2)
-        assert walked == list(range(2, max_n - 1))
-        assert taken == [corpus._scan_chunk] * {1: 1, **ISO_CONNECTED}[max_n - 2]
+        low = max(2, max_n - 2)
+        assert walked == list(range(2, low + 1))
+        assert taken == [corpus._scan_chunk] * (low - 2 + ISO_CONNECTED[low])
         if len(taken) > 1:
             assert profile_calls == walked
 
