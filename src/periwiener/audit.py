@@ -33,8 +33,9 @@ is made, its block drawn from its stream's own rng, only when the pool has
 a worker free for it, so the parent never holds the jobs of a whole stream.
 Each claim's parts merge in its stream's order as they come, and a part
 after one whose check raised counts nothing, so the report is that of one
-serial pass whatever the worker count; a job made after that leaves the
-claim out.
+serial pass whatever the worker count.  No result feeds back into the
+jobs: a job's claims and instances follow from the claims asked for and
+the budget alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import combinations_with_replacement, islice, product
 from math import comb
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import corpus, generators, trees
 from .errors import InvalidParameterError
@@ -841,7 +842,7 @@ def _evaluate(instances: Iterable[tuple], checks: list[tuple[str, Callable]],
     exception as the note; once no check is live, no further instance is
     drawn.
     """
-    live = [(accs[cid], fn) for cid, fn in checks if accs[cid].error is None]
+    live = [(accs[cid], fn) for cid, fn in checks]
     for subject, weight, args in instances:
         for acc, fn in live:
             try:
@@ -914,14 +915,13 @@ def _stream_chunk(ids: list[str], source: Callable, args: tuple) -> dict[str, _A
     return accs
 
 
-def _jobs(rows: list[Claim], budget: Budget, erred: Container[str] = ()) -> Iterator[tuple]:
+def _jobs(rows: list[Claim], budget: Budget) -> Iterator[tuple]:
     """The jobs of the given claims, each made when it is asked for: each
     stream that some row reads, once for all its readers, in the order of
-    its first reader and each in its own order.  A job checks the readers
-    not in `erred` when it is made; a stream that has none left is not drawn
-    further, and one that only capped readers read, no further than their
-    largest cap.  The corpus and product streams read the class levels of
-    one walk, taken only as far as they ask."""
+    its first reader and each in its own order, every job checking all its
+    readers.  A stream that only capped readers read is drawn no further
+    than their largest cap.  The corpus and product streams read the class
+    levels of one walk, taken only as far as they ask."""
     readers: dict[str, dict[str, int | None]] = {}
     for row in rows:
         readers.setdefault(row.stream, {})[row.id] = row.max_n
@@ -931,30 +931,24 @@ def _jobs(rows: list[Claim], budget: Budget, erred: Container[str] = ()) -> Iter
         # on every random graph (orders 8 to 24, `_graph_draws`)
         drawn = budget if None in cap_of.values() else replace(
             budget, max_n=min(budget.max_n, max(cap_of.values())), trials=0)
-        jobs = _STREAMS[stream](drawn, level)
-        while (live := [cid for cid in cap_of if cid not in erred]) and (job := next(jobs, None)):
-            fn, args = job
-            yield fn, (live, *args)
+        ids = list(cap_of)
+        for fn, args in _STREAMS[stream](drawn, level):
+            yield fn, (ids, *args)
 
 
 def run_claims(claims: Iterable[Claim], budget: Budget) -> list[ClaimResult]:
     """Evaluate the given claims: every requested stream as jobs made as
     they are dispatched, all run in one pool (`corpus.run_jobs`), and each
     claim's parts merged in its stream's order as they come, so the report
-    does not depend on the worker count.  A claim whose check has raised is
-    left out of the jobs made after that, as its later parts would count
-    nothing.  Rows are read from the registry by id, as the pool workers
-    read them."""
+    does not depend on the worker count.  Rows are read from the registry
+    by id, as the pool workers read them."""
     claims = list(claims)
     accs = {c.id: _Acc() for c in claims}
-    erred: set[str] = set()
-    jobs = _jobs([_CLAIMS[cid] for cid in accs], budget, erred)
+    jobs = _jobs([_CLAIMS[cid] for cid in accs], budget)
     with closing(corpus.run_jobs(jobs, budget.threads)) as parts:
         for part in parts:
             for cid, acc in part.items():
                 accs[cid].merge(acc)
-                if accs[cid].error is not None:
-                    erred.add(cid)
     return [_finalize(c, accs[c.id]) for c in claims]
 
 

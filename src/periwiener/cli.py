@@ -357,8 +357,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    text = enumerate_values_csv(args.indices.strip(), args.max_n, args.threads)
-    _write_output(args.output, lambda out: out.write(text))
+    index_name = args.indices.strip()
+    corpus.check_scan(index_name, args.max_n, args.threads)
+    # the output is opened before the sweep, so a bad path costs no sweep
+    _write_output(args.output, lambda out: out.write(
+        enumerate_values_csv(index_name, args.max_n, args.threads)))
     return 0
 
 

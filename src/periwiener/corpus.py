@@ -689,11 +689,16 @@ def _best_candidates(items: Iterable[tuple[int, tuple]], best: dict[int, tuple])
 
 def _scan_chunk(index_name: str, classes: list[ClassEntry], depth: int) -> dict[int, tuple]:
     """Worker: `_best_candidates` of the index over every order of one part
-    of the sweep (`_grown_levels`).  No class is searched here."""
+    of the sweep (`_grown_levels`), which come in ascending order.  A class
+    whose value the table already holds at a smaller order cannot rank, so
+    its α is not computed.  No class is searched here."""
     field = Profile._fields.index(index_name)
-    return _best_candidates(((p[field], ((n, -independence_number(rows)), [rows]))
-                             for n, grown in _grown_levels(classes, depth)
-                             for _, p, rows, _ in grown), {})
+    best: dict[int, tuple] = {}
+    for n, grown in _grown_levels(classes, depth):
+        held = set(best)  # the values attained below order n
+        _best_candidates(((p[field], ((n, -independence_number(rows)), [rows]))
+                          for _, p, rows, _ in grown if p[field] not in held), best)
+    return best
 
 
 def worker_count(threads: int, jobs: int | None = None) -> int:
@@ -782,6 +787,18 @@ def run_jobs(jobs: Iterable[tuple[Callable, tuple]], threads: int) -> Iterator:
             conn.close()
 
 
+def check_scan(index_name: str, max_n: int, threads: int) -> None:
+    """Raise InvalidParameterError on an unknown index, on threads < 0, or
+    unless 2 <= max_n <= MAX_N: the arguments `scan_values` refuses before
+    any work."""
+    if index_name not in INDEX_NAMES:
+        raise InvalidParameterError(f"unknown index {index_name!r}")
+    if not 2 <= max_n <= MAX_N:
+        raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
+    if threads < 0:
+        raise InvalidParameterError(f"threads must be >= 0, got {threads}")
+
+
 def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tuple[int, str]]:
     """Attained value -> (smallest n, graph6 of the first witness in graph6
     order) over all connected graphs with 2 <= n <= max_n, by one job per
@@ -789,14 +806,8 @@ def scan_values(index_name: str, max_n: int, threads: int = 1) -> dict[int, tupl
     CPU).  Each class is scanned once: its canonical labeling is the first
     of its labeled graphs in graph6 order.  Each job's candidates are folded
     into one table as its result comes, and this process searches those
-    alone.  Raises InvalidParameterError, before any work, on an unknown
-    index, on threads < 0, or unless 2 <= max_n <= MAX_N."""
-    if index_name not in INDEX_NAMES:
-        raise InvalidParameterError(f"unknown index {index_name!r}")
-    if not 2 <= max_n <= MAX_N:
-        raise InvalidParameterError(f"max_n must be in 2..{MAX_N}, got {max_n}")
-    if threads < 0:
-        raise InvalidParameterError(f"threads must be >= 0, got {threads}")
+    alone.  Checks its arguments first (`check_scan`)."""
+    check_scan(index_name, max_n, threads)
     best: dict[int, tuple] = {}
     jobs = ((_scan_chunk, (index_name, *part)) for part in _class_parts(max_n, class_levels()))
     with closing(run_jobs(jobs, threads)) as parts:

@@ -56,6 +56,17 @@ def _as_text(data: str | bytes) -> str:
     return data
 
 
+def _int(text: str, lineno: int) -> int:
+    """The edge-list integer `text`, which matches _INT.  One of more digits
+    than int() converts (4,300 by default) is out of range at any order:
+    VertexRangeError, naming the line and the integer's length."""
+    try:
+        return int(text)
+    except ValueError:
+        raise VertexRangeError(f"line {lineno}: integer of {len(text)} characters "
+                               "is out of range") from None
+
+
 def parse_edge_list(data: str | bytes) -> Graph:
     """Parse edge-list text, naming the line of the first bad record."""
     text = _as_text(data)
@@ -68,7 +79,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
         if n is None:
             if not _INT.fullmatch(line):
                 raise EdgeListSyntaxError(f"line {lineno}: expected the vertex count")
-            n = int(line)
+            n = _int(line, lineno)
             if n < 1:
                 raise VertexRangeError(f"line {lineno}: vertex count must be >= 1, got {n}")
             if n > MAX_EDGE_LIST_ORDER:
@@ -79,7 +90,7 @@ def parse_edge_list(data: str | bytes) -> Graph:
         edge = _EDGE.fullmatch(line)
         if edge is None:
             raise EdgeListSyntaxError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(edge[1]), int(edge[2])
+        u, v = _int(edge[1], lineno), _int(edge[2], lineno)
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

@@ -422,26 +422,34 @@ class TestCheckErrors:
         assert accs["FIG2-NONCONVERSE"].error.startswith("ZeroDivisionError")
         assert len(drawn) == 1
 
-    def test_erred_claim_drops_its_later_jobs(self, monkeypatch):
-        # HASSE-1 raises at the first instance of its stream's first job:
-        # no later job of the stream is made, so no random graph is drawn
-        _patch_check(monkeypatch, "HASSE-1", _divide_by_zero)
-        chunks, draws = [], []
-        real_chunk, real_draw = audit._stream_chunk, audit._connected_draw
-        monkeypatch.setattr(audit, "_stream_chunk",
-                            lambda *args: chunks.append(args[0]) or real_chunk(*args))
-        monkeypatch.setattr(audit, "_connected_draw",
-                            lambda *args: draws.append(args) or real_draw(*args))
-        (r,) = audit.run_claims([audit._CLAIMS["HASSE-1"]],
-                                audit.Budget(trials=1000, threads=1))
-        assert (r.status, r.instances_tested, r.note) == (
-            audit.STATUS_SKIPPED, 0, "ZeroDivisionError: integer division or modulo by zero")
-        assert chunks == [["HASSE-1"]] and draws == []
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_jobs_do_not_depend_on_results(self, monkeypatch, threads):
+        # the jobs the parent makes, and the ids each checks, are the same
+        # whether or not a check raises, however the results come back
+        made = []
+        real = audit._jobs
+
+        def recorded(rows, budget):
+            for fn, args in real(rows, budget):
+                made[-1].append(list(args[0]))
+                yield fn, args
+
+        monkeypatch.setattr(audit, "_jobs", recorded)
+        rows = [audit._CLAIMS[cid] for cid in ("HASSE-1", "HASSE-2", "T-PW-TREE")]
+        budget = audit.Budget(max_n=5, trials=30, threads=threads)
+        for broken in (False, True):
+            if broken:
+                _patch_check(monkeypatch, "HASSE-1", _divide_by_zero)
+            made.append([])
+            audit.run_claims(rows, budget)
+        clean, raised = made
+        assert raised == clean
+        assert clean == [["HASSE-1", "HASSE-2"]] * 5 + [["T-PW-TREE"]] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_erred_claim_leaves_its_stream_to_the_others(self, monkeypatch, threads):
-        # the jobs made after HASSE-1's error check HASSE-2 alone, which
-        # counts as it does on its own
+        # every job checks both claims: HASSE-1's parts after its error
+        # count nothing, and HASSE-2 counts as it does on its own
         budget = audit.Budget(max_n=5, trials=30, threads=threads)
         alone = _run_one("HASSE-2", budget)
         _patch_check(monkeypatch, "HASSE-1", _divide_by_zero)
@@ -457,7 +465,7 @@ class TestCheckErrors:
         if threads == 1:
             # order 2, the 2 classes of order 3 that orders 4 and 5 are
             # grown from, and the 300 random graphs
-            assert ids == [["HASSE-1", "HASSE-2"]] + [["HASSE-2"]] * (1 + 2 + 2 - 1)
+            assert ids == [["HASSE-1", "HASSE-2"]] * (1 + 2 + 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_split_stream_counts_as_one_pass(self, monkeypatch, threads):

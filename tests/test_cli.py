@@ -89,6 +89,16 @@ class TestCompute:
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {f}: line ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, line", [("9" * 5000 + "\n", 1),
+                                            ("3\n0 " + "9" * 5000 + "\n", 2)],
+                             ids=["count", "endpoint"])
+    def test_integer_past_int_limit_exits_2(self, tmp_path, capsys, text, line):
+        f = tmp_path / "digits.el"
+        f.write_text(text)
+        rc, out, err = run_cli(capsys, "compute", "--input", str(f))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {f}: line {line}: integer of 5000 characters is out of range\n"
+
     def test_graph6_multi_record(self, tmp_path, capsys):
         f = tmp_path / "many.g6"
         f.write_text("Bw\nBg\n")
@@ -576,6 +586,23 @@ class TestOutputErrors:
         for argv in (("--max-n", "12"), ("--claims", "NOPE")):
             rc, out, _ = run_cli(capsys, "audit", *argv, "--output", str(good))
             assert (rc, out) == (2, "")
+            assert not good.exists()
+
+    def test_enumerate_output_checked_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # an unwritable --output fails before any job of the sweep runs; a
+        # rejected index, order or worker count fails before it is opened
+        jobs = []
+        monkeypatch.setattr(corpus, "run_jobs", lambda *args: jobs.append(args) or iter(()))
+        bad = tmp_path / "missing" / "out.csv"
+        rc, out, err = run_cli(capsys, "enumerate-values", "--max-n", str(corpus.MAX_N),
+                               "--output", str(bad))
+        assert (rc, out, jobs) == (2, "", [])
+        assert err == f"error: {bad}: No such file or directory\n"
+        good = tmp_path / "out.csv"
+        for argv in (("--indices", "zz"), ("--max-n", str(corpus.MAX_N + 1)),
+                     ("--max-n", "1"), ("--threads", "-1")):
+            rc, out, _ = run_cli(capsys, "enumerate-values", *argv, "--output", str(good))
+            assert (rc, out, jobs) == (2, "", [])
             assert not good.exists()
 
 

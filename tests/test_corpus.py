@@ -1027,6 +1027,17 @@ class TestScanValues:
                    for val, ((n, _), cands) in best.items()}
             assert got == smallest
 
+    def test_alpha_only_where_it_can_rank(self, monkeypatch):
+        # a job computes α only for a class whose value its table does not
+        # hold at a smaller order: 489 of the 995 classes up to order 7
+        calls = []
+        real = corpus.independence_number
+        monkeypatch.setattr(corpus, "independence_number",
+                            lambda adj: calls.append(len(adj)) or real(adj))
+        for part in corpus._class_parts(7, corpus.class_levels()):
+            corpus._scan_chunk("pww", *part)
+        assert len(calls) == 489
+
     def test_canonical_forms_pinned(self, monkeypatch):
         # one search per tie not settled as twins of the new vertex, and per
         # largest-α class of a value first attained at its order

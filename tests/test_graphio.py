@@ -56,6 +56,17 @@ class TestEdgeList:
         with pytest.raises(EdgeListSyntaxError, match=f"line {line}"):
             parse_edge_list(text.encode("utf-8"))
 
+    @pytest.mark.parametrize("text, line, size", [
+        ("9" * 5000 + "\n0 1\n", 1, 5000),
+        ("# comment\n3\n0 1\n1 " + "9" * 5000 + "\n", 4, 5000),
+        ("3\n-" + "0" * 5000 + "1 2\n", 2, 5002),
+    ], ids=["count", "endpoint", "padded"])
+    def test_integer_past_int_limit_names_line(self, text, line, size):
+        # int() refuses more than 4,300 digits with a ValueError
+        with pytest.raises(VertexRangeError, match=f"^line {line}: integer of {size} "
+                                                   "characters is out of range$"):
+            parse_edge_list(text)
+
     def test_whitespace_tolerant(self):
         assert parse_edge_list(b"  3 \n\n  0   1 \n 1  2  \n") == path(3)
 
